@@ -191,7 +191,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
         result.report.structural_total,
         args.output,
     )
-    return EXIT_OK
+    failed = [row for row in result.report.rows if row.verdict.startswith("fail")]
+    for row in failed:
+        log.error("%s [%s]: %s", row.predicate, row.modality, row.verdict)
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -98,18 +98,16 @@ def _decode_escapes(raw: str, line_no: int, line: str) -> str:
 
 
 def _open_input(source: bytes | str | IO[bytes]) -> IO[str]:
-    """Wrap bytes/stream input as text, gunzipping when magic bytes match."""
+    """Wrap bytes/stream input as text, gunzipping when magic bytes match.
+
+    The magic bytes are peeked, not read, so a pipe is never read whole.
+    """
     if isinstance(source, str):
         return io.StringIO(source)
-    if isinstance(source, bytes):
-        stream: IO[bytes] = io.BytesIO(source)
-    else:
-        stream = source
-    if not stream.seekable():
-        stream = io.BytesIO(stream.read())
-    magic = stream.read(2)
-    stream.seek(0)
-    if magic == b"\x1f\x8b":
+    stream: IO[bytes] = io.BytesIO(source) if isinstance(source, bytes) else source
+    if not hasattr(stream, "peek"):
+        stream = io.BufferedReader(stream)  # type: ignore[arg-type]
+    if stream.peek(2)[:2] == b"\x1f\x8b":  # type: ignore[attr-defined]
         stream = gzip.open(stream, "rb")  # type: ignore[assignment]
     return io.TextIOWrapper(stream, encoding="utf-8")
 

@@ -1,16 +1,17 @@
 """Per-predicate LDA topic modeling for text literals.
 
 Each text predicate gets its own corpus (one document per statement) and its
-own topic model, trained by collapsed Gibbs sampling. Subjects are then
-linked to every topic whose document probability clears the threshold,
-default 10%, giving entities like abstractTopic04. Topic probabilities feed
-the edge-weight sidecar.
+own topic model, trained by synchronous collapsed Gibbs sampling. Subjects
+are then linked to every topic whose document probability clears the
+threshold, default 10%, giving entities like abstractTopic04. Topic
+probabilities feed the edge-weight sidecar.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Collection
 
@@ -23,6 +24,9 @@ from .terms import IRI, Literal, Triple, local_name
 log = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# Cells of the tokens x topics matrix that one chunk of a Gibbs sweep holds.
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,7 @@ class TopicModel:
     seed: int
     iterations: int
     vocabulary: tuple[str, ...] = field(default=())
+    last_sweep_changed: float = 0.0  # share of tokens that moved in the last sweep
 
     def top_words(self, k: int = 10) -> list[list[str]]:
         out = []
@@ -145,6 +150,16 @@ class TopicModel:
             order = np.argsort(-self.phi[t], kind="stable")[:k]
             out.append([self.vocabulary[i] for i in order if i < len(self.vocabulary)])
         return out
+
+
+def _topic_counts(
+    doc_of: np.ndarray, word_of: np.ndarray, z: np.ndarray, D: int, V: int, T: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Document-topic (D x T), word-topic (V x T) and topic (T) counts of *z*."""
+    n_dk = np.bincount(doc_of * T + z, minlength=D * T).reshape(D, T).astype(float)
+    n_wk = np.bincount(word_of * T + z, minlength=V * T).reshape(V, T).astype(float)
+    n_k = np.bincount(z, minlength=T).astype(float)
+    return n_dk, n_wk, n_k
 
 
 def train_lda(
@@ -155,7 +170,14 @@ def train_lda(
     iterations: int = 500,
     seed: int = 0,
 ) -> TopicModel:
-    """Collapsed Gibbs sampling over the corpus's non-empty documents.
+    """Synchronous collapsed Gibbs sampling over the non-empty documents.
+
+    Each sweep resamples every token at once from the previous sweep's
+    counts minus the token's own assignment, then rebuilds the counts
+    (AD-LDA with one token per processor; Newman et al., JMLR 2009). A sweep
+    costs a few numpy passes over a tokens x topics matrix, taken in chunks
+    of about _CHUNK_CELLS cells to cap memory; the counts change only between
+    sweeps, so the chunk size never changes the result.
 
     Identical corpus, parameters, and seed give identical models. Empty
     documents keep a uniform topic distribution (the prior-only estimate).
@@ -184,38 +206,44 @@ def train_lda(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     z = rng.integers(0, T, size=n_tokens)
-
-    n_dk = np.zeros((D, T))
-    n_kw = np.zeros((T, V))
-    n_k = np.zeros(T)
-    np.add.at(n_dk, (doc_of, z), 1.0)
-    np.add.at(n_kw, (z, word_of), 1.0)
-    np.add.at(n_k, z, 1.0)
+    n_dk, n_wk, n_k = _topic_counts(doc_of, word_of, z, D, V, T)
 
     v_beta = V * beta
+    chunk = max(1, _CHUNK_CELLS // T)
+    changed = 0
     for _ in range(iterations):
         draws = rng.random(n_tokens)
-        for i in range(n_tokens):
-            d = doc_of[i]
-            w = word_of[i]
-            k = z[i]
-            n_dk[d, k] -= 1.0
-            n_kw[k, w] -= 1.0
-            n_k[k] -= 1.0
-            p = (n_dk[d] + alpha) * (n_kw[:, w] + beta) / (n_k + v_beta)
-            cum = np.cumsum(p)
-            k = int(np.searchsorted(cum, draws[i] * cum[-1], side="right"))
-            if k >= T:
-                k = T - 1
-            z[i] = k
-            n_dk[d, k] += 1.0
-            n_kw[k, w] += 1.0
-            n_k[k] += 1.0
+        new_z = np.empty_like(z)
+        for start in range(0, n_tokens, chunk):
+            stop = min(start + chunk, n_tokens)
+            k = z[start:stop]
+            own = (np.arange(stop - start), k)
+            doc_part = n_dk[doc_of[start:stop]]
+            doc_part[own] -= 1.0
+            doc_part += alpha
+            word_part = n_wk[word_of[start:stop]]
+            word_part[own] -= 1.0
+            word_part += beta
+            norm = np.tile(n_k + v_beta, (stop - start, 1))
+            norm[own] -= 1.0
+            doc_part *= word_part
+            doc_part /= norm
+            cum = np.cumsum(doc_part, axis=1)
+            # searchsorted(side="right") per row: how many cumulative
+            # masses lie at or below the scaled draw.
+            scaled = draws[start:stop] * cum[:, -1]
+            picked = np.count_nonzero(cum <= scaled[:, None], axis=1)
+            new_z[start:stop] = np.minimum(picked, T - 1)
+        changed = int(np.count_nonzero(new_z != z))
+        z = new_z
+        n_dk, n_wk, n_k = _topic_counts(doc_of, word_of, z, D, V, T)
 
-    phi = (n_kw + beta) / (n_k[:, None] + v_beta)
+    phi = (n_wk.T + beta) / (n_k[:, None] + v_beta)
     doc_lengths = np.array([len(doc) for doc in corpus.documents], dtype=float)
     theta = (n_dk + alpha) / (doc_lengths[:, None] + T * alpha)
-    return TopicModel(T, alpha, beta, phi, theta, seed, iterations, corpus.vocabulary)
+    return TopicModel(
+        T, alpha, beta, phi, theta, seed, iterations, corpus.vocabulary, changed / n_tokens
+    )
 
 
 def document_topics(model: TopicModel, document_id: int) -> np.ndarray:
@@ -293,6 +321,7 @@ def txtlda(
             f"{group.predicate}: no tokenizable text, all statements got AnyValue links"
         )
         return aug, None
+    started = time.perf_counter()
     model = train_lda(
         corpus,
         topics=spec.topics,
@@ -300,6 +329,14 @@ def txtlda(
         beta=spec.beta,
         iterations=spec.iterations,
         seed=seed,
+    )
+    log.info(
+        "%s: %d tokens, %d sweeps in %.2f s; %.1f%% of tokens changed topic in the last sweep",
+        group.predicate,
+        sum(len(doc) for doc in corpus.documents),
+        spec.iterations,
+        time.perf_counter() - started,
+        100.0 * model.last_sweep_changed,
     )
     aug = emit_topic_triples(group, graph, model, corpus, namespace, spec.threshold)
     return aug, model

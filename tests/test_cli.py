@@ -11,7 +11,7 @@ import types
 
 import pytest
 
-from literal_forge import AugmentationReport
+from literal_forge import AugmentationReport, baselines
 from literal_forge.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -277,3 +277,44 @@ class TestLogging:
         finally:
             root.handlers[:] = handlers
             root.level = level
+
+
+def test_transform_exits_verify_on_failed_bound(sample_nt, tmp_path, monkeypatch, caplog):
+    real = baselines.one_entity
+
+    def overgrown(group, graph, namespace):
+        aug = real(group, graph, namespace)
+        aug.triples.append(aug.triples[0])  # one past the exact bound of S
+        aug.weights.append(None)
+        return aug
+
+    monkeypatch.setattr(baselines, "one_entity", overgrown)
+    with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+        code, out = transform(sample_nt, tmp_path, "--strategy", "ONEENTITY")
+    assert code == EXIT_VERIFY
+    report = AugmentationReport.from_file(out + ".report.json")
+    failed = [row for row in report.rows if row.verdict.startswith("fail:")]
+    assert len(failed) == len(report.rows) == 3
+    logged = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
+    for row in failed:
+        assert f"{row.predicate} [{row.modality}]: {row.verdict}" in logged
+    assert main(["verify", "--input", out]) == EXIT_VERIFY
+
+
+def test_text_output_identical_across_worker_counts(tmp_path):
+    words = "solar wind turbine panel grid storage battery river dam tide".split()
+    lines = []
+    for i in range(30):
+        lines.append(text_line(f"s{i}", "abstract", " ".join(words[i % 7 : i % 7 + 4])))
+        lines.append(text_line(f"s{i}", "summary", " ".join(words[(i * 3) % 6 :][:5])))
+        lines.append(numeric_line(f"s{i}", "capacity", f"{i * 1.5}"))
+    path = tmp_path / "text.nt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outputs = []
+    for workers in (["--workers", "1"], [], ["--workers", "3"]):
+        out = tmp_path / f"out{len(outputs)}.nt"
+        assert main(["transform", "--input", str(path), "--output", str(out), *workers]) == EXIT_OK
+        outputs.append((out.read_bytes(), (tmp_path / f"{out.name}.report.json").read_bytes()))
+    assert b"abstractTopic" in outputs[0][0] and b"summaryTopic" in outputs[0][0]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]

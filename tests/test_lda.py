@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from literal_forge import IRI, Modality
+from literal_forge import IRI, Modality, textlda
 from literal_forge.textlda import (
     Corpus,
     LdaSpec,
@@ -330,3 +330,139 @@ def test_txtlda_untrainable_group_degrades():
     assert aug.fallback_statements == 2
     assert {t.object.value for t in aug.triples} == {NEW + "abstractAnyValue"}
     assert any("no tokenizable text" in w for w in aug.warnings)
+
+
+# --- synchronous sampler ----------------------------------------------------
+
+
+@pytest.mark.parametrize("cells", [1, 7, 55])
+def test_chunk_budget_never_changes_the_model(monkeypatch, cells):
+    graph = separable_graph()
+    corpus = build_corpus(text_group(graph))
+    whole = train_lda(corpus, topics=3, alpha=0.5, iterations=25, seed=9)
+    # At T=3 these budgets give chunks of 1, 2 and 18 tokens; 18 does not
+    # divide the 240-token corpus, so the last chunk is short.
+    monkeypatch.setattr(textlda, "_CHUNK_CELLS", cells)
+    chunked = train_lda(corpus, topics=3, alpha=0.5, iterations=25, seed=9)
+    assert np.array_equal(whole.phi, chunked.phi)
+    assert np.array_equal(whole.theta, chunked.theta)
+    assert whole.last_sweep_changed == chunked.last_sweep_changed
+
+
+def loop_reference(corpus, topics, alpha, beta, iterations, seed):
+    """The synchronous sweep written per token: every token's topic is drawn
+    from the previous sweep's counts minus its own assignment, with the same
+    random stream and arithmetic as train_lda. Returns (phi, theta)."""
+    T, V, D = topics, corpus.vocab_size, corpus.num_documents
+    tokens = [(d, w) for d, doc in enumerate(corpus.documents) for w in doc]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    z = rng.integers(0, T, size=len(tokens))
+    for sweep in range(iterations + 1):
+        n_dk, n_wk, n_k = np.zeros((D, T)), np.zeros((V, T)), np.zeros(T)
+        for (d, w), k in zip(tokens, z):
+            n_dk[d, k] += 1.0
+            n_wk[w, k] += 1.0
+            n_k[k] += 1.0
+        if sweep == iterations:
+            break
+        draws = rng.random(len(tokens))
+        new_z = z.copy()
+        for i, ((d, w), k) in enumerate(zip(tokens, z)):
+            own = np.zeros(T)
+            own[k] = 1.0
+            p = (n_dk[d] - own + alpha) * (n_wk[w] - own + beta) / (n_k + V * beta - own)
+            cum = np.cumsum(p)
+            new_z[i] = min(int(np.searchsorted(cum, draws[i] * cum[-1], side="right")), T - 1)
+        z = new_z
+    phi = (n_wk.T + beta) / (n_k[:, None] + V * beta)
+    lengths = np.array([len(doc) for doc in corpus.documents], dtype=float)
+    theta = (n_dk + alpha) / (lengths[:, None] + T * alpha)
+    return phi, theta
+
+
+def test_sweep_matches_per_token_loop_reference():
+    corpus = Corpus(
+        documents=[[0, 1, 2, 1], [], [3, 3, 4], [2, 4, 0, 0, 1], [5]],
+        vocabulary=tuple("abcdef"),
+        statement_subjects=[0, 1, 2, 3, 4],
+    )
+    model = train_lda(corpus, topics=3, alpha=0.4, beta=0.05, iterations=12, seed=4)
+    phi, theta = loop_reference(corpus, 3, 0.4, 0.05, 12, 4)
+    assert np.array_equal(model.phi, phi)
+    assert np.array_equal(model.theta, theta)
+
+
+PLANTED_TOPICS = 8
+PLANTED_WORDS = 40
+
+
+def planted_corpus(seed: int, documents: int = 450) -> tuple[Corpus, np.ndarray]:
+    """Documents of 10-18 tokens drawn 80/20 from two of 8 disjoint 40-word
+    topics, the shape of the text-topics benchmark graph. Also returns each
+    document's main topic."""
+    rng = np.random.default_rng(seed)
+    docs, mains = [], []
+    for _ in range(documents):
+        main, second = rng.choice(PLANTED_TOPICS, size=2, replace=False)
+        length = int(rng.integers(10, 19))
+        topic = np.where(rng.random(length) < 0.8, main, second)
+        words = rng.integers(0, PLANTED_WORDS, length)
+        docs.append([int(t * PLANTED_WORDS + w) for t, w in zip(topic, words)])
+        mains.append(int(main))
+    vocabulary = tuple(
+        f"t{t}w{w}" for t in range(PLANTED_TOPICS) for w in range(PLANTED_WORDS)
+    )
+    return Corpus(docs, vocabulary, list(range(documents))), np.array(mains)
+
+
+def word_recovery(model) -> float:
+    """Mean over planted topics of the best overlap between its 40 words and
+    some learned topic's 40 most probable words; merged topics score 0.5."""
+    tops = [
+        set(np.argsort(-model.phi[k], kind="stable")[:PLANTED_WORDS].tolist())
+        for k in range(model.topics)
+    ]
+    planted = [
+        set(range(j * PLANTED_WORDS, (j + 1) * PLANTED_WORDS)) for j in range(PLANTED_TOPICS)
+    ]
+    return float(np.mean([max(len(top & words) for top in tops) / PLANTED_WORDS for words in planted]))
+
+
+def document_purity(model, mains: np.ndarray) -> float:
+    """Share of documents whose dominant topic's majority main topic is theirs."""
+    dominant = model.theta.argmax(axis=1)
+    return sum(
+        np.bincount(mains[dominant == k], minlength=PLANTED_TOPICS).max()
+        for k in np.unique(dominant)
+    ) / len(mains)
+
+
+# The bars are the mean recovery that the sequential per-token sampler, which
+# the synchronous sweep replaced, reached on the same corpora and seeds,
+# rounded down to two decimals.
+@pytest.mark.parametrize(
+    "sweeps, seeds, words_bar, purity_bar",
+    [(100, 5, 0.52, 0.70), (300, 3, 0.91, 0.98)],
+)
+def test_planted_topics_recovered_as_well_as_sequential_sampler(
+    sweeps, seeds, words_bar, purity_bar
+):
+    words, purity = [], []
+    for seed in range(seeds):
+        corpus, mains = planted_corpus(100 + seed)
+        model = train_lda(corpus, topics=PLANTED_TOPICS, iterations=sweeps, seed=seed)
+        words.append(word_recovery(model))
+        purity.append(document_purity(model, mains))
+    assert np.mean(words) >= words_bar, words
+    assert np.mean(purity) >= purity_bar, purity
+
+
+def test_txtlda_logs_one_progress_line_per_group(caplog):
+    graph = separable_graph()
+    spec = LdaSpec(topics=2, alpha=0.5, iterations=40)
+    with caplog.at_level(logging.INFO, logger="literal_forge.textlda"):
+        txtlda(text_group(graph), graph, spec, NEW, seed=3)
+    lines = [r.getMessage() for r in caplog.records if r.name == "literal_forge.textlda"]
+    assert len(lines) == 1
+    assert lines[0].startswith(EX + "abstract: 240 tokens, 40 sweeps in ")
+    assert lines[0].endswith("of tokens changed topic in the last sweep")

@@ -323,3 +323,36 @@ def test_arbitrary_literal_payload_roundtrip(payload):
     (back,), diagnostics = parse_ntriples(serialize_ntriples([t]))
     assert not diagnostics
     assert back.object.lexical == payload
+
+
+class PipeStream(io.RawIOBase):
+    """A non-seekable byte source, like a pipe, that refuses to be read whole:
+    only bounded reads are served."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = min(len(buffer), len(self._data) - self._pos)
+        buffer[:n] = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return n
+
+    def readall(self) -> bytes:
+        raise AssertionError("unbounded read() of a pipe")
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_pipe_input_read_in_bounded_pieces(compress):
+    raw = b"".join(
+        b'<http://a.org/s%d> <http://a.org/p> "x%d" .\n' % (i, i) for i in range(5000)
+    )
+    stream = PipeStream(gzip.compress(raw) if compress else raw)
+    assert not stream.seekable()
+    triples = list(iter_ntriples(stream))
+    assert len(triples) == 5000
+    assert triples[-1].object.lexical == "x4999"
