@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .baselines import (
     DEFAULT_NAMESPACE,
     mint_any_value_triple,
     sanitize_value,
-    subject_term,
 )
 from .graph import IndexedGraph, LiteralGroup
 from .terms import IRI, Literal, Triple, local_name
@@ -31,6 +31,10 @@ log = logging.getLogger(__name__)
 
 NEXT_BIN = "nextBin"
 PARENT_BIN = "parentBin"
+
+# Cells per array chunk of the LOF reach sums and the overlap hit mask;
+# chunking caps memory and never changes a result.
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -226,28 +230,69 @@ def compute_bins(
     )
 
 
-def _flat_index(value: float, boundaries: tuple[float, ...]) -> int:
-    idx = bisect_right(boundaries, value) - 1
-    return min(max(idx, 0), len(boundaries) - 2)
+def _flat_indices(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(boundaries, values, side="right") - 1
+    return np.clip(idx, 0, boundaries.size - 2)
 
 
-def _level_bins(value: float, level: BinLevel, overlap: float) -> list[int]:
-    b = level.boundaries
-    k = level.num_bins
-    if k == 1:
-        return [0]
-    if overlap == 0.0:
-        return [_flat_index(value, b)]
-    hits = []
-    for i in range(k):
-        w = (b[i + 1] - b[i]) * overlap
-        lo = b[i] - w
-        hi = b[i + 1] + w
-        if (lo <= value < hi) or (i == k - 1 and lo <= value <= hi):
-            hits.append(i)
-    if not hits:
-        hits.append(_flat_index(value, b))
-    return hits
+def _overlap_hits(
+    values: np.ndarray, boundaries: np.ndarray, overlap: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(value position, bin) pairs of the widened bins that hold each value.
+
+    A value that no widened bin holds falls back to its flat bin. Pairs come
+    sorted by value position, then bin.
+    """
+    b = boundaries
+    k = b.size - 1
+    w = (b[1:] - b[:-1]) * overlap
+    lo = b[:-1] - w
+    hi = b[1:] + w
+    rows_out: list[np.ndarray] = []
+    bins_out: list[np.ndarray] = []
+    step = max(1, _CHUNK_CELLS // k)
+    for start in range(0, values.size, step):
+        v = values[start : start + step, None]
+        hit = (lo <= v) & (v < hi)
+        hit[:, -1] |= (lo[-1] <= v[:, 0]) & (v[:, 0] <= hi[-1])
+        missed = np.flatnonzero(~hit.any(axis=1))
+        hit[missed, _flat_indices(v[missed, 0], b)] = True
+        rows, bins = np.nonzero(hit)
+        rows_out.append(rows + start)
+        bins_out.append(bins)
+    return np.concatenate(rows_out), np.concatenate(bins_out)
+
+
+def assign_bins_array(
+    values: np.ndarray, layout: BinLayout
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value position, level, bin index) of every bin holding each value.
+
+    The three arrays run in emission order: values in input order, then
+    levels finest first, then bins ascending. A level with one bin takes
+    every value; without overlap each value lands in exactly one bin per
+    level, and out-of-range values clamp to the nearest boundary bin.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    rows: list[np.ndarray] = []
+    levels: list[np.ndarray] = []
+    bins: list[np.ndarray] = []
+    for level_idx, level in enumerate(layout.levels):
+        b = np.asarray(level.boundaries, dtype=float)
+        if level.num_bins == 1 or layout.overlap == 0.0:
+            level_rows = np.arange(n)
+            level_bins = _flat_indices(values, b)
+        else:
+            level_rows, level_bins = _overlap_hits(values, b, layout.overlap)
+        rows.append(level_rows)
+        levels.append(np.full(level_rows.size, level_idx))
+        bins.append(level_bins)
+    if len(rows) == 1:
+        return rows[0], levels[0], bins[0]
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")  # levels were concatenated in order
+    return row[order], np.concatenate(levels)[order], np.concatenate(bins)[order]
 
 
 def assign_bins(value: float, layout: BinLayout) -> tuple[tuple[int, int], ...]:
@@ -256,11 +301,25 @@ def assign_bins(value: float, layout: BinLayout) -> tuple[tuple[int, int], ...]:
     Flat disjoint layouts yield exactly one pair; overlap and hierarchy can
     yield several. Out-of-range values clamp to the nearest boundary bin.
     """
-    out: list[tuple[int, int]] = []
-    for level_idx, level in enumerate(layout.levels):
-        for bin_idx in _level_bins(value, level, layout.overlap):
-            out.append((level_idx, bin_idx))
-    return tuple(out)
+    _, levels, bins = assign_bins_array(np.array([value], dtype=float), layout)
+    return tuple(zip(levels.tolist(), bins.tolist()))
+
+
+@dataclass(frozen=True)
+class BinAssignments:
+    """The bins of one population's values, as assign_bins_array gives them.
+
+    *subjects* holds one subject id per value; pair p links value
+    ``rows[p]`` to bin ``bins[p]`` of level ``levels[p]``.
+    """
+
+    subjects: np.ndarray
+    rows: np.ndarray
+    levels: np.ndarray
+    bins: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.subjects)
 
 
 @dataclass
@@ -318,92 +377,130 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
     # Neighborhood bounds: searchsorted on [v-kd, v+kd] is only a first
     # guess, because v-kd need not round to the neighbor value that defined
     # kd. The fixup compares distances with the same subtraction that
-    # produced kdist, so the boundary neighbor is never lost.
+    # produced kdist, so the boundary neighbor is never lost. Each step
+    # moves every bound that still needs it by one, until none does.
     lo = np.searchsorted(sv, sv - kdist, side="left")
     hi = np.searchsorted(sv, sv + kdist, side="right")
-    for i in range(n):
-        while lo[i] > 0 and sv[i] - sv[lo[i] - 1] <= kdist[i]:
-            lo[i] -= 1
-        while lo[i] < i and sv[i] - sv[lo[i]] > kdist[i]:
-            lo[i] += 1
-        while hi[i] < n and sv[hi[i]] - sv[i] <= kdist[i]:
-            hi[i] += 1
-        while hi[i] - 1 > i and sv[hi[i] - 1] - sv[i] > kdist[i]:
-            hi[i] -= 1
+    last = n - 1
+    _settle(lo, -1, lambda a: (lo[a] > 0) & (sv[a] - sv[lo[a] - 1] <= kdist[a]))
+    _settle(lo, 1, lambda a: (lo[a] < a) & (sv[a] - sv[lo[a]] > kdist[a]))
+    _settle(hi, 1, lambda a: (hi[a] < n) & (sv[np.minimum(hi[a], last)] - sv[a] <= kdist[a]))
+    _settle(hi, -1, lambda a: (hi[a] - 1 > a) & (sv[hi[a] - 1] - sv[a] > kdist[a]))
 
-    lrd = np.empty(n)
-    for i in range(n):
-        reach = np.maximum(kdist[lo[i] : hi[i]], np.abs(sv[lo[i] : hi[i]] - sv[i]))
-        total = reach.sum() - kdist[i]  # drop self (reach to self is own k-distance)
-        count = hi[i] - lo[i] - 1
-        mean_reach = total / count
-        lrd[i] = np.inf if mean_reach <= 0.0 else 1.0 / mean_reach
+    # Reach distance to neighbor j is max(kdist[j], |v - v_j|). A point with
+    # kdist 0 has at least k ties, so its neighbors are ties with kdist 0
+    # too and its reach sum is 0; only the other points gather.
+    count = hi - lo - 1
+    reach = np.zeros(n)
+    spread = np.flatnonzero(kdist > 0.0)
+    reach[spread] = _reach_sums(sv, kdist, lo, hi, spread)
+    mean_reach = (reach - kdist) / count  # drop self (reach to self is own k-distance)
+    dense = mean_reach <= 0.0
+    lrd = np.full(n, np.inf)
+    lrd[~dense] = 1.0 / mean_reach[~dense]
 
-    scores_sorted = np.empty(n)
-    for i in range(n):
-        if np.isinf(lrd[i]):
-            scores_sorted[i] = 1.0
-            continue
-        total = lrd[lo[i] : hi[i]].sum() - lrd[i]
-        count = hi[i] - lo[i] - 1
-        scores_sorted[i] = (total / count) / lrd[i]
+    scores_sorted = np.ones(n)
+    finite = np.flatnonzero(np.isfinite(lrd))
+    neighbor_lrd = _window_sums(lrd, lo[finite], hi[finite]) - lrd[finite]
+    scores_sorted[finite] = (neighbor_lrd / count[finite]) / lrd[finite]
 
     scores = np.empty(n)
     scores[order] = scores_sorted
-    retained = [i for i in range(n) if scores[i] <= threshold]
-    outliers = [i for i in range(n) if scores[i] > threshold]
-    return LofResult(scores, retained, outliers)
+    outlier = scores > threshold
+    return LofResult(
+        scores, np.flatnonzero(~outlier).tolist(), np.flatnonzero(outlier).tolist()
+    )
+
+
+def _settle(bound: np.ndarray, step: int, moves: Callable[[np.ndarray], np.ndarray]) -> None:
+    """Add *step* to bound[i] for every i where moves(i) holds, until none does."""
+    active = np.arange(bound.size)
+    while True:
+        active = active[moves(active)]
+        if active.size == 0:
+            return
+        bound[active] += step
+
+
+def _window_sums(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """sum(a[lo[i]:hi[i]]) for every i, in one reduceat over interleaved bounds."""
+    bounds = np.empty(2 * lo.size, dtype=np.intp)
+    bounds[0::2] = lo
+    bounds[1::2] = hi
+    return np.add.reduceat(np.append(a, 0.0), bounds)[0::2]
+
+
+def _reach_sums(
+    sv: np.ndarray, kdist: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Sum of reach distances over each row's neighborhood.
+
+    The neighborhoods are gathered flat, a chunk of rows at a time with
+    about _CHUNK_CELLS gathered cells per chunk (at least one row).
+    """
+    widths = hi[rows] - lo[rows]
+    ends = np.cumsum(widths)
+    out = np.empty(rows.size)
+    start = 0
+    while start < rows.size:
+        budget = ends[start] - widths[start] + _CHUNK_CELLS
+        stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
+        r = rows[start:stop]
+        w = widths[start:stop]
+        offsets = np.cumsum(w) - w
+        j = np.arange(offsets[-1] + w[-1]) + np.repeat(lo[r] - offsets, w)
+        dist = np.abs(sv[j] - np.repeat(sv[r], w))
+        out[start:stop] = np.add.reduceat(np.maximum(kdist[j], dist), offsets)
+        start = stop
+    return out
 
 
 def emit_bin_triples(
     group: LiteralGroup,
     graph: IndexedGraph,
     layout: BinLayout,
-    assignments: list[tuple[int, tuple[tuple[int, int], ...]]],
+    assignments: BinAssignments,
     namespace: str = DEFAULT_NAMESPACE,
     aug: Augmentation | None = None,
 ) -> Augmentation:
     """Statement triples for assigned bins plus the structural bin graph.
 
-    *assignments* pairs each subject id with its assign_bins result. All bins
-    of the layout are minted (the adjacency chain runs through empty bins);
-    chain and hierarchy triples are structural, not statement, triples.
+    All bins of the layout are minted (the adjacency chain runs through
+    empty bins); chain and hierarchy triples are structural, not statement,
+    triples. Each bin IRI is built once.
     """
     aug = aug if aug is not None else Augmentation()
     predicate = IRI(group.predicate)
+    bin_iris = [[IRI(entity) for entity in level.entities] for level in layout.levels]
     for level in layout.levels:
         for entity in level.entities:
             aug.add_entity(entity)
-    for subject_id, assigned in assignments:
-        subj = subject_term(graph, subject_id)
-        for level_idx, bin_idx in assigned:
-            aug.triples.append(
-                Triple(subj, predicate, IRI(layout.levels[level_idx].entities[bin_idx]))
-            )
-            aug.weights.append(None)
+    flat_iris = [iri for level_iris in bin_iris for iri in level_iris]
+    offsets = np.cumsum([0] + [level.num_bins for level in layout.levels])
+    objects = [flat_iris[i] for i in (offsets[assignments.levels] + assignments.bins).tolist()]
+    terms = graph.entity_terms
+    subjects = [terms[sid] for sid in assignments.subjects.tolist()]
+    if len(objects) != len(subjects):
+        subjects = [subjects[row] for row in assignments.rows.tolist()]
+    aug.triples.extend(map(Triple, subjects, repeat(predicate), objects))
+    aug.weights.extend([None] * len(objects))
     if layout.connect_adjacent and any(level.num_bins > 1 for level in layout.levels):
         next_bin = namespace + NEXT_BIN
         if next_bin not in aug.relations:
             aug.relations.append(next_bin)
-        for level in layout.levels:
-            for i in range(level.num_bins - 1):
-                aug.structural_triples.append(
-                    Triple(IRI(level.entities[i]), IRI(next_bin), IRI(level.entities[i + 1]))
-                )
+        link = IRI(next_bin)
+        for level_iris in bin_iris:
+            for a, b in zip(level_iris, level_iris[1:]):
+                aug.structural_triples.append(Triple(a, link, b))
     if len(layout.levels) > 1:
         parent_bin = namespace + PARENT_BIN
         if parent_bin not in aug.relations:
             aug.relations.append(parent_bin)
-        for child_level, parent_level in zip(layout.levels, layout.levels[1:]):
-            for i in range(child_level.num_bins):
-                parent_idx = min(i // 2, parent_level.num_bins - 1)
-                aug.structural_triples.append(
-                    Triple(
-                        IRI(child_level.entities[i]),
-                        IRI(parent_bin),
-                        IRI(parent_level.entities[parent_idx]),
-                    )
-                )
+        link = IRI(parent_bin)
+        for child_iris, parent_iris in zip(bin_iris, bin_iris[1:]):
+            for i, child in enumerate(child_iris):
+                parent = parent_iris[min(i // 2, len(parent_iris) - 1)]
+                aug.structural_triples.append(Triple(child, link, parent))
     return aug
 
 
@@ -431,39 +528,40 @@ def bin_statements(
         ]
     if not statements:
         return aug
-    outlier_stmts: list[tuple[int, float]] = []
-    retained_stmts = statements
+    subject_ids, raw_values = zip(*statements)
+    subjects = np.array(subject_ids, dtype=np.intp)
+    values = np.array(raw_values, dtype=float)
+    outlier = np.zeros(values.size, dtype=bool)
     if lof is not None:
-        result = lof_scores([v for _, v in statements], lof.k, lof.threshold)
-        if result.num_outliers:
-            outlier_set = set(result.outlier_indices)
-            retained_stmts = [s for i, s in enumerate(statements) if i not in outlier_set]
-            outlier_stmts = [s for i, s in enumerate(statements) if i in outlier_set]
-            if not retained_stmts:  # everything flagged: skip the filter
-                aug.warnings.append(
-                    f"{group.predicate}: LOF flagged all {len(statements)} values, filter skipped"
-                )
-                retained_stmts, outlier_stmts = statements, []
+        result = lof_scores(values, lof.k, lof.threshold)
+        outlier[result.outlier_indices] = True
+        if outlier.all():  # everything flagged: skip the filter
+            aug.warnings.append(
+                f"{group.predicate}: LOF flagged all {len(statements)} values, filter skipped"
+            )
+            outlier[:] = False
+    retained = values[~outlier]
     layout = compute_bins(
-        [v for _, v in retained_stmts],
+        retained,
         spec,
         predicate=group.predicate,
         namespace=namespace,
         subpopulation=subpopulation,
     )
-    assignments = [(sid, assign_bins(v, layout)) for sid, v in retained_stmts]
+    assignments = BinAssignments(subjects[~outlier], *assign_bins_array(retained, layout))
     emit_bin_triples(group, graph, layout, assignments, namespace, aug)
-    if outlier_stmts:
+    if outlier.any():
         pred_local = sanitize_value(local_name(group.predicate))
         sub = f"Sub{subpopulation}" if subpopulation is not None else ""
         low = IRI(namespace + pred_local + sub + "OutlierLow")
         high = IRI(namespace + pred_local + sub + "OutlierHigh")
         mid = (layout.lower + layout.upper) / 2.0
         predicate = IRI(group.predicate)
-        for subject_id, value in outlier_stmts:
+        terms = graph.entity_terms
+        for subject_id, value in zip(subjects[outlier].tolist(), values[outlier].tolist()):
             entity = low if value <= mid else high
             aug.add_entity(entity.value)
-            aug.triples.append(Triple(subject_term(graph, subject_id), predicate, entity))
+            aug.triples.append(Triple(terms[subject_id], predicate, entity))
             aug.weights.append(None)
     return aug
 

@@ -13,10 +13,17 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .graph import ModalityRules, build_index, profile_stream
-from .ntriples import ParseDiagnostic, ParseError, format_triple, iter_ntriples
+from .ntriples import (
+    ParseDiagnostic,
+    ParseError,
+    SerializationError,
+    format_lines,
+    iter_ntriples,
+    write_ntriples,
+)
 from .pipeline import (
     AugmentationReport,
     ConfigError,
@@ -167,19 +174,23 @@ def cmd_transform(args: argparse.Namespace) -> int:
         return EXIT_STRATEGY
 
     try:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            for triple in result.triples:
-                fh.write(format_triple(triple))
-                fh.write("\n")
+        with open(args.output, "wb") as out:
+            write_ntriples(result.triples, out)
         report_path = args.output + ".report.json"
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(result.report.to_json())
             fh.write("\n")
         if config.emit_weights:
             weights_path = args.output + ".weights.tsv"
+            lines = format_lines(triple for triple, _ in result.weighted)
             with open(weights_path, "w", encoding="utf-8", newline="\n") as fh:
-                for triple, weight in result.weighted:
-                    fh.write(f"{format_triple(triple)}\t{weight:.6f}\n")
+                for line, (_, weight) in zip(lines, result.weighted):
+                    fh.write(f"{line}\t{weight:.6f}\n")
+    except SerializationError as exc:
+        log.error("cannot serialize output: %s", exc)
+        with suppress(OSError):
+            os.remove(args.output)
+        return EXIT_INPUT
     except OSError as exc:
         log.error("cannot write output: %s", exc)
         return EXIT_INPUT
@@ -243,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--output", required=True, help="output N-Triples path")
             p.add_argument("--strategy", help="apply one strategy to every modality")
             p.add_argument("--seed", type=int, help="override the configured random seed")
-            p.add_argument("--workers", type=int, help="parallel group workers")
+            p.add_argument(
+                "--workers", type=int, help="deprecated and ignored: groups run serially"
+            )
             p.add_argument(
                 "--emit-weights",
                 action="store_true",

@@ -14,10 +14,22 @@ from __future__ import annotations
 import gzip
 import io
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator
+from itertools import islice
+from typing import IO, Any, Callable, Iterable, Iterator
 
-from .terms import IRI, BlankNode, Literal, Term, TermError, Triple, XSD_STRING, RDF_LANGSTRING
+from .terms import (
+    IRI,
+    BlankNode,
+    Literal,
+    Term,
+    TermError,
+    Triple,
+    XSD_STRING,
+    RDF_LANGSTRING,
+    validate_term,
+)
 
 _IRIREF = r'<([^\x00-\x20<>"{}|^`\\]*)>'
 _BNODE = r"_:([A-Za-z0-9_](?:[A-Za-z0-9_.:\-]*[A-Za-z0-9_:\-])?)"
@@ -50,6 +62,9 @@ _ESCAPE_SEQ = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DO
 # everything else stays raw UTF-8.
 _CANON_ESCAPE = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"}
 _CANON_NEEDED = re.compile(r'[\\"\n\r]')
+
+# Statements encoded and written per write() call.
+_WRITE_BATCH = 256
 
 
 class ParseError(ValueError):
@@ -97,19 +112,33 @@ def _decode_escapes(raw: str, line_no: int, line: str) -> str:
     return _ESCAPE_SEQ.sub(sub, raw)
 
 
-def _open_input(source: bytes | str | IO[bytes]) -> IO[str]:
+@contextmanager
+def _open_input(source: bytes | str | IO[bytes]) -> Iterator[IO[str]]:
     """Wrap bytes/stream input as text, gunzipping when magic bytes match.
 
-    The magic bytes are peeked, not read, so a pipe is never read whole.
+    The magic bytes are peeked, not read, so a pipe is never read whole. On
+    exit the wrappers made here are detached or closed, never the caller's
+    stream, which stays open.
     """
     if isinstance(source, str):
-        return io.StringIO(source)
+        yield io.StringIO(source)
+        return
     stream: IO[bytes] = io.BytesIO(source) if isinstance(source, bytes) else source
+    buffered = None
     if not hasattr(stream, "peek"):
-        stream = io.BufferedReader(stream)  # type: ignore[arg-type]
+        stream = buffered = io.BufferedReader(stream)  # type: ignore[arg-type]
+    gunzip = None
     if stream.peek(2)[:2] == b"\x1f\x8b":  # type: ignore[attr-defined]
-        stream = gzip.open(stream, "rb")  # type: ignore[assignment]
-    return io.TextIOWrapper(stream, encoding="utf-8")
+        stream = gunzip = gzip.GzipFile(fileobj=stream, mode="rb")  # type: ignore[assignment]
+    text = io.TextIOWrapper(stream, encoding="utf-8")
+    try:
+        yield text
+    finally:
+        text.detach()
+        if gunzip is not None:
+            gunzip.close()  # leaves its fileobj open
+        if buffered is not None:
+            buffered.detach()
 
 
 def iter_ntriples(
@@ -122,7 +151,6 @@ def iter_ntriples(
     In strict mode the first malformed line raises ParseError instead.
     Parsing is line-local: permuting input lines permutes output identically.
     """
-    text = _open_input(source)
     # Terms repeat heavily in real graphs; interning keeps parsing fast and
     # lets downstream dictionaries share objects.
     iri_cache: dict[str, IRI] = {}
@@ -142,44 +170,45 @@ def iter_ntriples(
             bnode_cache[label] = term
         return term
 
-    for line_no, line in enumerate(text, start=1):
-        if line.endswith("\n"):
-            line = line[:-1]
-            if line.endswith("\r"):
+    with _open_input(source) as text:
+        for line_no, line in enumerate(text, start=1):
+            if line.endswith("\n"):
                 line = line[:-1]
-        m = _STATEMENT.match(line)
-        if m is None:
-            if _BLANK_OR_COMMENT.match(line):
+                if line.endswith("\r"):
+                    line = line[:-1]
+            m = _STATEMENT.match(line)
+            if m is None:
+                if _BLANK_OR_COMMENT.match(line):
+                    continue
+                diag = ParseDiagnostic(line_no, "malformed statement", line)
+                if strict:
+                    raise ParseError(diag)
+                if on_diagnostic is not None:
+                    on_diagnostic(diag)
                 continue
-            diag = ParseDiagnostic(line_no, "malformed statement", line)
-            if strict:
-                raise ParseError(diag)
-            if on_diagnostic is not None:
-                on_diagnostic(diag)
-            continue
-        (s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dtype, o_lang) = m.groups()
-        try:
-            subject: Term = intern_iri(s_iri) if s_iri is not None else intern_bnode(s_bnode)
-            predicate = intern_iri(p_iri)
-            if o_iri is not None:
-                obj: Term = intern_iri(o_iri)
-            elif o_bnode is not None:
-                obj = intern_bnode(o_bnode)
-            else:
-                lexical = _decode_escapes(o_lex, line_no, line)
-                if o_lang is not None:
-                    obj = Literal(lexical, RDF_LANGSTRING, o_lang)
-                elif o_dtype is not None:
-                    obj = Literal(lexical, _decode_escapes(o_dtype, line_no, line))
+            (s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dtype, o_lang) = m.groups()
+            try:
+                subject: Term = intern_iri(s_iri) if s_iri is not None else intern_bnode(s_bnode)
+                predicate = intern_iri(p_iri)
+                if o_iri is not None:
+                    obj: Term = intern_iri(o_iri)
+                elif o_bnode is not None:
+                    obj = intern_bnode(o_bnode)
                 else:
-                    obj = Literal(lexical)
-        except ParseError as err:
-            if strict:
-                raise
-            if on_diagnostic is not None:
-                on_diagnostic(err.diagnostic)
-            continue
-        yield Triple(subject, predicate, obj)
+                    lexical = _decode_escapes(o_lex, line_no, line)
+                    if o_lang is not None:
+                        obj = Literal(lexical, RDF_LANGSTRING, o_lang)
+                    elif o_dtype is not None:
+                        obj = Literal(lexical, _decode_escapes(o_dtype, line_no, line))
+                    else:
+                        obj = Literal(lexical)
+            except ParseError as err:
+                if strict:
+                    raise
+                if on_diagnostic is not None:
+                    on_diagnostic(err.diagnostic)
+                continue
+            yield Triple(subject, predicate, obj)
 
 
 def parse_ntriples(
@@ -210,25 +239,60 @@ def format_term(term: Term) -> str:
     return f'"{escaped}"^^<{term.datatype}>'
 
 
-def format_triple(triple: Triple) -> str:
-    """One canonical N-Triples statement, without the trailing newline."""
+def format_lines(triples: Iterable[Triple]) -> Iterator[str]:
+    """Canonical statements, without trailing newlines, one per triple.
+
+    Each distinct term is validated once per call, the first time it is
+    seen. A term or statement that breaks an invariant raises
+    SerializationError when its triple is reached.
+    """
+    # IRIs are remembered by their value, whose string hash is cached, and
+    # formatted on the fly; the few other terms keep their formatted text.
+    valid_iris: set[str] = set()
+    memo: dict[Term, str] = {}
+
+    def text(term: Term) -> str:
+        if type(term) is IRI:
+            value = term.value
+            if value not in valid_iris:
+                _check(validate_term, term)
+                valid_iris.add(value)
+            return f"<{value}>"
+        out = memo.get(term)
+        if out is None:
+            _check(validate_term, term)
+            out = memo[term] = format_term(term)
+        return out
+
+    for triple in triples:
+        line = f"{text(triple.subject)} {text(triple.predicate)} {text(triple.object)} ."
+        # Its terms are valid, so only a literal subject or a non-IRI
+        # predicate can make the statement invalid.
+        if type(triple.predicate) is not IRI or type(triple.subject) is Literal:
+            _check(Triple.validate, triple)
+        yield line
+
+
+def _check(check: Callable[[Any], None], item: Any) -> None:
     try:
-        triple.validate()
+        check(item)
     except TermError as err:
         raise SerializationError(str(err)) from err
-    return (
-        f"{format_term(triple.subject)} {format_term(triple.predicate)}"
-        f" {format_term(triple.object)} ."
-    )
+
+
+def format_triple(triple: Triple) -> str:
+    """One canonical N-Triples statement, without the trailing newline."""
+    return next(format_lines((triple,)))
 
 
 def write_ntriples(triples: Iterable[Triple], out: IO[bytes]) -> int:
     """Stream canonical statements to *out*; returns the line count."""
+    lines = format_lines(triples)
     count = 0
-    for triple in triples:
-        out.write(format_triple(triple).encode("utf-8"))
-        out.write(b"\n")
-        count += 1
+    while batch := list(islice(lines, _WRITE_BATCH)):
+        batch.append("")
+        out.write("\n".join(batch).encode("utf-8"))
+        count += len(batch) - 1
     return count
 
 

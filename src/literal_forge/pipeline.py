@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -197,7 +196,7 @@ class StrategyConfig:
     image_provider: dict[str, Any] | None = None
     emit_weights: bool = False
     fallback: str | None = ONEENTITY
-    workers: int | None = None
+    workers: int | None = None  # deprecated: validated, then ignored by apply
     rules: ModalityRules = field(default_factory=ModalityRules)
     stopwords: dict[str, list[str]] | None = None
 
@@ -499,13 +498,8 @@ class PipelineResult:
 
 
 def _distinct_values(group: LiteralGroup) -> int:
-    seen = set()
-    for _, obj in group.statements:
-        if isinstance(obj, Literal):
-            seen.add((obj.lexical, obj.datatype, obj.language))
-        else:
-            seen.add(obj)
-    return len(seen)
+    # Terms compare by value: a literal by lexical form, datatype and language.
+    return len({obj for _, obj in group.statements})
 
 
 def _binning_spec(params: dict[str, Any], percent_mode: bool) -> BinningSpec:
@@ -593,6 +587,7 @@ def _run_strategy(
     plan: GroupPlan,
     config: StrategyConfig,
     provider: TagProvider | None,
+    distinct: int,
 ) -> _GroupOutcome:
     S = len(group.statements)
     namespace = config.namespace
@@ -603,7 +598,7 @@ def _run_strategy(
         return _GroupOutcome(baselines.exclude(group), 0, 0, None, S)
     if name == TRANSFORM:
         aug = baselines.transform_literal2entity(group, graph, namespace)
-        return _GroupOutcome(aug, _distinct_values(group), S, None, S)
+        return _GroupOutcome(aug, distinct, S, None, S)
     if name == ONEENTITY:
         aug = baselines.one_entity(group, graph, namespace)
         return _GroupOutcome(aug, 1, S, None, S)
@@ -614,7 +609,7 @@ def _run_strategy(
         runner = datbin if name == DATBIN else nbins
         aug = runner(group, graph, spec, namespace, lof)
         parsed = S - aug.fallback_statements
-        unique_cap = min(_distinct_values(group), max(parsed, 1))
+        unique_cap = min(distinct, max(parsed, 1))
         leaves = [{"target_bins": _leaf_target(spec, unique_cap), "values": parsed}]
         flat = spec.overlap == 0.0 and spec.hierarchy_depth == 0
         detail = {"leaves": 1, "bin_entities": len(aug.entities)}
@@ -770,28 +765,8 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
     plans = [config.plan_for(g.predicate, g.modality) for g in groups]
     provider = config.make_provider() if any(p.strategy == IMAGETAGS for p in plans) else None
 
-    def run(index: int) -> tuple[int, _GroupOutcome, str | None]:
-        group, plan = groups[index], plans[index]
-        try:
-            return index, _run_strategy(group, graph, plan, config, provider), None
-        except (ConfigError,):
-            raise
-        except Exception as exc:  # noqa: BLE001 - degraded to fallback below
-            if config.fallback is None:
-                raise StrategyError(
-                    f"{plan.strategy} failed on {group.predicate}: {exc}"
-                ) from exc
-            log.warning("%s failed on %s: %s", plan.strategy, group.predicate, exc)
-            return index, _fallback_outcome(group, graph, config, exc), config.fallback
-
-    workers = config.workers or os.cpu_count() or 1
-    if workers > 1 and len(groups) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = sorted(pool.map(run, range(len(groups))))
-    else:
-        outcomes = [run(i) for i in range(len(groups))]
+    if config.workers is not None:
+        log.warning("workers is deprecated and ignored: literal groups run serially")
 
     triples: list[Triple] = list(graph.relational_triples())
     weighted: list[tuple[Triple, float]] = []
@@ -799,7 +774,21 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
     structural_seen: set[Triple] = set()
     rows: list[PredicateReport] = []
 
-    for (index, outcome, fell_back), group, plan in zip(outcomes, groups, plans):
+    for group, plan in zip(groups, plans):
+        distinct = _distinct_values(group)
+        fell_back = None
+        try:
+            outcome = _run_strategy(group, graph, plan, config, provider, distinct)
+        except ConfigError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - degraded to fallback below
+            if config.fallback is None:
+                raise StrategyError(
+                    f"{plan.strategy} failed on {group.predicate}: {exc}"
+                ) from exc
+            log.warning("%s failed on %s: %s", plan.strategy, group.predicate, exc)
+            outcome = _fallback_outcome(group, graph, config, exc)
+            fell_back = config.fallback
         aug = outcome.aug
         triples.extend(aug.triples)
         for triple, weight in zip(aug.triples, aug.weights):
@@ -820,7 +809,7 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
                 modality=group.modality.value,
                 strategy=plan.strategy,
                 statements=len(group.statements),
-                distinct_values=_distinct_values(group),
+                distinct_values=distinct,
                 parsed=outcome.parsed,
                 fallback_statements=aug.fallback_statements,
                 delta_entities=len(minted_objects),

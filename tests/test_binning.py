@@ -10,19 +10,22 @@ not larger than k skip the filter.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from literal_forge import IRI, Literal, Modality
+from literal_forge import IRI, Literal, Modality, binning
 from literal_forge.binning import (
     BinLayout,
+    BinLevel,
     BinningSpec,
     LofSpec,
     NEXT_BIN,
     PARENT_BIN,
     assign_bins,
+    assign_bins_array,
     bin_count,
     bin_statements,
     compute_bins,
@@ -215,6 +218,79 @@ def test_hierarchy_assigns_every_level():
     assert [lvl for lvl, _ in assigned] == [0, 1, 2]
 
 
+def assign_bins_reference(value: float, layout: BinLayout) -> list[tuple[int, int]]:
+    """Per-value assignment: bisect for disjoint bins, a scan over the widened
+    bins with overlap, the flat bin when no widened bin holds the value."""
+    out = []
+    for level_idx, level in enumerate(layout.levels):
+        b = level.boundaries
+        k = level.num_bins
+        flat = min(max(bisect_right(b, value) - 1, 0), k - 1)
+        if k == 1 or layout.overlap == 0.0:
+            out.append((level_idx, flat))
+            continue
+        hits = []
+        for i in range(k):
+            w = (b[i + 1] - b[i]) * layout.overlap
+            lo, hi = b[i] - w, b[i + 1] + w
+            if lo <= value < hi or (i == k - 1 and lo <= value <= hi):
+                hits.append(i)
+        out.extend((level_idx, i) for i in hits or [flat])
+    return out
+
+
+@given(
+    _populations,
+    st.integers(1, 12),
+    st.sampled_from([0.0, 0.1, 0.25, 0.6]),
+    st.integers(0, 3),
+    st.sampled_from(["equal-width", "equal-frequency"]),
+    st.lists(st.floats(min_value=-2e6, max_value=2e6, allow_nan=False), max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_array_assignment_matches_per_value_reference(
+    values, bins, overlap, depth, scheme, extra
+):
+    spec = BinningSpec(bins=bins, overlap=overlap, hierarchy_depth=depth, scheme=scheme)
+    layout = compute_bins(values, spec)
+    # population values, every exact boundary of every level, out-of-range
+    # values on both sides, and arbitrary probes
+    edges = []
+    for level in layout.levels:
+        b = level.boundaries
+        edges += b
+        for lo, hi in zip(b, b[1:]):  # edges of the widened bins
+            w = (hi - lo) * overlap
+            edges += [lo - w, hi + w]
+    probes = values + edges + [layout.lower - 1.0, layout.upper + 1.0] + extra
+    rows, levels, bin_idx = assign_bins_array(np.array(probes), layout)
+    expected = [
+        (row, level, idx)
+        for row, v in enumerate(probes)
+        for level, idx in assign_bins_reference(v, layout)
+    ]
+    assert list(zip(rows.tolist(), levels.tolist(), bin_idx.tolist())) == expected
+    for v in probes[:5]:
+        assert list(assign_bins(v, layout)) == assign_bins_reference(v, layout)
+
+
+def test_overlap_last_bin_is_closed():
+    # a wide first bin widens past the narrow last bin's widened top edge
+    level = BinLevel((0.0, 10.0, 11.0), (NEW + "b0", NEW + "b1"))
+    layout = BinLayout("p", None, (level,), overlap=0.5, connect_adjacent=True)
+    assert assign_bins(11.5, layout) == ((0, 0), (0, 1))
+    assert assign_bins(14.0, layout) == ((0, 0),)
+
+
+def test_overlap_assignment_chunked_like_whole(monkeypatch):
+    values = np.linspace(-5.0, 105.0, 301)
+    layout = compute_bins(values, BinningSpec(bins=7, overlap=0.3, hierarchy_depth=2))
+    whole = assign_bins_array(values, layout)
+    monkeypatch.setattr(binning, "_CHUNK_CELLS", 3)  # 1 value of 7 bins per chunk
+    for got, want in zip(assign_bins_array(values, layout), whole):
+        assert np.array_equal(got, want)
+
+
 # --- LOF oracle -------------------------------------------------------------
 
 
@@ -281,6 +357,35 @@ def test_lof_matches_oracle_random(values, k):
     if len(values) <= k:
         return
     assert_scores_match(values, k)
+
+
+def test_lof_matches_oracle_beyond_one_chunk():
+    # every neighborhood holds at least k + 1 = 21 values, so 842 rows need
+    # more than one chunk of reach cells
+    rng = np.random.default_rng(5)
+    values = np.concatenate([rng.normal(0.0, 1.0, 760), rng.normal(30.0, 0.2, 80), [99.0, -80.0]])
+    values = np.round(values, 2)  # some ties too
+    assert binning._CHUNK_CELLS < len(values) * 21
+    assert_scores_match(values.tolist(), 20)
+
+
+def test_lof_matches_oracle_with_tie_runs_longer_than_a_chunk(monkeypatch):
+    monkeypatch.setattr(binning, "_CHUNK_CELLS", 16)
+    values = [0.0] * 40 + [0.5 + 0.25 * i for i in range(30)] + [3.0] * 25 + [40.0]
+    assert_scores_match(values, 4)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 7, 50])
+def test_lof_chunk_budget_never_changes_scores(monkeypatch, cells):
+    rng = np.random.default_rng(11)
+    values = np.concatenate(
+        [rng.normal(0.0, 1.0, 300), np.full(60, 0.5), rng.normal(8.0, 0.1, 40), [25.0]]
+    )
+    expected = lof_scores(values, k=10)
+    monkeypatch.setattr(binning, "_CHUNK_CELLS", cells)
+    actual = lof_scores(values, k=10)
+    assert np.array_equal(actual.scores, expected.scores)
+    assert actual.outlier_indices == expected.outlier_indices
 
 
 def test_lof_flags_isolated_point():

@@ -8,6 +8,7 @@ import json
 import logging
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -101,7 +102,7 @@ class TestTransform:
     def test_writes_output_and_report(self, sample_nt, tmp_path):
         code, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
         assert code == EXIT_OK
-        lines = open(out, encoding="utf-8").read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 13
         assert all(line.endswith(" .") for line in lines)
         report = AugmentationReport.from_file(out + ".report.json")
@@ -115,7 +116,7 @@ class TestTransform:
         second_dir.mkdir()
         _, first = transform(sample_nt, first_dir, "--strategy", "COMBINED", "--seed", "7")
         _, second = transform(sample_nt, second_dir, "--strategy", "COMBINED", "--seed", "7")
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
     def test_weights_sidecar(self, sample_nt, tmp_path):
         config = tmp_path / "config.json"
@@ -136,7 +137,7 @@ class TestTransform:
             sample_nt, tmp_path, "--config", str(config), "--emit-weights"
         )
         assert code == EXIT_OK
-        lines = open(out + ".weights.tsv", encoding="utf-8").read().splitlines()
+        lines = Path(out + ".weights.tsv").read_text(encoding="utf-8").splitlines()
         assert lines, "the sidecar should list the weighted statements"
         for line in lines:
             statement, weight = line.rsplit("\t", 1)
@@ -220,7 +221,7 @@ class TestVerify:
 
     def test_tampered_report_fails(self, sample_nt, tmp_path, capsys):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
-        raw = json.loads(open(out + ".report.json", encoding="utf-8").read())
+        raw = json.loads(Path(out + ".report.json").read_text(encoding="utf-8"))
         raw["predicates"][0]["delta_entities"] += 1
         raw["delta_entities_total"] += 1
         tampered = tmp_path / "tampered.json"
@@ -243,7 +244,7 @@ class TestVerify:
 
     def test_inconsistent_totals_rejected(self, sample_nt, tmp_path):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
-        raw = json.loads(open(out + ".report.json", encoding="utf-8").read())
+        raw = json.loads(Path(out + ".report.json").read_text(encoding="utf-8"))
         raw["delta_statements_total"] += 5
         path = out + ".report.json"
         with open(path, "w", encoding="utf-8") as fh:
@@ -318,3 +319,22 @@ def test_text_output_identical_across_worker_counts(tmp_path):
     assert b"abstractTopic" in outputs[0][0] and b"summaryTopic" in outputs[0][0]
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def test_unserializable_term_is_a_diagnostic(tmp_path, caplog):
+    # the line grammar accepts a relative IRI; the writer does not
+    path = tmp_path / "relative.nt"
+    path.write_text("<foo> <http://ex.org/p> <http://ex.org/o> .\n", encoding="utf-8")
+    out = tmp_path / "out.nt"
+    with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+        code = main(["transform", "--input", str(path), "--output", str(out)])
+    assert code == EXIT_INPUT
+    assert any("<foo>" in r.getMessage() for r in caplog.records)
+    assert not out.exists()
+
+
+def test_workers_option_is_deprecated(sample_nt, tmp_path, caplog):
+    with caplog.at_level(logging.WARNING, logger="literal_forge.pipeline"):
+        code, _ = transform(sample_nt, tmp_path, "--workers", "2")
+    assert code == EXIT_OK
+    assert any("deprecated" in r.getMessage() for r in caplog.records)

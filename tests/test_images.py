@@ -230,6 +230,7 @@ def tag_server():
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
 
 
 def test_remote_provider_round_trip(tag_server):

@@ -24,7 +24,10 @@ from literal_forge import (
     iter_ntriples,
     parse_ntriples,
     serialize_ntriples,
+    write_ntriples,
 )
+from literal_forge import ntriples
+from literal_forge.ntriples import SerializationError
 from literal_forge.terms import RDF_LANGSTRING, XSD_STRING
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
@@ -356,3 +359,54 @@ def test_pipe_input_read_in_bounded_pieces(compress):
     triples = list(iter_ntriples(stream))
     assert len(triples) == 5000
     assert triples[-1].object.lexical == "x4999"
+
+
+@pytest.mark.parametrize("kind", ["plain", "gzip", "pipe"])
+@pytest.mark.parametrize("abandon", [False, True], ids=["full", "abandoned"])
+def test_caller_stream_stays_open(tmp_path, kind, abandon):
+    raw = b"".join(b"<http://a.org/s%d> <http://a.org/p> <http://a.org/o> .\n" % i for i in range(50))
+    path = tmp_path / "g.nt"
+    path.write_bytes(gzip.compress(raw) if kind == "gzip" else raw)
+    opener = (lambda: open(path, "rb", buffering=0)) if kind == "pipe" else (lambda: open(path, "rb"))
+    with opener() as fh:
+        triples = iter_ntriples(fh)
+        if abandon:
+            next(triples)
+            triples.close()
+        else:
+            assert len(list(triples)) == 50
+        del triples
+        assert not fh.closed
+        fh.seek(0)
+        assert fh.read() == path.read_bytes()
+
+
+def test_writer_matches_format_triple_and_validates_each_term_once(monkeypatch):
+    s, p = IRI("http://a.org/s"), IRI("http://a.org/p")
+    lit = Literal("v", datatype="http://a.org/dt")
+    triples = [Triple(s, p, IRI("http://a.org/o")), Triple(s, p, lit), Triple(s, p, lit)]
+    expected = "".join(format_triple(t) + "\n" for t in triples).encode("utf-8")
+    seen = []
+    validate = ntriples.validate_term
+    monkeypatch.setattr(ntriples, "validate_term", lambda term: seen.append(term) or validate(term))
+    buf = io.BytesIO()
+    assert write_ntriples(triples, buf) == 3
+    assert buf.getvalue() == expected
+    assert sorted(map(str, seen)) == sorted(map(str, {s, p, IRI("http://a.org/o"), lit}))
+
+
+@pytest.mark.parametrize(
+    "triple,message",
+    [
+        (Triple(IRI("foo"), IRI("http://a.org/p"), IRI("http://a.org/o")), "no scheme"),
+        (Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), IRI("http://a.org/a b")), "forbidden"),
+        (Triple(Literal("x"), IRI("http://a.org/p"), IRI("http://a.org/o")), "subject position"),
+        (Triple(IRI("http://a.org/s"), BlankNode("b"), IRI("http://a.org/o")), "predicate must be"),
+    ],
+)
+def test_writer_rejects_bad_terms_and_positions(triple, message):
+    good = Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), IRI("http://a.org/o"))
+    with pytest.raises(SerializationError, match=message):
+        write_ntriples([good, triple, good], io.BytesIO())
+    with pytest.raises(SerializationError, match=message):
+        format_triple(triple)
