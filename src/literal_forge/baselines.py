@@ -52,7 +52,6 @@ class Augmentation:
     triples: list[Triple] = field(default_factory=list)
     removed: int = 0
     structural_triples: list[Triple] = field(default_factory=list)
-    relations: list[str] = field(default_factory=list)
     weights: list[float | None] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     fallback_statements: int = 0

@@ -485,18 +485,12 @@ def emit_bin_triples(
     aug.triples.extend(map(Triple, subjects, repeat(predicate), objects))
     aug.weights.extend([None] * len(objects))
     if layout.connect_adjacent and any(level.num_bins > 1 for level in layout.levels):
-        next_bin = namespace + NEXT_BIN
-        if next_bin not in aug.relations:
-            aug.relations.append(next_bin)
-        link = IRI(next_bin)
+        link = IRI(namespace + NEXT_BIN)
         for level_iris in bin_iris:
             for a, b in zip(level_iris, level_iris[1:]):
                 aug.structural_triples.append(Triple(a, link, b))
     if len(layout.levels) > 1:
-        parent_bin = namespace + PARENT_BIN
-        if parent_bin not in aug.relations:
-            aug.relations.append(parent_bin)
-        link = IRI(parent_bin)
+        link = IRI(namespace + PARENT_BIN)
         for child_iris, parent_iris in zip(bin_iris, bin_iris[1:]):
             for i, child in enumerate(child_iris):
                 parent = parent_iris[min(i // 2, len(parent_iris) - 1)]

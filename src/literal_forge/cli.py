@@ -27,6 +27,7 @@ from .ntriples import (
 from .pipeline import (
     AugmentationReport,
     ConfigError,
+    PipelineResult,
     StrategyConfig,
     StrategyError,
     apply,
@@ -143,6 +144,42 @@ def _load_config(args: argparse.Namespace) -> StrategyConfig:
     return config
 
 
+def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> None:
+    """Write the output, report and weights, replacing earlier ones atomically.
+
+    Each goes to a temp file beside its target first. Only once every write
+    has succeeded are the old report and weights removed and each temp file
+    moved into place, output first, so a crash can never pair a new output
+    with an old report or sidecar. On failure the temp files are removed
+    and earlier files stay.
+    """
+    report = output + ".report.json"
+    weights = output + ".weights.tsv"
+    targets = [output, report, weights] if emit_weights else [output, report]
+    temp = {target: f"{target}.{os.getpid()}.tmp" for target in targets}
+    try:
+        with open(temp[output], "wb") as out:
+            write_ntriples(result.triples, out)
+        with open(temp[report], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(result.report.to_json())
+            fh.write("\n")
+        if emit_weights:
+            lines = format_lines(triple for triple, _ in result.weighted)
+            with open(temp[weights], "w", encoding="utf-8", newline="\n") as fh:
+                for line, (_, weight) in zip(lines, result.weighted):
+                    fh.write(f"{line}\t{weight:.6f}\n")
+        for stale in (report, weights):
+            with suppress(FileNotFoundError):
+                os.remove(stale)
+        for target in targets:
+            os.replace(temp[target], target)
+    except BaseException:
+        for path in temp.values():
+            with suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def cmd_transform(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args)
@@ -174,22 +211,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
         return EXIT_STRATEGY
 
     try:
-        with open(args.output, "wb") as out:
-            write_ntriples(result.triples, out)
-        report_path = args.output + ".report.json"
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(result.report.to_json())
-            fh.write("\n")
-        if config.emit_weights:
-            weights_path = args.output + ".weights.tsv"
-            lines = format_lines(triple for triple, _ in result.weighted)
-            with open(weights_path, "w", encoding="utf-8", newline="\n") as fh:
-                for line, (_, weight) in zip(lines, result.weighted):
-                    fh.write(f"{line}\t{weight:.6f}\n")
+        _write_outputs(result, args.output, config.emit_weights)
     except SerializationError as exc:
         log.error("cannot serialize output: %s", exc)
-        with suppress(OSError):
-            os.remove(args.output)
         return EXIT_INPUT
     except OSError as exc:
         log.error("cannot write output: %s", exc)

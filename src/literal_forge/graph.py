@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .terms import (
@@ -23,7 +25,6 @@ from .terms import (
     TEXT_DATATYPES,
     Term,
     Triple,
-    XSD_ANYURI,
     XSD_BASE64,
 )
 
@@ -92,10 +93,10 @@ class IndexedGraph:
     entity_ids: dict[Term, int] = field(default_factory=dict)
     relation_iris: list[str] = field(default_factory=list)
     relation_ids: dict[str, int] = field(default_factory=dict)
-    # Relational statements in first-encounter order, deduplicated.
+    # Relational statements in first-encounter order, deduplicated: as ids,
+    # and as the parsed triples themselves, which pass through untouched.
     relational: list[tuple[int, int, int]] = field(default_factory=list)
-    out_edges: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    in_edges: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    relational_statements: list[Triple] = field(default_factory=list)
     literal_groups: dict[tuple[int, Modality], LiteralGroup] = field(default_factory=dict)
     duplicates_removed: int = 0
     rules: ModalityRules = field(default_factory=ModalityRules)
@@ -124,8 +125,24 @@ class IndexedGraph:
         ]
 
     def relational_triples(self) -> Iterator[Triple]:
+        """The relational triples as parsed, deduplicated, in input order."""
+        return iter(self.relational_statements)
+
+    # Adjacency is read only by the relational-signature strategies, so it
+    # is built from the id tuples on first access, once indexing is done.
+    @cached_property
+    def out_edges(self) -> dict[int, list[tuple[int, int]]]:
+        edges: dict[int, list[tuple[int, int]]] = {}
         for s, r, o in self.relational:
-            yield Triple(self.entity_terms[s], IRI(self.relation_iris[r]), self.entity_terms[o])
+            edges.setdefault(s, []).append((r, o))
+        return edges
+
+    @cached_property
+    def in_edges(self) -> dict[int, list[tuple[int, int]]]:
+        edges: dict[int, list[tuple[int, int]]] = {}
+        for s, r, o in self.relational:
+            edges.setdefault(o, []).append((r, s))
+        return edges
 
     @property
     def num_relational(self) -> int:
@@ -137,7 +154,10 @@ class IndexedGraph:
 
 
 def build_index(triples: Iterable[Triple], rules: ModalityRules | None = None) -> IndexedGraph:
-    """Index triples into adjacency plus literal groups; dedup exact repeats."""
+    """Index triples into relational statements plus literal groups.
+
+    Exact repeats are dropped and counted in duplicates_removed.
+    """
     graph = IndexedGraph(rules=rules or ModalityRules())
     rules = graph.rules
     seen_relational: set[tuple[int, int, int]] = set()
@@ -162,8 +182,7 @@ def build_index(triples: Iterable[Triple], rules: ModalityRules | None = None) -
                 continue
             seen_relational.add(key)
             graph.relational.append(key)
-            graph.out_edges.setdefault(sid, []).append((rid, oid))
-            graph.in_edges.setdefault(oid, []).append((rid, sid))
+            graph.relational_statements.append(triple)
             continue
         lit_key = (sid, rid, obj)
         if lit_key in seen_literal:
@@ -228,51 +247,21 @@ class GraphProfile:
         )
 
 
-_MODALITY_FIELD = {
-    Modality.NUMERIC: "literal_numbers",
-    Modality.TEMPORAL: "literal_dates",
-    Modality.TEXT: "literal_text",
-    Modality.IMAGE: "literal_images",
-    Modality.OTHER: "literal_others",
-}
-
-
 def profile(graph: IndexedGraph) -> GraphProfile:
     """Exact statement counts in the shape of the benchmark dataset table.
 
+    The graph's deduplicated statements go through profile_stream; the
+    duplicates build_index removed are carried over as a count.
     Statements routed to image groups count as literal objects even when the
     underlying term is an IRI, mirroring how image information is tallied.
     """
-    modality_counts = dict.fromkeys(Modality, 0)
-    literal_nodes: set[Term] = set()
-    for group in graph.literal_groups.values():
-        modality_counts[group.modality] += len(group)
-        for _, obj in group.statements:
-            literal_nodes.add(obj)
-    objects_blank = 0
-    objects_iri = 0
-    for _, _, oid in graph.relational:
-        if isinstance(graph.entity_terms[oid], BlankNode):
-            objects_blank += 1
-        else:
-            objects_iri += 1
-    objects_literal = graph.num_literal_statements
-    # Nodes: distinct subjects and objects, literal values included.
-    nodes = len(graph.entity_terms) + len(literal_nodes - set(graph.entity_ids))
-    return GraphProfile(
-        relations=len(graph.relation_iris),
-        nodes=nodes,
-        triples=graph.num_relational + objects_literal,
-        objects_iris=objects_iri,
-        objects_blank=objects_blank,
-        objects_literal=objects_literal,
-        literal_numbers=modality_counts[Modality.NUMERIC],
-        literal_dates=modality_counts[Modality.TEMPORAL],
-        literal_text=modality_counts[Modality.TEXT],
-        literal_images=modality_counts[Modality.IMAGE],
-        literal_others=modality_counts[Modality.OTHER],
-        duplicates_removed=graph.duplicates_removed,
+    literal_statements = (
+        Triple(graph.entity_terms[sid], IRI(group.predicate), obj)
+        for group in graph.literal_groups.values()
+        for sid, obj in group.statements
     )
+    counts = profile_stream(chain(graph.relational_triples(), literal_statements), graph.rules)
+    return replace(counts, duplicates_removed=graph.duplicates_removed)
 
 
 def profile_stream(triples: Iterable[Triple], rules: ModalityRules | None = None) -> GraphProfile:

@@ -28,12 +28,15 @@ from .terms import (
     Triple,
     XSD_STRING,
     RDF_LANGSTRING,
+    _IRI_BAD,
     validate_term,
 )
 
-_IRIREF = r'<([^\x00-\x20<>"{}|^`\\]*)>'
+# IRIREF is matched loosely; its characters are checked against _IRI_BAD
+# once per distinct IRI, when the interning cache first meets it.
+_IRIREF = r"<([^>]*)>"
 _BNODE = r"_:([A-Za-z0-9_](?:[A-Za-z0-9_.:\-]*[A-Za-z0-9_:\-])?)"
-_STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
+_STRING = r'"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)"'
 _LANG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
 
 _STATEMENT = re.compile(
@@ -152,15 +155,18 @@ def iter_ntriples(
     Parsing is line-local: permuting input lines permutes output identically.
     """
     # Terms repeat heavily in real graphs; interning keeps parsing fast and
-    # lets downstream dictionaries share objects.
+    # lets downstream dictionaries share objects. Only IRIs whose characters
+    # passed the check are cached, so every line naming a bad IRI is
+    # reported. IRIs hold no escapes: the backslash is a forbidden character.
     iri_cache: dict[str, IRI] = {}
     bnode_cache: dict[str, BlankNode] = {}
 
     def intern_iri(raw: str) -> IRI:
         term = iri_cache.get(raw)
         if term is None:
-            term = IRI(_decode_escapes(raw, line_no, line))
-            iri_cache[raw] = term
+            if _IRI_BAD.search(raw) is not None:
+                raise ParseError(ParseDiagnostic(line_no, "malformed statement", line))
+            term = iri_cache[raw] = IRI(raw)
         return term
 
     def intern_bnode(label: str) -> BlankNode:
@@ -194,14 +200,16 @@ def iter_ntriples(
                     obj: Term = intern_iri(o_iri)
                 elif o_bnode is not None:
                     obj = intern_bnode(o_bnode)
+                elif o_dtype is not None:
+                    # The datatype is checked first: a bad datatype IRI makes
+                    # the line malformed even when the lexical form has a bad
+                    # escape too.
+                    datatype = intern_iri(o_dtype).value
+                    obj = Literal(_decode_escapes(o_lex, line_no, line), datatype)
+                elif o_lang is not None:
+                    obj = Literal(_decode_escapes(o_lex, line_no, line), RDF_LANGSTRING, o_lang)
                 else:
-                    lexical = _decode_escapes(o_lex, line_no, line)
-                    if o_lang is not None:
-                        obj = Literal(lexical, RDF_LANGSTRING, o_lang)
-                    elif o_dtype is not None:
-                        obj = Literal(lexical, _decode_escapes(o_dtype, line_no, line))
-                    else:
-                        obj = Literal(lexical)
+                    obj = Literal(_decode_escapes(o_lex, line_no, line))
             except ParseError as err:
                 if strict:
                     raise

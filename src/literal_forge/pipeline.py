@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import islice
 from typing import Any
 
 from . import baselines
@@ -363,53 +364,20 @@ class PredicateReport:
     verdict: str = "unchecked"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "predicate": self.predicate,
-            "modality": self.modality,
-            "strategy": self.strategy,
-            "statements": self.statements,
-            "distinct_values": self.distinct_values,
-            "parsed": self.parsed,
-            "fallback_statements": self.fallback_statements,
-            "delta_entities": self.delta_entities,
-            "delta_statements": self.delta_statements,
-            "structural": self.structural,
-            "removed": self.removed,
-            "entity_allowance": self.entity_allowance,
-            "statement_delta_exact": self.statement_delta_exact,
-            "statement_delta_max": self.statement_delta_max,
-            "exceptions": self.exceptions,
-            "warnings": self.warnings,
-            "fell_back_to": self.fell_back_to,
-            "params": self.params,
-            "detail": self.detail,
-            "verdict": self.verdict,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PredicateReport":
-        return cls(
-            predicate=raw["predicate"],
-            modality=raw["modality"],
-            strategy=raw["strategy"],
-            statements=raw["statements"],
-            distinct_values=raw["distinct_values"],
-            parsed=raw["parsed"],
-            fallback_statements=raw["fallback_statements"],
-            delta_entities=raw["delta_entities"],
-            delta_statements=raw["delta_statements"],
-            structural=raw["structural"],
-            removed=raw["removed"],
-            entity_allowance=raw["entity_allowance"],
-            statement_delta_exact=raw["statement_delta_exact"],
-            statement_delta_max=raw["statement_delta_max"],
-            exceptions=list(raw.get("exceptions", [])),
-            warnings=list(raw.get("warnings", [])),
-            fell_back_to=raw.get("fell_back_to"),
-            params=dict(raw.get("params", {})),
-            detail=dict(raw.get("detail", {})),
-            verdict=raw.get("verdict", "unchecked"),
-        )
+        """A row from its dict; keys with a default may be absent."""
+        kwargs: dict[str, Any] = {}
+        for f in fields(cls):
+            has_default = f.default is not MISSING or f.default_factory is not MISSING
+            if has_default and f.name not in raw:
+                continue
+            value = raw[f.name]
+            # List and dict fields get copies, made by their default factory.
+            kwargs[f.name] = value if f.default_factory is MISSING else f.default_factory(value)
+        return cls(**kwargs)
 
 
 @dataclass
@@ -490,7 +458,10 @@ class AugmentationReport:
 
 @dataclass
 class PipelineResult:
-    """Merged output: triples in deterministic order, report, weight sidecar."""
+    """Merged output: triples in deterministic order, report, weight sidecar.
+
+    *weighted* is filled only when the config's emit_weights is on.
+    """
 
     triples: list[Triple]
     report: AugmentationReport
@@ -768,7 +739,9 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
     if config.workers is not None:
         log.warning("workers is deprecated and ignored: literal groups run serially")
 
+    # The relational triples pass through as parsed.
     triples: list[Triple] = list(graph.relational_triples())
+    num_relational = len(triples)
     weighted: list[tuple[Triple, float]] = []
     structural: list[Triple] = []
     structural_seen: set[Triple] = set()
@@ -791,9 +764,10 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
             fell_back = config.fallback
         aug = outcome.aug
         triples.extend(aug.triples)
-        for triple, weight in zip(aug.triples, aug.weights):
-            if weight is not None and weight > 0.0:
-                weighted.append((triple, weight))
+        if config.emit_weights:
+            for triple, weight in zip(aug.triples, aug.weights):
+                if weight is not None and weight > 0.0:
+                    weighted.append((triple, weight))
         row_structural = 0
         for triple in aug.structural_triples:
             if triple not in structural_seen:
@@ -829,9 +803,11 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
 
     triples.extend(structural)
 
+    # check_namespace has ruled out minted terms in the relational triples,
+    # so only the strategy output appended after them is scanned.
     minted_entities: set[str] = set()
     minted_relations: set[str] = set()
-    for triple in triples:
+    for triple in islice(triples, num_relational, None):
         if isinstance(triple.subject, IRI) and triple.subject.value.startswith(config.namespace):
             minted_entities.add(triple.subject.value)
         if isinstance(triple.object, IRI) and triple.object.value.startswith(config.namespace):

@@ -185,8 +185,6 @@ def datfeat(
         days_seen.add(day.day)
     if link_features and parsed:
         in_quarter = namespace + IN_QUARTER
-        if in_quarter not in aug.relations:
-            aug.relations.append(in_quarter)
         for month in sorted(months_seen):
             quarter = (month + 2) // 3
             aug.structural_triples.append(
@@ -199,8 +197,6 @@ def datfeat(
         day_list = sorted(days_seen)
         if len(day_list) > 1:
             next_day = namespace + NEXT_DAY
-            if next_day not in aug.relations:
-                aug.relations.append(next_day)
             for a, b in zip(day_list, day_list[1:]):
                 if b == a + 1:
                     aug.structural_triples.append(
@@ -213,8 +209,6 @@ def datfeat(
         month_list = sorted(months_seen)
         if len(month_list) > 1:
             next_month = namespace + NEXT_MONTH
-            if next_month not in aug.relations:
-                aug.relations.append(next_month)
             for a, b in zip(month_list, month_list[1:]):
                 if b == a + 1:
                     aug.structural_triples.append(

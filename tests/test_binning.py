@@ -442,7 +442,7 @@ def test_next_bin_chain_runs_through_all_bins():
     assert len(used) < 6  # middle bins hold no statements yet sit in the chain
     for a, b in zip(chain, chain[1:]):
         assert a.object == b.subject
-    assert aug.relations == [NEW + NEXT_BIN]
+    assert {t.predicate.value for t in aug.structural_triples} == {NEW + NEXT_BIN}
 
 
 def test_connect_adjacent_off():
@@ -450,7 +450,7 @@ def test_connect_adjacent_off():
     group, graph = numeric_group(lines)
     aug = bin_statements(group, graph, BinningSpec(bins=5, connect_adjacent=False), NEW)
     assert aug.structural_triples == []
-    assert aug.relations == []
+    assert {t.predicate.value for t in aug.structural_triples} == set()
 
 
 def test_hierarchy_links_children_to_parents():

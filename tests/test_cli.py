@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from literal_forge import AugmentationReport, baselines
+from literal_forge import AugmentationReport, SerializationError, baselines, cli
 from literal_forge.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -338,3 +338,55 @@ def test_workers_option_is_deprecated(sample_nt, tmp_path, caplog):
         code, _ = transform(sample_nt, tmp_path, "--workers", "2")
     assert code == EXIT_OK
     assert any("deprecated" in r.getMessage() for r in caplog.records)
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_rerun_replaces_output_and_report_and_leaves_no_temp_file(sample_nt, tmp_path):
+    assert transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")[0] == EXIT_OK
+    first = _files(tmp_path)
+    code, out = transform(sample_nt, tmp_path, "--strategy", "ONEENTITY", "--emit-weights")
+    assert code == EXIT_OK
+    second = _files(tmp_path)
+    assert set(second) == {"input.nt", "out.nt", "out.nt.report.json", "out.nt.weights.tsv"}
+    assert second["out.nt"] != first["out.nt"]
+    assert AugmentationReport.from_file(out + ".report.json").rows[0].strategy == "ONEENTITY"
+    # a run without the sidecar removes the earlier one
+    assert transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")[0] == EXIT_OK
+    assert set(_files(tmp_path)) == {"input.nt", "out.nt", "out.nt.report.json"}
+
+
+def _fail_output(monkeypatch):
+    def write_then_fail(triples, out):
+        out.write(b"<http://ex.org/partial> ")
+        raise SerializationError("unserializable term")
+
+    monkeypatch.setattr(cli, "write_ntriples", write_then_fail)
+
+
+def _fail_report(monkeypatch):
+    def disk_full(self, indent=2):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(AugmentationReport, "to_json", disk_full)
+
+
+def _fail_weights(monkeypatch):
+    def reject(triples):
+        raise SerializationError("unserializable term")
+
+    monkeypatch.setattr(cli, "format_lines", reject)
+
+
+@pytest.mark.parametrize(
+    "fail", [_fail_output, _fail_report, _fail_weights], ids=["output", "report", "weights"]
+)
+def test_failed_write_keeps_earlier_output_and_report(sample_nt, tmp_path, monkeypatch, fail):
+    assert transform(sample_nt, tmp_path, "--strategy", "TRANSFORM", "--emit-weights")[0] == EXIT_OK
+    before = _files(tmp_path)
+    fail(monkeypatch)
+    code, _ = transform(sample_nt, tmp_path, "--strategy", "ONEENTITY", "--emit-weights")
+    assert code == EXIT_INPUT
+    assert _files(tmp_path) == before

@@ -209,3 +209,45 @@ def test_stream_profile_large_input_constant_shape():
     assert p.triples == 500
     assert p.literal_numbers == 500
     assert p.nodes == 1000
+
+
+# --- relational pass-through and adjacency on demand -------------------------
+
+
+@given(_mixed_triples())
+@settings(max_examples=150, deadline=None)
+def test_adjacency_on_demand_matches_eager_reference(triples):
+    graph = build_index(triples)
+    out_ref: dict[int, list[tuple[int, int]]] = {}
+    in_ref: dict[int, list[tuple[int, int]]] = {}
+    seen = set()
+    for t in triples:
+        if isinstance(t.object, Literal):
+            continue
+        sid = graph.entity_ids[t.subject]
+        rid = graph.relation_ids[t.predicate.value]
+        oid = graph.entity_ids[t.object]
+        if (sid, rid, oid) not in seen:
+            seen.add((sid, rid, oid))
+            out_ref.setdefault(sid, []).append((rid, oid))
+            in_ref.setdefault(oid, []).append((rid, sid))
+    assert "out_edges" not in vars(graph) and "in_edges" not in vars(graph)
+    assert graph.out_edges == out_ref
+    assert graph.in_edges == in_ref
+    assert graph.out_edges is graph.out_edges
+
+
+def test_duplicate_relational_statements_counted_first_copy_kept():
+    lines = [
+        rel_line("a", "knows", "b"),
+        rel_line("a", "knows", "b"),
+        rel_line("b", "knows", "c"),
+        rel_line("a", "knows", "b"),
+    ]
+    triples, _ = parse_ntriples("\n".join(lines) + "\n")
+    graph = build_index(triples)
+    assert graph.duplicates_removed == 2
+    assert graph.num_relational == 2
+    kept = list(graph.relational_triples())
+    assert kept[0] is triples[0] and kept[1] is triples[2]
+    assert profile(graph).duplicates_removed == 2

@@ -15,15 +15,18 @@ from literal_forge import (
     StrategyError,
     Triple,
     apply,
+    build_index,
     check_output,
     compose_combined,
     format_triple,
+    parse_ntriples,
     verify_bounds,
 )
 from literal_forge.graph import Modality, ModalityRules
 from literal_forge.images import RemoteTagProvider, TagMapProvider
 from literal_forge.pipeline import (
     GroupPlan,
+    PredicateReport,
     check_namespace,
     derive_seed,
     shortcut_defaults,
@@ -377,6 +380,13 @@ class TestApplyBaselines:
         result = apply(graph, single_strategy_config("TRANSFORM", namespace=NEW))
         assert result.triples[:2] == list(graph.relational_triples())
 
+    def test_relational_triples_pass_through_as_parsed(self):
+        triples, _ = parse_ntriples("\n".join(mixed_lines()) + "\n")
+        parsed = [t for t in triples if not isinstance(t.object, Literal)]
+        result = apply(build_index(triples), single_strategy_config("TRANSFORM", namespace=NEW))
+        assert len(parsed) == 2
+        assert all(out is t for out, t in zip(result.triples, parsed))
+
 
 class TestApplySpecialists:
     def test_override_routes_one_predicate(self):
@@ -448,6 +458,20 @@ class TestApplySpecialists:
         for triple, weight in result.weighted:
             assert 0.0 < weight <= 1.0
             assert triple in triples
+
+    def test_weights_collected_only_when_emitted(self):
+        config = StrategyConfig(
+            namespace=NEW, seed=5, defaults=shortcut_defaults("TXTLDA", "EXCLUDE")
+        )
+        config.defaults[Modality.TEXT] = GroupPlan(
+            "TXTLDA", {"topics": 2, "iterations": 40, "threshold": 0.05}
+        )
+        result = apply(make_graph(mixed_lines()), config)
+        config.emit_weights = True
+        emitted = apply(make_graph(mixed_lines()), config)
+        assert result.weighted == []
+        assert emitted.weighted
+        assert result.triples == emitted.triples
 
     def test_image_tags_with_tag_map(self, tmp_path):
         lines = [
@@ -652,6 +676,31 @@ class TestReportSerialization:
         report = apply(graph, single_strategy_config("TRANSFORM", namespace=NEW)).report
         clone = AugmentationReport.from_dict(json.loads(report.to_json()))
         assert clone.to_dict() == report.to_dict()
+
+    def test_json_round_trip_keeps_bytes(self):
+        lines = mixed_lines() + [rel_line("a", "depiction", "img/a.jpg")]
+        config = StrategyConfig(namespace=NEW, seed=2)  # KLREL with LOF; IMAGETAGS falls back
+        report = apply(make_graph(lines, IMAGE_RULES), config).report
+        assert any(row.fell_back_to and row.warnings for row in report.rows)
+        assert any("split" in row.detail for row in report.rows)
+        text = report.to_json()
+        assert AugmentationReport.from_dict(json.loads(text)).to_json() == text
+
+    def test_row_from_dict_copies_and_defaults(self):
+        graph = make_graph(mixed_lines())
+        report = apply(graph, single_strategy_config("TRANSFORM", namespace=NEW)).report
+        raw = json.loads(report.to_json())["predicates"][0]
+        row = PredicateReport.from_dict(raw)
+        assert row.to_dict() == raw
+        for key in ("exceptions", "warnings", "params", "detail"):
+            assert getattr(row, key) is not raw[key]
+        optional = ("exceptions", "warnings", "fell_back_to", "params", "detail", "verdict")
+        bare = PredicateReport.from_dict({k: v for k, v in raw.items() if k not in optional})
+        assert (bare.exceptions, bare.warnings, bare.fell_back_to) == ([], [], None)
+        assert (bare.params, bare.detail, bare.verdict) == ({}, {}, "unchecked")
+        del raw["statement_delta_max"]
+        with pytest.raises(KeyError):
+            PredicateReport.from_dict(raw)
 
     def test_totals_must_match_rows(self):
         graph = make_graph(mixed_lines())

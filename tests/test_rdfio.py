@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import re
 import string
 
 import pytest
@@ -410,3 +411,153 @@ def test_writer_rejects_bad_terms_and_positions(triple, message):
         write_ntriples([good, triple, good], io.BytesIO())
     with pytest.raises(SerializationError, match=message):
         format_triple(triple)
+
+
+# --- differential test against the strict-IRIREF line parser ----------------
+#
+# The parser matches IRIREF loosely and checks an IRI's characters once per
+# distinct IRI. The oracle is the same line loop with the strict IRIREF
+# class and the plain string pattern in the statement pattern itself: both
+# must give the same triples, the same diagnostics (line, message, text)
+# and, in strict mode, the same first error.
+
+_STRICT_IRIREF = r'<([^\x00-\x20<>"{}|^`\\]*)>'
+_ORACLE_BNODE = r"_:([A-Za-z0-9_](?:[A-Za-z0-9_.:\-]*[A-Za-z0-9_:\-])?)"
+_ORACLE_STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
+_ORACLE_LANG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
+_ORACLE_STATEMENT = re.compile(
+    r"^[ \t]*"
+    rf"(?:{_STRICT_IRIREF}|{_ORACLE_BNODE})[ \t]+"
+    rf"{_STRICT_IRIREF}[ \t]+"
+    rf"(?:{_STRICT_IRIREF}|{_ORACLE_BNODE}|{_ORACLE_STRING}(?:\^\^{_STRICT_IRIREF}|{_ORACLE_LANG})?)"
+    r"[ \t]*\.[ \t]*(?:#.*)?$"
+)
+_ORACLE_BLANK_OR_COMMENT = re.compile(r"^[ \t]*(#.*)?$")
+
+
+def oracle_parse(text: str, strict: bool):
+    """(triples, diagnostics), or the ParseError strict mode raises."""
+    triples, diagnostics = [], []
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        if line.endswith("\n"):
+            line = line[:-1]
+            if line.endswith("\r"):
+                line = line[:-1]
+        m = _ORACLE_STATEMENT.match(line)
+        try:
+            if m is None:
+                if _ORACLE_BLANK_OR_COMMENT.match(line):
+                    continue
+                raise ParseError(ntriples.ParseDiagnostic(line_no, "malformed statement", line))
+            s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dtype, o_lang = m.groups()
+
+            def decode(raw):
+                return ntriples._decode_escapes(raw, line_no, line)
+
+            subject = IRI(decode(s_iri)) if s_iri is not None else BlankNode(s_bnode)
+            if o_iri is not None:
+                obj = IRI(decode(o_iri))
+            elif o_bnode is not None:
+                obj = BlankNode(o_bnode)
+            elif o_lang is not None:
+                obj = Literal(decode(o_lex), RDF_LANGSTRING, o_lang)
+            elif o_dtype is not None:
+                obj = Literal(decode(o_lex), decode(o_dtype))
+            else:
+                obj = Literal(decode(o_lex))
+            triples.append(Triple(subject, IRI(decode(p_iri)), obj))
+        except ParseError as err:
+            if strict:
+                return err.diagnostic
+            diagnostics.append(err.diagnostic)
+    return triples, diagnostics
+
+
+def production_parse(text: str, strict: bool):
+    if strict:
+        try:
+            return list(iter_ntriples(text, strict=True)), []
+        except ParseError as err:
+            return err.diagnostic
+    return parse_ntriples(text)
+
+
+# Forbidden IRI characters, the backslash, angle brackets, tabs, quotes,
+# comment marks and line-ending characters. Each token is usually well
+# formed and sometimes has one of these inserted at a random position.
+_NASTY = '\x00\x1f <>"{}|^`\\\t#.\r@_:'
+_SAFE = "ab9/%-é"
+
+
+@st.composite
+def _spoilt(draw, token):
+    """*token*, or one in eight times *token* with a bad character inserted."""
+    if draw(st.integers(0, 7)):
+        return token
+    at = draw(st.integers(0, len(token)))
+    return token[:at] + draw(st.sampled_from(_NASTY)) + token[at:]
+
+
+@st.composite
+def _statement_line(draw, iris):
+    def iri():
+        return draw(_spoilt("<" + draw(st.sampled_from(iris)) + ">"))
+
+    def ws():
+        return draw(_spoilt(draw(st.sampled_from([" ", "\t", " \t "]))))
+
+    subject = draw(st.sampled_from([iri(), draw(_spoilt("_:b1"))]))
+    lexical = "".join(
+        draw(
+            st.lists(
+                st.sampled_from(
+                    ["x y", "\\n", "\\u00e9", "\\U0001F600", '\\"', "><", "\\q", "\\U0011FFFF"]
+                ),
+                max_size=3,
+            )
+        )
+    )
+    suffix = draw(st.sampled_from(["", "^^" + iri(), "@en", "@en-US"]))
+    literal = draw(_spoilt('"' + draw(_spoilt(lexical)) + '"' + suffix))
+    obj = draw(st.sampled_from([iri(), draw(_spoilt("_:o.2")), literal]))
+    tail = draw(_spoilt(draw(st.sampled_from([".", " .", ". # c <x> \\", "\t.\t"]))))
+    return ws() + subject + ws() + iri() + ws() + obj + tail
+
+
+@st.composite
+def _documents(draw):
+    # A small pool of IRI bodies, so good and bad IRIs repeat across lines
+    # and the interning cache is exercised.
+    iris = draw(
+        st.lists(
+            st.text(alphabet=_SAFE, max_size=3).flatmap(lambda t: _spoilt("http://a.org/" + t)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    lines = draw(
+        st.lists(
+            st.one_of(_statement_line(iris), st.sampled_from(["", "# comment", "  \t"])),
+            max_size=8,
+        )
+    )
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@given(_documents(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_strict_iriref_oracle(text, strict):
+    assert production_parse(text, strict) == oracle_parse(text, strict)
+
+
+def test_bad_iri_is_reported_on_every_line_naming_it():
+    good = "<http://a.org/s> <http://a.org/p> <http://a.org/o> ."
+    bad = "<http://a.org/s> <http://a.org/p> <http://a.org/a b> ."
+    bad_datatype = '<http://a.org/s> <http://a.org/p> "1"^^<http://a.org/d{t}> .'
+    text = "\n".join([good, bad, good, bad, bad_datatype, bad_datatype]) + "\n"
+    triples, diagnostics = parse_ntriples(text)
+    assert triples == oracle_parse(text, False)[0]
+    assert len(triples) == 2
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (line, "malformed statement") for line in (2, 4, 5, 6)
+    ]

@@ -177,7 +177,7 @@ def test_datfeat_single_date():
     assert [
         (t.subject.value, t.object.value) for t in aug.structural_triples
     ] == [(NEW + "month1", NEW + "quarter1")]
-    assert aug.relations == [NEW + IN_QUARTER]
+    assert {t.predicate.value for t in aug.structural_triples} == {NEW + IN_QUARTER}
 
 
 def test_datfeat_chains_consecutive_observations():
@@ -199,7 +199,11 @@ def test_datfeat_chains_consecutive_observations():
         (NEW + "day14", NEW + NEXT_DAY, NEW + "day15"),
         (NEW + "month3", NEW + NEXT_MONTH, NEW + "month4"),
     }
-    assert set(aug.relations) == {NEW + IN_QUARTER, NEW + NEXT_DAY, NEW + NEXT_MONTH}
+    assert {t.predicate.value for t in aug.structural_triples} == {
+        NEW + IN_QUARTER,
+        NEW + NEXT_DAY,
+        NEW + NEXT_MONTH,
+    }
 
 
 def test_datfeat_gap_breaks_chain():
@@ -232,7 +236,7 @@ def test_datfeat_without_links():
     graph = make_graph([date_line("a", "founded", "2001-03-14")])
     aug = datfeat(date_group(graph), graph, NEW, link_features=False)
     assert aug.structural_triples == []
-    assert aug.relations == []
+    assert {t.predicate.value for t in aug.structural_triples} == set()
 
 
 def test_datfeat_fallback_for_unparseable():
