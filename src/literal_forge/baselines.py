@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable, Sequence, TypeVar
 from urllib.parse import quote
 
 from .graph import IndexedGraph, LiteralGroup
 from .terms import IRI, Literal, Term, Triple, local_name
+
+V = TypeVar("V")
 
 DEFAULT_NAMESPACE = "http://example.org/new/"
 
@@ -44,15 +47,15 @@ class Augmentation:
     *triples* link original subjects to minted entities and are counted as
     added statements; *structural_triples* connect minted entities to each
     other (bin chains, calendar scaffolding) and are accounted separately.
-    *weights* optionally carries a score per entry of *triples* (parallel
-    list, None where no score applies).
+    *weighted* pairs the entries of *triples* that a strategy scores with
+    their score; only TXTLDA and IMAGETAGS score anything.
     """
 
     entities: list[str] = field(default_factory=list)
     triples: list[Triple] = field(default_factory=list)
     removed: int = 0
     structural_triples: list[Triple] = field(default_factory=list)
-    weights: list[float | None] = field(default_factory=list)
+    weighted: list[tuple[Triple, float]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     fallback_statements: int = 0
 
@@ -74,20 +77,50 @@ class Augmentation:
         return len(self.triples)
 
 
-def subject_term(graph: IndexedGraph, subject_id: int) -> Term:
-    return graph.entity_terms[subject_id]
+def parse_or_reject(
+    group: LiteralGroup, parse: Callable[[Term], V]
+) -> tuple[list[tuple[int, V]], list[int]]:
+    """Split the group's statements by whether *parse* accepts their object.
+
+    Returns (subject id, parsed value) pairs in statement order, and the
+    subject ids whose object *parse* rejected with ValueError (or
+    AttributeError, for an object that is not a literal).
+    """
+    parsed: list[tuple[int, V]] = []
+    rejected: list[int] = []
+    for subject_id, obj in group.statements:
+        try:
+            parsed.append((subject_id, parse(obj)))
+        except (ValueError, AttributeError):
+            rejected.append(subject_id)
+    return parsed, rejected
 
 
-def mint_any_value_triple(
-    graph: IndexedGraph, group: LiteralGroup, subject_id: int, namespace: str, aug: Augmentation
+def link_any_value(
+    aug: Augmentation,
+    graph: IndexedGraph,
+    predicate: str,
+    subject_ids: Sequence[int],
+    namespace: str = DEFAULT_NAMESPACE,
 ) -> None:
-    """ONEENTITY-style fallback link for a single statement."""
-    iri = namespace + sanitize_value(local_name(group.predicate)) + "AnyValue"
-    aug.add_entity(iri)
-    aug.triples.append(
-        Triple(subject_term(graph, subject_id), IRI(group.predicate), IRI(iri))
-    )
-    aug.weights.append(None)
+    """Link each subject to the predicate's ONEENTITY AnyValue entity.
+
+    The entity is minted only when there is a subject to link.
+    """
+    if not subject_ids:
+        return
+    entity = IRI(namespace + sanitize_value(local_name(predicate)) + "AnyValue")
+    aug.add_entity(entity.value)
+    link = IRI(predicate)
+    terms = graph.entity_terms
+    aug.triples.extend([Triple(terms[subject_id], link, entity) for subject_id in subject_ids])
+
+
+def note_fallback(aug: Augmentation, predicate: str, count: int, cause: str) -> None:
+    """Count *count* AnyValue fallback links and warn about their *cause*."""
+    if count:
+        aug.fallback_statements = count
+        aug.warnings.append(f"{predicate}: {cause} got AnyValue links")
 
 
 def exclude(group: LiteralGroup) -> Augmentation:
@@ -107,6 +140,7 @@ def transform_literal2entity(
     pred_local = sanitize_value(local_name(group.predicate))
     predicate = IRI(group.predicate)
     by_value: dict[str, IRI] = {}
+    terms = graph.entity_terms
     for subject_id, obj in group.statements:
         lexical = obj.lexical if isinstance(obj, Literal) else obj.value
         entity = by_value.get(lexical)
@@ -114,8 +148,7 @@ def transform_literal2entity(
             entity = IRI(namespace + pred_local + sanitize_value(lexical))
             by_value[lexical] = entity
             aug.add_entity(entity.value)
-        aug.triples.append(Triple(subject_term(graph, subject_id), predicate, entity))
-        aug.weights.append(None)
+        aug.triples.append(Triple(terms[subject_id], predicate, entity))
     return aug
 
 
@@ -124,10 +157,7 @@ def one_entity(
 ) -> Augmentation:
     """A single entity per predicate, ignoring the literal values entirely."""
     aug = Augmentation()
-    entity = IRI(namespace + sanitize_value(local_name(group.predicate)) + "AnyValue")
-    aug.add_entity(entity.value)
-    predicate = IRI(group.predicate)
-    for subject_id, _ in group.statements:
-        aug.triples.append(Triple(subject_term(graph, subject_id), predicate, entity))
-        aug.weights.append(None)
+    link_any_value(
+        aug, graph, group.predicate, [subject_id for subject_id, _ in group.statements], namespace
+    )
     return aug

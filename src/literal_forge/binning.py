@@ -21,11 +21,13 @@ import numpy as np
 from .baselines import (
     Augmentation,
     DEFAULT_NAMESPACE,
-    mint_any_value_triple,
+    link_any_value,
+    note_fallback,
+    parse_or_reject,
     sanitize_value,
 )
 from .graph import IndexedGraph, LiteralGroup
-from .terms import IRI, Literal, Triple, local_name
+from .terms import IRI, Literal, Term, Triple, local_name
 
 log = logging.getLogger(__name__)
 
@@ -483,7 +485,6 @@ def emit_bin_triples(
     if len(objects) != len(subjects):
         subjects = [subjects[row] for row in assignments.rows.tolist()]
     aug.triples.extend(map(Triple, subjects, repeat(predicate), objects))
-    aug.weights.extend([None] * len(objects))
     if layout.connect_adjacent and any(level.num_bins > 1 for level in layout.levels):
         link = IRI(namespace + NEXT_BIN)
         for level_iris in bin_iris:
@@ -556,7 +557,6 @@ def bin_statements(
             entity = low if value <= mid else high
             aug.add_entity(entity.value)
             aug.triples.append(Triple(terms[subject_id], predicate, entity))
-            aug.weights.append(None)
     return aug
 
 
@@ -566,26 +566,20 @@ def nbins(
     spec: BinningSpec,
     namespace: str = DEFAULT_NAMESPACE,
     lof: LofSpec | None = None,
+    parse: Callable[[Term], float] = parse_numeric,
+    kind: str = "numeric",
 ) -> Augmentation:
-    """The plain n-bin strategy over a whole numeric group.
+    """The plain n-bin strategy over the values *parse* reads from a group.
 
-    Unparseable lexical forms fall back to a one-entity link and are counted.
+    Statements *parse* rejects link to the AnyValue entity after the bin
+    links and are counted as unparseable *kind* statements.
     """
     aug = Augmentation()
-    parsed: list[tuple[int, float]] = []
-    fallback: list[int] = []
-    for subject_id, obj in group.statements:
-        try:
-            parsed.append((subject_id, parse_numeric(obj)))  # type: ignore[arg-type]
-        except (ValueError, AttributeError):
-            fallback.append(subject_id)
+    parsed, rejected = parse_or_reject(group, parse)
     if parsed:
         bin_statements(group, graph, spec, namespace, lof, statements=parsed, aug=aug)
-    for subject_id in fallback:
-        mint_any_value_triple(graph, group, subject_id, namespace, aug)
-    if fallback:
-        aug.fallback_statements = len(fallback)
-        aug.warnings.append(
-            f"{group.predicate}: {len(fallback)} unparseable numeric statements got AnyValue links"
-        )
+    link_any_value(aug, graph, group.predicate, rejected, namespace)
+    note_fallback(
+        aug, group.predicate, len(rejected), f"{len(rejected)} unparseable {kind} statements"
+    )
     return aug

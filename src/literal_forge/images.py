@@ -18,7 +18,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .baselines import Augmentation, DEFAULT_NAMESPACE, mint_any_value_triple, sanitize_value, subject_term
+from .baselines import (
+    Augmentation,
+    DEFAULT_NAMESPACE,
+    link_any_value,
+    note_fallback,
+    sanitize_value,
+)
 from .graph import IndexedGraph, LiteralGroup
 from .terms import IRI, Literal, Triple, XSD_BASE64
 
@@ -256,17 +262,14 @@ def emit_image_triples(
     for index, (subject_id, _) in enumerate(group.statements):
         distribution = distributions.get(index)
         if distribution is None:
-            mint_any_value_triple(graph, group, subject_id, namespace, aug)
+            link_any_value(aug, graph, group.predicate, [subject_id], namespace)
             misses += 1
             continue
         label = top_label(distribution)
         iri = namespace + prefix + sanitize_value(label)
         aug.add_entity(iri)
-        aug.triples.append(Triple(subject_term(graph, subject_id), predicate, IRI(iri)))
-        aug.weights.append(distribution.labels[0][1])
-    if misses:
-        aug.fallback_statements = misses
-        aug.warnings.append(
-            f"{group.predicate}: {misses} image statements without tags got AnyValue links"
-        )
+        triple = Triple(graph.entity_terms[subject_id], predicate, IRI(iri))
+        aug.triples.append(triple)
+        aug.weighted.append((triple, distribution.labels[0][1]))
+    note_fallback(aug, group.predicate, misses, f"{misses} image statements without tags")
     return aug

@@ -19,7 +19,7 @@ from typing import Any
 
 from . import baselines
 from .baselines import Augmentation, DEFAULT_NAMESPACE
-from .binning import BinningSpec, LofSpec, nbins
+from .binning import BinningSpec, LofSpec, bin_count, nbins
 from .graph import IndexedGraph, LiteralGroup, Modality, ModalityRules
 from .images import (
     ProviderError,
@@ -258,7 +258,7 @@ class StrategyConfig:
             defaults=defaults,
             overrides=overrides,
             image_provider=provider,
-            emit_weights=bool(raw.get("emit_weights", False)),
+            emit_weights=_flag(raw, "emit_weights", False),
             fallback=raw["fallback"] if "fallback" in raw else ONEENTITY,
             workers=workers,
             rules=rules,
@@ -298,17 +298,31 @@ class StrategyConfig:
             path = raw.get("path")
             if not isinstance(path, str):
                 raise ConfigError("tag-map provider needs a 'path'")
-            return TagMapProvider.from_file(path)
+            try:
+                return TagMapProvider.from_file(path)
+            except ProviderError as exc:
+                raise ConfigError(f"tag-map provider: {exc}") from exc
         if kind == "remote":
             endpoint = raw.get("endpoint")
             if not isinstance(endpoint, str):
                 raise ConfigError("remote provider needs an 'endpoint'")
-            return RemoteTagProvider(
-                endpoint,
-                timeout=float(raw.get("timeout", 10.0)),
-                retries=int(raw.get("retries", 3)),
-            )
+            try:
+                timeout = float(raw.get("timeout", 10.0))
+                retries = int(raw.get("retries", 3))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"remote provider {endpoint}: timeout and retries must be numbers ({exc})"
+                ) from exc
+            return RemoteTagProvider(endpoint, timeout=timeout, retries=retries)
         raise ConfigError(f"unknown image provider kind: {kind!r}")
+
+
+def _flag(raw: dict[str, Any], key: str, default: bool) -> bool:
+    """A boolean setting; only JSON true or false, so "false" is not read as on."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false: {value!r}")
+    return value
 
 
 def derive_seed(seed: int, predicate: str) -> int:
@@ -482,7 +496,7 @@ def _binning_spec(params: dict[str, Any], percent_mode: bool) -> BinningSpec:
             percent=float(params.get("percent", 0.10)),
             overlap=float(params.get("overlap", 0.0)),
             hierarchy_depth=int(params.get("hierarchy_depth", 0)),
-            connect_adjacent=bool(params.get("connect_adjacent", True)),
+            connect_adjacent=_flag(params, "connect_adjacent", True),
             scheme=str(params.get("scheme", "equal-width")),
         )
     except ValueError as exc:
@@ -512,19 +526,19 @@ def _lda_spec(params: dict[str, Any]) -> LdaSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _binning_allowance(
-    spec: BinningSpec, leaves: list[dict[str, Any]], lof_on: bool, fallback: int
-) -> int:
+def _binning_allowance(spec: BinningSpec, sizes: list[int], lof_on: bool, fallback: int) -> int:
+    """Bin entities a binning run may mint: each population's bins at every
+    level, two outlier entities per population with LOF, one AnyValue."""
     allowance = 0
-    for leaf in leaves:
-        target = leaf["target_bins"]
+    for size in sizes:
+        target = bin_count(size, max(size, 1), spec)
         allowance += target
         step = target
         for _ in range(spec.hierarchy_depth):
             step = (step + 1) // 2
             allowance += step
     if lof_on:
-        allowance += 2 * len(leaves)
+        allowance += 2 * len(sizes)
     if fallback:
         allowance += 1
     return allowance
@@ -574,56 +588,33 @@ def _run_strategy(
         aug = baselines.one_entity(group, graph, namespace)
         return _GroupOutcome(aug, 1, S, None, S)
 
-    if name in (NBINS, PBINS, DATBIN):
+    if name in (NBINS, PBINS, DATBIN, KLREL, KLRELENT):
         spec = _binning_spec(params, percent_mode=name == PBINS)
         lof = _lof_spec(params)
-        runner = datbin if name == DATBIN else nbins
-        aug = runner(group, graph, spec, namespace, lof)
-        parsed = S - aug.fallback_statements
-        unique_cap = min(distinct, max(parsed, 1))
-        leaves = [{"target_bins": _leaf_target(spec, unique_cap), "values": parsed}]
+        if name in (KLREL, KLRELENT):
+            threshold = int(params.get("split_threshold", 300))
+            mode = REL if name == KLREL else RELENT
+            aug, split = kl_rel_binning(group, graph, mode, spec, namespace, lof, threshold)
+            sizes = [leaf.value_count for leaf in split.leaves]
+            detail = {"leaves": len(split.leaves), "split": split.root.to_dict()}
+        else:
+            runner = datbin if name == DATBIN else nbins
+            aug = runner(group, graph, spec, namespace, lof)
+            sizes = [min(distinct, S - aug.fallback_statements)]
+            detail = {"leaves": 1, "bin_entities": len(aug.entities)}
         flat = spec.overlap == 0.0 and spec.hierarchy_depth == 0
-        detail = {"leaves": 1, "bin_entities": len(aug.entities)}
         return _GroupOutcome(
             aug,
-            _binning_allowance(spec, leaves, lof is not None, aug.fallback_statements),
+            _binning_allowance(spec, sizes, lof is not None, aug.fallback_statements),
             S if flat else None,
             None,
-            parsed,
-            _binning_exceptions(spec, _outlier_entity_count(aug)),
-            detail,
-        )
-
-    if name in (KLREL, KLRELENT):
-        spec = _binning_spec(params, percent_mode="percent" in params)
-        lof = _lof_spec(params)
-        threshold = int(params.get("split_threshold", 300))
-        mode = REL if name == KLREL else RELENT
-        aug, split = kl_rel_binning(
-            group, graph, mode, spec, namespace, lof, threshold
-        )
-        parsed = S - aug.fallback_statements
-        leaves = [
-            {"target_bins": _leaf_target(spec, leaf.value_count), "values": leaf.value_count}
-            for leaf in split.leaves
-        ]
-        flat = spec.overlap == 0.0 and spec.hierarchy_depth == 0
-        detail = {
-            "leaves": len(split.leaves),
-            "split": split.root.to_dict(),
-        }
-        return _GroupOutcome(
-            aug,
-            _binning_allowance(spec, leaves, lof is not None, aug.fallback_statements),
-            S if flat else None,
-            None,
-            parsed,
+            S - aug.fallback_statements,
             _binning_exceptions(spec, _outlier_entity_count(aug)),
             detail,
         )
 
     if name == DATFEAT:
-        aug = datfeat(group, graph, namespace, bool(params.get("link_features", True)))
+        aug = datfeat(group, graph, namespace, _flag(params, "link_features", True))
         parsed = S - aug.fallback_statements
         features = {t.object.value for t in aug.triples if isinstance(t.object, IRI)}
         return _GroupOutcome(
@@ -681,12 +672,6 @@ def _run_strategy(
         )
 
     raise ConfigError(f"strategy {name} cannot run on a literal group directly")
-
-
-def _leaf_target(spec: BinningSpec, unique_cap: int) -> int:
-    if spec.mode == "fixed":
-        return min(spec.bins, max(unique_cap, 1))
-    return max(1, int(spec.percent * max(unique_cap, 1) + 0.5))
 
 
 def _outlier_entity_count(aug: Augmentation) -> int:
@@ -765,9 +750,7 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
         aug = outcome.aug
         triples.extend(aug.triples)
         if config.emit_weights:
-            for triple, weight in zip(aug.triples, aug.weights):
-                if weight is not None and weight > 0.0:
-                    weighted.append((triple, weight))
+            weighted.extend(pair for pair in aug.weighted if pair[1] > 0.0)
         row_structural = 0
         for triple in aug.structural_triples:
             if triple not in structural_seen:

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import Augmentation, DEFAULT_NAMESPACE, mint_any_value_triple
+from .baselines import (
+    Augmentation,
+    DEFAULT_NAMESPACE,
+    link_any_value,
+    note_fallback,
+    parse_or_reject,
+)
 from .binning import BinningSpec, LofSpec, bin_statements, parse_numeric
 from .graph import IndexedGraph, LiteralGroup
 from .terms import BlankNode, IRI
@@ -244,14 +250,16 @@ def _split_subjects(
     for subject_id in statement_subjects:
         value_counts[subject_id] = value_counts.get(subject_id, 0) + 1
     subjects = sorted(value_counts)
-    signatures = {sid: entity_signature(sid, graph, mode) for sid in subjects}
-
-    split = PopulationSplit(
-        predicate=predicate,
-        mode=mode,
-        threshold=threshold,
-        root=SplitNode(tuple(subjects), sum(value_counts.values())),
+    root = SplitNode(tuple(subjects), len(statement_subjects))
+    # A root below the threshold stays one leaf, so it needs no signatures
+    # (and so no adjacency).
+    signatures = (
+        {sid: entity_signature(sid, graph, mode) for sid in subjects}
+        if root.value_count >= threshold
+        else {}
     )
+
+    split = PopulationSplit(predicate=predicate, mode=mode, threshold=threshold, root=root)
     split._membership = signatures
 
     def grow(node: SplitNode) -> None:
@@ -298,13 +306,7 @@ def kl_rel_binning(
     """
     spec = spec if spec is not None else BinningSpec()
     aug = Augmentation()
-    parsed: list[tuple[int, float]] = []
-    fallback: list[int] = []
-    for subject_id, obj in group.statements:
-        try:
-            parsed.append((subject_id, parse_numeric(obj)))  # type: ignore[arg-type]
-        except (ValueError, AttributeError):
-            fallback.append(subject_id)
+    parsed, rejected = parse_or_reject(group, parse_numeric)
 
     # The split looks only at subjects and their relational adjacency, so
     # only parseable statements take part.
@@ -327,11 +329,8 @@ def kl_rel_binning(
             subpopulation=leaf_index if multi else None,
             aug=aug,
         )
-    for subject_id in fallback:
-        mint_any_value_triple(graph, group, subject_id, namespace, aug)
-    if fallback:
-        aug.fallback_statements = len(fallback)
-        aug.warnings.append(
-            f"{group.predicate}: {len(fallback)} unparseable numeric statements got AnyValue links"
-        )
+    link_any_value(aug, graph, group.predicate, rejected, namespace)
+    note_fallback(
+        aug, group.predicate, len(rejected), f"{len(rejected)} unparseable numeric statements"
+    )
     return aug, split

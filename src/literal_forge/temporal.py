@@ -13,8 +13,14 @@ from dataclasses import dataclass
 from datetime import date as _date
 import re
 
-from .baselines import Augmentation, DEFAULT_NAMESPACE, mint_any_value_triple, subject_term
-from .binning import BinningSpec, LofSpec, bin_statements
+from .baselines import (
+    Augmentation,
+    DEFAULT_NAMESPACE,
+    link_any_value,
+    note_fallback,
+    parse_or_reject,
+)
+from .binning import BinningSpec, LofSpec, nbins
 from .graph import IndexedGraph, LiteralGroup
 from .terms import (
     IRI,
@@ -120,17 +126,8 @@ def datfeat_names(day: CalendarDate) -> tuple[str, str, str, str, str]:
     )
 
 
-def _parse_group(
-    group: LiteralGroup,
-) -> tuple[list[tuple[int, CalendarDate]], list[int]]:
-    parsed: list[tuple[int, CalendarDate]] = []
-    fallback: list[int] = []
-    for subject_id, obj in group.statements:
-        try:
-            parsed.append((subject_id, parse_date(obj)))  # type: ignore[arg-type]
-        except (ValueError, AttributeError):
-            fallback.append(subject_id)
-    return parsed, fallback
+def _timestamp(literal: Literal) -> float:
+    return float(parse_date(literal).to_unix_timestamp())
 
 
 def datbin(
@@ -140,20 +137,8 @@ def datbin(
     namespace: str = DEFAULT_NAMESPACE,
     lof: LofSpec | None = None,
 ) -> Augmentation:
-    """Date binning: UNIX timestamps through the numeric binning machinery."""
-    aug = Augmentation()
-    parsed, fallback = _parse_group(group)
-    if parsed:
-        stamps = [(sid, float(day.to_unix_timestamp())) for sid, day in parsed]
-        bin_statements(group, graph, spec, namespace, lof, statements=stamps, aug=aug)
-    for subject_id in fallback:
-        mint_any_value_triple(graph, group, subject_id, namespace, aug)
-    if fallback:
-        aug.fallback_statements = len(fallback)
-        aug.warnings.append(
-            f"{group.predicate}: {len(fallback)} unparseable date statements got AnyValue links"
-        )
-    return aug
+    """Date binning: UNIX timestamps through the numeric binning runner."""
+    return nbins(group, graph, spec, namespace, lof, parse=_timestamp, kind="date")
 
 
 def datfeat(
@@ -170,17 +155,16 @@ def datfeat(
     and chain consecutive observed days and months.
     """
     aug = Augmentation()
-    parsed, fallback = _parse_group(group)
+    parsed, rejected = parse_or_reject(group, parse_date)
     predicate = IRI(group.predicate)
     months_seen: set[int] = set()
     days_seen: set[int] = set()
     for subject_id, day in parsed:
-        subj = subject_term(graph, subject_id)
+        subj = graph.entity_terms[subject_id]
         for name in datfeat_names(day):
             iri = namespace + name
             aug.add_entity(iri)
             aug.triples.append(Triple(subj, predicate, IRI(iri)))
-            aug.weights.append(None)
         months_seen.add(day.month)
         days_seen.add(day.day)
     if link_features and parsed:
@@ -218,11 +202,8 @@ def datfeat(
                             IRI(f"{namespace}month{b}"),
                         )
                     )
-    for subject_id in fallback:
-        mint_any_value_triple(graph, group, subject_id, namespace, aug)
-    if fallback:
-        aug.fallback_statements = len(fallback)
-        aug.warnings.append(
-            f"{group.predicate}: {len(fallback)} unparseable date statements got AnyValue links"
-        )
+    link_any_value(aug, graph, group.predicate, rejected, namespace)
+    note_fallback(
+        aug, group.predicate, len(rejected), f"{len(rejected)} unparseable date statements"
+    )
     return aug

@@ -17,7 +17,13 @@ from typing import Mapping, Collection
 
 import numpy as np
 
-from .baselines import Augmentation, DEFAULT_NAMESPACE, mint_any_value_triple, sanitize_value, subject_term
+from .baselines import (
+    Augmentation,
+    DEFAULT_NAMESPACE,
+    link_any_value,
+    note_fallback,
+    sanitize_value,
+)
 from .graph import IndexedGraph, LiteralGroup
 from .terms import IRI, Literal, Triple, local_name
 
@@ -273,27 +279,24 @@ def emit_topic_triples(
     width = max(2, len(str(model.topics - 1)))
     predicate = IRI(group.predicate)
     empty = set(corpus.empty_documents)
-    fallback_count = 0
     for doc_id, (subject_id, _) in enumerate(group.statements):
         if doc_id in empty:
-            mint_any_value_triple(graph, group, subject_id, namespace, aug)
-            fallback_count += 1
+            link_any_value(aug, graph, group.predicate, [subject_id], namespace)
             continue
         row = model.theta[doc_id]
         hits = [k for k in range(model.topics) if row[k] >= threshold]
         if not hits:
             hits = [int(np.argmax(row))]
-        subj = subject_term(graph, subject_id)
+        subj = graph.entity_terms[subject_id]
         for k in hits:
             iri = f"{namespace}{pred_local}Topic{k:0{width}d}"
             aug.add_entity(iri)
-            aug.triples.append(Triple(subj, predicate, IRI(iri)))
-            aug.weights.append(float(row[k]))
-    if fallback_count:
-        aug.fallback_statements = fallback_count
-        aug.warnings.append(
-            f"{group.predicate}: {fallback_count} statements empty after tokenization got AnyValue links"
-        )
+            triple = Triple(subj, predicate, IRI(iri))
+            aug.triples.append(triple)
+            aug.weighted.append((triple, float(row[k])))
+    note_fallback(
+        aug, group.predicate, len(empty), f"{len(empty)} statements empty after tokenization"
+    )
     return aug
 
 
@@ -314,11 +317,10 @@ def txtlda(
     corpus = build_corpus(group, stopwords)
     if not any(corpus.documents):
         aug = Augmentation()
-        for subject_id, _ in group.statements:
-            mint_any_value_triple(graph, group, subject_id, namespace, aug)
-        aug.fallback_statements = len(group.statements)
-        aug.warnings.append(
-            f"{group.predicate}: no tokenizable text, all statements got AnyValue links"
+        subject_ids = [subject_id for subject_id, _ in group.statements]
+        link_any_value(aug, graph, group.predicate, subject_ids, namespace)
+        note_fallback(
+            aug, group.predicate, len(subject_ids), "no tokenizable text, all statements"
         )
         return aug, None
     started = time.perf_counter()

@@ -76,7 +76,7 @@ def test_transform_mints_value_entities():
     assert objs.count(NEW + "populationMetro2362046") == 2
     assert all(t.predicate == IRI(EX + "populationMetro") for t in aug.triples)
     assert aug.removed == 0
-    assert aug.weights == [None, None, None]
+    assert aug.weighted == []  # TRANSFORM scores nothing
 
 
 def test_transform_bound_entities_by_distinct_values():

@@ -6,6 +6,8 @@ import gzip
 import io
 import json
 import logging
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -286,7 +288,6 @@ def test_transform_exits_verify_on_failed_bound(sample_nt, tmp_path, monkeypatch
     def overgrown(group, graph, namespace):
         aug = real(group, graph, namespace)
         aug.triples.append(aug.triples[0])  # one past the exact bound of S
-        aug.weights.append(None)
         return aug
 
     monkeypatch.setattr(baselines, "one_entity", overgrown)
@@ -390,3 +391,95 @@ def test_failed_write_keeps_earlier_output_and_report(sample_nt, tmp_path, monke
     code, _ = transform(sample_nt, tmp_path, "--strategy", "ONEENTITY", "--emit-weights")
     assert code == EXIT_INPUT
     assert _files(tmp_path) == before
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """The command line in a fresh interpreter, stderr captured as users see it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("LITERAL_FORGE_LOG", None)
+    return subprocess.run(
+        [sys.executable, "-m", "literal_forge.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "provider, named",
+    [
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "timeout": "abc"}, "remote"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "retries": "x"}, "remote"),
+        ({"kind": "tag-map", "path": "missing.json"}, "tag-map"),
+        ({"kind": "tag-map", "path": "not-json.json"}, "tag-map"),
+    ],
+    ids=["remote-timeout", "remote-retries", "tag-map-missing", "tag-map-unreadable"],
+)
+def test_bad_image_provider_config_is_a_diagnostic(tmp_path, provider, named):
+    graph = tmp_path / "images.nt"
+    graph.write_text(rel_line("a", "depiction", "img/a.jpg") + "\n", encoding="utf-8")
+    (tmp_path / "not-json.json").write_text("{not json", encoding="utf-8")
+    if provider["kind"] == "tag-map":
+        provider = {**provider, "path": str(tmp_path / provider["path"])}
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"image_predicates": [EX + "depiction"], "image_provider": provider}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.nt"
+    done = run_cli(
+        "transform", "--input", str(graph), "--output", str(out), "--config", str(config)
+    )
+    assert done.returncode == EXIT_CONFIG
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR ")
+    assert f"{named} provider" in lines[0]
+    assert not out.exists()
+
+
+def test_zero_score_label_is_linked_without_a_weight(tmp_path):
+    graph = tmp_path / "images.nt"
+    lines = [rel_line("a", "depiction", "img/a.jpg"), rel_line("b", "depiction", "img/b.jpg")]
+    graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tags = tmp_path / "tags.json"
+    tags.write_text(
+        json.dumps(
+            {
+                EX + "img/a.jpg": [{"name": "blank", "score": 0.0}],
+                EX + "img/b.jpg": [{"name": "tower", "score": 0.5}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "image_predicates": [EX + "depiction"],
+                "image_provider": {"kind": "tag-map", "path": str(tags)},
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.nt"
+    code = main(
+        [
+            "transform",
+            "--input",
+            str(graph),
+            "--output",
+            str(out),
+            "--config",
+            str(config),
+            "--emit-weights",
+        ]
+    )
+    assert code == EXIT_OK
+    blank = f"<{EX}a> <{EX}depiction> <{NEW}VGG_blank> ."
+    tower = f"<{EX}b> <{EX}depiction> <{NEW}VGG_tower> ."
+    assert out.read_text(encoding="utf-8").splitlines() == [blank, tower]
+    weights = Path(str(out) + ".weights.tsv").read_text(encoding="utf-8")
+    assert weights.splitlines() == [f"{tower}\t0.500000"]

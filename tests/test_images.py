@@ -169,7 +169,7 @@ def test_emit_image_triples_exact_naming(tmp_path):
     assert aug.entities == [NEW + "VGG_building", NEW + "VGG_bridge"]
     shared = [t for t in aug.triples if t.object.value == NEW + "VGG_building"]
     assert len(shared) == 2
-    assert aug.weights == [1.0, 1.0, 1.0]
+    assert aug.weighted == [(t, 1.0) for t in aug.triples]
 
 
 def test_emit_image_triples_miss_falls_back(tmp_path):
@@ -197,7 +197,7 @@ def test_emit_image_triples_weight_is_top_score(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     graph = make_graph(depiction_lines(1), IMG_RULES)
     aug = emit_image_triples(image_group(graph), graph, TagMapProvider.from_file(str(path)), NEW)
-    assert aug.weights == [0.62]
+    assert aug.weighted == [(aug.triples[0], 0.62)]
     assert aug.entities == [NEW + "VGG_castle"]
 
 

@@ -247,8 +247,9 @@ def test_emit_links_topics_above_threshold():
     assert aug.delta_statements <= 2 * len(group)
     assert set(aug.entities) <= {NEW + "abstractTopic00", NEW + "abstractTopic01"}
     # weights carry the topic probabilities
-    assert all(w is not None and 0.0 < w <= 1.0 for w in aug.weights)
-    for t, w in zip(aug.triples, aug.weights):
+    assert [t for t, _ in aug.weighted] == aug.triples
+    assert all(0.0 < w <= 1.0 for _, w in aug.weighted)
+    for _, w in aug.weighted:
         assert w > 0.10 or w == pytest.approx(0.10, abs=1e-9)
 
 

@@ -501,6 +501,133 @@ class TestApplySpecialists:
         assert check_output(result.triples, result.report) == []
 
 
+def _local(term) -> str:
+    return term.value.replace(NEW, "new:").replace(EX, "")
+
+
+def test_anyvalue_fallbacks_keep_order_warnings_and_weights(tmp_path):
+    """Every strategy's unusable values, through one apply run."""
+    tags = tmp_path / "tags.json"
+    tags.write_text(
+        json.dumps(
+            {
+                EX + "img/0.jpg": [{"name": "tower", "score": 0.75}],
+                EX + "img/2.jpg": [{"name": "blank", "score": 0.0}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    lines = [
+        rel_line("a", "knows", "b"),
+        numeric_line("n0", "size", 1),
+        numeric_line("n1", "size", "oops"),
+        numeric_line("n2", "size", 3),
+        numeric_line("k0", "mass", 10),
+        numeric_line("k1", "mass", "1_0"),
+        numeric_line("k2", "mass", 30),
+        date_line("d0", "opened", "2001-02-30"),
+        date_line("d1", "opened", "2001-05-14"),
+        date_line("e0", "closed", "never"),
+        date_line("e1", "closed", "1999-12-31"),
+        text_line("t0", "abstract", "solar power"),
+        text_line("t1", "abstract", "!?"),
+        text_line("t2", "abstract", "wind power"),
+        text_line("m0", "motto", "?"),
+        text_line("m1", "motto", "!"),
+        rel_line("p0", "depiction", "img/0.jpg"),
+        rel_line("p1", "depiction", "img/1.jpg"),
+        rel_line("p2", "depiction", "img/2.jpg"),
+    ]
+    lda = GroupPlan("TXTLDA", {"topics": 1, "iterations": 5})  # one topic: weight 1.0
+    config = StrategyConfig(
+        namespace=NEW,
+        emit_weights=True,
+        image_provider={"kind": "tag-map", "path": str(tags)},
+        overrides={
+            EX + "size": GroupPlan("NBINS", {"bins": 2}),
+            EX + "mass": GroupPlan("KLREL", {"bins": 2}),
+            EX + "opened": GroupPlan("DATBIN", {"bins": 2}),
+            EX + "closed": GroupPlan("DATFEAT", {"link_features": False}),
+            EX + "abstract": lda,
+            EX + "motto": lda,
+            EX + "depiction": GroupPlan("IMAGETAGS"),
+        },
+    )
+    result = apply(make_graph(lines, IMAGE_RULES), config)
+    # Binning and calendar fallbacks follow the group's other links;
+    # text and image fallbacks keep their statement's place.
+    output = [tuple(map(_local, (t.subject, t.predicate, t.object))) for t in result.triples]
+    assert output == [
+        ("a", "knows", "b"),
+        ("n0", "size", "new:sizeBin00"),
+        ("n2", "size", "new:sizeBin01"),
+        ("n1", "size", "new:sizeAnyValue"),
+        ("k0", "mass", "new:massBin00"),
+        ("k2", "mass", "new:massBin01"),
+        ("k1", "mass", "new:massAnyValue"),
+        ("d1", "opened", "new:openedBin00"),
+        ("d0", "opened", "new:openedAnyValue"),
+        ("e1", "closed", "new:friday"),
+        ("e1", "closed", "new:day31"),
+        ("e1", "closed", "new:month12"),
+        ("e1", "closed", "new:quarter4"),
+        ("e1", "closed", "new:year1999"),
+        ("e0", "closed", "new:closedAnyValue"),
+        ("t0", "abstract", "new:abstractTopic00"),
+        ("t1", "abstract", "new:abstractAnyValue"),
+        ("t2", "abstract", "new:abstractTopic00"),
+        ("m0", "motto", "new:mottoAnyValue"),
+        ("m1", "motto", "new:mottoAnyValue"),
+        ("p0", "depiction", "new:VGG_tower"),
+        ("p1", "depiction", "new:depictionAnyValue"),
+        ("p2", "depiction", "new:VGG_blank"),
+        ("new:sizeBin00", "new:nextBin", "new:sizeBin01"),
+        ("new:massBin00", "new:nextBin", "new:massBin01"),
+    ]
+    assert result.report.warnings == [
+        EX + "size: 1 unparseable numeric statements got AnyValue links",
+        EX + "mass: 1 unparseable numeric statements got AnyValue links",
+        EX + "opened: 1 unparseable date statements got AnyValue links",
+        EX + "closed: 1 unparseable date statements got AnyValue links",
+        EX + "abstract: 1 statements empty after tokenization got AnyValue links",
+        EX + "motto: no tokenizable text, all statements got AnyValue links",
+        EX + "depiction: 1 image statements without tags got AnyValue links",
+    ]
+    assert [row.fallback_statements for row in result.report.rows] == [1, 1, 1, 1, 1, 2, 1]
+    assert {row.verdict for row in result.report.rows} == {"pass"}
+    # Only scored links carry weights; the label scored 0.0 is linked
+    # above but has no weight.
+    assert [(_local(t.subject), _local(t.object), w) for t, w in result.weighted] == [
+        ("t0", "new:abstractTopic00", 1.0),
+        ("t2", "new:abstractTopic00", 1.0),
+        ("p0", "new:VGG_tower", 0.75),
+    ]
+    assert check_output(result.triples, result.report) == []
+
+
+@pytest.mark.parametrize(
+    "key, modality, strategy",
+    [
+        ("emit_weights", None, None),
+        ("connect_adjacent", "numeric", "NBINS"),
+        ("link_features", "temporal", "DATFEAT"),
+    ],
+)
+def test_config_booleans_must_be_json_booleans(key, modality, strategy):
+    def run(value):
+        if modality is None:
+            raw = {key: value}
+        else:
+            raw = {"defaults": {modality: {"strategy": strategy, "params": {key: value}}}}
+        return apply(make_graph(mixed_lines()), StrategyConfig.from_dict(raw))
+
+    for bad in ("false", 0, None):
+        with pytest.raises(ConfigError, match=key):
+            run(bad)
+    on, off = run(True), run(False)
+    assert (on.triples, on.weighted) != (off.triples, off.weighted)
+
+
 class TestFallback:
     def test_failed_strategy_degrades_to_oneentity(self, caplog):
         lines = [rel_line("a", "depiction", "img/a.jpg")]

@@ -356,3 +356,18 @@ def test_kl_rel_binning_unparseable_fall_back():
     assert aug.fallback_statements == 1
     assert aug.delta_statements == 11
     assert any(t.object.value == NEW + "heightAnyValue" for t in aug.triples)
+
+
+def test_group_below_threshold_builds_no_adjacency():
+    from literal_forge.binning import nbins
+
+    graph = make_graph(person_building_lines(persons=40, buildings=40))
+    group = height_group(graph)
+    aug, split = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=81)
+    assert "out_edges" not in vars(graph) and "in_edges" not in vars(graph)
+    assert split.root.to_dict() == {"values": 80, "subjects": 80, "leaf": 0}
+    assert aug.triples == nbins(group, graph, BinningSpec(bins=3), NEW).triples
+    # At the threshold the root may split, so the signatures are needed.
+    _, split = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=80)
+    assert len(split.leaves) == 2
+    assert "out_edges" in vars(graph) and "in_edges" in vars(graph)
