@@ -157,6 +157,12 @@ class RemoteTagProvider:
     backoff: float = 0.5
     session: object | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        if not self.timeout > 0:
+            raise ValueError("timeout must be positive")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+
     def _post(self, body: dict) -> object:
         import requests
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import islice
-from typing import Any
+from typing import Any, Callable
 
 from . import baselines
 from .baselines import Augmentation, DEFAULT_NAMESPACE
@@ -81,69 +82,151 @@ VALID_FOR: dict[Modality, set[str]] = {
     Modality.OTHER: set(_UNIVERSAL),
 }
 
-_BINNING_KEYS = {
-    "bins",
-    "percent",
-    "scheme",
-    "overlap",
-    "hierarchy_depth",
-    "connect_adjacent",
-    "lof",
+# Each strategy's parameters and their JSON types, as read by _read_json. The
+# defaults live in the spec dataclasses and the strategy functions' signatures.
+_BINNING_PARAMS: dict[str, Any] = {
+    "bins": "int",
+    "percent": "number",
+    "scheme": "string",
+    "overlap": "number",
+    "hierarchy_depth": "int",
+    "connect_adjacent": "bool",
+    "lof": {"k": "int", "threshold": "number"},
 }
-_PARAM_KEYS: dict[str, set[str]] = {
-    EXCLUDE: set(),
-    TRANSFORM: set(),
-    ONEENTITY: set(),
-    NBINS: set(_BINNING_KEYS),
-    PBINS: set(_BINNING_KEYS),
-    KLREL: _BINNING_KEYS | {"split_threshold"},
-    KLRELENT: _BINNING_KEYS | {"split_threshold"},
-    DATBIN: set(_BINNING_KEYS),
-    DATFEAT: {"link_features"},
-    TXTLDA: {"topics", "alpha", "beta", "iterations", "threshold"},
-    IMAGETAGS: {"prefix", "max_in_flight", "vocabulary"},
-    COMBINED: {"numeric", "temporal", "text", "image", "other"},
+_SPLIT_PARAMS = {**_BINNING_PARAMS, "split_threshold": "count"}
+_PARAMS: dict[str, dict[str, Any]] = {
+    EXCLUDE: {},
+    TRANSFORM: {},
+    ONEENTITY: {},
+    NBINS: _BINNING_PARAMS,
+    PBINS: _BINNING_PARAMS,
+    KLREL: _SPLIT_PARAMS,
+    KLRELENT: _SPLIT_PARAMS,
+    DATBIN: _BINNING_PARAMS,
+    DATFEAT: {"link_features": "bool"},
+    TXTLDA: {
+        "topics": "int",
+        "alpha": "number?",
+        "beta": "number",
+        "iterations": "int",
+        "threshold": "number",
+    },
+    IMAGETAGS: {"prefix": "string", "max_in_flight": "count", "vocabulary": "count"},
+    COMBINED: {m.value: "object" for m in Modality},
+}
+_BINNERS = {NBINS, PBINS, KLREL, KLRELENT, DATBIN}
+_PLAN = {"strategy": "string", "params": "object"}
+_CONFIG = {
+    "namespace": "string",
+    "seed": "int",
+    "defaults": "object",
+    "overrides": "object",
+    "image_provider": "object?",
+    "emit_weights": "bool",
+    "fallback": "string?",
+    "workers": "count?",
+    "image_predicates": "list",
+    "predicate_modalities": "object",
+    "stopwords": "object?",
+}
+_PROVIDERS = {
+    "tag-map": {"kind": "string", "path": "string"},
+    "remote": {"kind": "string", "endpoint": "string", "timeout": "number", "retries": "int"},
 }
 
-_LOF_KEYS = {"k", "threshold"}
+# A JSON type name: what it reads as in a message, and its test. A bool is
+# not a number; an int is.
+_JSON_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "count": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "number": ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "string": ("a string", lambda v: type(v) is str),
+    "object": ("an object", lambda v: type(v) is dict),
+    "list": ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
+}
 
 MODALITY_NAMES = {m.value: m for m in Modality}
 
 
+def _read_json(raw: Any, schema: dict[str, Any], what: str) -> dict[str, Any]:
+    """*raw* checked against *schema*, as a new dict with numbers as floats.
+
+    *schema* maps each allowed key to a type name of ``_JSON_TYPES``; a
+    trailing "?" also allows null. A nested schema is an object read the
+    same way, or null. *what* names the keys in messages.
+    """
+    if type(raw) is not dict:
+        raise ConfigError(f"{what}: expected a JSON object, not {raw!r}")
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+    out: dict[str, Any] = {}
+    for key, value in raw.items():
+        kind = schema[key]
+        if isinstance(kind, dict):
+            try:
+                out[key] = None if value is None else _read_json(value, kind, f"{key} keys")
+            except ConfigError as exc:
+                raise ConfigError(f"bad {key} settings: {exc}") from None
+            continue
+        nullable = kind.endswith("?")
+        kind = kind.rstrip("?")
+        described, fits = _JSON_TYPES[kind]
+        if not (fits(value) or (nullable and value is None)):
+            described += " or null" if nullable else ""
+            raise ConfigError(f"{what}: {key} must be {described}, not {value!r}")
+        out[key] = float(value) if kind == "number" and value is not None else value
+    return out
+
+
 @dataclass(frozen=True)
 class GroupPlan:
-    """One resolved (strategy, parameters) choice."""
+    """One resolved (strategy, parameters) choice.
+
+    *spec* is *params* read once, at construction: for binning strategies
+    (BinningSpec, LofSpec or None, kl_rel_binning keywords), for TXTLDA an
+    LdaSpec, for IMAGETAGS (vocabulary cap, emit_image_triples keywords),
+    for COMBINED the per-modality plans, otherwise the strategy function's
+    keywords. *params* stays as given, for the report.
+    """
 
     strategy: str
     params: dict[str, Any] = field(default_factory=dict)
+    spec: Any = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy name: {self.strategy!r}")
-        unknown = set(self.params) - _PARAM_KEYS[self.strategy]
-        if unknown:
-            raise ConfigError(
-                f"unknown parameters for {self.strategy}: {sorted(unknown)}"
-            )
-        lof = self.params.get("lof")
-        if lof is not None:
-            if not isinstance(lof, dict) or set(lof) - _LOF_KEYS:
-                raise ConfigError(f"bad lof settings: {lof!r}")
+        what = f"parameters for {self.strategy}"
+        params = _read_json(self.params, _PARAMS[self.strategy], what)
+        try:
+            spec = _read_spec(self.strategy, params)
+        except ValueError as exc:  # a spec dataclass's range check, or a COMBINED part's
+            raise ConfigError(f"{what}: {exc}") from exc
+        object.__setattr__(self, "spec", spec)
+
+
+def _read_spec(strategy: str, params: dict[str, Any]) -> Any:
+    if strategy in _BINNERS:
+        lof = params.pop("lof", None)
+        split = {"threshold": params.pop("split_threshold")} if "split_threshold" in params else {}
+        mode = "percent" if strategy == PBINS or "percent" in params else "fixed"
+        return BinningSpec(mode=mode, **params), None if lof is None else LofSpec(**lof), split
+    if strategy == TXTLDA:
+        return LdaSpec(**params)
+    if strategy == IMAGETAGS:
+        return params.pop("vocabulary", 1000), params
+    if strategy == COMBINED:
+        return compose_combined(params)
+    return params
 
 
 def _plan_from_dict(raw: Any, where: str) -> GroupPlan:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object with a 'strategy' field")
-    unknown = set(raw) - {"strategy", "params"}
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    strategy = raw.get("strategy")
-    if not isinstance(strategy, str):
+    entry = _read_json(raw, _PLAN, f"keys in {where}")
+    if "strategy" not in entry:
         raise ConfigError(f"{where}: missing strategy name")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where}: params must be an object")
-    return GroupPlan(strategy.upper(), params)
+    return GroupPlan(entry["strategy"].upper(), entry.get("params", {}))
 
 
 def compose_combined(params: dict[str, Any] | None = None) -> dict[Modality, GroupPlan]:
@@ -166,21 +249,6 @@ def compose_combined(params: dict[str, Any] | None = None) -> dict[Modality, Gro
     }
 
 
-_CONFIG_KEYS = {
-    "namespace",
-    "seed",
-    "defaults",
-    "overrides",
-    "image_provider",
-    "emit_weights",
-    "fallback",
-    "workers",
-    "image_predicates",
-    "predicate_modalities",
-    "stopwords",
-}
-
-
 @dataclass
 class StrategyConfig:
     """Everything a transformation run depends on.
@@ -188,6 +256,7 @@ class StrategyConfig:
     The modality defaults start from the combined strategy and are
     overridden per modality, then per predicate. The seed drives every
     stochastic step; two runs with equal config and input are identical.
+    Stopword tables map language tags, casefolded here, to word lists.
     """
 
     namespace: str = DEFAULT_NAMESPACE
@@ -211,59 +280,38 @@ class StrategyConfig:
                 raise ConfigError(
                     f"strategy {plan.strategy} cannot handle {modality.value} literals"
                 )
+        if self.stopwords is not None:
+            tables = _read_json(self.stopwords, dict.fromkeys(self.stopwords, "list"), "stopwords")
+            self.stopwords = {}
+            for tag, words in tables.items():
+                self.stopwords.setdefault(tag.casefold(), []).extend(words)
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "StrategyConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    def from_dict(cls, raw: Any) -> "StrategyConfig":
+        """A config from its JSON form; every value is checked here."""
+        raw = _read_json(raw, _CONFIG, "config keys")
         defaults = compose_combined()
-        for name, entry in (raw.get("defaults") or {}).items():
-            modality = MODALITY_NAMES.get(str(name).lower())
+        for name, entry in raw.pop("defaults", {}).items():
+            modality = MODALITY_NAMES.get(name.lower())
             if modality is None:
                 raise ConfigError(f"unknown modality in defaults: {name!r}")
             plan = _plan_from_dict(entry, f"defaults.{name}")
-            if plan.strategy == COMBINED:
-                defaults[modality] = compose_combined(plan.params)[modality]
-            else:
-                defaults[modality] = plan
+            defaults[modality] = plan.spec[modality] if plan.strategy == COMBINED else plan
         overrides = {
-            str(pred): _plan_from_dict(entry, f"overrides.{pred}")
-            for pred, entry in (raw.get("overrides") or {}).items()
+            pred: _plan_from_dict(entry, f"overrides.{pred}")
+            for pred, entry in raw.pop("overrides", {}).items()
         }
-        provider = raw.get("image_provider")
-        if provider is not None and not isinstance(provider, dict):
-            raise ConfigError("image_provider must be an object")
         modal_overrides = {}
-        for pred, name in (raw.get("predicate_modalities") or {}).items():
+        for pred, name in raw.pop("predicate_modalities", {}).items():
             modality = MODALITY_NAMES.get(str(name).lower())
             if modality is None:
                 raise ConfigError(f"unknown modality for predicate {pred}: {name!r}")
-            modal_overrides[str(pred)] = modality
+            modal_overrides[pred] = modality
         rules = ModalityRules(
-            image_predicates=frozenset(raw.get("image_predicates") or ()),
+            image_predicates=frozenset(raw.pop("image_predicates", ())),
             predicate_modalities=modal_overrides,
         )
-        workers = raw.get("workers")
-        if workers is not None and (not isinstance(workers, int) or workers < 1):
-            raise ConfigError(f"workers must be a positive integer: {workers!r}")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError(f"seed must be an integer: {seed!r}")
-        return cls(
-            namespace=raw.get("namespace", DEFAULT_NAMESPACE),
-            seed=seed,
-            defaults=defaults,
-            overrides=overrides,
-            image_provider=provider,
-            emit_weights=_flag(raw, "emit_weights", False),
-            fallback=raw["fallback"] if "fallback" in raw else ONEENTITY,
-            workers=workers,
-            rules=rules,
-            stopwords=raw.get("stopwords"),
-        )
+        return cls(defaults=defaults, overrides=overrides, rules=rules, **raw)
 
     @classmethod
     def from_file(cls, path: str) -> "StrategyConfig":
@@ -281,7 +329,7 @@ class StrategyConfig:
         if plan is None:
             plan = self.defaults[modality]
         if plan.strategy == COMBINED:
-            plan = compose_combined(plan.params)[modality]
+            plan = plan.spec[modality]
         if plan.strategy not in VALID_FOR[modality]:
             raise ConfigError(
                 f"strategy {plan.strategy} cannot handle {modality.value} literals"
@@ -290,39 +338,29 @@ class StrategyConfig:
         return plan
 
     def make_provider(self) -> TagProvider | None:
+        """The image provider, built (and a tag map read) only when called."""
         raw = self.image_provider
         if raw is None:
             return None
         kind = raw.get("kind")
+        schema = _PROVIDERS.get(kind) if isinstance(kind, str) else None
+        if schema is None:
+            raise ConfigError(f"unknown image provider kind: {kind!r}")
+        settings = _read_json(raw, schema, f"{kind} provider keys")
+        del settings["kind"]
         if kind == "tag-map":
-            path = raw.get("path")
-            if not isinstance(path, str):
+            if "path" not in settings:
                 raise ConfigError("tag-map provider needs a 'path'")
             try:
-                return TagMapProvider.from_file(path)
+                return TagMapProvider.from_file(settings["path"])
             except ProviderError as exc:
                 raise ConfigError(f"tag-map provider: {exc}") from exc
-        if kind == "remote":
-            endpoint = raw.get("endpoint")
-            if not isinstance(endpoint, str):
-                raise ConfigError("remote provider needs an 'endpoint'")
-            try:
-                timeout = float(raw.get("timeout", 10.0))
-                retries = int(raw.get("retries", 3))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"remote provider {endpoint}: timeout and retries must be numbers ({exc})"
-                ) from exc
-            return RemoteTagProvider(endpoint, timeout=timeout, retries=retries)
-        raise ConfigError(f"unknown image provider kind: {kind!r}")
-
-
-def _flag(raw: dict[str, Any], key: str, default: bool) -> bool:
-    """A boolean setting; only JSON true or false, so "false" is not read as on."""
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false: {value!r}")
-    return value
+        if "endpoint" not in settings:
+            raise ConfigError("remote provider needs an 'endpoint'")
+        try:
+            return RemoteTagProvider(**settings)
+        except ValueError as exc:
+            raise ConfigError(f"remote provider {settings['endpoint']}: {exc}") from exc
 
 
 def derive_seed(seed: int, predicate: str) -> int:
@@ -487,45 +525,6 @@ def _distinct_values(group: LiteralGroup) -> int:
     return len({obj for _, obj in group.statements})
 
 
-def _binning_spec(params: dict[str, Any], percent_mode: bool) -> BinningSpec:
-    mode = "percent" if percent_mode or "percent" in params else "fixed"
-    try:
-        return BinningSpec(
-            mode=mode,
-            bins=int(params.get("bins", 10)),
-            percent=float(params.get("percent", 0.10)),
-            overlap=float(params.get("overlap", 0.0)),
-            hierarchy_depth=int(params.get("hierarchy_depth", 0)),
-            connect_adjacent=_flag(params, "connect_adjacent", True),
-            scheme=str(params.get("scheme", "equal-width")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _lof_spec(params: dict[str, Any]) -> LofSpec | None:
-    lof = params.get("lof")
-    if lof is None:
-        return None
-    try:
-        return LofSpec(k=int(lof.get("k", 20)), threshold=float(lof.get("threshold", 1.5)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _lda_spec(params: dict[str, Any]) -> LdaSpec:
-    try:
-        return LdaSpec(
-            topics=int(params.get("topics", 20)),
-            alpha=None if params.get("alpha") is None else float(params["alpha"]),
-            beta=float(params.get("beta", 0.01)),
-            iterations=int(params.get("iterations", 500)),
-            threshold=float(params.get("threshold", 0.10)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _binning_allowance(spec: BinningSpec, sizes: list[int], lof_on: bool, fallback: int) -> int:
     """Bin entities a binning run may mint: each population's bins at every
     level, two outlier entities per population with LOF, one AnyValue."""
@@ -577,7 +576,6 @@ def _run_strategy(
     S = len(group.statements)
     namespace = config.namespace
     name = plan.strategy
-    params = plan.params
 
     if name == EXCLUDE:
         return _GroupOutcome(baselines.exclude(group), 0, 0, None, S)
@@ -588,13 +586,11 @@ def _run_strategy(
         aug = baselines.one_entity(group, graph, namespace)
         return _GroupOutcome(aug, 1, S, None, S)
 
-    if name in (NBINS, PBINS, DATBIN, KLREL, KLRELENT):
-        spec = _binning_spec(params, percent_mode=name == PBINS)
-        lof = _lof_spec(params)
+    if name in _BINNERS:
+        spec, lof, split_args = plan.spec
         if name in (KLREL, KLRELENT):
-            threshold = int(params.get("split_threshold", 300))
             mode = REL if name == KLREL else RELENT
-            aug, split = kl_rel_binning(group, graph, mode, spec, namespace, lof, threshold)
+            aug, split = kl_rel_binning(group, graph, mode, spec, namespace, lof, **split_args)
             sizes = [leaf.value_count for leaf in split.leaves]
             detail = {"leaves": len(split.leaves), "split": split.root.to_dict()}
         else:
@@ -614,7 +610,7 @@ def _run_strategy(
         )
 
     if name == DATFEAT:
-        aug = datfeat(group, graph, namespace, _flag(params, "link_features", True))
+        aug = datfeat(group, graph, namespace, **plan.spec)
         parsed = S - aug.fallback_statements
         features = {t.object.value for t in aug.triples if isinstance(t.object, IRI)}
         return _GroupOutcome(
@@ -627,7 +623,7 @@ def _run_strategy(
         )
 
     if name == TXTLDA:
-        spec = _lda_spec(params)
+        spec = plan.spec
         aug, model = txtlda(
             group,
             graph,
@@ -649,29 +645,20 @@ def _run_strategy(
             detail=detail,
         )
 
-    if name == IMAGETAGS:
-        if provider is None:
-            raise StrategyError(
-                f"{group.predicate}: image tagging needs an image_provider in the config"
-            )
-        aug = emit_image_triples(
-            group,
-            graph,
-            provider,
-            namespace,
-            prefix=str(params.get("prefix", "VGG_")),
-            max_in_flight=int(params.get("max_in_flight", 8)),
+    # IMAGETAGS: plan_for has resolved COMBINED, so no other strategy is left.
+    if provider is None:
+        raise StrategyError(
+            f"{group.predicate}: image tagging needs an image_provider in the config"
         )
-        vocab_cap = int(params.get("vocabulary", 1000))
-        return _GroupOutcome(
-            aug,
-            min(S, vocab_cap) + (1 if aug.fallback_statements else 0),
-            S,
-            None,
-            S - aug.fallback_statements,
-        )
-
-    raise ConfigError(f"strategy {name} cannot run on a literal group directly")
+    vocab_cap, tag_args = plan.spec
+    aug = emit_image_triples(group, graph, provider, namespace, **tag_args)
+    return _GroupOutcome(
+        aug,
+        min(S, vocab_cap) + (1 if aug.fallback_statements else 0),
+        S,
+        None,
+        S - aug.fallback_statements,
+    )
 
 
 def _outlier_entity_count(aug: Augmentation) -> int:
@@ -737,8 +724,6 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
         fell_back = None
         try:
             outcome = _run_strategy(group, graph, plan, config, provider, distinct)
-        except ConfigError:
-            raise
         except Exception as exc:  # noqa: BLE001 - degraded to fallback below
             if config.fallback is None:
                 raise StrategyError(

@@ -47,11 +47,15 @@ class LdaSpec:
 
     def __post_init__(self) -> None:
         if self.topics < 1:
-            raise ValueError("need at least one topic")
+            raise ValueError("topics must be >= 1")
         if self.iterations < 1:
-            raise ValueError("need at least one sampling iteration")
+            raise ValueError("iterations must be >= 1")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
+        if not self.beta > 0.0:
+            raise ValueError("beta must be positive")
+        if self.alpha is not None and not self.alpha > 0.0:
+            raise ValueError("alpha must be positive")
 
     @property
     def effective_alpha(self) -> float:
@@ -65,8 +69,9 @@ def tokenize(
 ) -> list[str]:
     """Casefold, split on non-alphanumeric runs, drop tokens under 2 chars.
 
-    A stopword table maps language tags to word lists; the tag is matched
-    case-insensitively, falling back to its primary subtag (en-US -> en).
+    A stopword table maps casefolded language tags to word lists, as
+    StrategyConfig makes them; the language is casefolded to match, falling
+    back to its primary subtag (en-US -> en).
     """
     tokens = [t for t in _TOKEN_RE.findall(text.casefold()) if len(t) >= 2]
     if stopwords and language:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -412,10 +413,23 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     [
         ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "timeout": "abc"}, "remote"),
         ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "retries": "x"}, "remote"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "timeout": 0}, "remote"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "retries": -1}, "remote"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "timeout": True}, "remote"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "retries": True}, "remote"),
         ({"kind": "tag-map", "path": "missing.json"}, "tag-map"),
         ({"kind": "tag-map", "path": "not-json.json"}, "tag-map"),
     ],
-    ids=["remote-timeout", "remote-retries", "tag-map-missing", "tag-map-unreadable"],
+    ids=[
+        "remote-timeout",
+        "remote-retries",
+        "remote-timeout-zero",
+        "remote-retries-negative",
+        "remote-timeout-bool",
+        "remote-retries-bool",
+        "tag-map-missing",
+        "tag-map-unreadable",
+    ],
 )
 def test_bad_image_provider_config_is_a_diagnostic(tmp_path, provider, named):
     graph = tmp_path / "images.nt"
@@ -438,6 +452,81 @@ def test_bad_image_provider_config_is_a_diagnostic(tmp_path, provider, named):
     assert len(lines) == 1 and lines[0].startswith("ERROR ")
     assert f"{named} provider" in lines[0]
     assert not out.exists()
+
+
+# (modality, strategy, parameter, a value out of its range); "lof.k" is k
+# inside the lof object.
+INT_PARAMS = [
+    ("numeric", "NBINS", "bins", 0),
+    ("numeric", "NBINS", "hierarchy_depth", -1),
+    ("numeric", "NBINS", "lof.k", 0),
+    ("numeric", "KLREL", "split_threshold", 0),
+    ("text", "TXTLDA", "topics", 0),
+    ("text", "TXTLDA", "iterations", -3),
+    ("image", "IMAGETAGS", "max_in_flight", 0),
+    ("image", "IMAGETAGS", "vocabulary", -1),
+]
+NUMBER_PARAMS = [
+    ("numeric", "NBINS", "percent", 0),
+    ("numeric", "NBINS", "overlap", -0.5),
+    ("numeric", "NBINS", "lof.threshold", 0),
+    ("text", "TXTLDA", "alpha", -5),
+    ("text", "TXTLDA", "beta", 0),
+    ("text", "TXTLDA", "threshold", 0),
+]
+
+
+def _param_config(modality: str, strategy: str, key: str, value) -> dict:
+    params = {"lof": {key[4:]: value}} if key.startswith("lof.") else {key: value}
+    return {"defaults": {modality: {"strategy": strategy, "params": params}}}
+
+
+# (key, bad value, config): every numeric parameter with each kind of value
+# that is wrong for it (alpha alone may be null), then top-level shapes.
+BAD_CONFIGS = [
+    *(
+        (key, value, _param_config(modality, strategy, key, value))
+        for modality, strategy, key, low in INT_PARAMS
+        for value in (None, "5", 2.5, True, low)
+    ),
+    *(
+        (key, value, _param_config(modality, strategy, key, value))
+        for modality, strategy, key, low in NUMBER_PARAMS
+        for value in ("0.5", True, low, *(() if key == "alpha" else (None,)))
+    ),
+    ("numeric", "abc", _param_config("numeric", "COMBINED", "numeric", "abc")),
+    ("image_predicates", 5, {"image_predicates": 5}),
+    ("predicate_modalities", "abc", {"predicate_modalities": "abc"}),
+    ("overrides", 5, {"overrides": 5}),
+    ("namespace", 5, {"namespace": 5}),
+]
+
+
+def test_bad_config_values_stop_before_the_input_is_read(tmp_path):
+    """Exit 2, not the missing input's 1: the config is checked first."""
+    configs = []
+    for index, (_, _, config) in enumerate(BAD_CONFIGS):
+        path = tmp_path / f"config{index}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        configs.append(str(path))
+    absent, out = str(tmp_path / "absent.nt"), str(tmp_path / "out.nt")
+
+    def run(config: str) -> subprocess.CompletedProcess:
+        return run_cli("transform", "--input", absent, "--output", out, "--config", config)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(run, configs))
+    wrong = []
+    for (key, value, _), done in zip(BAD_CONFIGS, results):
+        lines = done.stderr.splitlines()
+        if not (
+            done.returncode == EXIT_CONFIG
+            and len(lines) == 1
+            and lines[0].startswith("ERROR ")
+            and all(part in lines[0].lower() for part in key.split("."))
+        ):
+            wrong.append(f"{key}={value!r}: exit {done.returncode}, stderr {done.stderr!r}")
+    assert not wrong, "\n".join(wrong)
 
 
 def test_zero_score_label_is_linked_without_a_weight(tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from literal_forge import IRI, Modality, textlda
+from literal_forge import IRI, ConfigError, Modality, StrategyConfig, textlda
 from literal_forge.textlda import (
     Corpus,
     LdaSpec,
@@ -61,6 +61,15 @@ def test_tokenize_stopwords_by_language_tag():
     # unknown tag or no tag: nothing removed
     assert tokenize("the city", "fr", stop) == ["the", "city"]
     assert tokenize("the city", None, stop) == ["the", "city"]
+
+
+def test_config_stopwords_are_lists_under_casefolded_tags():
+    config = StrategyConfig.from_dict({"stopwords": {"EN": ["quick"], "en": ["the"]}})
+    assert config.stopwords == {"en": ["quick", "the"]}
+    assert tokenize("The quick fox", "en", config.stopwords) == ["fox"]
+    for bad in ({"en": "the"}, {"en": [1]}, ["the"]):
+        with pytest.raises(ConfigError, match="stopwords"):
+            StrategyConfig.from_dict({"stopwords": bad})
 
 
 def test_tokenize_empty_results():
@@ -229,8 +238,12 @@ def test_lda_spec_defaults_and_validation():
         dict(iterations=0),
         dict(threshold=0.0),
         dict(threshold=1.5),
+        dict(beta=0.0),
+        dict(beta=-1.0),
+        dict(alpha=0.0),
+        dict(alpha=-5.0),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             LdaSpec(**bad)
 
 

@@ -664,11 +664,11 @@ class TestFallback:
 
     def test_config_errors_never_degrade(self):
         graph = make_graph([numeric_line("s", "height", 1)])
-        config = StrategyConfig(
-            namespace=NEW,
-            overrides={EX + "height": GroupPlan("NBINS", {"bins": 0})},
-        )
         with pytest.raises(ConfigError):
+            config = StrategyConfig(
+                namespace=NEW,
+                overrides={EX + "height": GroupPlan("NBINS", {"bins": 0})},
+            )
             apply(graph, config)
 
 
