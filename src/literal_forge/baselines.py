@@ -3,12 +3,14 @@
 EXCLUDE drops literal statements, TRANSFORM mints one entity per distinct
 (predicate, value) pair, ONEENTITY mints a single per-predicate entity that
 only records the presence of a value. Minted IRIs live under a reserved
-namespace so they can never collide with pre-existing entities.
+namespace so they can never collide with pre-existing entities. The binning,
+LOF and LDA parameter specs live here too, so loading a config needs no numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 from urllib.parse import quote
@@ -161,3 +163,89 @@ def one_entity(
         aug, graph, group.predicate, [subject_id for subject_id, _ in group.statements], namespace
     )
     return aug
+
+
+@dataclass(frozen=True)
+class BinningSpec:
+    """How to discretize one predicate's (sub)population of values.
+
+    mode "fixed" uses *bins* directly; mode "percent" derives the bin count
+    as a fraction of the number of unique values. *overlap* widens every bin
+    by that fraction of its width on both sides, letting values fall into
+    more than one bin. *hierarchy_depth* adds coarser levels that halve the
+    bin count per level, children linked to parents.
+    """
+
+    mode: str = "fixed"
+    bins: int = 10
+    percent: float = 0.10
+    overlap: float = 0.0
+    hierarchy_depth: int = 0
+    connect_adjacent: bool = True
+    scheme: str = "equal-width"
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("fixed", "percent"):
+            raise ValueError(f"unknown binning mode: {self.mode!r}")
+        if self.mode == "fixed" and self.bins < 1:
+            raise ValueError("fixed mode needs bins >= 1")
+        if self.mode == "percent" and not 0.0 < self.percent <= 1.0:
+            raise ValueError("percent mode needs 0 < percent <= 1")
+        if not 0.0 <= self.overlap < 1.0:
+            raise ValueError("overlap must be in [0, 1)")
+        if self.hierarchy_depth < 0:
+            raise ValueError("hierarchy_depth must be >= 0")
+        if self.scheme not in ("equal-width", "equal-frequency"):
+            raise ValueError(f"unknown binning scheme: {self.scheme!r}")
+
+
+@dataclass(frozen=True)
+class LofSpec:
+    k: int = 20
+    threshold: float = 1.5
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("LOF needs k >= 1")
+        if self.threshold <= 0:
+            raise ValueError("LOF threshold must be positive")
+
+
+def bin_count(occurrences: int, unique: int, spec: BinningSpec) -> int:
+    """Target bin count: never more bins than unique values, never fewer than 1.
+
+    Percent mode rounds half away from zero, so 10% of 200 unique values
+    gives exactly 20 bins.
+    """
+    if unique < 1:
+        raise ValueError("need at least one unique value")
+    if spec.mode == "fixed":
+        return min(spec.bins, unique)
+    return max(1, min(unique, int(math.floor(spec.percent * unique + 0.5))))
+
+
+@dataclass(frozen=True)
+class LdaSpec:
+    """Topic model hyperparameters; alpha defaults to 50/T when omitted."""
+
+    topics: int = 20
+    alpha: float | None = None
+    beta: float = 0.01
+    iterations: int = 500
+    threshold: float = 0.10
+
+    def __post_init__(self) -> None:
+        if self.topics < 1:
+            raise ValueError("topics must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError("threshold must be in (0, 1]")
+        if not self.beta > 0.0:
+            raise ValueError("beta must be positive")
+        if self.alpha is not None and not self.alpha > 0.0:
+            raise ValueError("alpha must be positive")
+
+    @property
+    def effective_alpha(self) -> float:
+        return self.alpha if self.alpha is not None else 50.0 / self.topics

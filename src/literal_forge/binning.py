@@ -20,7 +20,10 @@ import numpy as np
 
 from .baselines import (
     Augmentation,
+    BinningSpec,
     DEFAULT_NAMESPACE,
+    LofSpec,
+    bin_count,
     link_any_value,
     note_fallback,
     parse_or_reject,
@@ -39,52 +42,6 @@ PARENT_BIN = "parentBin"
 _CHUNK_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
-class BinningSpec:
-    """How to discretize one predicate's (sub)population of values.
-
-    mode "fixed" uses *bins* directly; mode "percent" derives the bin count
-    as a fraction of the number of unique values. *overlap* widens every bin
-    by that fraction of its width on both sides, letting values fall into
-    more than one bin. *hierarchy_depth* adds coarser levels that halve the
-    bin count per level, children linked to parents.
-    """
-
-    mode: str = "fixed"
-    bins: int = 10
-    percent: float = 0.10
-    overlap: float = 0.0
-    hierarchy_depth: int = 0
-    connect_adjacent: bool = True
-    scheme: str = "equal-width"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "percent"):
-            raise ValueError(f"unknown binning mode: {self.mode!r}")
-        if self.mode == "fixed" and self.bins < 1:
-            raise ValueError("fixed mode needs bins >= 1")
-        if self.mode == "percent" and not 0.0 < self.percent <= 1.0:
-            raise ValueError("percent mode needs 0 < percent <= 1")
-        if not 0.0 <= self.overlap < 1.0:
-            raise ValueError("overlap must be in [0, 1)")
-        if self.hierarchy_depth < 0:
-            raise ValueError("hierarchy_depth must be >= 0")
-        if self.scheme not in ("equal-width", "equal-frequency"):
-            raise ValueError(f"unknown binning scheme: {self.scheme!r}")
-
-
-@dataclass(frozen=True)
-class LofSpec:
-    k: int = 20
-    threshold: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("LOF needs k >= 1")
-        if self.threshold <= 0:
-            raise ValueError("LOF threshold must be positive")
-
-
 def parse_numeric(literal: Literal) -> float:
     """Parse a numeric lexical form into binary64.
 
@@ -99,19 +56,6 @@ def parse_numeric(literal: Literal) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite numeric value: {literal.lexical!r}")
     return value
-
-
-def bin_count(occurrences: int, unique: int, spec: BinningSpec) -> int:
-    """Target bin count: never more bins than unique values, never fewer than 1.
-
-    Percent mode rounds half away from zero, so 10% of 200 unique values
-    gives exactly 20 bins.
-    """
-    if unique < 1:
-        raise ValueError("need at least one unique value")
-    if spec.mode == "fixed":
-        return min(spec.bins, unique)
-    return max(1, min(unique, int(math.floor(spec.percent * unique + 0.5))))
 
 
 @dataclass(frozen=True)
@@ -336,10 +280,6 @@ class LofResult:
     retained_indices: list[int]
     outlier_indices: list[int]
     skipped: bool = False
-
-    @property
-    def num_outliers(self) -> int:
-        return len(self.outlier_indices)
 
 
 def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float = 1.5) -> LofResult:

@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager, suppress
+from typing import Any, Callable, Iterator
 
 from .graph import ModalityRules, build_index, profile_stream
 from .ntriples import (
@@ -34,6 +35,7 @@ from .pipeline import (
     check_output,
     shortcut_defaults,
 )
+from .terms import Triple
 
 log = logging.getLogger(__name__)
 
@@ -97,31 +99,32 @@ def _human_profile(data: dict) -> str:
     return "\n".join(f"{label:<{width}}  {value:>12,}" for label, value in rows)
 
 
-def _rules_from_config(args: argparse.Namespace) -> ModalityRules:
-    if args.config:
-        return StrategyConfig.from_file(args.config).rules
-    return ModalityRules()
+def _read_input(path: str, consume: Callable[[Iterator[Triple]], Any], strict: bool) -> Any:
+    """*consume* applied to the statements parsed from *path*; None after a logged error."""
+    counter = _DiagnosticCounter()
+    try:
+        with _open_source(path) as source:
+            result = consume(iter_ntriples(source, on_diagnostic=counter, strict=strict))
+    except ParseError as exc:
+        log.error("%s", exc)
+        return None
+    except OSError as exc:
+        log.error("cannot read %s: %s", path, exc)
+        return None
+    if counter.count:
+        log.warning("%d malformed lines skipped", counter.count)
+    return result
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    counter = _DiagnosticCounter()
     try:
-        rules = _rules_from_config(args)
+        rules = StrategyConfig.from_file(args.config).rules if args.config else ModalityRules()
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    try:
-        with _open_source(args.input) as source:
-            triples = iter_ntriples(source, on_diagnostic=counter, strict=args.strict)
-            result = profile_stream(triples, rules)
-    except ParseError as exc:
-        log.error("%s", exc)
+    result = _read_input(args.input, lambda triples: profile_stream(triples, rules), args.strict)
+    if result is None:
         return EXIT_INPUT
-    except OSError as exc:
-        log.error("cannot read %s: %s", args.input, exc)
-        return EXIT_INPUT
-    if counter.count:
-        log.warning("%d malformed lines skipped", counter.count)
     if args.human:
         print(_human_profile(result.to_dict()))
     else:
@@ -187,19 +190,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
         log.error("%s", exc)
         return EXIT_CONFIG
 
-    counter = _DiagnosticCounter()
-    try:
-        with _open_source(args.input) as source:
-            triples = iter_ntriples(source, on_diagnostic=counter, strict=args.strict)
-            graph = build_index(triples, config.rules)
-    except ParseError as exc:
-        log.error("%s", exc)
+    graph = _read_input(args.input, lambda triples: build_index(triples, config.rules), args.strict)
+    if graph is None:
         return EXIT_INPUT
-    except OSError as exc:
-        log.error("cannot read %s: %s", args.input, exc)
-        return EXIT_INPUT
-    if counter.count:
-        log.warning("%d malformed lines skipped", counter.count)
 
     try:
         result = apply(graph, config)
@@ -239,17 +232,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError) as exc:
         log.error("cannot load report %s: %s", report_path, exc)
         return EXIT_INPUT
-    try:
-        with _open_source(args.input) as source:
-            triples = list(iter_ntriples(source, strict=True))
-    except ParseError as exc:
-        log.error("%s", exc)
+    # Checked as parsed: a malformed line anywhere exits 1 with no verdict.
+    problems = _read_input(args.input, lambda triples: check_output(triples, report), strict=True)
+    if problems is None:
         return EXIT_INPUT
-    except OSError as exc:
-        log.error("cannot read %s: %s", args.input, exc)
-        return EXIT_INPUT
-
-    problems = check_output(triples, report)
     verdict = {"ok": not problems, "problems": problems}
     if args.human:
         if problems:

@@ -15,26 +15,43 @@ import json
 import logging
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from importlib import import_module
 from itertools import islice
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
-from .baselines import Augmentation, DEFAULT_NAMESPACE
-from .binning import BinningSpec, LofSpec, bin_count, nbins
+from .baselines import DEFAULT_NAMESPACE, Augmentation, BinningSpec, LdaSpec, LofSpec, bin_count
 from .graph import IndexedGraph, LiteralGroup, Modality, ModalityRules
-from .images import (
-    ProviderError,
-    RemoteTagProvider,
-    TagMapProvider,
-    TagProvider,
-    emit_image_triples,
-)
-from .subpop import REL, RELENT, kl_rel_binning
-from .temporal import datbin, datfeat
-from .terms import IRI, Literal, Triple
-from .textlda import LdaSpec, txtlda
+from .terms import _IRI_BAD, IRI, Literal, Triple
+
+if TYPE_CHECKING:
+    from .images import TagProvider
 
 log = logging.getLogger(__name__)
+
+# Strategy entry points by defining module, imported on first use so numpy and
+# the strategy modules load only when a strategy needing them runs. Once
+# loaded, each is a global of this module, where a caller may rebind it.
+_ENTRY_POINTS = {
+    "nbins": "binning",
+    "kl_rel_binning": "subpop",
+    "datbin": "temporal",
+    "datfeat": "temporal",
+    "txtlda": "textlda",
+    "emit_image_triples": "images",
+}
+
+
+def _entry(name: str) -> Callable[..., Any]:
+    """A strategy entry point: the global if bound, else imported and bound."""
+    if name not in _ENTRY_POINTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        globals()[name] = getattr(import_module(f".{_ENTRY_POINTS[name]}", __package__), name)
+    return globals()[name]
+
+
+__getattr__ = _entry  # PEP 562: reading pipeline.<entry point> imports it too
 
 
 class ConfigError(ValueError):
@@ -57,21 +74,6 @@ DATFEAT = "DATFEAT"
 TXTLDA = "TXTLDA"
 IMAGETAGS = "IMAGETAGS"
 COMBINED = "COMBINED"
-
-STRATEGIES = {
-    EXCLUDE,
-    TRANSFORM,
-    ONEENTITY,
-    NBINS,
-    PBINS,
-    KLREL,
-    KLRELENT,
-    DATBIN,
-    DATFEAT,
-    TXTLDA,
-    IMAGETAGS,
-    COMBINED,
-}
 
 _UNIVERSAL = {EXCLUDE, TRANSFORM, ONEENTITY}
 VALID_FOR: dict[Modality, set[str]] = {
@@ -114,6 +116,7 @@ _PARAMS: dict[str, dict[str, Any]] = {
     IMAGETAGS: {"prefix": "string", "max_in_flight": "count", "vocabulary": "count"},
     COMBINED: {m.value: "object" for m in Modality},
 }
+STRATEGIES = set(_PARAMS)
 _BINNERS = {NBINS, PBINS, KLREL, KLRELENT, DATBIN}
 _PLAN = {"strategy": "string", "params": "object"}
 _CONFIG = {
@@ -216,6 +219,8 @@ def _read_spec(strategy: str, params: dict[str, Any]) -> Any:
     if strategy == TXTLDA:
         return LdaSpec(**params)
     if strategy == IMAGETAGS:
+        if _IRI_BAD.search(params.get("prefix", "")):
+            raise ConfigError(f"prefix holds a character no IRI may hold: {params['prefix']!r}")
         return params.pop("vocabulary", 1000), params
     if strategy == COMBINED:
         return compose_combined(params)
@@ -273,6 +278,8 @@ class StrategyConfig:
     def __post_init__(self) -> None:
         if not self.namespace or not self.namespace.startswith(("http://", "https://", "urn:")):
             raise ConfigError(f"namespace must be an absolute IRI prefix: {self.namespace!r}")
+        if _IRI_BAD.search(self.namespace):
+            raise ConfigError(f"namespace holds a character no IRI may hold: {self.namespace!r}")
         if self.fallback is not None and self.fallback not in (ONEENTITY, EXCLUDE):
             raise ConfigError(f"fallback must be ONEENTITY, EXCLUDE, or null: {self.fallback!r}")
         for modality, plan in self.defaults.items():
@@ -348,6 +355,7 @@ class StrategyConfig:
             raise ConfigError(f"unknown image provider kind: {kind!r}")
         settings = _read_json(raw, schema, f"{kind} provider keys")
         del settings["kind"]
+        from .images import ProviderError, RemoteTagProvider, TagMapProvider
         if kind == "tag-map":
             if "path" not in settings:
                 raise ConfigError("tag-map provider needs a 'path'")
@@ -589,12 +597,14 @@ def _run_strategy(
     if name in _BINNERS:
         spec, lof, split_args = plan.spec
         if name in (KLREL, KLRELENT):
+            from .subpop import REL, RELENT
             mode = REL if name == KLREL else RELENT
-            aug, split = kl_rel_binning(group, graph, mode, spec, namespace, lof, **split_args)
+            run = _entry("kl_rel_binning")
+            aug, split = run(group, graph, mode, spec, namespace, lof, **split_args)
             sizes = [leaf.value_count for leaf in split.leaves]
             detail = {"leaves": len(split.leaves), "split": split.root.to_dict()}
         else:
-            runner = datbin if name == DATBIN else nbins
+            runner = _entry("datbin" if name == DATBIN else "nbins")
             aug = runner(group, graph, spec, namespace, lof)
             sizes = [min(distinct, S - aug.fallback_statements)]
             detail = {"leaves": 1, "bin_entities": len(aug.entities)}
@@ -610,7 +620,7 @@ def _run_strategy(
         )
 
     if name == DATFEAT:
-        aug = datfeat(group, graph, namespace, **plan.spec)
+        aug = _entry("datfeat")(group, graph, namespace, **plan.spec)
         parsed = S - aug.fallback_statements
         features = {t.object.value for t in aug.triples if isinstance(t.object, IRI)}
         return _GroupOutcome(
@@ -624,7 +634,7 @@ def _run_strategy(
 
     if name == TXTLDA:
         spec = plan.spec
-        aug, model = txtlda(
+        aug, model = _entry("txtlda")(
             group,
             graph,
             spec,
@@ -651,7 +661,7 @@ def _run_strategy(
             f"{group.predicate}: image tagging needs an image_provider in the config"
         )
     vocab_cap, tag_args = plan.spec
-    aug = emit_image_triples(group, graph, provider, namespace, **tag_args)
+    aug = _entry("emit_image_triples")(group, graph, provider, namespace, **tag_args)
     return _GroupOutcome(
         aug,
         min(S, vocab_cap) + (1 if aug.fallback_statements else 0),
@@ -724,6 +734,8 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
         fell_back = None
         try:
             outcome = _run_strategy(group, graph, plan, config, provider, distinct)
+        except ImportError:  # a broken installation, not a strategy failure
+            raise
         except Exception as exc:  # noqa: BLE001 - degraded to fallback below
             if config.fallback is None:
                 raise StrategyError(
@@ -836,10 +848,8 @@ def verify_bounds(report: AugmentationReport) -> dict[str, str]:
     return verdicts
 
 
-def check_output(
-    triples: list[Triple], report: AugmentationReport
-) -> list[str]:
-    """Recompute the report's accounting from merged output triples.
+def check_output(triples: Iterable[Triple], report: AugmentationReport) -> list[str]:
+    """Recompute the report's accounting from merged output triples, in one pass.
 
     Returns a list of problems, empty when the output is consistent with
     the report: no literals, relational count preserved, per-predicate
@@ -862,13 +872,12 @@ def check_output(
         s_minted = isinstance(triple.subject, IRI) and triple.subject.value.startswith(namespace)
         o_minted = isinstance(triple.object, IRI) and triple.object.value.startswith(namespace)
         p_minted = triple.predicate.value.startswith(namespace)
-        if s_minted:
-            minted_entities.add(triple.subject.value)
         if o_minted:
             minted_entities.add(triple.object.value)
         if p_minted:
             minted_relations.add(triple.predicate.value)
         if s_minted:
+            minted_entities.add(triple.subject.value)
             structural += 1
         elif o_minted:
             pred = triple.predicate.value

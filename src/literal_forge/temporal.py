@@ -15,12 +15,13 @@ import re
 
 from .baselines import (
     Augmentation,
+    BinningSpec,
     DEFAULT_NAMESPACE,
+    LofSpec,
     link_any_value,
     note_fallback,
     parse_or_reject,
 )
-from .binning import BinningSpec, LofSpec, nbins
 from .graph import IndexedGraph, LiteralGroup
 from .terms import (
     IRI,
@@ -138,6 +139,7 @@ def datbin(
     lof: LofSpec | None = None,
 ) -> Augmentation:
     """Date binning: UNIX timestamps through the numeric binning runner."""
+    from .binning import nbins  # here, so DATFEAT runs without numpy
     return nbins(group, graph, spec, namespace, lof, parse=_timestamp, kind="date")
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .baselines import (
     Augmentation,
     DEFAULT_NAMESPACE,
+    LdaSpec,
     link_any_value,
     note_fallback,
     sanitize_value,
@@ -33,33 +34,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 # Cells of the tokens x topics matrix that one chunk of a Gibbs sweep holds.
 _CHUNK_CELLS = 1 << 14
-
-
-@dataclass(frozen=True)
-class LdaSpec:
-    """Topic model hyperparameters; alpha defaults to 50/T when omitted."""
-
-    topics: int = 20
-    alpha: float | None = None
-    beta: float = 0.01
-    iterations: int = 500
-    threshold: float = 0.10
-
-    def __post_init__(self) -> None:
-        if self.topics < 1:
-            raise ValueError("topics must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
-        if self.alpha is not None and not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-
-    @property
-    def effective_alpha(self) -> float:
-        return self.alpha if self.alpha is not None else 50.0 / self.topics
 
 
 def tokenize(

@@ -245,6 +245,14 @@ class TestVerify:
     def test_missing_report(self, sample_nt, tmp_path):
         assert main(["verify", "--input", sample_nt]) == EXIT_INPUT
 
+    def test_malformed_line_near_the_end_fails_without_a_verdict(self, sample_nt, tmp_path, capsys):
+        _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
+        lines = Path(out).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(len(lines) - 1, f"<{EX}x> <{EX}broken\n")
+        Path(out).write_text("".join(lines), encoding="utf-8")
+        assert main(["verify", "--input", out]) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
     def test_inconsistent_totals_rejected(self, sample_nt, tmp_path):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
         raw = json.loads(Path(out + ".report.json").read_text(encoding="utf-8"))
@@ -527,6 +535,93 @@ def test_bad_config_values_stop_before_the_input_is_read(tmp_path):
         ):
             wrong.append(f"{key}={value!r}: exit {done.returncode}, stderr {done.stderr!r}")
     assert not wrong, "\n".join(wrong)
+
+
+@pytest.mark.parametrize("command", ["transform", "profile"])
+@pytest.mark.parametrize(
+    "key, config",
+    [
+        ("namespace", {"namespace": "http://x.org/ new/"}),
+        (
+            "prefix",
+            {"defaults": {"image": {"strategy": "IMAGETAGS", "params": {"prefix": "a b>"}}}},
+        ),
+    ],
+    ids=["namespace", "prefix"],
+)
+def test_iri_characters_in_config_stop_before_the_input_is_read(
+    tmp_path, caplog, command, key, config
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    output = ["--output", str(tmp_path / "out.nt")] if command == "transform" else []
+    absent = str(tmp_path / "absent.nt")
+    with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+        code = main([command, "--input", absent, "--config", str(path), *output])
+    assert code == EXIT_CONFIG
+    [message] = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
+    assert key in message and "no IRI may hold" in message
+
+
+# Runs cli.main with numpy blocked, then prints which strategy modules loaded.
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from literal_forge.cli import main
+graph, dates, out = sys.argv[1:]
+codes = [
+    main(["profile", "--input", graph]),
+    main(["transform", "--input", graph, "--output", out]),
+    main(["verify", "--input", out]),
+]
+names = ["numpy"] + [
+    "literal_forge." + name for name in ("binning", "subpop", "temporal", "textlda", "images")
+]
+loaded = [name for name in names if sys.modules.get(name) is not None]
+codes.append(main(["transform", "--input", dates, "--output", out, "--strategy", "DATFEAT"]))
+print(json.dumps({"codes": codes, "loaded": loaded, "numpy": sys.modules["numpy"] is not None}))
+"""
+
+
+def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
+    boolean = f'<{EX}a> <{EX}active> "true"^^<http://www.w3.org/2001/XMLSchema#boolean> .'
+    files = {
+        "graph.nt": [rel_line("a", "knows", "b"), rel_line("b", "knows", "c"), boolean],
+        "dates.nt": [
+            date_line("a", "founded", "2001-05-14"),
+            date_line("b", "founded", "1999-12-31"),
+        ],
+        "numbers.nt": [numeric_line(f"n{i}", "height", f"{i}.5") for i in range(4)],
+    }
+    for name, lines in files.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def python(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    paths = [str(tmp_path / name) for name in ("graph.nt", "dates.nt", "out.nt")]
+    done = python("-c", _WITHOUT_NUMPY, *paths)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK] * 4, "loaded": [], "numpy": False}
+
+    # A strategy whose import fails fails the run; no fallback absorbs it.
+    binned = tmp_path / "binned.nt"
+    main_without_numpy = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from literal_forge.cli import main; sys.exit(main())"
+    )
+    numbers = str(tmp_path / "numbers.nt")
+    done = python(
+        "-c", main_without_numpy, "transform", "--input", numbers, "--output", str(binned),
+        "--strategy", "NBINS",
+    )
+    assert done.returncode != 0
+    assert "import of numpy halted" in done.stderr
+    assert not binned.exists() and not (tmp_path / "binned.nt.report.json").exists()
 
 
 def test_zero_score_label_is_linked_without_a_weight(tmp_path):
