@@ -14,16 +14,18 @@ import logging
 import os
 import sys
 from contextlib import contextmanager, suppress
-from typing import Any, Callable, Iterator
+from itertools import chain
+from typing import Any, Callable
 
-from .graph import ModalityRules, build_index, profile_stream
+from .graph import ModalityRules, index_rows, profile_rows
 from .ntriples import (
     ParseDiagnostic,
     ParseError,
     SerializationError,
     format_lines,
     iter_ntriples,
-    write_ntriples,
+    scan_ntriples,
+    write_lines,
 )
 from .pipeline import (
     AugmentationReport,
@@ -35,8 +37,6 @@ from .pipeline import (
     check_output,
     shortcut_defaults,
 )
-from .terms import Triple
-
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
@@ -99,12 +99,14 @@ def _human_profile(data: dict) -> str:
     return "\n".join(f"{label:<{width}}  {value:>12,}" for label, value in rows)
 
 
-def _read_input(path: str, consume: Callable[[Iterator[Triple]], Any], strict: bool) -> Any:
-    """*consume* applied to the statements parsed from *path*; None after a logged error."""
+def _read_input(
+    path: str, consume: Callable[[Any], Any], strict: bool, parse: Callable = scan_ntriples
+) -> Any:
+    """*consume* applied to what *parse* yields from *path*; None after a logged error."""
     counter = _DiagnosticCounter()
     try:
         with _open_source(path) as source:
-            result = consume(iter_ntriples(source, on_diagnostic=counter, strict=strict))
+            result = consume(parse(source, on_diagnostic=counter, strict=strict))
     except ParseError as exc:
         log.error("%s", exc)
         return None
@@ -122,7 +124,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    result = _read_input(args.input, lambda triples: profile_stream(triples, rules), args.strict)
+    result = _read_input(args.input, lambda rows: profile_rows(rows, rules), args.strict)
     if result is None:
         return EXIT_INPUT
     if args.human:
@@ -147,14 +149,15 @@ def _load_config(args: argparse.Namespace) -> StrategyConfig:
     return config
 
 
-def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> None:
+def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> int:
     """Write the output, report and weights, replacing earlier ones atomically.
 
     Each goes to a temp file beside its target first. Only once every write
     has succeeded are the old report and weights removed and each temp file
     moved into place, output first, so a crash can never pair a new output
     with an old report or sidecar. On failure the temp files are removed
-    and earlier files stay.
+    and earlier files stay. The output's relational lines are written from
+    the graph's ids, then the minted triples; returns its line count.
     """
     report = output + ".report.json"
     weights = output + ".weights.tsv"
@@ -162,7 +165,9 @@ def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> N
     temp = {target: f"{target}.{os.getpid()}.tmp" for target in targets}
     try:
         with open(temp[output], "wb") as out:
-            write_ntriples(result.triples, out)
+            count = write_lines(
+                chain(result.graph.relational_lines(), format_lines(result.minted)), out
+            )
         with open(temp[report], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(result.report.to_json())
             fh.write("\n")
@@ -181,6 +186,7 @@ def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> N
             with suppress(OSError):
                 os.remove(path)
         raise
+    return count
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -190,7 +196,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         log.error("%s", exc)
         return EXIT_CONFIG
 
-    graph = _read_input(args.input, lambda triples: build_index(triples, config.rules), args.strict)
+    graph = _read_input(args.input, lambda rows: index_rows(rows, config.rules), args.strict)
     if graph is None:
         return EXIT_INPUT
 
@@ -204,7 +210,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         return EXIT_STRATEGY
 
     try:
-        _write_outputs(result, args.output, config.emit_weights)
+        count = _write_outputs(result, args.output, config.emit_weights)
     except SerializationError as exc:
         log.error("cannot serialize output: %s", exc)
         return EXIT_INPUT
@@ -214,7 +220,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
     log.info(
         "wrote %d triples (%d minted statements, %d structural) to %s",
-        len(result.triples),
+        count,
         result.report.delta_statements_total,
         result.report.structural_total,
         args.output,
@@ -233,7 +239,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         log.error("cannot load report %s: %s", report_path, exc)
         return EXIT_INPUT
     # Checked as parsed: a malformed line anywhere exits 1 with no verdict.
-    problems = _read_input(args.input, lambda triples: check_output(triples, report), strict=True)
+    problems = _read_input(
+        args.input, lambda triples: check_output(triples, report), True, iter_ntriples
+    )
     if problems is None:
         return EXIT_INPUT
     verdict = {"ok": not problems, "problems": problems}
@@ -255,10 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, output: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, output: bool = False, config: bool = True) -> None:
         p.add_argument("--input", required=True, help="N-Triples file, '-' for stdin; .gz accepted")
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--strict", action="store_true", help="fail on the first malformed line")
+        if config:  # verify reads no config and is always strict
+            p.add_argument("--config", help="JSON configuration file")
+            p.add_argument("--strict", action="store_true", help="fail on the first malformed line")
         p.add_argument("--human", action="store_true", help="human-readable output")
         if output:
             p.add_argument("--output", required=True, help="output N-Triples path")
@@ -282,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_transform.set_defaults(func=cmd_transform)
 
     p_verify = sub.add_parser("verify", help="check a transform output against its report")
-    common(p_verify)
+    common(p_verify, config=False)
     p_verify.add_argument(
         "--report", help="report JSON path (default: <input>.report.json)"
     )

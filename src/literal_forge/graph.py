@@ -16,6 +16,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
+from .ntriples import Row, term_text
 from .terms import (
     IRI,
     BlankNode,
@@ -90,32 +91,19 @@ class LiteralGroup:
 @dataclass
 class IndexedGraph:
     entity_terms: list[Term] = field(default_factory=list)
-    entity_ids: dict[Term, int] = field(default_factory=dict)
     relation_iris: list[str] = field(default_factory=list)
     relation_ids: dict[str, int] = field(default_factory=dict)
-    # Relational statements in first-encounter order, deduplicated: as ids,
-    # and as the parsed triples themselves, which pass through untouched.
+    # Relational statements as (subject, relation, object) ids, deduplicated,
+    # in first-encounter order; they pass through to the output untouched.
     relational: list[tuple[int, int, int]] = field(default_factory=list)
-    relational_statements: list[Triple] = field(default_factory=list)
     literal_groups: dict[tuple[int, Modality], LiteralGroup] = field(default_factory=dict)
     duplicates_removed: int = 0
     rules: ModalityRules = field(default_factory=ModalityRules)
 
-    def entity_id(self, term: Term) -> int:
-        eid = self.entity_ids.get(term)
-        if eid is None:
-            eid = len(self.entity_terms)
-            self.entity_ids[term] = eid
-            self.entity_terms.append(term)
-        return eid
-
-    def relation_id(self, iri: str) -> int:
-        rid = self.relation_ids.get(iri)
-        if rid is None:
-            rid = len(self.relation_iris)
-            self.relation_ids[iri] = rid
-            self.relation_iris.append(iri)
-        return rid
+    @cached_property
+    def entity_ids(self) -> dict[Term, int]:
+        """Term to entity id, built on first access for library callers."""
+        return {term: eid for eid, term in enumerate(self.entity_terms)}
 
     def groups(self) -> list[LiteralGroup]:
         """Literal groups in deterministic (predicate id, modality) order."""
@@ -125,8 +113,25 @@ class IndexedGraph:
         ]
 
     def relational_triples(self) -> Iterator[Triple]:
-        """The relational triples as parsed, deduplicated, in input order."""
-        return iter(self.relational_statements)
+        """The relational statements as triples, deduplicated, in input order."""
+        terms = self.entity_terms
+        relations = [IRI(iri) for iri in self.relation_iris]
+        return (Triple(terms[s], relations[r], terms[o]) for s, r, o in self.relational)
+
+    def relational_lines(self) -> Iterator[str]:
+        """Canonical text of relational_triples(); as in format_lines, each
+        distinct term is checked once, at the first statement naming it."""
+        n = len(self.entity_terms)
+        table = [*self.entity_terms, *map(IRI, self.relation_iris)]
+        text: list[str | None] = [None] * len(table)
+
+        def first(i: int) -> str:
+            out = text[i] = term_text(table[i])
+            return out
+
+        for s, r, o in self.relational:
+            r += n
+            yield f"{text[s] or first(s)} {text[r] or first(r)} {text[o] or first(o)} ."
 
     # Adjacency is read only by the relational-signature strategies, so it
     # is built from the id tuples on first access, once indexing is done.
@@ -153,48 +158,82 @@ class IndexedGraph:
         return sum(len(g) for g in self.literal_groups.values())
 
 
-def build_index(triples: Iterable[Triple], rules: ModalityRules | None = None) -> IndexedGraph:
-    """Index triples into relational statements plus literal groups.
+def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> IndexedGraph:
+    """Index scanned rows into relational id triples plus literal groups.
 
+    Entity ids come from one dict lookup per raw string, in separate dicts
+    for IRIs and blank-node labels, so <_:b1> and _:b1 are two entities.
     Exact repeats are dropped and counted in duplicates_removed.
     """
     graph = IndexedGraph(rules=rules or ModalityRules())
-    rules = graph.rules
-    seen_relational: set[tuple[int, int, int]] = set()
-    seen_literal: set[tuple[int, int, Term]] = set()
-    for triple in triples:
-        predicate = triple.predicate
-        if not isinstance(predicate, IRI):
-            raise ValueError(f"predicate must be an IRI: {predicate}")
-        rid = graph.relation_id(predicate.value)
-        obj = triple.object
-        sid = graph.entity_id(triple.subject)
-        if isinstance(obj, Literal):
-            modality = classify_modality(obj, predicate.value, rules)
-        elif predicate.value in rules.image_predicates:
-            # IRI-valued image references are literal information, not edges.
-            modality = Modality.IMAGE
+    rules, terms, relation_ids = graph.rules, graph.entity_terms, graph.relation_ids
+    iri_ids: dict[str, int] = {}
+    label_ids: dict[str, int] = {}
+    # Relational keys end in an id, literal keys in a term: they never meet.
+    seen: set[tuple[int, int, int | Term]] = set()
+
+    def new_entity(iri: str | None, label: str) -> int:
+        eid = len(terms)
+        if iri is not None:
+            iri_ids[iri] = eid
+            terms.append(IRI(iri))
         else:
-            oid = graph.entity_id(obj)
-            key = (sid, rid, oid)
-            if key in seen_relational:
-                graph.duplicates_removed += 1
-                continue
-            seen_relational.add(key)
-            graph.relational.append(key)
-            graph.relational_statements.append(triple)
-            continue
-        lit_key = (sid, rid, obj)
-        if lit_key in seen_literal:
+            label_ids[label] = eid
+            terms.append(BlankNode(label))
+        return eid
+
+    for s_iri, s_label, predicate, o_iri, o_label, literal in rows:
+        rid = relation_ids.get(predicate)
+        if rid is None:
+            rid = relation_ids[predicate] = len(graph.relation_iris)
+            graph.relation_iris.append(predicate)
+        sid = iri_ids.get(s_iri) if s_iri is not None else label_ids.get(s_label)
+        if sid is None:
+            sid = new_entity(s_iri, s_label)
+        is_link = literal is None and predicate not in rules.image_predicates
+        if is_link:
+            oid = iri_ids.get(o_iri) if o_iri is not None else label_ids.get(o_label)
+            key = (sid, rid, new_entity(o_iri, o_label) if oid is None else oid)
+        else:
+            # IRI-valued image references are literal information, not edges;
+            # terms are always true, so `or` picks the one that is set.
+            obj = literal or (IRI(o_iri) if o_iri is not None else BlankNode(o_label))
+            key = (sid, rid, obj)
+        before = len(seen)
+        seen.add(key)
+        if len(seen) == before:
             graph.duplicates_removed += 1
             continue
-        seen_literal.add(lit_key)
+        if is_link:
+            graph.relational.append(key)
+            continue
+        modality = classify_modality(literal, predicate, rules) if literal else Modality.IMAGE
         group = graph.literal_groups.get((rid, modality))
         if group is None:
-            group = LiteralGroup(rid, predicate.value, modality)
-            graph.literal_groups[(rid, modality)] = group
+            group = graph.literal_groups[rid, modality] = LiteralGroup(rid, predicate, modality)
         group.statements.append((sid, obj))
     return graph
+
+
+def _rows(triples: Iterable[Triple]) -> Iterator[Row]:
+    """Triples as scan_ntriples rows."""
+    for triple in triples:
+        subject, predicate, obj = triple.subject, triple.predicate, triple.object
+        if not isinstance(predicate, IRI):
+            raise ValueError(f"predicate must be an IRI: {predicate}")
+        if isinstance(subject, Literal):
+            raise ValueError(f"literal in subject position: {subject}")
+        o = (None, None, obj) if isinstance(obj, Literal) else (*_node(obj), None)
+        yield (*_node(subject), predicate.value, *o)
+
+
+def _node(term: IRI | BlankNode) -> tuple[str | None, str | None]:
+    return (term.value, None) if isinstance(term, IRI) else (None, term.label)
+
+
+def build_index(triples: Iterable[Triple], rules: ModalityRules | None = None) -> IndexedGraph:
+    """index_rows over triples, for callers that hold Triple objects."""
+    return index_rows(_rows(triples), rules)
 
 
 @dataclass(frozen=True)
@@ -265,38 +304,52 @@ def profile(graph: IndexedGraph) -> GraphProfile:
 
 
 def profile_stream(triples: Iterable[Triple], rules: ModalityRules | None = None) -> GraphProfile:
-    """Profile a triple stream with memory proportional to the dictionaries.
+    """profile_rows over triples, for callers that hold Triple objects."""
+    return profile_rows(_rows(triples), rules)
 
-    Unlike build_index, no adjacency or statement lists are kept, only
-    distinct-term sets and counters, so arbitrarily large files profile in
-    dictionary-sized memory. Duplicate statements are not detected here.
+
+def profile_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> GraphProfile:
+    """Profile a row stream with memory proportional to the dictionaries.
+
+    Unlike index_rows, only distinct-node sets and counters are kept, so
+    arbitrarily large files profile in dictionary-sized memory. Duplicates
+    are not detected.
     """
     rules = rules or ModalityRules()
+    image_predicates = rules.image_predicates
     relations: set[str] = set()
-    nodes: set[Term] = set()
+    # Raw IRIs and literal values share a set, since a string never equals
+    # a term; blank-node labels, which may spell an IRI, have their own.
+    nodes: set[str | Literal] = set()
+    labels: set[str] = set()
     counts = dict.fromkeys(Modality, 0)
     objects_iri = objects_blank = 0
     total = 0
-    for triple in triples:
+    for s_iri, s_label, predicate, o_iri, o_label, literal in rows:
         total += 1
-        predicate = triple.predicate
-        assert isinstance(predicate, IRI)
-        relations.add(predicate.value)
-        nodes.add(triple.subject)
-        nodes.add(triple.object)
-        obj = triple.object
-        if isinstance(obj, Literal):
-            counts[classify_modality(obj, predicate.value, rules)] += 1
-        elif predicate.value in rules.image_predicates:
+        relations.add(predicate)
+        if s_iri is not None:
+            nodes.add(s_iri)
+        else:
+            labels.add(s_label)
+        if literal is not None:
+            nodes.add(literal)
+            counts[classify_modality(literal, predicate, rules)] += 1
+            continue
+        if o_iri is not None:
+            nodes.add(o_iri)
+        else:
+            labels.add(o_label)
+        if predicate in image_predicates:
             counts[Modality.IMAGE] += 1
-        elif isinstance(obj, BlankNode):
+        elif o_iri is None:
             objects_blank += 1
         else:
             objects_iri += 1
     objects_literal = sum(counts.values())
     return GraphProfile(
         relations=len(relations),
-        nodes=len(nodes),
+        nodes=len(nodes) + len(labels),
         triples=total,
         objects_iris=objects_iri,
         objects_blank=objects_blank,

@@ -144,37 +144,59 @@ def _open_input(source: bytes | str | IO[bytes]) -> Iterator[IO[str]]:
             buffered.detach()
 
 
-def iter_ntriples(
-    source: bytes | str | IO[bytes],
-    on_diagnostic: Callable[[ParseDiagnostic], None] | None = None,
-    strict: bool = False,
-) -> Iterator[Triple]:
-    """Yield triples line by line; route malformed lines to *on_diagnostic*.
+Source = bytes | str | IO[bytes]
+OnDiagnostic = Callable[[ParseDiagnostic], None] | None
+Row = tuple[str | None, str | None, str, str | None, str | None, Literal | None]
 
-    In strict mode the first malformed line raises ParseError instead.
-    Parsing is line-local: permuting input lines permutes output identically.
+
+def scan_ntriples(
+    source: Source, on_diagnostic: OnDiagnostic = None, strict: bool = False
+) -> Iterator[Row]:
+    """Yield a row per statement; route malformed lines to *on_diagnostic*.
+
+    A row is (subject IRI, subject blank-node label, predicate IRI, object
+    IRI, object label, object literal): raw strings, one subject and one
+    object field set. In strict mode the first malformed line raises
+    ParseError instead. Permuting input lines permutes output identically.
     """
-    # Terms repeat heavily in real graphs; interning keeps parsing fast and
-    # lets downstream dictionaries share objects. Only IRIs whose characters
-    # passed the check are cached, so every line naming a bad IRI is
-    # reported. IRIs hold no escapes: the backslash is a forbidden character.
-    iri_cache: dict[str, IRI] = {}
-    bnode_cache: dict[str, BlankNode] = {}
+    return _scan(source, on_diagnostic, strict, str, str)
 
-    def intern_iri(raw: str) -> IRI:
-        term = iri_cache.get(raw)
-        if term is None:
-            if _IRI_BAD.search(raw) is not None:
-                raise ParseError(ParseDiagnostic(line_no, "malformed statement", line))
-            term = iri_cache[raw] = IRI(raw)
-        return term
 
-    def intern_bnode(label: str) -> BlankNode:
-        term = bnode_cache.get(label)
-        if term is None:
-            term = BlankNode(label)
-            bnode_cache[label] = term
-        return term
+def iter_ntriples(
+    source: Source, on_diagnostic: OnDiagnostic = None, strict: bool = False
+) -> Iterator[Triple]:
+    """scan_ntriples' statements as triples; equal terms are one object."""
+    for s_iri, s_bnode, predicate, o_iri, o_bnode, literal in _scan(
+        source, on_diagnostic, strict, IRI, BlankNode
+    ):
+        yield Triple(s_iri or s_bnode, predicate, o_iri or o_bnode or literal)
+
+
+def _scan(
+    source: Source, on_diagnostic: OnDiagnostic, strict: bool, make_iri: type, make_bnode: type
+) -> Iterator[tuple]:
+    """The line loop: *make_iri* and *make_bnode* build each distinct IRI's
+    and blank-node label's row value once; later lines reuse it."""
+    # IRI characters are checked once per distinct IRI; only IRIs that
+    # passed are remembered, so every line naming a bad IRI is reported.
+    # IRIs hold no escapes: the backslash is a forbidden character.
+    iris: dict[str, Any] = {}
+    bnodes: dict[str, Any] = {}
+    datatypes: dict[str, str] = {}  # shared by the literals, as are the tags
+    languages: dict[str, str] = {}
+
+    def checked(raw: str) -> str:
+        if _IRI_BAD.search(raw) is not None:
+            raise ParseError(ParseDiagnostic(line_no, "malformed statement", line))
+        return raw
+
+    def iri(raw: str) -> Any:
+        value = iris[raw] = make_iri(checked(raw))
+        return value
+
+    def bnode(label: str) -> Any:
+        value = bnodes[label] = make_bnode(label)
+        return value
 
     with _open_input(source) as text:
         for line_no, line in enumerate(text, start=1):
@@ -193,21 +215,31 @@ def iter_ntriples(
                     on_diagnostic(diag)
                 continue
             (s_iri, s_bnode, p_iri, o_iri, o_bnode, o_lex, o_dtype, o_lang) = m.groups()
+            # An empty IRI's string is falsy and is just made again.
             try:
-                subject: Term = intern_iri(s_iri) if s_iri is not None else intern_bnode(s_bnode)
-                predicate = intern_iri(p_iri)
-                if o_iri is not None:
-                    obj: Term = intern_iri(o_iri)
-                elif o_bnode is not None:
-                    obj = intern_bnode(o_bnode)
-                elif o_dtype is not None:
+                if s_iri is not None:
+                    s_iri = iris.get(s_iri) or iri(s_iri)
+                else:
+                    s_bnode = bnodes.get(s_bnode) or bnode(s_bnode)
+                p_iri = iris.get(p_iri) or iri(p_iri)
+                if o_lex is None:
+                    if o_iri is not None:
+                        o_iri = iris.get(o_iri) or iri(o_iri)
+                    else:
+                        o_bnode = bnodes.get(o_bnode) or bnode(o_bnode)
+                    yield s_iri, s_bnode, p_iri, o_iri, o_bnode, None
+                    continue
+                if o_dtype is not None:
                     # The datatype is checked first: a bad datatype IRI makes
                     # the line malformed even when the lexical form has a bad
                     # escape too.
-                    datatype = intern_iri(o_dtype).value
+                    datatype = datatypes.get(o_dtype) or datatypes.setdefault(
+                        o_dtype, checked(o_dtype)
+                    )
                     obj = Literal(_decode_escapes(o_lex, line_no, line), datatype)
                 elif o_lang is not None:
-                    obj = Literal(_decode_escapes(o_lex, line_no, line), RDF_LANGSTRING, o_lang)
+                    language = languages.setdefault(o_lang, o_lang)
+                    obj = Literal(_decode_escapes(o_lex, line_no, line), RDF_LANGSTRING, language)
                 else:
                     obj = Literal(_decode_escapes(o_lex, line_no, line))
             except ParseError as err:
@@ -216,7 +248,7 @@ def iter_ntriples(
                 if on_diagnostic is not None:
                     on_diagnostic(err.diagnostic)
                 continue
-            yield Triple(subject, predicate, obj)
+            yield s_iri, s_bnode, p_iri, None, None, obj
 
 
 def parse_ntriples(
@@ -247,6 +279,12 @@ def format_term(term: Term) -> str:
     return f'"{escaped}"^^<{term.datatype}>'
 
 
+def term_text(term: Term) -> str:
+    """format_term of a valid term; SerializationError for an invalid one."""
+    _check(validate_term, term)
+    return format_term(term)
+
+
 def format_lines(triples: Iterable[Triple]) -> Iterator[str]:
     """Canonical statements, without trailing newlines, one per triple.
 
@@ -268,8 +306,7 @@ def format_lines(triples: Iterable[Triple]) -> Iterator[str]:
             return f"<{value}>"
         out = memo.get(term)
         if out is None:
-            _check(validate_term, term)
-            out = memo[term] = format_term(term)
+            out = memo[term] = term_text(term)
         return out
 
     for triple in triples:
@@ -295,7 +332,12 @@ def format_triple(triple: Triple) -> str:
 
 def write_ntriples(triples: Iterable[Triple], out: IO[bytes]) -> int:
     """Stream canonical statements to *out*; returns the line count."""
-    lines = format_lines(triples)
+    return write_lines(format_lines(triples), out)
+
+
+def write_lines(lines: Iterable[str], out: IO[bytes]) -> int:
+    """Write each line, newline-terminated, to *out*; returns the line count."""
+    lines = iter(lines)
     count = 0
     while batch := list(islice(lines, _WRITE_BATCH)):
         batch.append("")

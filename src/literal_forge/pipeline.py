@@ -16,7 +16,6 @@ import logging
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import import_module
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
@@ -518,14 +517,21 @@ class AugmentationReport:
 
 @dataclass
 class PipelineResult:
-    """Merged output: triples in deterministic order, report, weight sidecar.
+    """Merged output: the graph's relational statements, then *minted*.
 
-    *weighted* is filled only when the config's emit_weights is on.
+    *minted* holds each group's statement triples, then the structural
+    ones. *weighted* is filled only when the config's emit_weights is on.
     """
 
-    triples: list[Triple]
+    graph: IndexedGraph
+    minted: list[Triple]
     report: AugmentationReport
     weighted: list[tuple[Triple, float]] = field(default_factory=list)
+
+    @property
+    def triples(self) -> list[Triple]:
+        """Every output triple in order, built on each access."""
+        return [*self.graph.relational_triples(), *self.minted]
 
 
 def _distinct_values(group: LiteralGroup) -> int:
@@ -721,9 +727,7 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
     if config.workers is not None:
         log.warning("workers is deprecated and ignored: literal groups run serially")
 
-    # The relational triples pass through as parsed.
-    triples: list[Triple] = list(graph.relational_triples())
-    num_relational = len(triples)
+    minted: list[Triple] = []
     weighted: list[tuple[Triple, float]] = []
     structural: list[Triple] = []
     structural_seen: set[Triple] = set()
@@ -745,7 +749,7 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
             outcome = _fallback_outcome(group, graph, config, exc)
             fell_back = config.fallback
         aug = outcome.aug
-        triples.extend(aug.triples)
+        minted.extend(aug.triples)
         if config.emit_weights:
             weighted.extend(pair for pair in aug.weighted if pair[1] > 0.0)
         row_structural = 0
@@ -781,13 +785,13 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
             )
         )
 
-    triples.extend(structural)
+    minted.extend(structural)
 
-    # check_namespace has ruled out minted terms in the relational triples,
-    # so only the strategy output appended after them is scanned.
+    # check_namespace has ruled out minted terms in the relational
+    # statements, so only the strategy output is scanned.
     minted_entities: set[str] = set()
     minted_relations: set[str] = set()
-    for triple in islice(triples, num_relational, None):
+    for triple in minted:
         if isinstance(triple.subject, IRI) and triple.subject.value.startswith(config.namespace):
             minted_entities.add(triple.subject.value)
         if isinstance(triple.object, IRI) and triple.object.value.startswith(config.namespace):
@@ -807,7 +811,7 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
         warnings=[w for row in rows for w in row.warnings],
     )
     verify_bounds(report)
-    return PipelineResult(triples, report, weighted)
+    return PipelineResult(graph, minted, report, weighted)
 
 
 def verify_bounds(report: AugmentationReport) -> dict[str, str]:

@@ -15,7 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from literal_forge import AugmentationReport, SerializationError, baselines, cli
+from literal_forge import (
+    AugmentationReport,
+    ModalityRules,
+    SerializationError,
+    StrategyConfig,
+    apply,
+    baselines,
+    build_index,
+    cli,
+    parse_ntriples,
+    serialize_ntriples,
+)
 from literal_forge.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -25,6 +36,7 @@ from literal_forge.cli import (
     _setup_logging,
     main,
 )
+from literal_forge.pipeline import shortcut_defaults
 from util import EX, NEW, date_line, numeric_line, rel_line, text_line
 
 
@@ -253,6 +265,15 @@ class TestVerify:
         assert main(["verify", "--input", out]) == EXIT_INPUT
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag", [["--config", "/nonexistent.json"], ["--strict"]])
+    def test_rejects_the_flags_it_would_ignore(self, sample_nt, tmp_path, capsys, flag):
+        # verify is always strict and reads no config, so it takes neither flag
+        _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--input", out, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_inconsistent_totals_rejected(self, sample_nt, tmp_path):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
         raw = json.loads(Path(out + ".report.json").read_text(encoding="utf-8"))
@@ -343,6 +364,49 @@ def test_unserializable_term_is_a_diagnostic(tmp_path, caplog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("relative", [False, True], ids=["valid", "relative-iri"])
+def test_cli_output_matches_the_library_writer(tmp_path, relative):
+    # The CLI writes relational lines from ids; the library writes the
+    # merged triples. Both give the same bytes, or fail on the same term.
+    lines = [
+        f"<{EX}s> <{EX}knows> _:b1 .",
+        f"_:b1 <{EX}knows> <{EX}b1> .",
+        rel_line("a", "knows", "b"),
+        rel_line("a", "knows", "b"),
+        f"<{EX}a> <{EX}depiction> <{EX}img/a.jpg> .",
+        numeric_line("a", "height", "1.5"),
+        numeric_line("b", "height", "2.5"),
+        text_line("a", "abstract", 'a \\"quoted\\" line\\nbreak'),
+    ]
+    if relative:
+        lines += [f"<{EX}z> <{EX}rel> <foo> .", f"_:b1 <{EX}knows> <_:b1> ."]
+    data = ("\r\n".join(lines) + "\r\n").encode()
+    path = tmp_path / "input.nt"
+    path.write_bytes(data)
+    rules = ModalityRules(image_predicates=frozenset({EX + "depiction"}))
+    config = StrategyConfig(defaults=shortcut_defaults("TRANSFORM", "ONEENTITY"), rules=rules)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"image_predicates": [EX + "depiction"]}), encoding="utf-8")
+    result = apply(build_index(parse_ntriples(data)[0], rules), config)
+    try:
+        expected = serialize_ntriples(result.triples)
+    except SerializationError as exc:
+        expected = str(exc)
+    out = tmp_path / "out.nt"
+    done = run_cli(
+        "transform", "--input", str(path), "--output", str(out), "--config", str(config_path),
+        "--strategy", "TRANSFORM",
+    )
+    if isinstance(expected, bytes):
+        assert done.returncode == EXIT_OK, done.stderr
+        assert out.read_bytes() == expected
+    else:
+        assert done.returncode == EXIT_INPUT
+        assert f"cannot serialize output: {expected}" in done.stderr
+        assert expected == "IRI is not absolute (no scheme): <foo>"
+        assert not out.exists()
+
+
 def test_workers_option_is_deprecated(sample_nt, tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="literal_forge.pipeline"):
         code, _ = transform(sample_nt, tmp_path, "--workers", "2")
@@ -369,11 +433,11 @@ def test_rerun_replaces_output_and_report_and_leaves_no_temp_file(sample_nt, tmp
 
 
 def _fail_output(monkeypatch):
-    def write_then_fail(triples, out):
+    def write_then_fail(lines, out):
         out.write(b"<http://ex.org/partial> ")
         raise SerializationError("unserializable term")
 
-    monkeypatch.setattr(cli, "write_ntriples", write_then_fail)
+    monkeypatch.setattr(cli, "write_lines", write_then_fail)
 
 
 def _fail_report(monkeypatch):
@@ -384,8 +448,15 @@ def _fail_report(monkeypatch):
 
 
 def _fail_weights(monkeypatch):
+    # The output's minted triples are formatted first, the weights second.
+    format_lines = cli.format_lines
+    calls = []
+
     def reject(triples):
-        raise SerializationError("unserializable term")
+        calls.append(triples)
+        if len(calls) > 1:
+            raise SerializationError("unserializable term")
+        return format_lines(triples)
 
     monkeypatch.setattr(cli, "format_lines", reject)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from literal_forge import (
     IRI,
+    BlankNode,
     Literal,
     Modality,
     ModalityRules,
@@ -15,13 +16,15 @@ from literal_forge import (
     profile,
     profile_stream,
 )
-from literal_forge.graph import classify_modality
+from literal_forge.graph import classify_modality, index_rows
+from literal_forge.ntriples import ParseError, scan_ntriples
 from literal_forge.terms import (
     RDF_LANGSTRING,
     XSD_BASE64,
     XSD_STRING,
 )
 
+from test_rdfio import oracle_parse
 from util import EX, XSD, make_graph, numeric_line, rel_line, text_line
 
 
@@ -248,6 +251,127 @@ def test_duplicate_relational_statements_counted_first_copy_kept():
     graph = build_index(triples)
     assert graph.duplicates_removed == 2
     assert graph.num_relational == 2
-    kept = list(graph.relational_triples())
-    assert kept[0] is triples[0] and kept[1] is triples[2]
+    assert list(graph.relational_triples()) == [triples[0], triples[2]]
     assert profile(graph).duplicates_removed == 2
+
+
+# --- the row indexer against the Term-keyed indexer it replaced ---------------
+
+
+def _term_keyed_index(triples, rules):
+    """The Term-keyed build_index loop that index_rows replaced, as an oracle."""
+    entity_terms, entity_ids, relation_iris, relation_ids = [], {}, [], {}
+    relational, groups = [], {}
+    seen_relational, seen_literal = set(), set()
+    duplicates = 0
+
+    def entity_id(term):
+        if term not in entity_ids:
+            entity_ids[term] = len(entity_terms)
+            entity_terms.append(term)
+        return entity_ids[term]
+
+    for triple in triples:
+        predicate = triple.predicate.value
+        if predicate not in relation_ids:
+            relation_ids[predicate] = len(relation_iris)
+            relation_iris.append(predicate)
+        rid = relation_ids[predicate]
+        obj = triple.object
+        sid = entity_id(triple.subject)
+        if isinstance(obj, Literal):
+            modality = classify_modality(obj, predicate, rules)
+        elif predicate in rules.image_predicates:
+            modality = Modality.IMAGE
+        else:
+            key = (sid, rid, entity_id(obj))
+            if key in seen_relational:
+                duplicates += 1
+                continue
+            seen_relational.add(key)
+            relational.append(key)
+            continue
+        if (sid, rid, obj) in seen_literal:
+            duplicates += 1
+            continue
+        seen_literal.add((sid, rid, obj))
+        groups.setdefault((rid, modality), []).append((sid, obj))
+    return entity_terms, relation_iris, relational, groups, duplicates
+
+
+def _indexed(graph):
+    groups = {key: group.statements for key, group in graph.literal_groups.items()}
+    return (
+        graph.entity_terms,
+        graph.relation_iris,
+        graph.relational,
+        groups,
+        graph.duplicates_removed,
+    )
+
+
+_IMAGES = ModalityRules(image_predicates=frozenset({EX + "depiction"}))
+_XSD_INT = f"<{XSD}integer>"
+_LINES = [
+    f"<{EX}a> <{EX}knows> <{EX}b> .",
+    f"<{EX}b> <{EX}knows> <{EX}a> .",
+    f"<_:b1> <{EX}knows> _:b1 .",
+    f"_:b1 <{EX}knows> <_:b1> .",
+    f"_:b1 <{EX}likes> _:b2 .",
+    f"<{EX}a> <{EX}depiction> <{EX}img/a.jpg> .",
+    f"<{EX}a> <{EX}depiction> _:img .",
+    f'<{EX}a> <{EX}depiction> "aGk="^^<{XSD}base64Binary> .',
+    f'<{EX}a> <{EX}size> "1"^^{_XSD_INT} .',
+    f'_:b2 <{EX}size> "1"^^{_XSD_INT} .',
+    f'<{EX}b> <{EX}size> "\\u0031"^^{_XSD_INT} .',
+    f'<{EX}b> <{EX}size> "tall"@en .',
+    f'<{EX}b> <{EX}note> "plain \\"quoted\\"" .',
+    # malformed: bad IRI characters, in any position, and bad syntax
+    f"<{EX}a b> <{EX}knows> <{EX}a> .",
+    f"<{EX}a> <{EX}knows> <{EX}a b> .",
+    f'<{EX}c> <{EX}size> "2"^^<{XSD}int eger> .',
+    f"<{EX}a> <{EX}knows>",
+    "not a statement",
+    # rejected late: the subject and predicate are fine, the literal is not
+    f'<{EX}late> <{EX}latePredicate> "bad \\q escape" .',
+    f'<{EX}late2> <{EX}size> "\\U0011FFFF" .',
+    "# a comment",
+    "",
+]
+
+
+@st.composite
+def _documents(draw):
+    lines = draw(st.lists(st.sampled_from(_LINES), max_size=14))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@given(_documents(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_row_indexer_matches_term_keyed_oracle(document, strict):
+    oracle = oracle_parse(document, strict)
+    diagnostics = []
+    try:
+        graph = index_rows(scan_ntriples(document, diagnostics.append, strict), _IMAGES)
+    except ParseError as err:
+        assert strict and err.diagnostic == oracle
+        return
+    triples, expected_diagnostics = oracle
+    assert diagnostics == expected_diagnostics
+    assert _indexed(graph) == _term_keyed_index(triples, _IMAGES)
+    assert _indexed(build_index(triples, _IMAGES)) == _indexed(graph)
+
+
+def test_line_rejected_late_assigns_no_id():
+    document = f'<{EX}late> <{EX}p> "bad \\q escape" .\n<{EX}a> <{EX}knows> <{EX}b> .\n'
+    diagnostics = []
+    graph = index_rows(scan_ntriples(document, diagnostics.append))
+    assert [(d.line, d.message) for d in diagnostics] == [(1, "invalid escape: \\q")]
+    assert graph.entity_terms == [IRI(EX + "a"), IRI(EX + "b")]
+    assert graph.relation_iris == [EX + "knows"]
+
+
+def test_iri_and_blank_node_of_one_spelling_are_two_entities():
+    graph = index_rows(scan_ntriples(f"<_:b1> <{EX}knows> _:b1 .\n"))
+    assert graph.entity_terms == [IRI("_:b1"), BlankNode("b1")]
+    assert graph.relational == [(0, 0, 1)]

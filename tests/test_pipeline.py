@@ -385,7 +385,8 @@ class TestApplyBaselines:
         parsed = [t for t in triples if not isinstance(t.object, Literal)]
         result = apply(build_index(triples), single_strategy_config("TRANSFORM", namespace=NEW))
         assert len(parsed) == 2
-        assert all(out is t for out, t in zip(result.triples, parsed))
+        assert result.triples[: len(parsed)] == parsed
+        assert len(result.triples) == len(parsed) + len(result.minted)
 
 
 class TestApplySpecialists:
