@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, TypeVar
 from urllib.parse import quote
 
@@ -44,7 +45,7 @@ def sanitize_value(value: str) -> str:
 
 @dataclass
 class Augmentation:
-    """New entities and statements produced by one strategy application.
+    """Statements produced by one strategy application.
 
     *triples* link original subjects to minted entities and are counted as
     added statements; *structural_triples* connect minted entities to each
@@ -53,7 +54,6 @@ class Augmentation:
     their score; only TXTLDA and IMAGETAGS score anything.
     """
 
-    entities: list[str] = field(default_factory=list)
     triples: list[Triple] = field(default_factory=list)
     removed: int = 0
     structural_triples: list[Triple] = field(default_factory=list)
@@ -61,18 +61,15 @@ class Augmentation:
     warnings: list[str] = field(default_factory=list)
     fallback_statements: int = 0
 
-    def add_entity(self, iri: str) -> str:
-        if iri not in self._entity_set:
-            self._entity_set.add(iri)
-            self.entities.append(iri)
-        return iri
-
-    def __post_init__(self) -> None:
-        self._entity_set = set(self.entities)
+    @cached_property
+    def minted_objects(self) -> frozenset[str]:
+        """The distinct IRI objects of *triples*: the entities the group links
+        its subjects to. Read once the strategy has returned."""
+        return frozenset(t.object.value for t in self.triples if isinstance(t.object, IRI))
 
     @property
     def delta_entities(self) -> int:
-        return len(self.entities)
+        return len(self.minted_objects)
 
     @property
     def delta_statements(self) -> int:
@@ -112,7 +109,6 @@ def link_any_value(
     if not subject_ids:
         return
     entity = IRI(namespace + sanitize_value(local_name(predicate)) + "AnyValue")
-    aug.add_entity(entity.value)
     link = IRI(predicate)
     terms = graph.entity_terms
     aug.triples.extend([Triple(terms[subject_id], link, entity) for subject_id in subject_ids])
@@ -149,7 +145,6 @@ def transform_literal2entity(
         if entity is None:
             entity = IRI(namespace + pred_local + sanitize_value(lexical))
             by_value[lexical] = entity
-            aug.add_entity(entity.value)
         aug.triples.append(Triple(terms[subject_id], predicate, entity))
     return aug
 

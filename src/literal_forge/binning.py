@@ -78,8 +78,6 @@ class BinLayout:
     Bins are inclusive-lower/exclusive-upper except the last, which is closed.
     """
 
-    predicate: str
-    subpopulation: int | None
     levels: tuple[BinLevel, ...]
     overlap: float
     connect_adjacent: bool
@@ -167,13 +165,7 @@ def compute_bins(
             )
         )
         prev = coarse
-    return BinLayout(
-        predicate=predicate,
-        subpopulation=subpopulation,
-        levels=tuple(levels),
-        overlap=spec.overlap,
-        connect_adjacent=spec.connect_adjacent,
-    )
+    return BinLayout(tuple(levels), spec.overlap, spec.connect_adjacent)
 
 
 def _flat_indices(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
@@ -407,16 +399,13 @@ def emit_bin_triples(
 ) -> Augmentation:
     """Statement triples for assigned bins plus the structural bin graph.
 
-    All bins of the layout are minted (the adjacency chain runs through
-    empty bins); chain and hierarchy triples are structural, not statement,
-    triples. Each bin IRI is built once.
+    The adjacency chain runs through every bin of a level, empty ones too;
+    chain and hierarchy triples are structural, not statement, triples.
+    Each bin IRI is built once.
     """
     aug = aug if aug is not None else Augmentation()
     predicate = IRI(group.predicate)
     bin_iris = [[IRI(entity) for entity in level.entities] for level in layout.levels]
-    for level in layout.levels:
-        for entity in level.entities:
-            aug.add_entity(entity)
     flat_iris = [iri for level_iris in bin_iris for iri in level_iris]
     offsets = np.cumsum([0] + [level.num_bins for level in layout.levels])
     objects = [flat_iris[i] for i in (offsets[assignments.levels] + assignments.bins).tolist()]
@@ -495,7 +484,6 @@ def bin_statements(
         terms = graph.entity_terms
         for subject_id, value in zip(subjects[outlier].tolist(), values[outlier].tolist()):
             entity = low if value <= mid else high
-            aug.add_entity(entity.value)
             aug.triples.append(Triple(terms[subject_id], predicate, entity))
     return aug
 

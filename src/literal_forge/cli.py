@@ -23,7 +23,6 @@ from .ntriples import (
     ParseError,
     SerializationError,
     format_lines,
-    iter_ntriples,
     scan_ntriples,
     write_lines,
 )
@@ -34,7 +33,7 @@ from .pipeline import (
     StrategyConfig,
     StrategyError,
     apply,
-    check_output,
+    check_rows,
     shortcut_defaults,
 )
 log = logging.getLogger(__name__)
@@ -99,14 +98,12 @@ def _human_profile(data: dict) -> str:
     return "\n".join(f"{label:<{width}}  {value:>12,}" for label, value in rows)
 
 
-def _read_input(
-    path: str, consume: Callable[[Any], Any], strict: bool, parse: Callable = scan_ntriples
-) -> Any:
-    """*consume* applied to what *parse* yields from *path*; None after a logged error."""
+def _read_input(path: str, consume: Callable[[Any], Any], strict: bool) -> Any:
+    """*consume* applied to the rows scanned from *path*; None after a logged error."""
     counter = _DiagnosticCounter()
     try:
         with _open_source(path) as source:
-            result = consume(parse(source, on_diagnostic=counter, strict=strict))
+            result = consume(scan_ntriples(source, on_diagnostic=counter, strict=strict))
     except ParseError as exc:
         log.error("%s", exc)
         return None
@@ -239,9 +236,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         log.error("cannot load report %s: %s", report_path, exc)
         return EXIT_INPUT
     # Checked as parsed: a malformed line anywhere exits 1 with no verdict.
-    problems = _read_input(
-        args.input, lambda triples: check_output(triples, report), True, iter_ntriples
-    )
+    problems = _read_input(args.input, lambda rows: check_rows(rows, report), True)
     if problems is None:
         return EXIT_INPUT
     verdict = {"ok": not problems, "problems": problems}

@@ -49,7 +49,6 @@ class ModalityRules:
 
     image_predicates: frozenset[str] = frozenset()
     predicate_modalities: dict[str, Modality] = field(default_factory=dict)
-    base64_is_image: bool = True
 
 
 def classify_modality(literal: Literal, predicate: str, rules: ModalityRules) -> Modality:
@@ -66,7 +65,7 @@ def classify_modality(literal: Literal, predicate: str, rules: ModalityRules) ->
         return Modality.TEMPORAL
     if dt in TEXT_DATATYPES:
         return Modality.TEXT
-    if rules.base64_is_image and dt == XSD_BASE64:
+    if dt == XSD_BASE64:
         return Modality.IMAGE
     return Modality.OTHER
 
@@ -79,7 +78,6 @@ class LiteralGroup:
     objects of configured image predicates are routed here as well.
     """
 
-    predicate_id: int
     predicate: str
     modality: Modality
     statements: list[tuple[int, Term]] = field(default_factory=list)
@@ -210,7 +208,7 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
         modality = classify_modality(literal, predicate, rules) if literal else Modality.IMAGE
         group = graph.literal_groups.get((rid, modality))
         if group is None:
-            group = graph.literal_groups[rid, modality] = LiteralGroup(rid, predicate, modality)
+            group = graph.literal_groups[rid, modality] = LiteralGroup(predicate, modality)
         group.statements.append((sid, obj))
     return graph
 

@@ -67,7 +67,6 @@ class LabelDistribution:
     """Ranked classifier output; scores must be non-increasing."""
 
     labels: tuple[tuple[str, float], ...]
-    provider: str = "unknown"
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -110,7 +109,7 @@ def _parse_labels(raw: object, provider: str) -> LabelDistribution:
             raise ProviderError(f"{provider}: unreadable label entry {item!r}")
         labels.append((name, float(score)))
     labels.sort(key=lambda pair: (-pair[1], pair[0]))
-    return LabelDistribution(tuple(labels), provider)
+    return LabelDistribution(tuple(labels))
 
 
 @dataclass
@@ -272,9 +271,8 @@ def emit_image_triples(
             misses += 1
             continue
         label = top_label(distribution)
-        iri = namespace + prefix + sanitize_value(label)
-        aug.add_entity(iri)
-        triple = Triple(graph.entity_terms[subject_id], predicate, IRI(iri))
+        iri = IRI(namespace + prefix + sanitize_value(label))
+        triple = Triple(graph.entity_terms[subject_id], predicate, iri)
         aug.triples.append(triple)
         aug.weighted.append((triple, distribution.labels[0][1]))
     note_fallback(aug, group.predicate, misses, f"{misses} image statements without tags")

@@ -20,8 +20,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
 from .baselines import DEFAULT_NAMESPACE, Augmentation, BinningSpec, LdaSpec, LofSpec, bin_count
-from .graph import IndexedGraph, LiteralGroup, Modality, ModalityRules
-from .terms import _IRI_BAD, IRI, Literal, Triple
+from .graph import IndexedGraph, LiteralGroup, Modality, ModalityRules, _rows
+from .ntriples import Row
+from .terms import _IRI_BAD, IRI, Triple
 
 if TYPE_CHECKING:
     from .images import TagProvider
@@ -557,13 +558,13 @@ def _binning_allowance(spec: BinningSpec, sizes: list[int], lof_on: bool, fallba
     return allowance
 
 
-def _binning_exceptions(spec: BinningSpec, outliers: int) -> list[str]:
+def _binning_exceptions(spec: BinningSpec, minted: frozenset[str]) -> list[str]:
     out = []
     if spec.overlap > 0.0:
         out.append("overlapping bins emit multiple statements per value")
     if spec.hierarchy_depth > 0:
         out.append("hierarchical bins emit one statement per level")
-    if outliers:
+    if any(e.endswith(("OutlierLow", "OutlierHigh")) for e in minted):
         out.append("outlier entities extend the bin vocabulary")
     return out
 
@@ -574,7 +575,6 @@ class _GroupOutcome:
     entity_allowance: int
     statement_delta_exact: int | None
     statement_delta_max: int | None
-    parsed: int
     exceptions: list[str] = field(default_factory=list)
     detail: dict[str, Any] = field(default_factory=dict)
 
@@ -592,13 +592,13 @@ def _run_strategy(
     name = plan.strategy
 
     if name == EXCLUDE:
-        return _GroupOutcome(baselines.exclude(group), 0, 0, None, S)
+        return _GroupOutcome(baselines.exclude(group), 0, 0, None)
     if name == TRANSFORM:
         aug = baselines.transform_literal2entity(group, graph, namespace)
-        return _GroupOutcome(aug, distinct, S, None, S)
+        return _GroupOutcome(aug, distinct, S, None)
     if name == ONEENTITY:
         aug = baselines.one_entity(group, graph, namespace)
-        return _GroupOutcome(aug, 1, S, None, S)
+        return _GroupOutcome(aug, 1, S, None)
 
     if name in _BINNERS:
         spec, lof, split_args = plan.spec
@@ -613,29 +613,26 @@ def _run_strategy(
             runner = _entry("datbin" if name == DATBIN else "nbins")
             aug = runner(group, graph, spec, namespace, lof)
             sizes = [min(distinct, S - aug.fallback_statements)]
-            detail = {"leaves": 1, "bin_entities": len(aug.entities)}
+            nodes = {n.value for t in aug.structural_triples for n in (t.subject, t.object)}
+            detail = {"leaves": 1, "bin_entities": len(aug.minted_objects | nodes)}
         flat = spec.overlap == 0.0 and spec.hierarchy_depth == 0
         return _GroupOutcome(
             aug,
             _binning_allowance(spec, sizes, lof is not None, aug.fallback_statements),
             S if flat else None,
             None,
-            S - aug.fallback_statements,
-            _binning_exceptions(spec, _outlier_entity_count(aug)),
+            _binning_exceptions(spec, aug.minted_objects),
             detail,
         )
 
     if name == DATFEAT:
         aug = _entry("datfeat")(group, graph, namespace, **plan.spec)
-        parsed = S - aug.fallback_statements
-        features = {t.object.value for t in aug.triples if isinstance(t.object, IRI)}
         return _GroupOutcome(
             aug,
-            len(features),
-            5 * parsed + aug.fallback_statements,
+            aug.delta_entities,
+            5 * (S - aug.fallback_statements) + aug.fallback_statements,
             None,
-            parsed,
-            detail={"feature_entities": len(features)},
+            detail={"feature_entities": aug.delta_entities},
         )
 
     if name == TXTLDA:
@@ -648,7 +645,6 @@ def _run_strategy(
             seed=derive_seed(config.seed, group.predicate),
             stopwords=config.stopwords,
         )
-        parsed = S - aug.fallback_statements
         detail: dict[str, Any] = {"topics": spec.topics}
         if model is not None:
             detail["top_words"] = model.top_words(10)
@@ -657,7 +653,6 @@ def _run_strategy(
             spec.topics + (1 if aug.fallback_statements else 0),
             None,
             spec.topics * S,
-            parsed,
             detail=detail,
         )
 
@@ -673,12 +668,7 @@ def _run_strategy(
         min(S, vocab_cap) + (1 if aug.fallback_statements else 0),
         S,
         None,
-        S - aug.fallback_statements,
     )
-
-
-def _outlier_entity_count(aug: Augmentation) -> int:
-    return sum(1 for e in aug.entities if e.endswith(("OutlierLow", "OutlierHigh")))
 
 
 def _fallback_outcome(
@@ -689,11 +679,9 @@ def _fallback_outcome(
 ) -> _GroupOutcome:
     S = len(group.statements)
     if config.fallback == EXCLUDE:
-        outcome = _GroupOutcome(baselines.exclude(group), 0, 0, None, 0)
+        outcome = _GroupOutcome(baselines.exclude(group), 0, 0, None)
     else:
-        outcome = _GroupOutcome(
-            baselines.one_entity(group, graph, config.namespace), 1, S, None, 0
-        )
+        outcome = _GroupOutcome(baselines.one_entity(group, graph, config.namespace), 1, S, None)
     outcome.aug.warnings.append(f"{group.predicate}: strategy failed ({error})")
     return outcome
 
@@ -758,19 +746,17 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
                 structural_seen.add(triple)
                 structural.append(triple)
                 row_structural += 1
-        minted_objects = {
-            t.object.value for t in aug.triples if isinstance(t.object, IRI)
-        }
+        S = len(group.statements)
         rows.append(
             PredicateReport(
                 predicate=group.predicate,
                 modality=group.modality.value,
                 strategy=plan.strategy,
-                statements=len(group.statements),
+                statements=S,
                 distinct_values=distinct,
-                parsed=outcome.parsed,
+                parsed=0 if fell_back else S - aug.fallback_statements,
                 fallback_statements=aug.fallback_statements,
-                delta_entities=len(minted_objects),
+                delta_entities=aug.delta_entities,
                 delta_statements=len(aug.triples),
                 structural=row_structural,
                 removed=aug.removed,
@@ -853,7 +839,15 @@ def verify_bounds(report: AugmentationReport) -> dict[str, str]:
 
 
 def check_output(triples: Iterable[Triple], report: AugmentationReport) -> list[str]:
-    """Recompute the report's accounting from merged output triples, in one pass.
+    """check_rows over triples, for callers that hold Triple objects.
+
+    A triple with a literal subject or a non-IRI predicate raises ValueError.
+    """
+    return check_rows(_rows(triples), report)
+
+
+def check_rows(rows: Iterable[Row], report: AugmentationReport) -> list[str]:
+    """Recompute the report's accounting from merged output rows, in one pass.
 
     Returns a list of problems, empty when the output is consistent with
     the report: no literals, relational count preserved, per-predicate
@@ -869,26 +863,25 @@ def check_output(triples: Iterable[Triple], report: AugmentationReport) -> list[
     minted_entities: set[str] = set()
     minted_relations: set[str] = set()
 
-    for triple in triples:
-        if isinstance(triple.object, Literal):
-            problems.append(f"literal object survived: {triple.object.lexical[:50]!r}")
+    for s_iri, _, pred, o_iri, _, literal in rows:
+        if literal is not None:
+            problems.append(f"literal object survived: {literal.lexical[:50]!r}")
             continue
-        s_minted = isinstance(triple.subject, IRI) and triple.subject.value.startswith(namespace)
-        o_minted = isinstance(triple.object, IRI) and triple.object.value.startswith(namespace)
-        p_minted = triple.predicate.value.startswith(namespace)
+        s_minted = s_iri is not None and s_iri.startswith(namespace)
+        o_minted = o_iri is not None and o_iri.startswith(namespace)
+        p_minted = pred.startswith(namespace)
         if o_minted:
-            minted_entities.add(triple.object.value)
+            minted_entities.add(o_iri)
         if p_minted:
-            minted_relations.add(triple.predicate.value)
+            minted_relations.add(pred)
         if s_minted:
-            minted_entities.add(triple.subject.value)
+            minted_entities.add(s_iri)
             structural += 1
         elif o_minted:
-            pred = triple.predicate.value
             per_pred_statements[pred] = per_pred_statements.get(pred, 0) + 1
-            per_pred_objects.setdefault(pred, set()).add(triple.object.value)
+            per_pred_objects.setdefault(pred, set()).add(o_iri)
         elif p_minted:
-            problems.append(f"minted relation on original terms: {triple.predicate.value}")
+            problems.append(f"minted relation on original terms: {pred}")
         else:
             relational += 1
 

@@ -162,15 +162,6 @@ class PopulationSplit:
     root: SplitNode
     leaves: list[SplitNode] = field(default_factory=list)
 
-    def leaf_of(self, subject_id: int) -> int:
-        node = self.root
-        while not node.is_leaf:
-            sig = self._membership[subject_id]
-            node = node.children[0] if node.feature in sig else node.children[1]
-        return node.leaf_index
-
-    _membership: dict[int, frozenset[Feature]] = field(default_factory=dict, repr=False)
-
 
 def _best_split(
     subjects: list[int],
@@ -260,7 +251,6 @@ def _split_subjects(
     )
 
     split = PopulationSplit(predicate=predicate, mode=mode, threshold=threshold, root=root)
-    split._membership = signatures
 
     def grow(node: SplitNode) -> None:
         if node.value_count < threshold:
@@ -315,9 +305,11 @@ def kl_rel_binning(
     )
 
     multi = len(split.leaves) > 1
+    # The leaves partition the subjects.
+    leaf_of = {sid: leaf.leaf_index for leaf in split.leaves for sid in leaf.subjects}
     per_leaf: dict[int, list[tuple[int, float]]] = {}
     for subject_id, value in parsed:
-        per_leaf.setdefault(split.leaf_of(subject_id), []).append((subject_id, value))
+        per_leaf.setdefault(leaf_of[subject_id], []).append((subject_id, value))
     for leaf_index in sorted(per_leaf):
         bin_statements(
             group,

@@ -164,9 +164,7 @@ def datfeat(
     for subject_id, day in parsed:
         subj = graph.entity_terms[subject_id]
         for name in datfeat_names(day):
-            iri = namespace + name
-            aug.add_entity(iri)
-            aug.triples.append(Triple(subj, predicate, IRI(iri)))
+            aug.triples.append(Triple(subj, predicate, IRI(namespace + name)))
         months_seen.add(day.month)
         days_seen.add(day.day)
     if link_features and parsed:

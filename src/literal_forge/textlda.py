@@ -268,9 +268,8 @@ def emit_topic_triples(
             hits = [int(np.argmax(row))]
         subj = graph.entity_terms[subject_id]
         for k in hits:
-            iri = f"{namespace}{pred_local}Topic{k:0{width}d}"
-            aug.add_entity(iri)
-            triple = Triple(subj, predicate, IRI(iri))
+            iri = IRI(f"{namespace}{pred_local}Topic{k:0{width}d}")
+            triple = Triple(subj, predicate, iri)
             aug.triples.append(triple)
             aug.weighted.append((triple, float(row[k])))
     note_fallback(

@@ -378,7 +378,7 @@ def test_criterion_06_population_splits_on_distinguishing_relation():
             problems.append("a leaf is both large and divisible")
     aug, _ = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=300)
     expected = {NEW + f"heightSub{s}Bin{i:02d}" for s in (0, 1) for i in range(3)}
-    if set(aug.entities) != expected:
+    if aug.minted_objects != expected:
         problems.append("per-leaf bin vocabulary is wrong")
     check(6, "800-subject population splits exactly into persons and buildings", problems)
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from literal_forge import IRI, Modality
 from literal_forge.baselines import (
-    Augmentation,
     exclude,
     one_entity,
     sanitize_value,
@@ -65,10 +64,10 @@ def test_transform_mints_value_entities():
         ]
     )
     aug = transform_literal2entity(group_of(graph, "populationMetro"), graph, NEW)
-    assert aug.entities == [
+    assert aug.minted_objects == {
         NEW + "populationMetro2362046",
         NEW + "populationMetro3645000",
-    ]
+    }
     assert aug.delta_entities == 2
     assert aug.delta_statements == 3
     # shared value keeps the statement structure
@@ -95,7 +94,7 @@ def test_one_entity_single_presence_marker():
         ]
     )
     aug = one_entity(group_of(graph, "populationMetro"), graph, NEW)
-    assert aug.entities == [NEW + "populationMetroAnyValue"]
+    assert aug.delta_entities == 1
     assert aug.delta_statements == 2
     assert {t.object.value for t in aug.triples} == {NEW + "populationMetroAnyValue"}
 
@@ -107,12 +106,3 @@ def test_exclude_only_removes():
     assert aug.delta_entities == 0
     assert aug.delta_statements == 0
     assert not aug.triples and not aug.structural_triples
-
-
-def test_augmentation_add_entity_dedups_preserving_order():
-    aug = Augmentation()
-    aug.add_entity(NEW + "a")
-    aug.add_entity(NEW + "b")
-    aug.add_entity(NEW + "a")
-    assert aug.entities == [NEW + "a", NEW + "b"]
-    assert aug.delta_entities == 2

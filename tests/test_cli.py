@@ -24,6 +24,7 @@ from literal_forge import (
     baselines,
     build_index,
     cli,
+    ntriples,
     parse_ntriples,
     serialize_ntriples,
 )
@@ -253,6 +254,16 @@ class TestVerify:
             fh.write(f"<{EX}x> <{EX}ghost> <{NEW}ghostAnyValue> .\n")
         assert main(["verify", "--input", out]) == EXIT_VERIFY
         assert json.loads(capsys.readouterr().out)["problems"]
+
+    def test_reads_rows_and_builds_no_triple(self, sample_nt, tmp_path, monkeypatch, capsys):
+        _, out = transform(sample_nt, tmp_path, "--strategy", "COMBINED")
+
+        def no_triple(*args, **kwargs):
+            raise AssertionError("verify built a Triple")
+
+        monkeypatch.setattr(ntriples, "Triple", no_triple)
+        assert main(["verify", "--input", out]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"ok": True, "problems": []}
 
     def test_missing_report(self, sample_nt, tmp_path):
         assert main(["verify", "--input", sample_nt]) == EXIT_INPUT

@@ -1,0 +1,95 @@
+"""`transform` output and report bytes on the city fixture, pinned by sha256.
+
+Every strategy runs on the same six-statement fixture, with the depiction
+predicate read as an image and a one-label tag map. A change to minted names,
+statement order, counts or report layout changes a hash here; update a hash
+only together with a CHANGES.md line that declares the change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from literal_forge.cli import EXIT_OK, main
+from util import EX, MANNHEIM_NT, write_tag_map
+
+GOLDEN = {
+    "COMBINED": (
+        "7a3f83851c50f8098f7be4ba026719ca1cf0af377bee62c50d4e7ec452c3fc29",
+        "f195e8903fc91a5a963beafec8855e8ce363998051ac53d8dbb167cd167c54fc",
+    ),
+    "EXCLUDE": (
+        "52f2a9bb284c2c1c733f756dcffeb3c9a7b347bf351ce7c40fb6dd064bdb9fe5",
+        "8781fcf4837d58940eab106c29969c932c237eaf72bb675ebdab98947aad7fa2",
+    ),
+    "TRANSFORM": (
+        "22336a0d9502bad627e41e5de85840c592b4f781256148a2a5cf10aaf983ba82",
+        "3d1480f748bac782ac1ec05a7fadde73594792b8de511a1f70f7385ebadadec4",
+    ),
+    "ONEENTITY": (
+        "a3788e8d6bff319c2ec028f519ec36bce03d64b43e79293cb59e965ee95d0e85",
+        "0424c7bcfb7c008e66851202bda563298d785e3225066a7eefe5b4decddc54a8",
+    ),
+    "NBINS": (
+        "2cfc7bff75ba45525ff32cace2f867d6419f6f7404ed5527c731fed48ce59002",
+        "484a9b2ba74349a70020dddfedddc15aeeeaca33346e242d92fc881648d7beed",
+    ),
+    "PBINS": (
+        "2cfc7bff75ba45525ff32cace2f867d6419f6f7404ed5527c731fed48ce59002",
+        "fec172f896c80779e87cce739dc594aaa194b31d3c0727a224c586cac637f441",
+    ),
+    "KLREL": (
+        "2cfc7bff75ba45525ff32cace2f867d6419f6f7404ed5527c731fed48ce59002",
+        "6ad5b63e4c27059e3f386631c33c582bcb74e882a2771933419450ebf4d75813",
+    ),
+    "KLRELENT": (
+        "2cfc7bff75ba45525ff32cace2f867d6419f6f7404ed5527c731fed48ce59002",
+        "9c64173e7fd74798cdef273ba097c2ea14ead113b26bfce5455ec1005b1a8547",
+    ),
+    "DATBIN": (
+        "d1364d8f55105903f834213066d1dd88627380c8e4807fd5d79812e0f7305142",
+        "4a210f4377090ae81a4209b95fde419fa91ec41539c0c2568fbb74d9dc7b60cb",
+    ),
+    "DATFEAT": (
+        "47af1bfd3d7f20633193303690f32286508e2d425fbb22a4693f952971a17c6b",
+        "16de51f453d0ad35012be51d336a68d09f797a7db836050ff830d0018b164414",
+    ),
+    "TXTLDA": (
+        "daf5b6269b559c1483d2f6e835f1aecd96869fba5e92736f0b15b1d388cb3621",
+        "b92ff1206422d2eb5f34b012ce0de704c2473b176f18f340685c797976dd73b7",
+    ),
+    "IMAGETAGS": (
+        "0de05f035d3fb31a2ff4f685b6928ceca01ddcf8e1525baa18e0ba458a57ce20",
+        "f85fbc71e5ab1e81238abeaa59ebf1a928e0d03b4f5dff66f86f6615a676cb0e",
+    ),
+}
+
+
+def transform_hashes(tmp_path, strategy: str) -> tuple[str, str]:
+    """sha256 of the output and of the report of one CLI transform run."""
+    source = tmp_path / "mannheim.nt"
+    source.write_bytes(MANNHEIM_NT)
+    tags = write_tag_map(tmp_path / "tags.json", {EX + "img/mannheim.jpg": "building"})
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "image_predicates": [EX + "depiction"],
+                "image_provider": {"kind": "tag-map", "path": tags},
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.nt"
+    argv = ["transform", "--input", str(source), "--output", str(out), "--config", str(config)]
+    assert main([*argv, "--strategy", strategy]) == EXIT_OK
+    report = tmp_path / "out.nt.report.json"
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, report))
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN))
+def test_transform_bytes_are_pinned(tmp_path, strategy):
+    assert transform_hashes(tmp_path, strategy) == GOLDEN[strategy]

@@ -62,11 +62,6 @@ def test_modality_overrides_win():
     assert classify_modality(lit("x"), EX + "depiction", rules2) is Modality.IMAGE
 
 
-def test_base64_opt_out():
-    rules = ModalityRules(base64_is_image=False)
-    assert classify_modality(lit("aGVsbG8=", XSD_BASE64), EX + "p", rules) is Modality.OTHER
-
-
 def test_build_index_groups_by_predicate_and_modality():
     graph = make_graph(
         [

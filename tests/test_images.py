@@ -166,7 +166,11 @@ def test_emit_image_triples_exact_naming(tmp_path):
     )
     aug = emit_image_triples(image_group(graph), graph, TagMapProvider.from_file(path), NEW)
     assert aug.delta_statements == 3
-    assert aug.entities == [NEW + "VGG_building", NEW + "VGG_bridge"]
+    assert [t.object.value for t in aug.triples] == [
+        NEW + "VGG_building",
+        NEW + "VGG_building",
+        NEW + "VGG_bridge",
+    ]
     shared = [t for t in aug.triples if t.object.value == NEW + "VGG_building"]
     assert len(shared) == 2
     assert aug.weighted == [(t, 1.0) for t in aug.triples]
@@ -178,7 +182,7 @@ def test_emit_image_triples_miss_falls_back(tmp_path):
     aug = emit_image_triples(image_group(graph), graph, TagMapProvider.from_file(path), NEW)
     assert aug.delta_statements == 2
     assert aug.fallback_statements == 1
-    assert NEW + "depictionAnyValue" in aug.entities
+    assert NEW + "depictionAnyValue" in aug.minted_objects
     assert any("without tags" in w for w in aug.warnings)
 
 
@@ -188,7 +192,7 @@ def test_emit_image_triples_custom_prefix(tmp_path):
     aug = emit_image_triples(
         image_group(graph), graph, TagMapProvider.from_file(path), NEW, prefix="IMG_"
     )
-    assert aug.entities == [NEW + "IMG_building"]
+    assert aug.minted_objects == {NEW + "IMG_building"}
 
 
 def test_emit_image_triples_weight_is_top_score(tmp_path):
@@ -198,7 +202,7 @@ def test_emit_image_triples_weight_is_top_score(tmp_path):
     graph = make_graph(depiction_lines(1), IMG_RULES)
     aug = emit_image_triples(image_group(graph), graph, TagMapProvider.from_file(str(path)), NEW)
     assert aug.weighted == [(aug.triples[0], 0.62)]
-    assert aug.entities == [NEW + "VGG_castle"]
+    assert aug.minted_objects == {NEW + "VGG_castle"}
 
 
 # --- remote provider --------------------------------------------------------

@@ -258,7 +258,7 @@ def test_emit_links_topics_above_threshold():
     aug = emit_topic_triples(group, graph, model, corpus, NEW, threshold=0.10)
     assert aug.delta_statements >= len(group)  # at least one topic each
     assert aug.delta_statements <= 2 * len(group)
-    assert set(aug.entities) <= {NEW + "abstractTopic00", NEW + "abstractTopic01"}
+    assert aug.minted_objects <= {NEW + "abstractTopic00", NEW + "abstractTopic01"}
     # weights carry the topic probabilities
     assert [t for t, _ in aug.weighted] == aug.triples
     assert all(0.0 < w <= 1.0 for _, w in aug.weighted)

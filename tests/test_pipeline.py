@@ -420,6 +420,22 @@ class TestApplySpecialists:
         assert image_row.fell_back_to == "ONEENTITY"
         assert check_output(result.triples, result.report) == []
 
+    @pytest.mark.parametrize("connect_adjacent, bin_entities", [(True, 6), (False, 2)])
+    def test_bin_entities_counts_the_bins_in_the_output(self, connect_adjacent, bin_entities):
+        # Bins 1-4 hold no value: only the nextBin chain puts them in the output.
+        values = [0.0, 1.0, 2.0, 98.0, 99.0, 100.0]
+        graph = make_graph([numeric_line(f"s{i}", "height", v) for i, v in enumerate(values)])
+        params = {"bins": 6, "connect_adjacent": connect_adjacent, "hierarchy_depth": 0}
+        plan = GroupPlan("NBINS", params)
+        config = StrategyConfig(namespace=NEW, defaults={Modality.NUMERIC: plan})
+        result = apply(graph, config)
+        (row,) = result.report.rows
+        assert row.delta_entities == 2
+        assert row.detail["bin_entities"] == bin_entities
+        minted = {t.object.value for t in result.triples if t.object.value.startswith(NEW)}
+        minted |= {t.subject.value for t in result.triples if t.subject.value.startswith(NEW)}
+        assert len(minted) == bin_entities == result.report.minted_entities_in_output
+
     def test_datfeat_structural_shared_across_groups(self):
         lines = [
             date_line("s0", "founded", "2001-05-14"),
@@ -790,6 +806,12 @@ class TestCheckOutput:
         ]
         problems = check_output(triples, report)
         assert any("unreported predicate" in p for p in problems)
+
+    def test_literal_subject_is_a_value_error(self):
+        triples, report = self.fixture()
+        triples = triples + [Triple(Literal("12"), IRI(EX + "height"), IRI(EX + "b"))]
+        with pytest.raises(ValueError, match="literal in subject position"):
+            check_output(triples, report)
 
     def test_minted_relation_on_original_terms_detected(self):
         triples, report = self.fixture()

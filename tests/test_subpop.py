@@ -217,13 +217,16 @@ def test_threshold_counts_values_not_subjects():
     assert not split.root.is_leaf
 
 
-def test_leaf_of_routes_every_subject():
+def test_kl_rel_binning_routes_every_subject_to_its_leaf():
     graph = make_graph(person_building_lines(200, 200))
     group = height_group(graph)
-    split = split_population(group, graph, REL, threshold=100)
-    for leaf in split.leaves:
-        for sid in leaf.subjects:
-            assert split.leaf_of(sid) == leaf.leaf_index
+    aug, split = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=100)
+    assert len(split.leaves) > 1
+    terms = graph.entity_terms
+    leaf_of = {terms[sid]: leaf.leaf_index for leaf in split.leaves for sid in leaf.subjects}
+    assert len(leaf_of) == len({sid for sid, _ in group.statements})
+    for t in aug.triples:
+        assert t.object.value.startswith(NEW + f"heightSub{leaf_of[t.subject]}Bin")
 
 
 def test_relent_rare_features_pruned():
@@ -324,7 +327,7 @@ def test_kl_rel_binning_bins_each_leaf_separately():
     assert len(split.leaves) == 2
     assert aug.delta_statements == len(group)
     assert aug.delta_entities == 6
-    assert set(aug.entities) == {
+    assert aug.minted_objects == {
         NEW + f"heightSub{s}Bin{i:02d}" for s in (0, 1) for i in range(3)
     }
     # person heights (≈1.5..2.0) never land in building bins (10..100)
@@ -344,7 +347,6 @@ def test_single_leaf_reduces_to_plain_binning():
     assert len(split.leaves) == 1
     plain = nbins(group, graph, BinningSpec(bins=4), NEW)
     assert aug.triples == plain.triples
-    assert aug.entities == plain.entities
     assert aug.structural_triples == plain.structural_triples
 
 
