@@ -67,6 +67,13 @@ class Augmentation:
         its subjects to. Read once the strategy has returned."""
         return frozenset(t.object.value for t in self.triples if isinstance(t.object, IRI))
 
+    @cached_property
+    def minted_entities(self) -> frozenset[str]:
+        """*minted_objects* plus the subjects and objects of *structural_triples*:
+        every minted entity the group puts in the output."""
+        nodes = {n.value for t in self.structural_triples for n in (t.subject, t.object)}
+        return self.minted_objects | nodes
+
     @property
     def delta_entities(self) -> int:
         return len(self.minted_objects)

@@ -137,10 +137,6 @@ def _load_config(args: argparse.Namespace) -> StrategyConfig:
         config.defaults = shortcut_defaults(args.strategy, config.fallback)
     if args.seed is not None:
         config.seed = args.seed
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be a positive integer")
-        config.workers = args.workers
     if args.emit_weights:
         config.emit_weights = True
     return config
@@ -268,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--output", required=True, help="output N-Triples path")
             p.add_argument("--strategy", help="apply one strategy to every modality")
             p.add_argument("--seed", type=int, help="override the configured random seed")
-            p.add_argument(
-                "--workers", type=int, help="deprecated and ignored: groups run serially"
-            )
             p.add_argument(
                 "--emit-weights",
                 action="store_true",

@@ -41,7 +41,6 @@ class ProviderError(RuntimeError):
 class ImageRef:
     """One image statement: either an external IRI or embedded bytes."""
 
-    subject_id: int
     statement_index: int
     iri: str | None = None
     payload: bytes | None = None
@@ -209,9 +208,9 @@ def resolve_image_refs(group: LiteralGroup) -> list[ImageRef]:
     caller's fallback.
     """
     refs: list[ImageRef] = []
-    for index, (subject_id, obj) in enumerate(group.statements):
+    for index, (_, obj) in enumerate(group.statements):
         if isinstance(obj, IRI):
-            refs.append(ImageRef(subject_id, index, iri=obj.value))
+            refs.append(ImageRef(index, iri=obj.value))
             continue
         if isinstance(obj, Literal):
             text = obj.lexical.strip()
@@ -221,10 +220,10 @@ def resolve_image_refs(group: LiteralGroup) -> list[ImageRef]:
                 except (binascii.Error, ValueError):
                     payload = b""
                 if payload:
-                    refs.append(ImageRef(subject_id, index, payload=payload))
+                    refs.append(ImageRef(index, payload=payload))
                 continue
             if text.startswith(("http://", "https://")):
-                refs.append(ImageRef(subject_id, index, iri=text))
+                refs.append(ImageRef(index, iri=text))
     return refs
 
 

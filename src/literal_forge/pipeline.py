@@ -127,7 +127,6 @@ _CONFIG = {
     "image_provider": "object?",
     "emit_weights": "bool",
     "fallback": "string?",
-    "workers": "count?",
     "image_predicates": "list",
     "predicate_modalities": "object",
     "stopwords": "object?",
@@ -271,7 +270,6 @@ class StrategyConfig:
     image_provider: dict[str, Any] | None = None
     emit_weights: bool = False
     fallback: str | None = ONEENTITY
-    workers: int | None = None  # deprecated: validated, then ignored by apply
     rules: ModalityRules = field(default_factory=ModalityRules)
     stopwords: dict[str, list[str]] | None = None
 
@@ -613,8 +611,7 @@ def _run_strategy(
             runner = _entry("datbin" if name == DATBIN else "nbins")
             aug = runner(group, graph, spec, namespace, lof)
             sizes = [min(distinct, S - aug.fallback_statements)]
-            nodes = {n.value for t in aug.structural_triples for n in (t.subject, t.object)}
-            detail = {"leaves": 1, "bin_entities": len(aug.minted_objects | nodes)}
+            detail = {"leaves": 1, "bin_entities": len(aug.minted_entities)}
         flat = spec.overlap == 0.0 and spec.hierarchy_depth == 0
         return _GroupOutcome(
             aug,
@@ -671,21 +668,6 @@ def _run_strategy(
     )
 
 
-def _fallback_outcome(
-    group: LiteralGroup,
-    graph: IndexedGraph,
-    config: StrategyConfig,
-    error: Exception,
-) -> _GroupOutcome:
-    S = len(group.statements)
-    if config.fallback == EXCLUDE:
-        outcome = _GroupOutcome(baselines.exclude(group), 0, 0, None)
-    else:
-        outcome = _GroupOutcome(baselines.one_entity(group, graph, config.namespace), 1, S, None)
-    outcome.aug.warnings.append(f"{group.predicate}: strategy failed ({error})")
-    return outcome
-
-
 def check_namespace(graph: IndexedGraph, namespace: str) -> None:
     """Reject inputs that already use the reserved minting namespace."""
     for term in graph.entity_terms:
@@ -712,13 +694,11 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
     plans = [config.plan_for(g.predicate, g.modality) for g in groups]
     provider = config.make_provider() if any(p.strategy == IMAGETAGS for p in plans) else None
 
-    if config.workers is not None:
-        log.warning("workers is deprecated and ignored: literal groups run serially")
-
     minted: list[Triple] = []
     weighted: list[tuple[Triple, float]] = []
     structural: list[Triple] = []
     structural_seen: set[Triple] = set()
+    minted_entities: set[str] = set()
     rows: list[PredicateReport] = []
 
     for group, plan in zip(groups, plans):
@@ -734,10 +714,13 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
                     f"{plan.strategy} failed on {group.predicate}: {exc}"
                 ) from exc
             log.warning("%s failed on %s: %s", plan.strategy, group.predicate, exc)
-            outcome = _fallback_outcome(group, graph, config, exc)
+            fallback = GroupPlan(config.fallback)
+            outcome = _run_strategy(group, graph, fallback, config, provider, distinct)
+            outcome.aug.warnings.append(f"{group.predicate}: strategy failed ({exc})")
             fell_back = config.fallback
         aug = outcome.aug
         minted.extend(aug.triples)
+        minted_entities |= aug.minted_entities
         if config.emit_weights:
             weighted.extend(pair for pair in aug.weighted if pair[1] > 0.0)
         row_structural = 0
@@ -773,18 +756,6 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
 
     minted.extend(structural)
 
-    # check_namespace has ruled out minted terms in the relational
-    # statements, so only the strategy output is scanned.
-    minted_entities: set[str] = set()
-    minted_relations: set[str] = set()
-    for triple in minted:
-        if isinstance(triple.subject, IRI) and triple.subject.value.startswith(config.namespace):
-            minted_entities.add(triple.subject.value)
-        if isinstance(triple.object, IRI) and triple.object.value.startswith(config.namespace):
-            minted_entities.add(triple.object.value)
-        if triple.predicate.value.startswith(config.namespace):
-            minted_relations.add(triple.predicate.value)
-
     report = AugmentationReport(
         namespace=config.namespace,
         seed=config.seed,
@@ -792,7 +763,7 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
         relational_preserved=graph.num_relational,
         structural_total=len(structural),
         minted_entities_in_output=len(minted_entities),
-        minted_relations_in_output=len(minted_relations),
+        minted_relations_in_output=len({t.predicate.value for t in structural}),
         duplicates_removed=graph.duplicates_removed,
         warnings=[w for row in rows for w in row.warnings],
     )

@@ -156,9 +156,6 @@ class SplitNode:
 class PopulationSplit:
     """Split tree for one literal group, leaves in depth-first order."""
 
-    predicate: str
-    mode: str
-    threshold: int
     root: SplitNode
     leaves: list[SplitNode] = field(default_factory=list)
 
@@ -224,7 +221,6 @@ def split_population(
         graph,
         mode,
         threshold,
-        group.predicate,
     )
 
 
@@ -233,7 +229,6 @@ def _split_subjects(
     graph: IndexedGraph,
     mode: str,
     threshold: int,
-    predicate: str,
 ) -> PopulationSplit:
     if mode not in (REL, RELENT):
         raise ValueError(f"unknown signature mode: {mode!r}")
@@ -250,7 +245,7 @@ def _split_subjects(
         else {}
     )
 
-    split = PopulationSplit(predicate=predicate, mode=mode, threshold=threshold, root=root)
+    split = PopulationSplit(root)
 
     def grow(node: SplitNode) -> None:
         if node.value_count < threshold:
@@ -300,9 +295,7 @@ def kl_rel_binning(
 
     # The split looks only at subjects and their relational adjacency, so
     # only parseable statements take part.
-    split = _split_subjects(
-        [subject_id for subject_id, _ in parsed], graph, mode, threshold, group.predicate
-    )
+    split = _split_subjects([subject_id for subject_id, _ in parsed], graph, mode, threshold)
 
     multi = len(split.leaves) > 1
     # The leaves partition the subjects.

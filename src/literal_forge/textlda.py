@@ -120,12 +120,8 @@ class TopicModel:
     topic distributions, estimated from the final Gibbs state."""
 
     topics: int
-    alpha: float
-    beta: float
     phi: np.ndarray  # T x V
     theta: np.ndarray  # D x T
-    seed: int
-    iterations: int
     vocabulary: tuple[str, ...] = field(default=())
     last_sweep_changed: float = 0.0  # share of tokens that moved in the last sweep
 
@@ -226,9 +222,7 @@ def train_lda(
     phi = (n_wk.T + beta) / (n_k[:, None] + v_beta)
     doc_lengths = np.array([len(doc) for doc in corpus.documents], dtype=float)
     theta = (n_dk + alpha) / (doc_lengths[:, None] + T * alpha)
-    return TopicModel(
-        T, alpha, beta, phi, theta, seed, iterations, corpus.vocabulary, changed / n_tokens
-    )
+    return TopicModel(T, phi, theta, corpus.vocabulary, changed / n_tokens)
 
 
 def document_topics(model: TopicModel, document_id: int) -> np.ndarray:

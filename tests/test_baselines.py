@@ -7,8 +7,9 @@ from urllib.parse import unquote
 
 from hypothesis import given, settings, strategies as st
 
-from literal_forge import IRI, Modality
+from literal_forge import IRI, Modality, Triple
 from literal_forge.baselines import (
+    Augmentation,
     exclude,
     one_entity,
     sanitize_value,
@@ -106,3 +107,16 @@ def test_exclude_only_removes():
     assert aug.delta_entities == 0
     assert aug.delta_statements == 0
     assert not aug.triples and not aug.structural_triples
+
+
+def test_minted_entities_adds_structural_nodes_to_objects():
+    graph = make_graph([numeric_line("a", "v", 1), numeric_line("b", "v", 2)])
+    aug = transform_literal2entity(group_of(graph, "v"), graph, NEW)
+    assert aug.minted_entities == aug.minted_objects == {NEW + "v1", NEW + "v2"}
+    aug = Augmentation(
+        triples=list(aug.triples),
+        structural_triples=[Triple(IRI(NEW + "v1"), IRI(NEW + "next"), IRI(NEW + "v3"))],
+    )
+    assert aug.minted_objects == {NEW + "v1", NEW + "v2"}
+    assert aug.minted_entities == {NEW + "v1", NEW + "v2", NEW + "v3"}
+    assert EX + "a" not in aug.minted_entities

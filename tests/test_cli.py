@@ -171,9 +171,13 @@ class TestTransform:
         code, _ = transform(sample_nt, tmp_path, "--strategy", "SHRED")
         assert code == EXIT_CONFIG
 
-    def test_bad_workers(self, sample_nt, tmp_path):
-        code, _ = transform(sample_nt, tmp_path, "--workers", "0")
-        assert code == EXIT_CONFIG
+    def test_bad_workers(self, sample_nt, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            transform(sample_nt, tmp_path, "--workers", "2")
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "unrecognized arguments: --workers 2" in err
 
     def test_missing_input(self, tmp_path):
         code = main(
@@ -344,7 +348,7 @@ def test_transform_exits_verify_on_failed_bound(sample_nt, tmp_path, monkeypatch
     assert main(["verify", "--input", out]) == EXIT_VERIFY
 
 
-def test_text_output_identical_across_worker_counts(tmp_path):
+def test_text_output_identical_across_reruns(tmp_path):
     words = "solar wind turbine panel grid storage battery river dam tide".split()
     lines = []
     for i in range(30):
@@ -354,13 +358,12 @@ def test_text_output_identical_across_worker_counts(tmp_path):
     path = tmp_path / "text.nt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs = []
-    for workers in (["--workers", "1"], [], ["--workers", "3"]):
-        out = tmp_path / f"out{len(outputs)}.nt"
-        assert main(["transform", "--input", str(path), "--output", str(out), *workers]) == EXIT_OK
+    for run in range(2):
+        out = tmp_path / f"out{run}.nt"
+        assert main(["transform", "--input", str(path), "--output", str(out)]) == EXIT_OK
         outputs.append((out.read_bytes(), (tmp_path / f"{out.name}.report.json").read_bytes()))
     assert b"abstractTopic" in outputs[0][0] and b"summaryTopic" in outputs[0][0]
     assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
 
 
 def test_unserializable_term_is_a_diagnostic(tmp_path, caplog):
@@ -416,13 +419,6 @@ def test_cli_output_matches_the_library_writer(tmp_path, relative):
         assert f"cannot serialize output: {expected}" in done.stderr
         assert expected == "IRI is not absolute (no scheme): <foo>"
         assert not out.exists()
-
-
-def test_workers_option_is_deprecated(sample_nt, tmp_path, caplog):
-    with caplog.at_level(logging.WARNING, logger="literal_forge.pipeline"):
-        code, _ = transform(sample_nt, tmp_path, "--workers", "2")
-    assert code == EXIT_OK
-    assert any("deprecated" in r.getMessage() for r in caplog.records)
 
 
 def _files(directory: Path) -> dict[str, bytes]:
@@ -589,6 +585,7 @@ BAD_CONFIGS = [
     ("predicate_modalities", "abc", {"predicate_modalities": "abc"}),
     ("overrides", 5, {"overrides": 5}),
     ("namespace", 5, {"namespace": 5}),
+    ("workers", 2, {"workers": 2}),
 ]
 
 

@@ -45,19 +45,19 @@ def image_group(graph):
 
 
 def test_image_ref_key_for_iri_and_payload():
-    ref = ImageRef(0, 0, iri="http://ex.org/img.jpg")
+    ref = ImageRef(0, iri="http://ex.org/img.jpg")
     assert ref.key == "http://ex.org/img.jpg"
-    ref2 = ImageRef(0, 1, payload=PNG_BYTES)
+    ref2 = ImageRef(1, payload=PNG_BYTES)
     assert ref2.key == hashlib.sha256(PNG_BYTES).hexdigest()
 
 
 def test_image_ref_validation():
     with pytest.raises(ValueError):
-        ImageRef(0, 0)
+        ImageRef(0)
     with pytest.raises(ValueError):
-        ImageRef(0, 0, iri="")
+        ImageRef(0, iri="")
     with pytest.raises(ValueError):
-        ImageRef(0, 0, payload=b"")
+        ImageRef(0, payload=b"")
 
 
 def test_label_distribution_validation():
@@ -95,16 +95,16 @@ def test_parse_labels_formats():
 def test_tag_map_provider_lookup(tmp_path):
     path = write_tag_map(tmp_path / "tags.json", {EX + "img/0.jpg": "building"})
     provider = TagMapProvider.from_file(path)
-    hit = provider.lookup(ImageRef(0, 0, iri=EX + "img/0.jpg"))
+    hit = provider.lookup(ImageRef(0, iri=EX + "img/0.jpg"))
     assert hit is not None and top_label(hit) == "building"
-    assert provider.lookup(ImageRef(0, 1, iri=EX + "img/9.jpg")) is None
+    assert provider.lookup(ImageRef(1, iri=EX + "img/9.jpg")) is None
 
 
 def test_tag_map_provider_hash_keys(tmp_path):
     digest = hashlib.sha256(PNG_BYTES).hexdigest()
     path = write_tag_map(tmp_path / "tags.json", {digest: "screenshot"})
     provider = TagMapProvider.from_file(path)
-    hit = provider.lookup(ImageRef(0, 0, payload=PNG_BYTES))
+    hit = provider.lookup(ImageRef(0, payload=PNG_BYTES))
     assert hit is not None and top_label(hit) == "screenshot"
 
 
@@ -247,9 +247,9 @@ def test_remote_provider_round_trip(tag_server):
 
     server.app = app
     provider = RemoteTagProvider(url, retries=0)
-    hit = provider.lookup(ImageRef(0, 0, iri=EX + "img/0.jpg"))
+    hit = provider.lookup(ImageRef(0, iri=EX + "img/0.jpg"))
     assert hit is not None and top_label(hit) == "building"
-    assert provider.lookup(ImageRef(0, 1, iri=EX + "img/1.jpg")) is None
+    assert provider.lookup(ImageRef(1, iri=EX + "img/1.jpg")) is None
 
 
 def test_remote_provider_posts_base64_payload(tag_server):
@@ -262,7 +262,7 @@ def test_remote_provider_posts_base64_payload(tag_server):
 
     server.app = app
     provider = RemoteTagProvider(url, retries=0)
-    provider.lookup(ImageRef(0, 0, payload=PNG_BYTES))
+    provider.lookup(ImageRef(0, payload=PNG_BYTES))
     assert base64.b64decode(seen["payload"]) == PNG_BYTES
 
 
@@ -278,7 +278,7 @@ def test_remote_provider_retries_transient_errors(tag_server):
 
     server.app = app
     provider = RemoteTagProvider(url, retries=3, backoff=0.01)
-    hit = provider.lookup(ImageRef(0, 0, iri=EX + "x"))
+    hit = provider.lookup(ImageRef(0, iri=EX + "x"))
     assert hit is not None and top_label(hit) == "cat"
     assert len(attempts) == 3
 
@@ -294,7 +294,7 @@ def test_remote_provider_gives_up_after_retries(tag_server):
     server.app = app
     provider = RemoteTagProvider(url, retries=2, backoff=0.01)
     with pytest.raises(ProviderError):
-        provider.lookup(ImageRef(0, 0, iri=EX + "x"))
+        provider.lookup(ImageRef(0, iri=EX + "x"))
     assert len(attempts) == 3  # initial try plus two retries
 
 
@@ -302,7 +302,7 @@ def test_remote_provider_empty_labels_is_miss(tag_server):
     server, url = tag_server
     server.app = lambda body: (200, {"labels": []})
     provider = RemoteTagProvider(url, retries=0)
-    assert provider.lookup(ImageRef(0, 0, iri=EX + "x")) is None
+    assert provider.lookup(ImageRef(0, iri=EX + "x")) is None
 
 
 def test_remote_provider_malformed_response(tag_server):
@@ -310,13 +310,13 @@ def test_remote_provider_malformed_response(tag_server):
     server.app = lambda body: (200, {"tags": ["oops"]})
     provider = RemoteTagProvider(url, retries=0)
     with pytest.raises(ProviderError):
-        provider.lookup(ImageRef(0, 0, iri=EX + "x"))
+        provider.lookup(ImageRef(0, iri=EX + "x"))
 
 
 def test_remote_provider_unreachable_endpoint():
     provider = RemoteTagProvider("http://127.0.0.1:9/tag", retries=1, backoff=0.01, timeout=0.2)
     with pytest.raises(ProviderError):
-        provider.lookup(ImageRef(0, 0, iri=EX + "x"))
+        provider.lookup(ImageRef(0, iri=EX + "x"))
 
 
 def test_emit_through_remote_provider_concurrent(tag_server):

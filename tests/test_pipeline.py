@@ -25,6 +25,7 @@ from literal_forge import (
 from literal_forge.graph import Modality, ModalityRules
 from literal_forge.images import RemoteTagProvider, TagMapProvider
 from literal_forge.pipeline import (
+    STRATEGIES,
     GroupPlan,
     PredicateReport,
     check_namespace,
@@ -163,8 +164,8 @@ class TestStrategyConfig:
         assert plan.params["bins"] == 4
 
     def test_from_dict_bad_workers(self):
-        with pytest.raises(ConfigError, match="workers"):
-            StrategyConfig.from_dict({"workers": 0})
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['workers'\]"):
+            StrategyConfig.from_dict({"workers": 1})
 
     def test_from_dict_bad_seed(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -410,7 +411,7 @@ class TestApplySpecialists:
     def test_combined_defaults_run_every_modality(self):
         lines = mixed_lines() + [rel_line("a", "depiction", "img/a.jpg")]
         graph = make_graph(lines, IMAGE_RULES)
-        config = StrategyConfig(namespace=NEW, seed=1, workers=1)
+        config = StrategyConfig(namespace=NEW, seed=1)
         config.defaults[Modality.TEXT] = GroupPlan("TXTLDA", {"topics": 2, "iterations": 40})
         config.image_provider = None  # falls back on the image group
         result = apply(graph, config)
@@ -654,9 +655,15 @@ class TestFallback:
             result = apply(graph, config)
         row = result.report.rows[0]
         assert row.fell_back_to == "ONEENTITY"
+        assert row.strategy == "IMAGETAGS"
         assert row.delta_entities == 1
         assert row.parsed == 0
-        assert any("strategy failed" in w for w in row.warnings)
+        assert row.entity_allowance == 1
+        assert row.statement_delta_exact == 1
+        assert row.statement_delta_max is None
+        assert row.removed == 0
+        assert row.verdict == "pass"
+        assert row.warnings[-1].startswith(EX + "depiction: strategy failed (")
         assert any("IMAGETAGS failed" in r.message for r in caplog.records)
         objects = [t.object.value for t in result.triples]
         assert objects == [NEW + "depictionAnyValue"]
@@ -669,6 +676,14 @@ class TestFallback:
         result = apply(graph, config)
         row = result.report.rows[0]
         assert row.fell_back_to == "EXCLUDE"
+        assert row.strategy == "IMAGETAGS"
+        assert row.parsed == 0
+        assert row.entity_allowance == 0
+        assert row.statement_delta_exact == 0
+        assert row.statement_delta_max is None
+        assert row.removed == 1
+        assert row.verdict == "pass"
+        assert row.warnings[-1].startswith(EX + "depiction: strategy failed (")
         assert result.triples == []
         assert check_output(result.triples, result.report) == []
 
@@ -690,18 +705,6 @@ class TestFallback:
 
 
 class TestDeterminism:
-    def test_workers_do_not_change_output(self):
-        lines = mixed_lines() + [
-            numeric_line(f"m{i}", "weight", f"{i * 3}.25") for i in range(12)
-        ]
-        config = dict(namespace=NEW, seed=9)
-        serial = apply(make_graph(lines), StrategyConfig(workers=1, **config))
-        threaded = apply(make_graph(lines), StrategyConfig(workers=4, **config))
-        assert [format_triple(t) for t in serial.triples] == [
-            format_triple(t) for t in threaded.triples
-        ]
-        assert serial.report.to_json() == threaded.report.to_json()
-
     def test_same_seed_same_output(self):
         lines = mixed_lines()
         first = apply(make_graph(lines), StrategyConfig(namespace=NEW, seed=3))
@@ -818,6 +821,32 @@ class TestCheckOutput:
         triples = triples + [Triple(IRI(EX + "a"), IRI(NEW + "nextBin"), IRI(EX + "b"))]
         problems = check_output(triples, report)
         assert any("minted relation on original terms" in p for p in problems)
+
+
+def test_minted_totals_match_a_recount_of_the_output():
+    lines = mixed_lines() + [numeric_line(f"m{i}", "weight", f"{i * 3}.25") for i in range(12)]
+    deep = {"bins": 3, "hierarchy_depth": 2, "connect_adjacent": True}
+    structural_seen = False
+    for strategy in sorted(STRATEGIES - {"COMBINED"}):
+        config = single_strategy_config(strategy, namespace=NEW, seed=5)
+        if strategy in ("NBINS", "PBINS", "KLREL", "KLRELENT"):
+            config.overrides[EX + "weight"] = GroupPlan(strategy, deep)
+        result = apply(make_graph(lines), config)
+        entities, relations = set(), set()
+        for t in result.minted:
+            entities |= {
+                n.value
+                for n in (t.subject, t.object)
+                if isinstance(n, IRI) and n.value.startswith(NEW)
+            }
+            if t.predicate.value.startswith(NEW):
+                relations.add(t.predicate.value)
+        report = result.report
+        assert report.minted_entities_in_output == len(entities), strategy
+        assert report.minted_relations_in_output == len(relations), strategy
+        structural_seen |= report.minted_relations_in_output > 0
+        assert check_output(result.triples, report) == [], strategy
+    assert structural_seen
 
 
 class TestReportSerialization:
