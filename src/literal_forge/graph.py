@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .ntriples import Row, term_text
 from .terms import (
@@ -28,6 +28,9 @@ from .terms import (
     Triple,
     XSD_BASE64,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Modality(enum.Enum):
@@ -131,21 +134,28 @@ class IndexedGraph:
             r += n
             yield f"{text[s] or first(s)} {text[r] or first(r)} {text[o] or first(o)} ."
 
-    # Adjacency is read only by the relational-signature strategies, so it
-    # is built from the id tuples on first access, once indexing is done.
     @cached_property
-    def out_edges(self) -> dict[int, list[tuple[int, int]]]:
-        edges: dict[int, list[tuple[int, int]]] = {}
-        for s, r, o in self.relational:
-            edges.setdefault(s, []).append((r, o))
-        return edges
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The relational statements in both directions, as CSR over entity ids.
 
-    @cached_property
-    def in_edges(self) -> dict[int, list[tuple[int, int]]]:
-        edges: dict[int, list[tuple[int, int]]] = {}
-        for s, r, o in self.relational:
-            edges.setdefault(o, []).append((r, s))
-        return edges
+        Returns (indptr, relations, neighbours): entity e's statements sit at
+        positions indptr[e]:indptr[e + 1], as (r, o) for each (e, r, o), then
+        (r, s) for each (s, r, e), so a self-loop appears in both halves.
+        Read only by the relational-signature strategies, so it is built from
+        the id triples on first access, once indexing is done.
+        """
+        import numpy as np
+
+        m = len(self.relational)
+        ids = np.fromiter(chain.from_iterable(self.relational), np.int64, 3 * m).reshape(m, 3)
+        s, r, o = ids.T
+        # Stable, so each entity's out-edges come first, then its in-edges,
+        # each in input order.
+        ends = np.concatenate((s, o))
+        order = np.argsort(ends, kind="stable")
+        indptr = np.zeros(len(self.entity_terms) + 1, np.int64)
+        np.cumsum(np.bincount(ends, minlength=len(self.entity_terms)), out=indptr[1:])
+        return indptr, np.concatenate((r, r))[order], np.concatenate((o, s))[order]
 
     @property
     def num_relational(self) -> int:

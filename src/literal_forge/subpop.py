@@ -4,10 +4,21 @@ A predicate's subjects often mix structurally different things (people and
 buildings both have a height). Before binning, the value population is split
 into structurally similar subpopulations: subjects are described by their
 relational signatures, candidate binary splits partition them by presence of
-one signature feature, and the split maximizing the KL divergence between
-the two sides' relation distributions wins. Splitting recurses until a node
-falls below the value-count threshold or no informative split remains; each
-leaf is then binned on its own value range.
+one signature feature, and the split maximizing the symmetric KL divergence
+between the two sides' smoothed feature distributions wins. Splitting
+recurses until a node falls below the value-count threshold or no
+informative split remains; each leaf is then binned on its own value range.
+
+The signatures are a subject × feature incidence matrix in compressed sparse
+rows. A node scores all its candidates at once from co-occurrence counts:
+with l and r the counts on each side and ε the smoothing constant,
+J = Σᵢ (pᵢ − qᵢ)(log pᵢ − log qᵢ) = Σᵢ (pᵢ − qᵢ)(log(lᵢ + ε) − log(rᵢ + ε)),
+since p and q both sum to one. The features a candidate never co-occurs
+with fold into two sums per node, so a candidate costs the features it
+meets, not the vocabulary. Candidates within a relative 1e-9 of the best,
+and scores too small to trust, are scored again with the dense formula; the
+highest score wins, then the smallest feature, so the tree and its
+divergences are those of a dense search.
 """
 
 from __future__ import annotations
@@ -33,6 +44,10 @@ RELENT = "RELENT"
 # Splits scoring below this are noise, not structure.
 MIN_DIVERGENCE = 1e-6
 
+# The closed form is trusted down to this fraction of its scale; both it and
+# the dense formula are then within about 1e-13 of the exact value.
+_TRUSTED = 1e-2
+
 Feature = str | tuple[str, str]
 
 
@@ -51,13 +66,12 @@ def entity_signature(subject_id: int, graph: IndexedGraph, mode: str = REL) -> f
     REL mode collects the relation IRIs incident in either direction;
     RELENT pairs each relation with the neighbor entity.
     """
+    indptr, relations, neighbours = graph.adjacency
+    at = slice(indptr[subject_id], indptr[subject_id + 1])
     features: set[Feature] = set()
-    for rid, oid in graph.out_edges.get(subject_id, ()):
+    for rid, neighbour in zip(relations[at].tolist(), neighbours[at].tolist()):
         rel = graph.relation_iris[rid]
-        features.add((rel, _entity_key(graph, oid)) if mode == RELENT else rel)
-    for rid, sid in graph.in_edges.get(subject_id, ()):
-        rel = graph.relation_iris[rid]
-        features.add((rel, _entity_key(graph, sid)) if mode == RELENT else rel)
+        features.add((rel, _entity_key(graph, neighbour)) if mode == RELENT else rel)
     return frozenset(features)
 
 
@@ -119,37 +133,210 @@ def kl_divergence(p: RelationDistribution, q: RelationDistribution) -> float:
     return float(np.sum(p.probs * np.log(p.probs / q.probs)))
 
 
+def _jeffreys(
+    totals: np.ndarray, group: np.ndarray, other: np.ndarray, together: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form symmetric KL of every candidate split of one node.
+
+    totals[g] counts the node's subjects with feature g. Pair k says that
+    together[k] of the subjects with candidate group[k] also have feature
+    other[k]; each candidate pairs with itself. A feature g a candidate never
+    meets has l = 0 and r = t_g, so its term depends on the candidate only
+    through the two normalisers, and all such terms enter through two sums
+    over the node's vocabulary.
+
+    Returns the scores and, per candidate, the magnitude of what was summed
+    (plus a margin for the dense formula's own logarithms): a score far below
+    its scale carries that scale's rounding error.
+    """
+    t = totals.astype(float)
+    vocab_size = np.count_nonzero(totals)
+    eps = 1.0 / (10.0 * vocab_size)
+    size = int(group.max()) + 1
+    # Where the left side lacks g: a = log(0 + eps) - log(t + eps), zero off
+    # the vocabulary, and b is a weighted by the right side's smoothed count.
+    a = np.log(eps) - np.log(t + eps)
+    b = (t + eps) * a
+    left = together.astype(float)
+    right = t[other] - left
+    left_mass = np.bincount(group, left, size)
+    sl = left_mass + vocab_size * eps
+    sr = (t.sum() - left_mass) + vocab_size * eps
+    p, q = (left + eps) / sl[group], (right + eps) / sr[group]
+    log_ratio = np.log(left + eps) - np.log(right + eps)
+    unmet_a = a.sum() - np.bincount(group, a[other], size)
+    unmet_b = b.sum() - np.bincount(group, b[other], size)
+    scores = np.bincount(group, (p - q) * log_ratio, size) + eps / sl * unmet_a - unmet_b / sr
+    scale = (
+        2.0 * (1.0 + np.abs(np.log(sl / sr)))
+        + np.bincount(group, (p + q) * np.abs(log_ratio), size)
+        - eps / sl * a.sum()
+        - b.sum() / sr
+    )
+    return scores, scale
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of range(start, start + length) over the pairs."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+
+
+@dataclass(frozen=True)
+class _Incidence:
+    """Subject × feature incidence of one group, in compressed sparse rows.
+
+    Row i belongs to the i-th subject in id order and lists the ids of its
+    distinct signature features, ascending. Feature ids follow sorted
+    feature order, so labels[i] < labels[j] whenever i < j.
+    """
+
+    indptr: np.ndarray
+    features: np.ndarray
+    labels: list[Feature]
+
+
+def _incidence(subjects: np.ndarray, graph: IndexedGraph, mode: str) -> _Incidence:
+    indptr, relations, neighbours = graph.adjacency
+    starts = indptr[subjects]
+    lengths = indptr[subjects + 1] - starts
+    at = _ranges(starts, lengths)
+    iris = graph.relation_iris
+    by_iri = sorted(range(len(iris)), key=iris.__getitem__)
+    rank = np.empty(len(iris), np.int64)
+    rank[by_iri] = np.arange(len(iris))
+    code = rank[relations[at]]
+    if mode == RELENT:
+        # Neighbours are ranked by key, so entities sharing a key share a feature.
+        distinct, which = np.unique(neighbours[at], return_inverse=True)
+        keys = [_entity_key(graph, eid) for eid in distinct.tolist()]
+        ordered = sorted(set(keys))
+        key_rank = {key: i for i, key in enumerate(ordered)}
+        key_ids = np.array([key_rank[key] for key in keys], np.int64)
+        code = code * len(ordered) + key_ids[which]
+    codes, feature = np.unique(code, return_inverse=True)
+    if mode == RELENT:
+        pairs = (divmod(c, len(ordered)) for c in codes.tolist())
+        labels: list[Feature] = [(iris[by_iri[r]], ordered[k]) for r, k in pairs]
+    else:
+        labels = [iris[by_iri[c]] for c in codes.tolist()]
+    # A self-loop, or two neighbours with one key, repeat a (row, feature) cell.
+    width = max(len(labels), 1)
+    cells = np.unique(np.repeat(np.arange(len(subjects)), lengths) * width + feature)
+    indptr = np.zeros(len(subjects) + 1, np.int64)
+    np.cumsum(np.bincount(cells // width, minlength=len(subjects)), out=indptr[1:])
+    return _Incidence(indptr, cells % width, labels)
+
+
+def _best_split(
+    incidence: _Incidence, rows: np.ndarray, mode: str
+) -> tuple[int, float, np.ndarray, np.ndarray] | None:
+    """The winning feature id, its divergence and the rows with and without it."""
+    n = len(rows)
+    starts = incidence.indptr[rows]
+    lengths = incidence.indptr[rows + 1] - starts
+    feats = incidence.features[_ranges(starts, lengths)]
+    width = len(incidence.labels)
+    totals = np.bincount(feats, minlength=width)
+    min_count = 2 if mode == RELENT else 1
+    is_candidate = (totals >= min_count) & (totals < n)
+    if not is_candidate.any():
+        return None
+
+    # Each entry of a candidate meets every entry of its row, itself included.
+    row_of = np.repeat(np.arange(n), lengths)
+    mine = np.flatnonzero(is_candidate[feats])
+    span = lengths[row_of[mine]]
+    partners = _ranges((np.cumsum(lengths) - lengths)[row_of[mine]], span)
+    keys, together = np.unique(
+        np.repeat(feats[mine], span) * width + feats[partners], return_counts=True
+    )
+    candidates, first, group = np.unique(keys // width, return_index=True, return_inverse=True)
+    other = keys % width
+    scores, scale = _jeffreys(totals, group, other, together)
+
+    vocab = np.flatnonzero(totals)
+    vocabulary = tuple(vocab.tolist())
+    node_totals = totals[vocab].astype(float)
+    bounds = [*first.tolist(), len(keys)]
+
+    def dense(c: int) -> float:
+        left = np.zeros(width)
+        left[other[bounds[c] : bounds[c + 1]]] = together[bounds[c] : bounds[c + 1]]
+        p = _smooth(left[vocab], vocabulary)
+        q = _smooth(node_totals - left[vocab], vocabulary)
+        return kl_divergence(p, q) + kl_divergence(q, p)
+
+    # A score far below its scale is mostly rounding, and rounding may
+    # reorder near-ties, so both are scored again as a dense pass would.
+    for c in np.flatnonzero(scores < _TRUSTED * scale).tolist():
+        scores[c] = dense(c)
+    top = scores.max()
+    near = np.flatnonzero(scores >= top - 1e-9 * abs(top)).tolist()
+    score, c = max(((dense(c), c) for c in near), key=lambda sc: (sc[0], -sc[1]))
+    if score < MIN_DIVERGENCE:
+        return None
+    feature = int(candidates[c])
+    has = np.zeros(n, bool)
+    has[row_of[feats == feature]] = True
+    return feature, score, rows[has], rows[~has]
+
+
 @dataclass
 class SplitNode:
     """One node of the split tree.
 
     Internal nodes carry the winning feature (present → first child) and the
-    symmetrized divergence it achieved; leaves carry their index instead.
+    symmetrized divergence it achieved; leaves carry their index and their
+    subjects instead, so each subject is stored once.
     """
 
-    subjects: tuple[int, ...]
     value_count: int
     feature: Feature | None = None
     divergence: float | None = None
     children: tuple["SplitNode", "SplitNode"] | None = None
     indivisible: bool = False
     leaf_index: int | None = None
+    leaf_subjects: tuple[int, ...] = ()
 
     @property
     def is_leaf(self) -> bool:
         return self.children is None
 
-    def to_dict(self) -> dict:
-        out: dict = {"values": self.value_count, "subjects": len(self.subjects)}
+    @property
+    def subjects(self) -> tuple[int, ...]:
+        """The node's subject ids, ascending, gathered from its leaves."""
         if self.is_leaf:
-            out["leaf"] = self.leaf_index
+            return self.leaf_subjects
+        found: list[int] = []
+        pending = [self]
+        while pending:
+            node = pending.pop()
+            if node.is_leaf:
+                found.extend(node.leaf_subjects)
+            else:
+                pending.extend(node.children)
+        return tuple(sorted(found))
+
+    def to_dict(self) -> dict:
+        if self.is_leaf:
+            out: dict = {
+                "values": self.value_count,
+                "subjects": len(self.leaf_subjects),
+                "leaf": self.leaf_index,
+            }
             if self.indivisible:
                 out["indivisible"] = True
-        else:
-            out["feature"] = list(self.feature) if isinstance(self.feature, tuple) else self.feature
-            out["divergence"] = self.divergence
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
+            return out
+        children = [c.to_dict() for c in self.children]
+        return {
+            "values": self.value_count,
+            "subjects": children[0]["subjects"] + children[1]["subjects"],
+            "feature": list(self.feature) if isinstance(self.feature, tuple) else self.feature,
+            "divergence": self.divergence,
+            "children": children,
+        }
 
 
 @dataclass
@@ -158,49 +345,6 @@ class PopulationSplit:
 
     root: SplitNode
     leaves: list[SplitNode] = field(default_factory=list)
-
-
-def _best_split(
-    subjects: list[int],
-    signatures: dict[int, frozenset[Feature]],
-    mode: str,
-) -> tuple[Feature, float, list[int], list[int]] | None:
-    n = len(subjects)
-    counts: dict[Feature, int] = {}
-    for sid in subjects:
-        for feat in signatures[sid]:
-            counts[feat] = counts.get(feat, 0) + 1
-    vocabulary = tuple(sorted(counts))
-    if not vocabulary:
-        return None
-    min_count = 2 if mode == RELENT else 1
-    candidates = [f for f in vocabulary if min_count <= counts[f] < n]
-    if not candidates:
-        return None
-
-    feat_index = {f: i for i, f in enumerate(vocabulary)}
-    matrix = np.zeros((n, len(vocabulary)), dtype=bool)
-    for row, sid in enumerate(subjects):
-        for feat in signatures[sid]:
-            matrix[row, feat_index[feat]] = True
-    totals = matrix.sum(axis=0, dtype=float)
-
-    best: tuple[float, Feature] | None = None
-    for feat in candidates:
-        mask = matrix[:, feat_index[feat]]
-        left_counts = matrix[mask].sum(axis=0, dtype=float)
-        right_counts = totals - left_counts
-        p = _smooth(left_counts, vocabulary)
-        q = _smooth(right_counts, vocabulary)
-        score = kl_divergence(p, q) + kl_divergence(q, p)
-        if best is None or score > best[0] or (score == best[0] and feat < best[1]):
-            best = (score, feat)
-    score, feat = best
-    if score < MIN_DIVERGENCE:
-        return None
-    left = [sid for sid in subjects if feat in signatures[sid]]
-    right = [sid for sid in subjects if feat not in signatures[sid]]
-    return feat, score, left, right
 
 
 def split_population(
@@ -235,42 +379,30 @@ def _split_subjects(
     value_counts: dict[int, int] = {}
     for subject_id in statement_subjects:
         value_counts[subject_id] = value_counts.get(subject_id, 0) + 1
-    subjects = sorted(value_counts)
-    root = SplitNode(tuple(subjects), len(statement_subjects))
+    subjects = np.array(sorted(value_counts), np.int64)
+    values = np.array([value_counts[s] for s in subjects.tolist()], np.int64)
+    split = PopulationSplit(SplitNode(len(statement_subjects)))
     # A root below the threshold stays one leaf, so it needs no signatures
     # (and so no adjacency).
-    signatures = (
-        {sid: entity_signature(sid, graph, mode) for sid in subjects}
-        if root.value_count >= threshold
-        else {}
-    )
+    incidence = _incidence(subjects, graph, mode) if split.root.value_count >= threshold else None
 
-    split = PopulationSplit(root)
-
-    def grow(node: SplitNode) -> None:
-        if node.value_count < threshold:
-            _close_leaf(node)
-            return
-        found = _best_split(list(node.subjects), signatures, mode)
+    # Depth first with the left child popped first, so leaves are numbered
+    # as a recursive walk would number them.
+    pending = [(split.root, np.arange(len(subjects)))]
+    while pending:
+        node, rows = pending.pop()
+        found = _best_split(incidence, rows, mode) if node.value_count >= threshold else None
         if found is None:
-            node.indivisible = True
-            _close_leaf(node)
-            return
-        feat, score, left, right = found
-        node.feature = feat
-        node.divergence = score
-        node.children = (
-            SplitNode(tuple(left), sum(value_counts[s] for s in left)),
-            SplitNode(tuple(right), sum(value_counts[s] for s in right)),
-        )
-        grow(node.children[0])
-        grow(node.children[1])
-
-    def _close_leaf(node: SplitNode) -> None:
-        node.leaf_index = len(split.leaves)
-        split.leaves.append(node)
-
-    grow(split.root)
+            node.indivisible = node.value_count >= threshold
+            node.leaf_subjects = tuple(subjects[rows].tolist())
+            node.leaf_index = len(split.leaves)
+            split.leaves.append(node)
+            continue
+        feature, node.divergence, left, right = found
+        node.feature = incidence.labels[feature]
+        node.children = (SplitNode(int(values[left].sum())), SplitNode(int(values[right].sum())))
+        pending.append((node.children[1], right))
+        pending.append((node.children[0], left))
     return split
 
 

@@ -111,16 +111,21 @@ def test_iri_valued_image_objects_route_to_group():
     assert isinstance(group.statements[0][1], IRI)
 
 
+def adjacency_row(graph, entity_id):
+    """(relation id, neighbour id) pairs of one entity's CSR row."""
+    indptr, relations, neighbours = graph.adjacency
+    at = slice(indptr[entity_id], indptr[entity_id + 1])
+    return list(zip(relations[at].tolist(), neighbours[at].tolist()))
+
+
 def test_out_and_in_edges():
     graph = make_graph([rel_line("a", "knows", "b"), rel_line("c", "knows", "b")])
     a = graph.entity_ids[IRI(EX + "a")]
     b = graph.entity_ids[IRI(EX + "b")]
+    c = graph.entity_ids[IRI(EX + "c")]
     knows = graph.relation_ids[EX + "knows"]
-    assert graph.out_edges[a] == [(knows, b)]
-    assert {s for _, s in graph.in_edges[b]} == {
-        graph.entity_ids[IRI(EX + "a")],
-        graph.entity_ids[IRI(EX + "c")],
-    }
+    assert adjacency_row(graph, a) == [(knows, b)]
+    assert adjacency_row(graph, b) == [(knows, a), (knows, c)]
 
 
 def test_relational_triples_roundtrip():
@@ -229,10 +234,11 @@ def test_adjacency_on_demand_matches_eager_reference(triples):
             seen.add((sid, rid, oid))
             out_ref.setdefault(sid, []).append((rid, oid))
             in_ref.setdefault(oid, []).append((rid, sid))
-    assert "out_edges" not in vars(graph) and "in_edges" not in vars(graph)
-    assert graph.out_edges == out_ref
-    assert graph.in_edges == in_ref
-    assert graph.out_edges is graph.out_edges
+    assert "adjacency" not in vars(graph)
+    for eid in range(len(graph.entity_terms)):
+        assert adjacency_row(graph, eid) == out_ref.get(eid, []) + in_ref.get(eid, [])
+    assert graph.adjacency[0][-1] == 2 * graph.num_relational
+    assert graph.adjacency is graph.adjacency
 
 
 def test_duplicate_relational_statements_counted_first_copy_kept():

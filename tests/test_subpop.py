@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import math
+import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from literal_forge import Modality
+from literal_forge import Modality, apply
 from literal_forge.binning import BinningSpec
 from literal_forge.subpop import (
     MIN_DIVERGENCE,
     REL,
     RELENT,
     RelationDistribution,
+    _TRUSTED,
+    _best_split,
+    _incidence,
+    _jeffreys,
+    _smooth,
     entity_signature,
     kl_divergence,
     kl_rel_binning,
@@ -22,7 +29,8 @@ from literal_forge.subpop import (
     split_population,
 )
 
-from util import EX, NEW, make_graph, numeric_line, rel_line
+from test_pipeline import single_strategy_config
+from util import EX, NEW, XSD, make_graph, numeric_line, rel_line
 
 
 def height_group(graph):
@@ -151,8 +159,6 @@ def test_kl_mismatched_vocabulary_errors():
 def test_kl_nonnegative_on_smoothed_pairs(c1, c2):
     size = min(len(c1), len(c2))
     vocab = tuple(f"f{i}" for i in range(size))
-    from literal_forge.subpop import _smooth
-
     p = _smooth(np.array(c1[:size], dtype=float), vocab)
     q = _smooth(np.array(c2[:size], dtype=float), vocab)
     d = kl_divergence(p, q)
@@ -366,10 +372,242 @@ def test_group_below_threshold_builds_no_adjacency():
     graph = make_graph(person_building_lines(persons=40, buildings=40))
     group = height_group(graph)
     aug, split = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=81)
-    assert "out_edges" not in vars(graph) and "in_edges" not in vars(graph)
+    assert "adjacency" not in vars(graph)
     assert split.root.to_dict() == {"values": 80, "subjects": 80, "leaf": 0}
     assert aug.triples == nbins(group, graph, BinningSpec(bins=3), NEW).triples
     # At the threshold the root may split, so the signatures are needed.
     _, split = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=80)
     assert len(split.leaves) == 2
-    assert "out_edges" in vars(graph) and "in_edges" in vars(graph)
+    assert "adjacency" in vars(graph)
+
+
+# --- the sparse split search against the dense reference ----------------------
+
+
+def dense_best_split(subjects, signatures, mode):
+    """The dense n × V search the sparse one replaced, as a reference.
+
+    Returns the winner as (feature, score, left, right), or None, plus the
+    score of every candidate.
+    """
+    n = len(subjects)
+    counts = {}
+    for sid in subjects:
+        for feat in signatures[sid]:
+            counts[feat] = counts.get(feat, 0) + 1
+    vocabulary = tuple(sorted(counts))
+    if not vocabulary:
+        return None, {}
+    min_count = 2 if mode == RELENT else 1
+    candidates = [f for f in vocabulary if min_count <= counts[f] < n]
+    if not candidates:
+        return None, {}
+
+    feat_index = {f: i for i, f in enumerate(vocabulary)}
+    matrix = np.zeros((n, len(vocabulary)), dtype=bool)
+    for row, sid in enumerate(subjects):
+        for feat in signatures[sid]:
+            matrix[row, feat_index[feat]] = True
+    totals = matrix.sum(axis=0, dtype=float)
+
+    scores = {}
+    best = None
+    for feat in candidates:
+        mask = matrix[:, feat_index[feat]]
+        left_counts = matrix[mask].sum(axis=0, dtype=float)
+        right_counts = totals - left_counts
+        p = _smooth(left_counts, vocabulary)
+        q = _smooth(right_counts, vocabulary)
+        score = scores[feat] = kl_divergence(p, q) + kl_divergence(q, p)
+        if best is None or score > best[0] or (score == best[0] and feat < best[1]):
+            best = (score, feat)
+    score, feat = best
+    if score < MIN_DIVERGENCE:
+        return None, scores
+    left = [sid for sid in subjects if feat in signatures[sid]]
+    right = [sid for sid in subjects if feat not in signatures[sid]]
+    return (feat, score, left, right), scores
+
+
+def near_tied(scores, winner):
+    """Features scoring within a relative 1e-9 of the reference's winner."""
+    top = scores[winner]
+    return {f for f, score in scores.items() if abs(score - top) <= 1e-9 * abs(top)}
+
+
+def dense_tree(subjects, value_counts, signatures, mode, threshold):
+    """split_population's tree grown recursively by the dense reference."""
+    values = sum(value_counts[s] for s in subjects)
+    found = dense_best_split(subjects, signatures, mode)[0] if values >= threshold else None
+    if found is None:
+        return {"values": values, "indivisible": values >= threshold}
+    feat, score, left, right = found
+    return {
+        "values": values,
+        "feature": feat,
+        "divergence": score,
+        "children": [
+            dense_tree(left, value_counts, signatures, mode, threshold),
+            dense_tree(right, value_counts, signatures, mode, threshold),
+        ],
+    }
+
+
+_NODES = [f"<{EX}e{i}>" for i in range(5)] + ["_:b0", "_:b1", "<_:b0>"]
+
+
+@st.composite
+def _signature_graph(draw):
+    """Small graphs with blank nodes, an IRI spelled like a blank node,
+    self-loops, repeated edges and subjects without relations."""
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        s, o = draw(st.sampled_from(_NODES)), draw(st.sampled_from(_NODES))
+        line = f"{s} <{EX}r{draw(st.integers(0, 2))}> {o} ."
+        lines.extend([line] * draw(st.integers(1, 2)))
+    for node in draw(st.lists(st.sampled_from(_NODES), min_size=1, max_size=12)):
+        lines.append(f'{node} <{EX}height> "{draw(st.integers(0, 9))}"^^<{XSD}decimal> .')
+    return lines
+
+
+@pytest.mark.parametrize("mode", [REL, RELENT])
+@given(lines=_signature_graph(), threshold=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_sparse_split_matches_dense_reference(mode, lines, threshold):
+    graph = make_graph(lines)
+    group = height_group(graph)
+    value_counts = {}
+    for sid, _ in group.statements:
+        value_counts[sid] = value_counts.get(sid, 0) + 1
+    subjects = sorted(value_counts)
+    signatures = {sid: entity_signature(sid, graph, mode) for sid in subjects}
+
+    # The root: same feature, same sides, the same score to the bit.
+    expected, scores = dense_best_split(subjects, signatures, mode)
+    incidence = _incidence(np.array(subjects), graph, mode)
+    found = _best_split(incidence, np.arange(len(subjects)), mode)
+    if expected is None:
+        assert found is None
+        return
+    feat, score, left, right = expected
+    got = incidence.labels[found[0]]
+    if got != feat:
+        assert got in near_tied(scores, feat)
+        return
+    assert found[1] == score
+    assert [subjects[i] for i in found[2]] == left
+    assert [subjects[i] for i in found[3]] == right
+
+    # The whole tree, walked until the first exempt near-tie.
+    split = split_population(group, graph, mode, threshold)
+    reference = dense_tree(subjects, value_counts, signatures, mode, threshold)
+    pending = [(split.root, reference, subjects)]
+    while pending:
+        node, ref, node_subjects = pending.pop()
+        assert node.value_count == ref["values"]
+        assert node.subjects == tuple(node_subjects)
+        if node.is_leaf:
+            assert "children" not in ref and node.indivisible == ref["indivisible"]
+            continue
+        if node.feature != ref["feature"]:
+            tied = near_tied(dense_best_split(node_subjects, signatures, mode)[1], ref["feature"])
+            assert node.feature in tied
+            continue
+        assert node.divergence == ref["divergence"]
+        sides = [[s for s in node_subjects if (node.feature in signatures[s]) == has] for has in (True, False)]
+        pending.extend(zip(node.children, ref["children"], sides))
+
+
+@st.composite
+def _weighted_rows(draw):
+    """A node as distinct feature rows, each repeated up to 600 times."""
+    width = draw(st.integers(1, 7))
+    rows = draw(
+        st.lists(
+            st.tuples(st.lists(st.booleans(), min_size=width, max_size=width), st.integers(1, 600)),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    return width, rows
+
+
+@given(_weighted_rows())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_summed_kl(node):
+    width, rows = node
+    matrix = np.array([r for r, _ in rows], dtype=float)
+    weight = np.array([w for _, w in rows], dtype=float)
+    totals = (matrix * weight[:, None]).sum(axis=0).astype(np.int64)
+    n = int(weight.sum())
+    candidates = [f for f in range(width) if 1 <= totals[f] < n]
+    if not candidates:
+        return
+    group, other, together = [], [], []
+    for c, f in enumerate(candidates):
+        with_f = (matrix[:, f] > 0) * weight
+        left = (matrix * with_f[:, None]).sum(axis=0)
+        for g in np.flatnonzero(left):
+            group.append(c)
+            other.append(g)
+            together.append(int(left[g]))
+    scores, scale = _jeffreys(totals, np.array(group), np.array(other), np.array(together))
+
+    vocab = np.flatnonzero(totals)
+    labels = tuple(vocab.tolist())
+    for c, f in enumerate(candidates):
+        left = (matrix * ((matrix[:, f] > 0) * weight)[:, None]).sum(axis=0)[vocab]
+        p = _smooth(left, labels)
+        q = _smooth(totals[vocab] - left, labels)
+        expected = kl_divergence(p, q) + kl_divergence(q, p)
+        # Both sides round at the scale of what they sum; where the score is
+        # far below it, the split search uses the dense formula instead.
+        assert abs(scores[c] - expected) <= 1e-13 * scale[c]
+        if scores[c] >= _TRUSTED * scale[c]:
+            assert scores[c] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def numeric_subpop_lines(persons, buildings, seed=1):
+    """Persons and buildings shaped like the benchmark's numeric-subpop graph."""
+    rng = random.Random(seed)
+    orgs, cities = max(2, persons // 25), max(2, buildings // 40)
+    lines = []
+    for i in range(persons):
+        lines.append(rel_line(f"P{i}", "type", "Person"))
+        lines.append(rel_line(f"P{i}", "worksFor", f"O{rng.randrange(orgs)}"))
+        lines.append(rel_line(f"P{i}", "knows", f"P{(i + 1) % persons}"))
+        lines.append(numeric_line(f"P{i}", "height", round(rng.lognormvariate(0, 0.08) * 1.72, 3)))
+        lines.append(numeric_line(f"P{i}", "weight", round(rng.lognormvariate(0, 0.18) * 74, 3)))
+    for i in range(buildings):
+        lines.append(rel_line(f"B{i}", "type", "Building"))
+        lines.append(rel_line(f"B{i}", "locatedIn", f"C{rng.randrange(cities)}"))
+        lines.append(numeric_line(f"B{i}", "height", round(rng.lognormvariate(0, 0.6) * 24, 3)))
+        lines.append(numeric_line(f"B{i}", "weight", round(rng.lognormvariate(0, 0.9) * 9000, 3)))
+    return lines
+
+
+def test_exact_ties_go_to_the_first_feature():
+    # knows and worksFor pick out the persons, locatedIn the buildings: the
+    # dense formula gives all three the same bits. At this size the closed
+    # form puts locatedIn one ulp ahead.
+    graph = make_graph(numeric_subpop_lines(1200, 1200))
+    group = height_group(graph)
+    split = split_population(group, graph, REL, threshold=300)
+    subjects = sorted({sid for sid, _ in group.statements})
+    signatures = {sid: entity_signature(sid, graph, REL) for sid in subjects}
+    expected, scores = dense_best_split(subjects, signatures, REL)
+    assert scores[EX + "knows"] == scores[EX + "worksFor"] == scores[EX + "locatedIn"]
+    assert split.root.feature == expected[0] == EX + "knows"
+    assert split.root.divergence == expected[1]
+
+
+def test_klrelent_timing_guard():
+    # On a 2-vCPU host the dense search took about 23 s, the sparse one about 1 s.
+    graph = make_graph(numeric_subpop_lines(2400, 2400))
+    started = time.perf_counter()
+    result = apply(graph, single_strategy_config("KLRELENT", namespace=NEW))
+    elapsed = time.perf_counter() - started
+    rows = [row for row in result.report.rows if row.strategy == "KLRELENT"]
+    # RELENT peels the persons off an organisation at a time: many leaves.
+    assert len(rows) == 2 and all(row.detail["leaves"] > 50 for row in rows)
+    assert elapsed < 10.0, f"KLRELENT took {elapsed:.1f} s on 4,800 subjects"
