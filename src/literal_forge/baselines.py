@@ -9,7 +9,6 @@ LOF and LDA parameter specs live here too, so loading a config needs no numpy.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,6 +37,8 @@ def sanitize_value(value: str) -> str:
     truncated = value[:_MAX_VALUE_CHARS]
     encoded = quote(truncated, safe="")
     if truncated != value:
+        import hashlib  # maps OpenSSL; only long values need it
+
         digest = hashlib.sha256(value.encode("utf-8")).hexdigest()[:8]
         encoded = f"{encoded}-{digest}"
     return encoded

@@ -42,6 +42,19 @@ PARENT_BIN = "parentBin"
 _CHUNK_CELLS = 1 << 14
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct elements of a 1-D array of integers or finite floats.
+
+    Equal to ``np.unique(values)``, whose flagless form imports ``numpy.ma``
+    to test for a masked array.
+    """
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def parse_numeric(literal: Literal) -> float:
     """Parse a numeric lexical form into binary64.
 
@@ -134,7 +147,7 @@ def compute_bins(
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot bin an empty population")
-    unique = len(np.unique(arr))
+    unique = len(sorted_distinct(arr))
     k = bin_count(arr.size, unique, spec)
     pred_local = sanitize_value(local_name(predicate))
     boundaries = _leaf_boundaries(arr, k, spec.scheme)

@@ -228,7 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report_path = args.report or args.input + ".report.json"
     try:
         report = AugmentationReport.from_file(report_path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         log.error("cannot load report %s: %s", report_path, exc)
         return EXIT_INPUT
     # Checked as parsed: a malformed line anywhere exits 1 with no verdict.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import hashlib
 import json
 import logging
 import time
@@ -58,6 +57,8 @@ class ImageRef:
         """Lookup key: the IRI, or the SHA-256 hash of embedded bytes."""
         if self.iri is not None:
             return self.iri
+        import hashlib  # maps OpenSSL; only embedded bytes need it
+
         return hashlib.sha256(self.payload).hexdigest()
 
 

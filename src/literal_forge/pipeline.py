@@ -10,7 +10,6 @@ fallback instead of aborting the whole run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -327,6 +326,8 @@ class StrategyConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"config {path} is nested too deeply") from None
         return cls.from_dict(raw)
 
     def plan_for(self, predicate: str, modality: Modality) -> GroupPlan:
@@ -371,6 +372,8 @@ class StrategyConfig:
 
 def derive_seed(seed: int, predicate: str) -> int:
     """A stable per-predicate seed, independent of group execution order."""
+    import hashlib  # maps OpenSSL; only TXTLDA derives a seed
+
     digest = hashlib.sha256(f"{seed}:{predicate}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
@@ -489,6 +492,8 @@ class AugmentationReport:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "AugmentationReport":
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a JSON object, not {type(raw).__name__}")
         report = cls(
             namespace=raw["namespace"],
             seed=raw["seed"],
@@ -511,7 +516,11 @@ class AugmentationReport:
     @classmethod
     def from_file(cls, path: str) -> "AugmentationReport":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise ValueError("report is nested too deeply") from None
+        return cls.from_dict(raw)
 
 
 @dataclass

@@ -34,7 +34,7 @@ from .baselines import (
     note_fallback,
     parse_or_reject,
 )
-from .binning import BinningSpec, LofSpec, bin_statements, parse_numeric
+from .binning import BinningSpec, LofSpec, bin_statements, parse_numeric, sorted_distinct
 from .graph import IndexedGraph, LiteralGroup
 from .terms import BlankNode, IRI
 
@@ -223,7 +223,7 @@ def _incidence(subjects: np.ndarray, graph: IndexedGraph, mode: str) -> _Inciden
         labels = [iris[by_iri[c]] for c in codes.tolist()]
     # A self-loop, or two neighbours with one key, repeat a (row, feature) cell.
     width = max(len(labels), 1)
-    cells = np.unique(np.repeat(np.arange(len(subjects)), lengths) * width + feature)
+    cells = sorted_distinct(np.repeat(np.arange(len(subjects)), lengths) * width + feature)
     indptr = np.zeros(len(subjects) + 1, np.int64)
     np.cumsum(np.bincount(cells // width, minlength=len(subjects)), out=indptr[1:])
     return _Incidence(indptr, cells % width, labels)

@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from literal_forge import IRI, Literal, Modality, binning
 from literal_forge.binning import (
@@ -32,6 +32,7 @@ from literal_forge.binning import (
     lof_scores,
     nbins,
     parse_numeric,
+    sorted_distinct,
 )
 
 from util import EX, NEW, XSD, make_graph, numeric_line
@@ -66,6 +67,39 @@ def test_parse_numeric_accepts(lex, value):
 def test_parse_numeric_rejects(lex):
     with pytest.raises(ValueError):
         parse_numeric(Literal(lex))
+
+
+# --- distinct values ----------------------------------------------------------
+
+# Few distinct values, so most examples repeat some; finite floats only, as
+# parse_numeric admits no NaN or INF.
+_int64s = st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)), max_size=40)
+_finite_floats = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.5, -1.5]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    st.one_of(
+        _int64s.map(lambda v: np.array(v, np.int64)),
+        _finite_floats.map(lambda v: np.array(v, np.float64)),
+    )
+)
+@example(np.array([], np.int64))
+@example(np.array([], np.float64))
+@example(np.array([0.0, -0.0, 0.0, -0.0]))
+@settings(max_examples=300, deadline=None)
+def test_sorted_distinct_equals_np_unique(values):
+    before = values.copy()
+    got = sorted_distinct(values)
+    expected = np.unique(values)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(values, before)
 
 
 # --- bin counting -----------------------------------------------------------

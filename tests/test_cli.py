@@ -289,6 +289,24 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda raw: "[]",
+            lambda raw: "[" * 100_000 + "]" * 100_000,
+            lambda raw: json.dumps({**raw, "predicates": [1]}),
+        ],
+        ids=["not-an-object", "nested-too-deeply", "row-not-an-object"],
+    )
+    def test_malformed_report_is_a_diagnostic(self, sample_nt, tmp_path, caplog, malformed):
+        _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
+        path = Path(out + ".report.json")
+        path.write_text(malformed(json.loads(path.read_text(encoding="utf-8"))), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+            assert main(["verify", "--input", out]) == EXIT_INPUT
+        [message] = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
+        assert message.startswith(f"cannot load report {path}: ")
+
     def test_inconsistent_totals_rejected(self, sample_nt, tmp_path):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
         raw = json.loads(Path(out + ".report.json").read_text(encoding="utf-8"))
@@ -642,23 +660,36 @@ def test_iri_characters_in_config_stop_before_the_input_is_read(
     assert key in message and "no IRI may hold" in message
 
 
-# Runs cli.main with numpy blocked, then prints which strategy modules loaded.
+# Runs cli.main with numpy blocked, then prints which strategy modules, and
+# whether OpenSSL's _hashlib, loaded: after the relational commands, then
+# after a DATFEAT transform.
 _WITHOUT_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None  # every import of numpy now raises ImportError
 from literal_forge.cli import main
 graph, dates, out = sys.argv[1:]
+names = ["numpy", "_hashlib"] + [
+    "literal_forge." + name for name in ("binning", "subpop", "temporal", "textlda", "images")
+]
+def loaded():
+    return [name for name in names if sys.modules.get(name) is not None]
 codes = [
     main(["profile", "--input", graph]),
     main(["transform", "--input", graph, "--output", out]),
     main(["verify", "--input", out]),
 ]
-names = ["numpy"] + [
-    "literal_forge." + name for name in ("binning", "subpop", "temporal", "textlda", "images")
-]
-loaded = [name for name in names if sys.modules.get(name) is not None]
+relational = loaded()
 codes.append(main(["transform", "--input", dates, "--output", out, "--strategy", "DATFEAT"]))
-print(json.dumps({"codes": codes, "loaded": loaded, "numpy": sys.modules["numpy"] is not None}))
+print(json.dumps({"codes": codes, "loaded": [relational, loaded()],
+                  "numpy": sys.modules["numpy"] is not None}))
+"""
+
+# Runs a KLREL transform with numpy present and prints whether numpy.ma loaded.
+_WITH_NUMPY = """
+import json, sys
+from literal_forge.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -670,7 +701,8 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
             date_line("a", "founded", "2001-05-14"),
             date_line("b", "founded", "1999-12-31"),
         ],
-        "numbers.nt": [numeric_line(f"n{i}", "height", f"{i}.5") for i in range(4)],
+        "numbers.nt": [numeric_line(f"n{i}", "height", f"{i}.5") for i in range(4)]
+        + [rel_line("n0", "knows", "n1"), rel_line("n2", "locatedIn", "n3")],
     }
     for name, lines in files.items():
         (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -685,7 +717,25 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
     done = python("-c", _WITHOUT_NUMPY, *paths)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [EXIT_OK] * 4, "loaded": [], "numpy": False}
+    assert result == {
+        "codes": [EXIT_OK] * 4,
+        "loaded": [[], ["literal_forge.temporal"]],
+        "numpy": False,
+    }
+
+    # Binning and the relational-signature split load numpy but not numpy.ma.
+    split = tmp_path / "split.json"
+    config = {"defaults": {"numeric": {"strategy": "KLREL", "params": {"split_threshold": 2}}}}
+    split.write_text(json.dumps(config), encoding="utf-8")
+    numbers, split_out = str(tmp_path / "numbers.nt"), str(tmp_path / "split.nt")
+    done = python(
+        "-c", _WITH_NUMPY, "transform", "--input", numbers, "--output", split_out,
+        "--config", str(split),
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": EXIT_OK, "numpy": True, "ma": False}
+    [row] = AugmentationReport.from_file(split_out + ".report.json").rows
+    assert row.strategy == "KLREL" and row.detail["leaves"] > 1
 
     # A strategy whose import fails fails the run; no fallback absorbs it.
     binned = tmp_path / "binned.nt"
@@ -693,7 +743,6 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
         "import sys; sys.modules['numpy'] = None\n"
         "from literal_forge.cli import main; sys.exit(main())"
     )
-    numbers = str(tmp_path / "numbers.nt")
     done = python(
         "-c", main_without_numpy, "transform", "--input", numbers, "--output", str(binned),
         "--strategy", "NBINS",

@@ -196,6 +196,12 @@ class TestStrategyConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             StrategyConfig.from_file(str(path))
 
+    def test_from_file_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            StrategyConfig.from_file(str(path))
+
     def test_from_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(
