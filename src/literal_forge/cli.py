@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from itertools import chain
 from typing import Any, Callable
 
@@ -103,7 +103,9 @@ def _read_input(path: str, consume: Callable[[Any], Any], strict: bool) -> Any:
     counter = _DiagnosticCounter()
     try:
         with _open_source(path) as source:
-            result = consume(scan_ntriples(source, on_diagnostic=counter, strict=strict))
+            rows = scan_ntriples(source, on_diagnostic=counter, strict=strict)
+            with closing(rows):  # closes the scan before its source, even if consume raises
+                result = consume(rows)
     except ParseError as exc:
         log.error("%s", exc)
         return None
@@ -228,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report_path = args.report or args.input + ".report.json"
     try:
         report = AugmentationReport.from_file(report_path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         log.error("cannot load report %s: %s", report_path, exc)
         return EXIT_INPUT
     # Checked as parsed: a malformed line anywhere exits 1 with no verdict.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ from typing import Protocol
 from .baselines import (
     Augmentation,
     DEFAULT_NAMESPACE,
+    _load_json,
     link_any_value,
     note_fallback,
     sanitize_value,
@@ -124,11 +124,7 @@ class TagMapProvider:
 
     @classmethod
     def from_file(cls, path: str) -> "TagMapProvider":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ProviderError(f"cannot read tag map {path}: {exc}") from exc
+        raw = _load_json(path, "tag map", ProviderError)
         if not isinstance(raw, dict):
             raise ProviderError(f"tag map {path} must be a JSON object")
         mapping = {

@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
 from .baselines import DEFAULT_NAMESPACE, Augmentation, BinningSpec, LdaSpec, LofSpec, bin_count
+from .baselines import _load_json
 from .graph import IndexedGraph, LiteralGroup, Modality, ModalityRules, _rows
 from .ntriples import Row
 from .terms import _IRI_BAD, IRI, Triple
@@ -135,6 +136,27 @@ _PROVIDERS = {
     "remote": {"kind": "string", "endpoint": "string", "timeout": "number", "retries": "int"},
 }
 
+# The report's layout: each key in written order, with its JSON type. The
+# reader requires every key. The three *_total keys are sums over the rows,
+# written from them and checked against them on read.
+_REPORT_ROW = {
+    "predicate": "string", "modality": "string", "strategy": "string",
+    "statements": "int", "distinct_values": "int", "parsed": "int",
+    "fallback_statements": "int", "delta_entities": "int", "delta_statements": "int",
+    "structural": "int", "removed": "int", "entity_allowance": "int",
+    "statement_delta_exact": "int?", "statement_delta_max": "int?",
+    "exceptions": "list", "warnings": "list", "fell_back_to": "string?",
+    "params": "object", "detail": "object", "verdict": "string",
+}
+_REPORT = {
+    "namespace": "string", "seed": "int", "relational_preserved": "int",
+    "delta_entities_total": "int", "delta_statements_total": "int", "removed_total": "int",
+    "structural_total": "int", "minted_entities_in_output": "int",
+    "minted_relations_in_output": "int", "duplicates_removed": "int",
+    "warnings": "list", "predicates": [_REPORT_ROW],
+}
+_REPORT_TOTALS = ("delta_entities_total", "delta_statements_total", "removed_total")
+
 # A JSON type name: what it reads as in a message, and its test. A bool is
 # not a number; an int is.
 _JSON_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
@@ -150,21 +172,36 @@ _JSON_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
 MODALITY_NAMES = {m.value: m for m in Modality}
 
 
-def _read_json(raw: Any, schema: dict[str, Any], what: str) -> dict[str, Any]:
+def _read_json(
+    raw: Any, schema: dict[str, Any], what: str, required: bool = False
+) -> dict[str, Any]:
     """*raw* checked against *schema*, as a new dict with numbers as floats.
 
     *schema* maps each allowed key to a type name of ``_JSON_TYPES``; a
     trailing "?" also allows null. A nested schema is an object read the
-    same way, or null. *what* names the keys in messages.
+    same way, or null; a schema in a one-item list is a list of such
+    objects. With *required*, every key of *schema*, and of each object in
+    its lists, must be present. *what* names the keys in messages.
     """
     if type(raw) is not dict:
         raise ConfigError(f"{what}: expected a JSON object, not {raw!r}")
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+    missing = [key for key in schema if key not in raw] if required else []
+    if missing:
+        raise ConfigError(f"{what}: missing {missing}")
     out: dict[str, Any] = {}
     for key, value in raw.items():
         kind = schema[key]
+        if isinstance(kind, list):
+            if type(value) is not list:
+                raise ConfigError(f"{what}: {key} must be a list of objects, not {value!r}")
+            out[key] = [
+                _read_json(item, kind[0], f"{key}[{i}] keys", required)
+                for i, item in enumerate(value)
+            ]
+            continue
         if isinstance(kind, dict):
             try:
                 out[key] = None if value is None else _read_json(value, kind, f"{key} keys")
@@ -319,16 +356,7 @@ class StrategyConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "StrategyConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise ConfigError(f"config {path} is nested too deeply") from None
-        return cls.from_dict(raw)
+        return cls.from_dict(_load_json(path, "config", ConfigError))
 
     def plan_for(self, predicate: str, modality: Modality) -> GroupPlan:
         plan = self.overrides.get(predicate)
@@ -425,20 +453,7 @@ class PredicateReport:
     verdict: str = "unchecked"
 
     def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "PredicateReport":
-        """A row from its dict; keys with a default may be absent."""
-        kwargs: dict[str, Any] = {}
-        for f in fields(cls):
-            has_default = f.default is not MISSING or f.default_factory is not MISSING
-            if has_default and f.name not in raw:
-                continue
-            value = raw[f.name]
-            # List and dict fields get copies, made by their default factory.
-            kwargs[f.name] = value if f.default_factory is MISSING else f.default_factory(value)
-        return cls(**kwargs)
+        return {key: getattr(self, key) for key in _REPORT_ROW}
 
 
 @dataclass
@@ -472,55 +487,26 @@ class AugmentationReport:
         return sum(r.removed for r in self.rows)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "namespace": self.namespace,
-            "seed": self.seed,
-            "relational_preserved": self.relational_preserved,
-            "delta_entities_total": self.delta_entities_total,
-            "delta_statements_total": self.delta_statements_total,
-            "removed_total": self.removed_total,
-            "structural_total": self.structural_total,
-            "minted_entities_in_output": self.minted_entities_in_output,
-            "minted_relations_in_output": self.minted_relations_in_output,
-            "duplicates_removed": self.duplicates_removed,
-            "warnings": self.warnings,
-            "predicates": [row.to_dict() for row in self.rows],
-        }
+        rows = [row.to_dict() for row in self.rows]
+        return {key: rows if key == "predicates" else getattr(self, key) for key in _REPORT}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "AugmentationReport":
-        if not isinstance(raw, dict):
-            raise ValueError(f"expected a JSON object, not {type(raw).__name__}")
-        report = cls(
-            namespace=raw["namespace"],
-            seed=raw["seed"],
-            rows=[PredicateReport.from_dict(r) for r in raw["predicates"]],
-            relational_preserved=raw["relational_preserved"],
-            structural_total=raw["structural_total"],
-            minted_entities_in_output=raw["minted_entities_in_output"],
-            minted_relations_in_output=raw["minted_relations_in_output"],
-            duplicates_removed=raw.get("duplicates_removed", 0),
-            warnings=list(raw.get("warnings", [])),
-        )
-        if (
-            report.delta_entities_total != raw["delta_entities_total"]
-            or report.delta_statements_total != raw["delta_statements_total"]
-            or report.removed_total != raw["removed_total"]
-        ):
+    def from_dict(cls, raw: Any) -> "AugmentationReport":
+        """A report from its JSON form; one that breaks the layout raises ValueError."""
+        raw = _read_json(raw, _REPORT, "report keys", required=True)
+        totals = {key: raw.pop(key) for key in _REPORT_TOTALS}
+        rows = [PredicateReport(**row) for row in raw.pop("predicates")]
+        report = cls(rows=rows, **raw)
+        if any(getattr(report, key) != value for key, value in totals.items()):
             raise ValueError("report totals do not match the sum of its rows")
         return report
 
     @classmethod
     def from_file(cls, path: str) -> "AugmentationReport":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except RecursionError:
-                raise ValueError("report is nested too deeply") from None
-        return cls.from_dict(raw)
+        return cls.from_dict(_load_json(path, "report", ValueError))
 
 
 @dataclass

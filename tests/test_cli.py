@@ -227,6 +227,12 @@ class TestTransform:
         assert code == EXIT_INPUT
 
 
+def with_row(raw: dict, **changes) -> dict:
+    """A report dict whose first row has *changes* applied."""
+    first, *rest = raw["predicates"]
+    return {**raw, "predicates": [{**first, **changes}, *rest]}
+
+
 class TestVerify:
     def test_default_report_path(self, sample_nt, tmp_path, capsys):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
@@ -295,17 +301,47 @@ class TestVerify:
             lambda raw: "[]",
             lambda raw: "[" * 100_000 + "]" * 100_000,
             lambda raw: json.dumps({**raw, "predicates": [1]}),
+            lambda raw: json.dumps({**raw, "namespace": 5}),
+            lambda raw: json.dumps(with_row(raw, entity_allowance="x")),
+            lambda raw: json.dumps(with_row(raw, delta_statements="3")),
+            lambda raw: json.dumps({**raw, "warnings": 5}),
+            lambda raw: json.dumps({**raw, "predicates": {"rows": raw["predicates"]}}),
+            lambda raw: json.dumps(
+                {
+                    **raw,
+                    "predicates": [
+                        {k: v for k, v in row.items() if k != "strategy"}
+                        for row in raw["predicates"]
+                    ],
+                }
+            ),
+            lambda raw: json.dumps({**raw, "relational_preserved": True}),
         ],
-        ids=["not-an-object", "nested-too-deeply", "row-not-an-object"],
+        ids=[
+            "not-an-object",
+            "nested-too-deeply",
+            "row-not-an-object",
+            "namespace-not-a-string",
+            "allowance-not-an-int",
+            "delta-a-string",
+            "warnings-not-a-list",
+            "predicates-an-object",
+            "row-without-strategy",
+            "bool-for-an-int",
+        ],
     )
-    def test_malformed_report_is_a_diagnostic(self, sample_nt, tmp_path, caplog, malformed):
+    def test_malformed_report_is_a_diagnostic(
+        self, sample_nt, tmp_path, caplog, capsys, malformed
+    ):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
+        capsys.readouterr()
         path = Path(out + ".report.json")
         path.write_text(malformed(json.loads(path.read_text(encoding="utf-8"))), encoding="utf-8")
         with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
             assert main(["verify", "--input", out]) == EXIT_INPUT
         [message] = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
         assert message.startswith(f"cannot load report {path}: ")
+        assert capsys.readouterr().out == ""
 
     def test_inconsistent_totals_rejected(self, sample_nt, tmp_path):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
@@ -498,18 +534,40 @@ def test_failed_write_keeps_earlier_output_and_report(sample_nt, tmp_path, monke
     assert _files(tmp_path) == before
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """The command line in a fresh interpreter, stderr captured as users see it."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this package, stderr captured as users see it."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("LITERAL_FORGE_LOG", None)
     return subprocess.run(
-        [sys.executable, "-m", "literal_forge.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return run_python("-m", "literal_forge.cli", *args)
+
+
+def test_a_failing_consumer_closes_the_scan_before_the_file(sample_nt):
+    # Finalizing the scan after its file has closed would print "Exception
+    # ignored ... I/O operation on closed file" to stderr.
+    script = "\n".join(
+        [
+            "import sys",
+            "from literal_forge import cli",
+            "def consume(rows):",
+            "    next(rows)",
+            "    raise RuntimeError('consumer failed')",
+            "try:",
+            "    cli._read_input(sys.argv[1], consume, True)",
+            "except RuntimeError as exc:",
+            "    print(exc)",
+        ]
+    )
+    done = run_python("-c", script, sample_nt)
+    assert done.returncode == 0
+    assert done.stdout == "consumer failed\n"
+    assert "Exception ignored" not in done.stderr
 
 
 @pytest.mark.parametrize(
@@ -523,6 +581,8 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "retries": True}, "remote"),
         ({"kind": "tag-map", "path": "missing.json"}, "tag-map"),
         ({"kind": "tag-map", "path": "not-json.json"}, "tag-map"),
+        ({"kind": "tag-map", "path": "deep.json"}, "tag-map"),
+        ({"kind": "tag-map", "path": "latin-1.json"}, "tag-map"),
     ],
     ids=[
         "remote-timeout",
@@ -533,12 +593,16 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         "remote-retries-bool",
         "tag-map-missing",
         "tag-map-unreadable",
+        "tag-map-nested-too-deeply",
+        "tag-map-not-utf-8",
     ],
 )
 def test_bad_image_provider_config_is_a_diagnostic(tmp_path, provider, named):
     graph = tmp_path / "images.nt"
     graph.write_text(rel_line("a", "depiction", "img/a.jpg") + "\n", encoding="utf-8")
     (tmp_path / "not-json.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    (tmp_path / "latin-1.json").write_bytes(b'{"caf\xe9": ["building"]}')
     if provider["kind"] == "tag-map":
         provider = {**provider, "path": str(tmp_path / provider["path"])}
     config = tmp_path / "config.json"

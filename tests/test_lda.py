@@ -230,9 +230,7 @@ def test_document_topics_accessor():
 def test_lda_spec_defaults_and_validation():
     spec = LdaSpec()
     assert spec.topics == 20
-    assert spec.effective_alpha == pytest.approx(2.5)
-    assert LdaSpec(topics=10).effective_alpha == pytest.approx(5.0)
-    assert LdaSpec(alpha=0.3).effective_alpha == 0.3
+    assert spec.alpha is None
     for bad in (
         dict(topics=0),
         dict(iterations=0),
@@ -245,6 +243,16 @@ def test_lda_spec_defaults_and_validation():
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             LdaSpec(**bad)
+
+
+def test_alpha_defaults_to_50_over_topics():
+    corpus = build_corpus(text_group(separable_graph()))
+    default = train_lda(corpus, topics=4, iterations=20, seed=3)
+    explicit = train_lda(corpus, topics=4, alpha=50 / 4, iterations=20, seed=3)
+    other = train_lda(corpus, topics=4, alpha=0.5, iterations=20, seed=3)
+    assert np.array_equal(default.phi, explicit.phi)
+    assert np.array_equal(default.theta, explicit.theta)
+    assert not np.array_equal(default.theta, other.theta)
 
 
 # --- emission ---------------------------------------------------------------

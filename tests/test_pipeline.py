@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
 
 import pytest
 
@@ -27,6 +29,7 @@ from literal_forge.images import RemoteTagProvider, TagMapProvider
 from literal_forge.pipeline import (
     STRATEGIES,
     GroupPlan,
+    _REPORT_ROW,
     PredicateReport,
     check_namespace,
     derive_seed,
@@ -193,6 +196,12 @@ class TestStrategyConfig:
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            StrategyConfig.from_file(str(path))
+
+    def test_from_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"namespace": "http://caf\xe9.example/"}')
         with pytest.raises(ConfigError, match="not valid JSON"):
             StrategyConfig.from_file(str(path))
 
@@ -871,21 +880,32 @@ class TestReportSerialization:
         text = report.to_json()
         assert AugmentationReport.from_dict(json.loads(text)).to_json() == text
 
-    def test_row_from_dict_copies_and_defaults(self):
+    def test_layout_names_every_row_field(self):
+        assert list(_REPORT_ROW) == [f.name for f in fields(PredicateReport)]
+
+    def test_every_key_is_required(self):
         graph = make_graph(mixed_lines())
         report = apply(graph, single_strategy_config("TRANSFORM", namespace=NEW)).report
-        raw = json.loads(report.to_json())["predicates"][0]
-        row = PredicateReport.from_dict(raw)
-        assert row.to_dict() == raw
-        for key in ("exceptions", "warnings", "params", "detail"):
-            assert getattr(row, key) is not raw[key]
-        optional = ("exceptions", "warnings", "fell_back_to", "params", "detail", "verdict")
-        bare = PredicateReport.from_dict({k: v for k, v in raw.items() if k not in optional})
-        assert (bare.exceptions, bare.warnings, bare.fell_back_to) == ([], [], None)
-        assert (bare.params, bare.detail, bare.verdict) == ({}, {}, "unchecked")
-        del raw["statement_delta_max"]
-        with pytest.raises(KeyError):
-            PredicateReport.from_dict(raw)
+        text = report.to_json()
+        for key in json.loads(text):
+            raw = json.loads(text)
+            del raw[key]
+            with pytest.raises(ValueError, match=re.escape(f"report keys: missing ['{key}']")):
+                AugmentationReport.from_dict(raw)
+        for key in json.loads(text)["predicates"][0]:
+            raw = json.loads(text)
+            del raw["predicates"][0][key]
+            missing = re.escape(f"predicates[0] keys: missing ['{key}']")
+            with pytest.raises(ValueError, match=missing):
+                AugmentationReport.from_dict(raw)
+
+    def test_unknown_key_rejected(self):
+        graph = make_graph(mixed_lines())
+        report = apply(graph, single_strategy_config("TRANSFORM", namespace=NEW)).report
+        raw = report.to_dict()
+        raw["predicates"][0]["bound"] = "x"
+        with pytest.raises(ValueError, match=re.escape("unknown predicates[0] keys: ['bound']")):
+            AugmentationReport.from_dict(raw)
 
     def test_totals_must_match_rows(self):
         graph = make_graph(mixed_lines())
