@@ -18,7 +18,7 @@ from typing import Any, Callable, Sequence, TypeVar
 from urllib.parse import quote
 
 from .graph import IndexedGraph, LiteralGroup
-from .terms import IRI, Literal, Term, Triple, local_name
+from .terms import IRI, BlankNode, Triple, local_name
 
 V = TypeVar("V")
 
@@ -87,22 +87,28 @@ class Augmentation:
 
 
 def parse_or_reject(
-    group: LiteralGroup, parse: Callable[[Term], V]
-) -> tuple[list[tuple[int, V]], list[int]]:
+    group: LiteralGroup, parse: Callable[[str, str], V]
+) -> tuple[list[int], list[V], list[int]]:
     """Split the group's statements by whether *parse* accepts their object.
 
-    Returns (subject id, parsed value) pairs in statement order, and the
-    subject ids whose object *parse* rejected with ValueError (or
-    AttributeError, for an object that is not a literal).
+    *parse* reads a literal's lexical form and datatype. Returns the subject
+    ids and parsed values of the accepted statements, in statement order,
+    and the subject ids of the rest: those *parse* rejected with ValueError,
+    and every image reference, which is not a literal.
     """
-    parsed: list[tuple[int, V]] = []
+    subject_ids: list[int] = []
+    values: list[V] = []
     rejected: list[int] = []
-    for subject_id, obj in group.statements:
+    for subject_id, lexical, datatype in zip(group.subjects, group.lexicals, group.datatypes):
         try:
-            parsed.append((subject_id, parse(obj)))
-        except (ValueError, AttributeError):
+            if not isinstance(datatype, str):
+                raise ValueError("not a literal")
+            values.append(parse(lexical, datatype))
+        except ValueError:
             rejected.append(subject_id)
-    return parsed, rejected
+            continue
+        subject_ids.append(subject_id)
+    return subject_ids, values, rejected
 
 
 def link_any_value(
@@ -133,7 +139,7 @@ def note_fallback(aug: Augmentation, predicate: str, count: int, cause: str) -> 
 
 def exclude(group: LiteralGroup) -> Augmentation:
     """Drop every literal statement of the group."""
-    return Augmentation(removed=len(group.statements))
+    return Augmentation(removed=len(group))
 
 
 def transform_literal2entity(
@@ -149,8 +155,9 @@ def transform_literal2entity(
     predicate = IRI(group.predicate)
     by_value: dict[str, IRI] = {}
     terms = graph.entity_terms
-    for subject_id, obj in group.statements:
-        lexical = obj.lexical if isinstance(obj, Literal) else obj.value
+    if BlankNode in group.datatypes:
+        raise ValueError("a blank-node image reference has no value to name an entity by")
+    for subject_id, lexical in zip(group.subjects, group.lexicals):
         entity = by_value.get(lexical)
         if entity is None:
             entity = IRI(namespace + pred_local + sanitize_value(lexical))
@@ -164,9 +171,7 @@ def one_entity(
 ) -> Augmentation:
     """A single entity per predicate, ignoring the literal values entirely."""
     aug = Augmentation()
-    link_any_value(
-        aug, graph, group.predicate, [subject_id for subject_id, _ in group.statements], namespace
-    )
+    link_any_value(aug, graph, group.predicate, group.subjects, namespace)
     return aug
 
 

@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .baselines import (
     sanitize_value,
 )
 from .graph import IndexedGraph, LiteralGroup
-from .terms import IRI, Literal, Term, Triple, local_name
+from .terms import IRI, Triple, local_name
 
 log = logging.getLogger(__name__)
 
@@ -55,19 +55,19 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def parse_numeric(literal: Literal) -> float:
-    """Parse a numeric lexical form into binary64.
+def parse_numeric(lexical: str, dt: str | None = None) -> float:
+    """Parse a numeric lexical form into binary64; the datatype is not read.
 
     Rejects non-finite values (INF/NaN) and anything outside the plain
     decimal/scientific grammar; callers route failures to the fallback
     strategy.
     """
-    text = literal.lexical.strip()
+    text = lexical.strip()
     if not text or "_" in text:
-        raise ValueError(f"not a numeric lexical form: {literal.lexical!r}")
+        raise ValueError(f"not a numeric lexical form: {lexical!r}")
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite numeric value: {literal.lexical!r}")
+        raise ValueError(f"non-finite numeric value: {lexical!r}")
     return value
 
 
@@ -447,34 +447,33 @@ def bin_statements(
     spec: BinningSpec,
     namespace: str = DEFAULT_NAMESPACE,
     lof: LofSpec | None = None,
-    statements: list[tuple[int, float]] | None = None,
+    subject_ids: Sequence[int] | None = None,
+    values: Sequence[float] | None = None,
     subpopulation: int | None = None,
     aug: Augmentation | None = None,
 ) -> Augmentation:
-    """Bin pre-parsed (subject, value) statements of one (sub)population.
+    """Bin one (sub)population: statement i links subject_ids[i] to values[i].
 
-    With LOF enabled, boundaries are computed from retained values only;
-    outlier statements link to OutlierLow/OutlierHigh entities instead of a
-    bin, so every statement still yields exactly one output statement.
+    Without columns, every statement of the group is parsed with
+    parse_numeric. With LOF enabled, boundaries are computed from retained
+    values only; outlier statements link to OutlierLow/OutlierHigh entities
+    instead of a bin, so every statement still yields exactly one output
+    statement.
     """
     aug = aug if aug is not None else Augmentation()
-    if statements is None:
-        statements = [
-            (subject_id, parse_numeric(obj))  # type: ignore[arg-type]
-            for subject_id, obj in group.statements
-        ]
-    if not statements:
+    if subject_ids is None:
+        subject_ids, values = group.subjects, [parse_numeric(lex) for lex in group.lexicals]
+    if len(subject_ids) == 0:
         return aug
-    subject_ids, raw_values = zip(*statements)
     subjects = np.array(subject_ids, dtype=np.intp)
-    values = np.array(raw_values, dtype=float)
+    values = np.array(values, dtype=float)
     outlier = np.zeros(values.size, dtype=bool)
     if lof is not None:
         result = lof_scores(values, lof.k, lof.threshold)
         outlier[result.outlier_indices] = True
         if outlier.all():  # everything flagged: skip the filter
             aug.warnings.append(
-                f"{group.predicate}: LOF flagged all {len(statements)} values, filter skipped"
+                f"{group.predicate}: LOF flagged all {values.size} values, filter skipped"
             )
             outlier[:] = False
     retained = values[~outlier]
@@ -507,7 +506,7 @@ def nbins(
     spec: BinningSpec,
     namespace: str = DEFAULT_NAMESPACE,
     lof: LofSpec | None = None,
-    parse: Callable[[Term], float] = parse_numeric,
+    parse: Callable[[str, str], float] = parse_numeric,
     kind: str = "numeric",
 ) -> Augmentation:
     """The plain n-bin strategy over the values *parse* reads from a group.
@@ -516,9 +515,8 @@ def nbins(
     links and are counted as unparseable *kind* statements.
     """
     aug = Augmentation()
-    parsed, rejected = parse_or_reject(group, parse)
-    if parsed:
-        bin_statements(group, graph, spec, namespace, lof, statements=parsed, aug=aug)
+    subject_ids, values, rejected = parse_or_reject(group, parse)
+    bin_statements(group, graph, spec, namespace, lof, subject_ids, values, aug=aug)
     link_any_value(aug, graph, group.predicate, rejected, namespace)
     note_fallback(
         aug, group.predicate, len(rejected), f"{len(rejected)} unparseable {kind} statements"

@@ -54,14 +54,13 @@ class ModalityRules:
     predicate_modalities: dict[str, Modality] = field(default_factory=dict)
 
 
-def classify_modality(literal: Literal, predicate: str, rules: ModalityRules) -> Modality:
-    """Total classification of a literal into exactly one modality."""
+def classify_modality(dt: str, predicate: str, rules: ModalityRules) -> Modality:
+    """Total classification of a literal, by its datatype, into one modality."""
     override = rules.predicate_modalities.get(predicate)
     if override is not None:
         return override
     if predicate in rules.image_predicates:
         return Modality.IMAGE
-    dt = literal.datatype
     if dt in NUMERIC_DATATYPES:
         return Modality.NUMERIC
     if dt in TEMPORAL_DATATYPES:
@@ -75,18 +74,34 @@ def classify_modality(literal: Literal, predicate: str, rules: ModalityRules) ->
 
 @dataclass
 class LiteralGroup:
-    """All (subject, value) statements sharing one predicate and modality.
+    """All statements sharing one predicate and modality, as columns.
 
-    Objects are Literal terms, except in image groups, where IRI-valued
-    objects of configured image predicates are routed here as well.
+    Statement i links subject id subjects[i] to the literal with lexical
+    form lexicals[i], datatype datatypes[i] and language tag languages[i].
+    Image groups also hold the IRI and blank-node objects of configured
+    image predicates: the IRI or label is the lexical form and the class
+    IRI or BlankNode stands as datatype, so it never equals a literal's.
     """
 
     predicate: str
     modality: Modality
-    statements: list[tuple[int, Term]] = field(default_factory=list)
+    subjects: list[int] = field(default_factory=list)
+    lexicals: list[str] = field(default_factory=list)
+    datatypes: list[str | type[IRI | BlankNode]] = field(default_factory=list)
+    languages: list[str | None] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.statements)
+        return len(self.subjects)
+
+    @property
+    def statements(self) -> list[tuple[int, Term]]:
+        """(subject id, object term) pairs, built on each access for library callers."""
+        return [
+            (sid, dt(lex) if isinstance(dt, type) else Literal(lex, dt, lang))
+            for sid, lex, dt, lang in zip(
+                self.subjects, self.lexicals, self.datatypes, self.languages
+            )
+        ]
 
 
 @dataclass
@@ -171,14 +186,17 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
 
     Entity ids come from one dict lookup per raw string, in separate dicts
     for IRIs and blank-node labels, so <_:b1> and _:b1 are two entities.
-    Exact repeats are dropped and counted in duplicates_removed.
+    Exact repeats are dropped and counted in duplicates_removed. Literal
+    statements go to their group's columns; the modality is classified once
+    per predicate and datatype.
     """
     graph = IndexedGraph(rules=rules or ModalityRules())
     rules, terms, relation_ids = graph.rules, graph.entity_terms, graph.relation_ids
     iri_ids: dict[str, int] = {}
     label_ids: dict[str, int] = {}
-    # Relational keys end in an id, literal keys in a term: they never meet.
-    seen: set[tuple[int, int, int | Term]] = set()
+    # Relational keys hold three ids, literal keys five fields: they never meet.
+    seen: set[tuple] = set()
+    group_of: dict[tuple[int, str | type], LiteralGroup] = {}
 
     def new_entity(iri: str | None, label: str) -> int:
         eid = len(terms)
@@ -190,7 +208,7 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
             terms.append(BlankNode(label))
         return eid
 
-    for s_iri, s_label, predicate, o_iri, o_label, literal in rows:
+    for s_iri, s_label, predicate, o_iri, o_label, lexical, datatype, language in rows:
         rid = relation_ids.get(predicate)
         if rid is None:
             rid = relation_ids[predicate] = len(graph.relation_iris)
@@ -198,15 +216,14 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
         sid = iri_ids.get(s_iri) if s_iri is not None else label_ids.get(s_label)
         if sid is None:
             sid = new_entity(s_iri, s_label)
-        is_link = literal is None and predicate not in rules.image_predicates
+        is_link = lexical is None and predicate not in rules.image_predicates
         if is_link:
             oid = iri_ids.get(o_iri) if o_iri is not None else label_ids.get(o_label)
             key = (sid, rid, new_entity(o_iri, o_label) if oid is None else oid)
         else:
-            # IRI-valued image references are literal information, not edges;
-            # terms are always true, so `or` picks the one that is set.
-            obj = literal or (IRI(o_iri) if o_iri is not None else BlankNode(o_label))
-            key = (sid, rid, obj)
+            if lexical is None:  # an image reference: literal information, not an edge
+                lexical, datatype = (o_iri, IRI) if o_iri is not None else (o_label, BlankNode)
+            key = (sid, rid, lexical, datatype, language)
         before = len(seen)
         seen.add(key)
         if len(seen) == before:
@@ -215,11 +232,20 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
         if is_link:
             graph.relational.append(key)
             continue
-        modality = classify_modality(literal, predicate, rules) if literal else Modality.IMAGE
-        group = graph.literal_groups.get((rid, modality))
+        group = group_of.get((rid, datatype))
         if group is None:
-            group = graph.literal_groups[rid, modality] = LiteralGroup(predicate, modality)
-        group.statements.append((sid, obj))
+            if isinstance(datatype, type):
+                modality = Modality.IMAGE
+            else:
+                modality = classify_modality(datatype, predicate, rules)
+            group = graph.literal_groups.setdefault(
+                (rid, modality), LiteralGroup(predicate, modality)
+            )
+            group_of[rid, datatype] = group
+        group.subjects.append(sid)
+        group.lexicals.append(lexical)
+        group.datatypes.append(datatype)
+        group.languages.append(language)
     return graph
 
 
@@ -231,7 +257,10 @@ def _rows(triples: Iterable[Triple]) -> Iterator[Row]:
             raise ValueError(f"predicate must be an IRI: {predicate}")
         if isinstance(subject, Literal):
             raise ValueError(f"literal in subject position: {subject}")
-        o = (None, None, obj) if isinstance(obj, Literal) else (*_node(obj), None)
+        if isinstance(obj, Literal):
+            o = (None, None, obj.lexical, obj.datatype, obj.language)
+        else:
+            o = (*_node(obj), None, None, None)
         yield (*_node(subject), predicate.value, *o)
 
 
@@ -327,22 +356,29 @@ def profile_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Gra
     image_predicates = rules.image_predicates
     relations: set[str] = set()
     # Raw IRIs and literal values share a set, since a string never equals
-    # a term; blank-node labels, which may spell an IRI, have their own.
-    nodes: set[str | Literal] = set()
+    # a (lexical, datatype, language) tuple; blank-node labels, which may
+    # spell an IRI, have their own.
+    nodes: set[str | tuple[str, str, str | None]] = set()
     labels: set[str] = set()
     counts = dict.fromkeys(Modality, 0)
+    modality_of: dict[tuple[str, str], Modality] = {}
     objects_iri = objects_blank = 0
     total = 0
-    for s_iri, s_label, predicate, o_iri, o_label, literal in rows:
+    for s_iri, s_label, predicate, o_iri, o_label, lexical, datatype, language in rows:
         total += 1
         relations.add(predicate)
         if s_iri is not None:
             nodes.add(s_iri)
         else:
             labels.add(s_label)
-        if literal is not None:
-            nodes.add(literal)
-            counts[classify_modality(literal, predicate, rules)] += 1
+        if lexical is not None:
+            nodes.add((lexical, datatype, language))
+            modality = modality_of.get((predicate, datatype))
+            if modality is None:
+                modality = modality_of[predicate, datatype] = classify_modality(
+                    datatype, predicate, rules
+                )
+            counts[modality] += 1
             continue
         if o_iri is not None:
             nodes.add(o_iri)

@@ -25,7 +25,7 @@ from .baselines import (
     sanitize_value,
 )
 from .graph import IndexedGraph, LiteralGroup
-from .terms import IRI, Literal, Triple, XSD_BASE64
+from .terms import IRI, Triple, XSD_BASE64
 
 log = logging.getLogger(__name__)
 
@@ -205,13 +205,13 @@ def resolve_image_refs(group: LiteralGroup) -> list[ImageRef]:
     caller's fallback.
     """
     refs: list[ImageRef] = []
-    for index, (_, obj) in enumerate(group.statements):
-        if isinstance(obj, IRI):
-            refs.append(ImageRef(index, iri=obj.value))
+    for index, (lexical, datatype) in enumerate(zip(group.lexicals, group.datatypes)):
+        if datatype is IRI:
+            refs.append(ImageRef(index, iri=lexical))
             continue
-        if isinstance(obj, Literal):
-            text = obj.lexical.strip()
-            if obj.datatype == XSD_BASE64:
+        if isinstance(datatype, str):  # a literal, not a blank node
+            text = lexical.strip()
+            if datatype == XSD_BASE64:
                 try:
                     payload = base64.b64decode(text, validate=True)
                 except (binascii.Error, ValueError):
@@ -260,7 +260,7 @@ def emit_image_triples(
     refs = resolve_image_refs(group)
     distributions = _lookup_all(provider, refs, max_in_flight)
     misses = 0
-    for index, (subject_id, _) in enumerate(group.statements):
+    for index, subject_id in enumerate(group.subjects):
         distribution = distributions.get(index)
         if distribution is None:
             link_any_value(aug, graph, group.predicate, [subject_id], namespace)

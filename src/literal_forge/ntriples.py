@@ -146,7 +146,7 @@ def _open_input(source: bytes | str | IO[bytes]) -> Iterator[IO[str]]:
 
 Source = bytes | str | IO[bytes]
 OnDiagnostic = Callable[[ParseDiagnostic], None] | None
-Row = tuple[str | None, str | None, str, str | None, str | None, Literal | None]
+Row = tuple[str | None, ...]  # eight fields, as scan_ntriples describes
 
 
 def scan_ntriples(
@@ -155,28 +155,28 @@ def scan_ntriples(
     """Yield a row per statement; route malformed lines to *on_diagnostic*.
 
     A row is (subject IRI, subject blank-node label, predicate IRI, object
-    IRI, object label, object literal): raw strings, one subject and one
-    object field set. In strict mode the first malformed line raises
-    ParseError instead. Permuting input lines permutes output identically.
+    IRI, object label, lexical form, datatype IRI, language tag): strings,
+    one subject field set and either an object field or the decoded lexical
+    form with its datatype (xsd:string when plain, rdf:langString when
+    tagged) and tag. Equal datatypes and tags are one string object. In
+    strict mode the first malformed line raises ParseError instead.
+    Permuting input lines permutes output identically.
     """
-    return _scan(source, on_diagnostic, strict, str, str)
+    return _scan(source, on_diagnostic, strict, False)
 
 
 def iter_ntriples(
     source: Source, on_diagnostic: OnDiagnostic = None, strict: bool = False
 ) -> Iterator[Triple]:
     """scan_ntriples' statements as triples; equal terms are one object."""
-    for s_iri, s_bnode, predicate, o_iri, o_bnode, literal in _scan(
-        source, on_diagnostic, strict, IRI, BlankNode
-    ):
-        yield Triple(s_iri or s_bnode, predicate, o_iri or o_bnode or literal)
+    return _scan(source, on_diagnostic, strict, True)
 
 
-def _scan(
-    source: Source, on_diagnostic: OnDiagnostic, strict: bool, make_iri: type, make_bnode: type
-) -> Iterator[tuple]:
-    """The line loop: *make_iri* and *make_bnode* build each distinct IRI's
-    and blank-node label's row value once; later lines reuse it."""
+def _scan(source: Source, on_diagnostic: OnDiagnostic, strict: bool, triples: bool) -> Iterator:
+    """The line loop, yielding a Triple or a row per statement. Each distinct
+    IRI and blank-node label is made into its term, or kept as its string,
+    once; later lines reuse it."""
+    make_iri, make_bnode = (IRI, BlankNode) if triples else (str, str)
     # IRI characters are checked once per distinct IRI; only IRIs that
     # passed are remembered, so every line naming a bad IRI is reported.
     # IRIs hold no escapes: the backslash is a forbidden character.
@@ -227,7 +227,10 @@ def _scan(
                         o_iri = iris.get(o_iri) or iri(o_iri)
                     else:
                         o_bnode = bnodes.get(o_bnode) or bnode(o_bnode)
-                    yield s_iri, s_bnode, p_iri, o_iri, o_bnode, None
+                    if triples:
+                        yield Triple(s_iri or s_bnode, p_iri, o_iri or o_bnode)
+                    else:
+                        yield s_iri, s_bnode, p_iri, o_iri, o_bnode, None, None, None
                     continue
                 if o_dtype is not None:
                     # The datatype is checked first: a bad datatype IRI makes
@@ -236,19 +239,22 @@ def _scan(
                     datatype = datatypes.get(o_dtype) or datatypes.setdefault(
                         o_dtype, checked(o_dtype)
                     )
-                    obj = Literal(_decode_escapes(o_lex, line_no, line), datatype)
                 elif o_lang is not None:
-                    language = languages.setdefault(o_lang, o_lang)
-                    obj = Literal(_decode_escapes(o_lex, line_no, line), RDF_LANGSTRING, language)
+                    datatype = RDF_LANGSTRING
+                    o_lang = languages.setdefault(o_lang, o_lang)
                 else:
-                    obj = Literal(_decode_escapes(o_lex, line_no, line))
+                    datatype = XSD_STRING
+                lexical = _decode_escapes(o_lex, line_no, line)
             except ParseError as err:
                 if strict:
                     raise
                 if on_diagnostic is not None:
                     on_diagnostic(err.diagnostic)
                 continue
-            yield s_iri, s_bnode, p_iri, None, None, obj
+            if triples:
+                yield Triple(s_iri or s_bnode, p_iri, Literal(lexical, datatype, o_lang))
+            else:
+                yield s_iri, s_bnode, p_iri, None, None, lexical, datatype, o_lang
 
 
 def parse_ntriples(

@@ -529,8 +529,9 @@ class PipelineResult:
 
 
 def _distinct_values(group: LiteralGroup) -> int:
-    # Terms compare by value: a literal by lexical form, datatype and language.
-    return len({obj for _, obj in group.statements})
+    # A literal is its lexical form, datatype and language; an image
+    # reference's datatype column holds its term class.
+    return len(set(zip(group.lexicals, group.datatypes, group.languages)))
 
 
 def _binning_allowance(spec: BinningSpec, sizes: list[int], lof_on: bool, fallback: int) -> int:
@@ -580,7 +581,7 @@ def _run_strategy(
     provider: TagProvider | None,
     distinct: int,
 ) -> _GroupOutcome:
-    S = len(group.statements)
+    S = len(group)
     namespace = config.namespace
     name = plan.strategy
 
@@ -724,7 +725,7 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
                 structural_seen.add(triple)
                 structural.append(triple)
                 row_structural += 1
-        S = len(group.statements)
+        S = len(group)
         rows.append(
             PredicateReport(
                 predicate=group.predicate,
@@ -829,9 +830,9 @@ def check_rows(rows: Iterable[Row], report: AugmentationReport) -> list[str]:
     minted_entities: set[str] = set()
     minted_relations: set[str] = set()
 
-    for s_iri, _, pred, o_iri, _, literal in rows:
-        if literal is not None:
-            problems.append(f"literal object survived: {literal.lexical[:50]!r}")
+    for s_iri, _, pred, o_iri, _, lexical, _, _ in rows:
+        if lexical is not None:
+            problems.append(f"literal object survived: {lexical[:50]!r}")
             continue
         s_minted = s_iri is not None and s_iri.startswith(namespace)
         o_minted = o_iri is not None and o_iri.startswith(namespace)

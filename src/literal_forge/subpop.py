@@ -360,12 +360,7 @@ def split_population(
     features break lexicographically. Nodes no feature can separate are
     marked indivisible.
     """
-    return _split_subjects(
-        [subject_id for subject_id, _ in group.statements],
-        graph,
-        mode,
-        threshold,
-    )
+    return _split_subjects(group.subjects, graph, mode, threshold)
 
 
 def _split_subjects(
@@ -423,18 +418,20 @@ def kl_rel_binning(
     """
     spec = spec if spec is not None else BinningSpec()
     aug = Augmentation()
-    parsed, rejected = parse_or_reject(group, parse_numeric)
+    subject_ids, values, rejected = parse_or_reject(group, parse_numeric)
 
     # The split looks only at subjects and their relational adjacency, so
     # only parseable statements take part.
-    split = _split_subjects([subject_id for subject_id, _ in parsed], graph, mode, threshold)
+    split = _split_subjects(subject_ids, graph, mode, threshold)
 
     multi = len(split.leaves) > 1
     # The leaves partition the subjects.
     leaf_of = {sid: leaf.leaf_index for leaf in split.leaves for sid in leaf.subjects}
-    per_leaf: dict[int, list[tuple[int, float]]] = {}
-    for subject_id, value in parsed:
-        per_leaf.setdefault(leaf_of[subject_id], []).append((subject_id, value))
+    per_leaf: dict[int, tuple[list[int], list[float]]] = {}
+    for subject_id, value in zip(subject_ids, values):
+        leaf_ids, leaf_values = per_leaf.setdefault(leaf_of[subject_id], ([], []))
+        leaf_ids.append(subject_id)
+        leaf_values.append(value)
     for leaf_index in sorted(per_leaf):
         bin_statements(
             group,
@@ -442,7 +439,7 @@ def kl_rel_binning(
             spec,
             namespace,
             lof,
-            statements=per_leaf[leaf_index],
+            *per_leaf[leaf_index],
             subpopulation=leaf_index if multi else None,
             aug=aug,
         )

@@ -25,7 +25,6 @@ from .baselines import (
 from .graph import IndexedGraph, LiteralGroup
 from .terms import (
     IRI,
-    Literal,
     Triple,
     XSD_DATE,
     XSD_DATETIME,
@@ -84,30 +83,29 @@ class CalendarDate:
         return days * 86400
 
 
-def parse_date(literal: Literal) -> CalendarDate:
-    """Extract the calendar day from a date-like literal.
+def parse_date(lexical: str, dt: str) -> CalendarDate:
+    """Extract the calendar day from a date-like literal's lexical form.
 
     Handles full dates, dateTimes (time of day dropped), gYear (January 1st)
-    and gYearMonth (first of the month). Timezone offsets are ignored; the
-    lexical calendar fields alone decide the day. Raises ValueError on
-    anything else so callers can fall back.
+    and gYearMonth (first of the month), by the datatype *dt*. Timezone
+    offsets are ignored; the lexical calendar fields alone decide the day.
+    Raises ValueError on anything else so callers can fall back.
     """
-    text = literal.lexical.strip()
-    dt = literal.datatype
+    text = lexical.strip()
     if dt in (XSD_DATE, XSD_DATETIME):
         m = _DATE_RE.match(text)
         if not m:
-            raise ValueError(f"not a date lexical form: {literal.lexical!r}")
+            raise ValueError(f"not a date lexical form: {lexical!r}")
         return CalendarDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
     if dt == XSD_GYEARMONTH:
         m = _GYEARMONTH_RE.match(text)
         if not m:
-            raise ValueError(f"not a gYearMonth lexical form: {literal.lexical!r}")
+            raise ValueError(f"not a gYearMonth lexical form: {lexical!r}")
         return CalendarDate(int(m.group(1)), int(m.group(2)), 1)
     if dt == XSD_GYEAR:
         m = _GYEAR_RE.match(text)
         if not m:
-            raise ValueError(f"not a gYear lexical form: {literal.lexical!r}")
+            raise ValueError(f"not a gYear lexical form: {lexical!r}")
         return CalendarDate(int(m.group(1)), 1, 1)
     # Untyped or oddly typed values still parse when they look like a date.
     m = _DATE_RE.match(text)
@@ -127,8 +125,8 @@ def datfeat_names(day: CalendarDate) -> tuple[str, str, str, str, str]:
     )
 
 
-def _timestamp(literal: Literal) -> float:
-    return float(parse_date(literal).to_unix_timestamp())
+def _timestamp(lexical: str, dt: str) -> float:
+    return float(parse_date(lexical, dt).to_unix_timestamp())
 
 
 def datbin(
@@ -157,17 +155,17 @@ def datfeat(
     and chain consecutive observed days and months.
     """
     aug = Augmentation()
-    parsed, rejected = parse_or_reject(group, parse_date)
+    subject_ids, days, rejected = parse_or_reject(group, parse_date)
     predicate = IRI(group.predicate)
     months_seen: set[int] = set()
     days_seen: set[int] = set()
-    for subject_id, day in parsed:
+    for subject_id, day in zip(subject_ids, days):
         subj = graph.entity_terms[subject_id]
         for name in datfeat_names(day):
             aug.triples.append(Triple(subj, predicate, IRI(namespace + name)))
         months_seen.add(day.month)
         days_seen.add(day.day)
-    if link_features and parsed:
+    if link_features and days:
         in_quarter = namespace + IN_QUARTER
         for month in sorted(months_seen):
             quarter = (month + 2) // 3

@@ -26,7 +26,7 @@ from .baselines import (
     sanitize_value,
 )
 from .graph import IndexedGraph, LiteralGroup
-from .terms import IRI, Literal, Triple, local_name
+from .terms import IRI, Triple, local_name
 
 log = logging.getLogger(__name__)
 
@@ -96,12 +96,9 @@ def build_corpus(
     """
     vocab_ids: dict[str, int] = {}
     documents: list[list[int]] = []
-    subjects: list[int] = []
-    for subject_id, obj in group.statements:
-        if isinstance(obj, Literal):
-            tokens = tokenize(obj.lexical, obj.language, stopwords)
-        else:
-            tokens = []
+    for lexical, datatype, language in zip(group.lexicals, group.datatypes, group.languages):
+        # An image reference has no text.
+        tokens = tokenize(lexical, language, stopwords) if isinstance(datatype, str) else []
         doc = []
         for tok in tokens:
             tid = vocab_ids.get(tok)
@@ -110,8 +107,7 @@ def build_corpus(
                 vocab_ids[tok] = tid
             doc.append(tid)
         documents.append(doc)
-        subjects.append(subject_id)
-    return Corpus(documents, tuple(vocab_ids), subjects)
+    return Corpus(documents, tuple(vocab_ids), group.subjects)
 
 
 @dataclass
@@ -252,7 +248,7 @@ def emit_topic_triples(
     width = max(2, len(str(model.topics - 1)))
     predicate = IRI(group.predicate)
     empty = set(corpus.empty_documents)
-    for doc_id, (subject_id, _) in enumerate(group.statements):
+    for doc_id, subject_id in enumerate(group.subjects):
         if doc_id in empty:
             link_any_value(aug, graph, group.predicate, [subject_id], namespace)
             continue
@@ -289,11 +285,8 @@ def txtlda(
     corpus = build_corpus(group, stopwords)
     if not any(corpus.documents):
         aug = Augmentation()
-        subject_ids = [subject_id for subject_id, _ in group.statements]
-        link_any_value(aug, graph, group.predicate, subject_ids, namespace)
-        note_fallback(
-            aug, group.predicate, len(subject_ids), "no tokenizable text, all statements"
-        )
+        link_any_value(aug, graph, group.predicate, group.subjects, namespace)
+        note_fallback(aug, group.predicate, len(group), "no tokenizable text, all statements")
         return aug, None
     started = time.perf_counter()
     model = train_lda(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from literal_forge import IRI, Literal, Modality, binning
+from literal_forge import IRI, BlankNode, Literal, Modality, binning
 from literal_forge.binning import (
     BinLayout,
     BinLevel,
@@ -34,8 +34,9 @@ from literal_forge.binning import (
     parse_numeric,
     sorted_distinct,
 )
+from literal_forge.terms import RDF_LANGSTRING, XSD_STRING
 
-from util import EX, NEW, XSD, make_graph, numeric_line
+from util import EX, NEW, XSD, make_graph, numeric_line, parse_outcomes, reference_outcomes
 
 
 def numeric_group(lines):
@@ -60,13 +61,53 @@ def numeric_group(lines):
     ],
 )
 def test_parse_numeric_accepts(lex, value):
-    assert parse_numeric(Literal(lex)) == value
+    assert parse_numeric(lex) == value
 
 
 @pytest.mark.parametrize("lex", ["", "  ", "abc", "INF", "-INF", "NaN", "1_000", "0x1f", "1,5"])
 def test_parse_numeric_rejects(lex):
     with pytest.raises(ValueError):
-        parse_numeric(Literal(lex))
+        parse_numeric(lex)
+
+
+def _parse_numeric_reference(literal: Literal) -> float:
+    """parse_numeric as it read a Literal term before literal groups became columns."""
+    text = literal.lexical.strip()
+    if not text or "_" in text:
+        raise ValueError(f"not a numeric lexical form: {literal.lexical!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite numeric value: {literal.lexical!r}")
+    return value
+
+
+_NUMERIC_LEXICALS = st.one_of(
+    st.text(alphabet="0123456789+-.eE_ \t\n", max_size=12),
+    st.sampled_from(
+        ["", " ", "\t7\n", "1_000", "inf", "-inf", "+INF", "Infinity", "nan", "NaN", "-nan",
+         "1e999", "-1e-999", "1E5", "0x1f", "1,5", "\u00a017", "\u0661\u0662", "-0", "0.0e0"]
+    ),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+_NUMERIC_OBJECTS = st.one_of(
+    st.builds(
+        Literal,
+        _NUMERIC_LEXICALS,
+        st.sampled_from([XSD + "integer", XSD + "decimal", XSD + "double", XSD_STRING]),
+    ),
+    st.builds(lambda lex: Literal(lex, RDF_LANGSTRING, "en"), _NUMERIC_LEXICALS),
+    st.builds(IRI, _NUMERIC_LEXICALS),
+    st.builds(BlankNode, _NUMERIC_LEXICALS),
+)
+
+
+@given(st.lists(_NUMERIC_OBJECTS, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_column_parse_matches_literal_parse_numeric(objects):
+    assert parse_outcomes(parse_numeric, objects) == reference_outcomes(
+        _parse_numeric_reference, objects
+    )
 
 
 # --- distinct values ----------------------------------------------------------

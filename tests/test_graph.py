@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import importlib
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from literal_forge import (
@@ -16,8 +22,9 @@ from literal_forge import (
     profile,
     profile_stream,
 )
-from literal_forge.graph import classify_modality, index_rows
+from literal_forge.graph import classify_modality, index_rows, profile_rows
 from literal_forge.ntriples import ParseError, scan_ntriples
+from literal_forge.pipeline import StrategyConfig, apply, shortcut_defaults
 from literal_forge.terms import (
     RDF_LANGSTRING,
     XSD_BASE64,
@@ -25,7 +32,7 @@ from literal_forge.terms import (
 )
 
 from test_rdfio import oracle_parse
-from util import EX, XSD, make_graph, numeric_line, rel_line, text_line
+from util import EX, IMAGE_RULES, MANNHEIM_NT, XSD, make_graph, numeric_line, rel_line, text_line
 
 
 def lit(lex, dt=None, lang=None):
@@ -51,15 +58,15 @@ def test_modality_by_datatype():
         (lit("P1Y", XSD + "duration"), Modality.OTHER),
     ]
     for literal, expected in cases:
-        assert classify_modality(literal, EX + "p", rules) is expected
+        assert classify_modality(literal.datatype, EX + "p", rules) is expected
 
 
 def test_modality_overrides_win():
     rules = ModalityRules(predicate_modalities={EX + "code": Modality.OTHER})
-    assert classify_modality(lit("42", XSD + "integer"), EX + "code", rules) is Modality.OTHER
+    assert classify_modality(XSD + "integer", EX + "code", rules) is Modality.OTHER
     # image predicate pins even string values
     rules2 = ModalityRules(image_predicates=frozenset({EX + "depiction"}))
-    assert classify_modality(lit("x"), EX + "depiction", rules2) is Modality.IMAGE
+    assert classify_modality(XSD_STRING, EX + "depiction", rules2) is Modality.IMAGE
 
 
 def test_build_index_groups_by_predicate_and_modality():
@@ -281,7 +288,7 @@ def _term_keyed_index(triples, rules):
         obj = triple.object
         sid = entity_id(triple.subject)
         if isinstance(obj, Literal):
-            modality = classify_modality(obj, predicate, rules)
+            modality = classify_modality(obj.datatype, predicate, rules)
         elif predicate in rules.image_predicates:
             modality = Modality.IMAGE
         else:
@@ -376,3 +383,84 @@ def test_iri_and_blank_node_of_one_spelling_are_two_entities():
     graph = index_rows(scan_ntriples(f"<_:b1> <{EX}knows> _:b1 .\n"))
     assert graph.entity_terms == [IRI("_:b1"), BlankNode("b1")]
     assert graph.relational == [(0, 0, 1)]
+
+
+# --- literal groups as columns -------------------------------------------------
+
+
+def test_exact_duplicate_literal_statement_dropped_and_counted():
+    line = f'<{EX}a> <{EX}size> "1"^^<{XSD}integer> .\n'
+    graph = index_rows(scan_ntriples(line * 3 + f'<{EX}a> <{EX}size> "1"^^<{XSD}decimal> .\n'))
+    assert graph.duplicates_removed == 2
+    (group,) = graph.groups()
+    assert (group.subjects, group.lexicals) == ([0, 0], ["1", "1"])
+    assert group.datatypes == [XSD + "integer", XSD + "decimal"]
+    assert group.languages == [None, None]
+
+
+def _report_row(document, rules, strategy="ONEENTITY"):
+    config = StrategyConfig(rules=rules, defaults=shortcut_defaults(strategy, "ONEENTITY"))
+    (row,) = apply(index_rows(scan_ntriples(document), rules), config).report.rows
+    return row
+
+
+def test_datatype_and_language_keep_values_apart():
+    objects = [f'"1"^^<{XSD}integer>', f'"1"^^<{XSD}decimal>', '"1"', '"1"@en', '"1"@en-US']
+    document = "".join(f"<{EX}a> <{EX}p> {obj} .\n" for obj in objects)
+    rules = ModalityRules(predicate_modalities={EX + "p": Modality.OTHER})
+    row = _report_row(document, rules)
+    assert (row.statements, row.distinct_values) == (5, 5)
+
+
+def test_image_references_and_literal_spelled_alike_stay_apart():
+    document = (
+        f"<{EX}a> <{EX}depiction> <urn:x> .\n"
+        f"<{EX}a> <{EX}depiction> _:urn:x .\n"
+        f'<{EX}a> <{EX}depiction> "urn:x" .\n'
+    )
+    graph = index_rows(scan_ntriples(document), _IMAGES)
+    (group,) = graph.groups()
+    assert group.statements == [(0, IRI("urn:x")), (0, BlankNode("urn:x")), (0, Literal("urn:x"))]
+    assert _report_row(document, _IMAGES).distinct_values == 3
+    # A blank node names no value, so TRANSFORM fails on the group and falls back.
+    row = _report_row(document, _IMAGES, "TRANSFORM")
+    assert (row.fell_back_to, row.distinct_values) == ("ONEENTITY", 3)
+
+
+def test_statements_adapter_matches_term_keyed_index(mannheim_triples):
+    graph = index_rows(scan_ntriples(MANNHEIM_NT), IMAGE_RULES)
+    groups = {key: group.statements for key, group in graph.literal_groups.items()}
+    assert groups == _term_keyed_index(mannheim_triples, IMAGE_RULES)[3]
+    assert groups[5, Modality.IMAGE] == [(0, IRI(EX + "img/mannheim.jpg"))]
+
+
+# sha256 of `profile --input -` JSON on each benchmark workload at seed 1,
+# as the Literal-keyed profiler wrote it.
+_WORKLOAD_PROFILES = {
+    "numeric-subpop": "f3bba27a8ef30f7e17137c3b81f3ea3776c273f43042668b3df67d9078bcd85e",
+    "relational-bulk": "4c06eaca33815d47d91293cd9aa1e8bc9487ca4e8f676fa9823e7248b0e073ac",
+    "text-topics": "942cfd7d61a76cf45e1cf8f6fea87998621da47c1d83ba951c2e11c8b30f5ef9",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOAD_PROFILES))
+def test_profile_json_unchanged_on_bench_workloads(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.generate(workload, 1, tmp_path)
+    config = StrategyConfig.from_file(str(inputs.config)) if inputs.config else StrategyConfig()
+    with open(inputs.graph, "rb") as fh:
+        text = profile_rows(scan_ntriples(fh), config.rules).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _WORKLOAD_PROFILES[workload]
+
+
+def test_indexed_literal_statements_are_not_tracked_by_gc():
+    document = "".join(
+        f'<{EX}s{i % 50}> <{EX}p{i % 4}> "{i}"^^<{XSD}integer> .\n' for i in range(20_000)
+    )
+    gc.collect()
+    before = len(gc.get_objects())
+    graph = index_rows(scan_ntriples(document))
+    gc.collect()
+    assert graph.num_literal_statements == 20_000
+    assert len(gc.get_objects()) - before < 200

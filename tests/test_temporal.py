@@ -12,11 +12,14 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from literal_forge import IRI, Literal, Modality
+from literal_forge import IRI, BlankNode, Literal, Modality
 from literal_forge.binning import BinningSpec
 from literal_forge.temporal import (
     CalendarDate,
     IN_QUARTER,
+    _DATE_RE,
+    _GYEAR_RE,
+    _GYEARMONTH_RE,
     NEXT_DAY,
     NEXT_MONTH,
     WEEKDAY_NAMES,
@@ -25,9 +28,16 @@ from literal_forge.temporal import (
     datfeat_names,
     parse_date,
 )
-from literal_forge.terms import XSD_DATE, XSD_DATETIME, XSD_GYEAR, XSD_GYEARMONTH
+from literal_forge.terms import (
+    RDF_LANGSTRING,
+    XSD_DATE,
+    XSD_DATETIME,
+    XSD_GYEAR,
+    XSD_GYEARMONTH,
+    XSD_STRING,
+)
 
-from util import EX, NEW, XSD, date_line, make_graph
+from util import EX, NEW, XSD, date_line, make_graph, parse_outcomes, reference_outcomes
 
 
 def sakamoto_weekday(y: int, m: int, d: int) -> int:
@@ -133,8 +143,7 @@ def test_consecutive_days_differ_by_86400(ordinal):
     ],
 )
 def test_parse_date_accepts(lex, dt, expected):
-    literal = Literal(lex, datatype=dt) if dt else Literal(lex)
-    assert parse_date(literal) == CalendarDate(*expected)
+    assert parse_date(lex, dt or XSD_STRING) == CalendarDate(*expected)
 
 
 @pytest.mark.parametrize(
@@ -151,9 +160,80 @@ def test_parse_date_accepts(lex, dt, expected):
     ],
 )
 def test_parse_date_rejects(lex, dt):
-    literal = Literal(lex, datatype=dt) if dt else Literal(lex)
     with pytest.raises(ValueError):
-        parse_date(literal)
+        parse_date(lex, dt or XSD_STRING)
+
+
+def _parse_date_reference(literal: Literal) -> CalendarDate:
+    """parse_date as it read a Literal term before literal groups became columns."""
+    text = literal.lexical.strip()
+    dt = literal.datatype
+    if dt in (XSD_DATE, XSD_DATETIME):
+        m = _DATE_RE.match(text)
+        if not m:
+            raise ValueError(f"not a date lexical form: {literal.lexical!r}")
+        return CalendarDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    if dt == XSD_GYEARMONTH:
+        m = _GYEARMONTH_RE.match(text)
+        if not m:
+            raise ValueError(f"not a gYearMonth lexical form: {literal.lexical!r}")
+        return CalendarDate(int(m.group(1)), int(m.group(2)), 1)
+    if dt == XSD_GYEAR:
+        m = _GYEAR_RE.match(text)
+        if not m:
+            raise ValueError(f"not a gYear lexical form: {literal.lexical!r}")
+        return CalendarDate(int(m.group(1)), 1, 1)
+    m = _DATE_RE.match(text)
+    if m:
+        return CalendarDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    raise ValueError(f"unsupported temporal datatype: {dt}")
+
+
+_YEARS = st.one_of(
+    st.integers(1000, 2100).map(str),
+    st.integers(0, 99999).map(lambda y: f"{y:04d}"),
+    st.integers(1, 9999).map(lambda y: f"-{y:04d}"),
+    st.sampled_from(["999", "+2020", "0000", "20a0"]),
+)
+_FIELDS = st.one_of(
+    st.integers(1, 12).map(lambda v: f"{v:02d}"),
+    st.integers(0, 40).map(lambda v: f"{v:02d}"),
+    st.sampled_from(["1", "123", ""]),
+)
+_TIMES = st.sampled_from(["", "T00:00:00", "T23:59:59.123", "T24:00:00", "t1", " 12:00"])
+_ZONES = st.sampled_from(["", "Z", "z", "+05:30", "-08:00", "+5:30", "-14:00:00"])
+_SPACE = st.sampled_from(["", " ", "\t", "\n ", "\u00a0"])
+
+
+@st.composite
+def _date_lexicals(draw):
+    year, month, day = draw(_YEARS), draw(_FIELDS), draw(_FIELDS)
+    body = draw(
+        st.sampled_from(
+            [f"{year}-{month}-{day}{draw(_TIMES)}", f"{year}-{month}", year, draw(st.text(max_size=10))]
+        )
+    )
+    return draw(_SPACE) + body + draw(_ZONES) + draw(_SPACE)
+
+
+_DATE_OBJECTS = st.one_of(
+    st.builds(
+        Literal,
+        _date_lexicals(),
+        st.sampled_from(
+            [XSD_DATE, XSD_DATETIME, XSD_GYEAR, XSD_GYEARMONTH, XSD_STRING, XSD + "integer"]
+        ),
+    ),
+    st.builds(lambda lex: Literal(lex, RDF_LANGSTRING, "en"), _date_lexicals()),
+    st.builds(IRI, _date_lexicals()),
+    st.builds(BlankNode, _date_lexicals()),
+)
+
+
+@given(st.lists(_DATE_OBJECTS, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_column_parse_matches_literal_parse_date(objects):
+    assert parse_outcomes(parse_date, objects) == reference_outcomes(_parse_date_reference, objects)
 
 
 def test_datfeat_names_example():

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 
-from literal_forge import ModalityRules, build_index, parse_ntriples
+from literal_forge import IRI, ModalityRules, Triple, build_index, parse_ntriples
+from literal_forge.baselines import parse_or_reject
 
 EX = "http://ex.org/"
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -50,3 +51,29 @@ def write_tag_map(path, mapping: dict[str, str]) -> str:
     payload = {key: [{"name": label, "score": 1.0}] for key, label in mapping.items()}
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def parse_outcomes(parse, objects) -> list[tuple]:
+    """Each object's outcome under parse_or_reject(group, parse), where the
+    group holds one statement per object, subject i to object i: ("value",
+    repr of the value) or ("rejected",). Image references may be objects."""
+    triples = [Triple(IRI(f"{EX}s{i}"), IRI(EX + "p"), obj) for i, obj in enumerate(objects)]
+    (group,) = build_index(triples, ModalityRules(image_predicates=frozenset({EX + "p"}))).groups()
+    subject_ids, values, rejected = parse_or_reject(group, parse)
+    assert sorted(subject_ids + rejected) == list(range(len(objects)))
+    assert subject_ids == sorted(subject_ids) and rejected == sorted(rejected)
+    accepted = dict(zip(subject_ids, map(repr, values)))
+    return [("value", accepted[i]) if i in accepted else ("rejected",) for i in range(len(objects))]
+
+
+def reference_outcomes(parse, objects) -> list[tuple]:
+    """parse_outcomes for a *parse* that reads the object term, as
+    parse_or_reject called it before literal groups were columns: a
+    ValueError or an AttributeError (an object that is not a literal) rejects."""
+    out = []
+    for obj in objects:
+        try:
+            out.append(("value", repr(parse(obj))))
+        except (ValueError, AttributeError):
+            out.append(("rejected",))
+    return out
