@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 from urllib.parse import quote
 
-from .graph import IndexedGraph, LiteralGroup
-from .terms import IRI, BlankNode, Triple, local_name
+from .graph import Augmentation, IndexedGraph, LiteralGroup
+from .terms import BlankNode, local_name
 
 V = TypeVar("V")
 
@@ -44,46 +43,6 @@ def sanitize_value(value: str) -> str:
         digest = hashlib.sha256(value.encode("utf-8")).hexdigest()[:8]
         encoded = f"{encoded}-{digest}"
     return encoded
-
-
-@dataclass
-class Augmentation:
-    """Statements produced by one strategy application.
-
-    *triples* link original subjects to minted entities and are counted as
-    added statements; *structural_triples* connect minted entities to each
-    other (bin chains, calendar scaffolding) and are accounted separately.
-    *weighted* pairs the entries of *triples* that a strategy scores with
-    their score; only TXTLDA and IMAGETAGS score anything.
-    """
-
-    triples: list[Triple] = field(default_factory=list)
-    removed: int = 0
-    structural_triples: list[Triple] = field(default_factory=list)
-    weighted: list[tuple[Triple, float]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    fallback_statements: int = 0
-
-    @cached_property
-    def minted_objects(self) -> frozenset[str]:
-        """The distinct IRI objects of *triples*: the entities the group links
-        its subjects to. Read once the strategy has returned."""
-        return frozenset(t.object.value for t in self.triples if isinstance(t.object, IRI))
-
-    @cached_property
-    def minted_entities(self) -> frozenset[str]:
-        """*minted_objects* plus the subjects and objects of *structural_triples*:
-        every minted entity the group puts in the output."""
-        nodes = {n.value for t in self.structural_triples for n in (t.subject, t.object)}
-        return self.minted_objects | nodes
-
-    @property
-    def delta_entities(self) -> int:
-        return len(self.minted_objects)
-
-    @property
-    def delta_statements(self) -> int:
-        return len(self.triples)
 
 
 def parse_or_reject(
@@ -112,34 +71,26 @@ def parse_or_reject(
 
 
 def link_any_value(
-    aug: Augmentation,
-    graph: IndexedGraph,
-    predicate: str,
-    subject_ids: Sequence[int],
-    namespace: str = DEFAULT_NAMESPACE,
+    aug: Augmentation, subject_ids: Sequence[int], namespace: str = DEFAULT_NAMESPACE
 ) -> None:
-    """Link each subject to the predicate's ONEENTITY AnyValue entity.
+    """Link each subject to the group predicate's ONEENTITY AnyValue entity.
 
     The entity is minted only when there is a subject to link.
     """
-    if not subject_ids:
-        return
-    entity = IRI(namespace + sanitize_value(local_name(predicate)) + "AnyValue")
-    link = IRI(predicate)
-    terms = graph.entity_terms
-    aug.triples.extend([Triple(terms[subject_id], link, entity) for subject_id in subject_ids])
+    if subject_ids:
+        aug.link(subject_ids, namespace + sanitize_value(local_name(aug.predicate)) + "AnyValue")
 
 
-def note_fallback(aug: Augmentation, predicate: str, count: int, cause: str) -> None:
+def note_fallback(aug: Augmentation, count: int, cause: str) -> None:
     """Count *count* AnyValue fallback links and warn about their *cause*."""
     if count:
         aug.fallback_statements = count
-        aug.warnings.append(f"{predicate}: {cause} got AnyValue links")
+        aug.warnings.append(f"{aug.predicate}: {cause} got AnyValue links")
 
 
 def exclude(group: LiteralGroup) -> Augmentation:
     """Drop every literal statement of the group."""
-    return Augmentation(removed=len(group))
+    return Augmentation(group.predicate, removed=len(group))
 
 
 def transform_literal2entity(
@@ -150,19 +101,15 @@ def transform_literal2entity(
     Statements with equal lexical forms share the minted entity; equality is
     exact lexical-form equality, numeric normalization is left to binning.
     """
-    aug = Augmentation()
-    pred_local = sanitize_value(local_name(group.predicate))
-    predicate = IRI(group.predicate)
-    by_value: dict[str, IRI] = {}
-    terms = graph.entity_terms
     if BlankNode in group.datatypes:
         raise ValueError("a blank-node image reference has no value to name an entity by")
-    for subject_id, lexical in zip(group.subjects, group.lexicals):
-        entity = by_value.get(lexical)
-        if entity is None:
-            entity = IRI(namespace + pred_local + sanitize_value(lexical))
-            by_value[lexical] = entity
-        aug.triples.append(Triple(terms[subject_id], predicate, entity))
+    pred_local = sanitize_value(local_name(group.predicate))
+    entity = {
+        lexical: namespace + pred_local + sanitize_value(lexical)
+        for lexical in dict.fromkeys(group.lexicals)
+    }
+    aug = Augmentation(group.predicate, graph.entity_terms)
+    aug.link(group.subjects, [entity[lexical] for lexical in group.lexicals])
     return aug
 
 
@@ -170,8 +117,8 @@ def one_entity(
     group: LiteralGroup, graph: IndexedGraph, namespace: str = DEFAULT_NAMESPACE
 ) -> Augmentation:
     """A single entity per predicate, ignoring the literal values entirely."""
-    aug = Augmentation()
-    link_any_value(aug, graph, group.predicate, group.subjects, namespace)
+    aug = Augmentation(group.predicate, graph.entity_terms)
+    link_any_value(aug, group.subjects, namespace)
     return aug
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .baselines import (
     sanitize_value,
 )
 from .graph import IndexedGraph, LiteralGroup
-from .terms import IRI, Triple, local_name
+from .terms import XSD_SPACE, local_name
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +40,9 @@ PARENT_BIN = "parentBin"
 # Cells per array chunk of the LOF reach sums and the overlap hit mask;
 # chunking caps memory and never changes a result.
 _CHUNK_CELLS = 1 << 14
+
+# The XSD decimal, float and double lexical forms, INF and NaN left out.
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -58,12 +61,12 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
 def parse_numeric(lexical: str, dt: str | None = None) -> float:
     """Parse a numeric lexical form into binary64; the datatype is not read.
 
-    Rejects non-finite values (INF/NaN) and anything outside the plain
-    decimal/scientific grammar; callers route failures to the fallback
-    strategy.
+    Accepts the XSD decimal and scientific grammar in ASCII, after XSD
+    whitespace collapse. Rejects non-finite values (INF/NaN) and anything
+    else; callers route failures to the fallback strategy.
     """
-    text = lexical.strip()
-    if not text or "_" in text:
+    text = lexical.strip(XSD_SPACE)
+    if _NUMBER.fullmatch(text) is None:
         raise ValueError(f"not a numeric lexical form: {lexical!r}")
     value = float(text)
     if not math.isfinite(value):
@@ -410,34 +413,27 @@ def emit_bin_triples(
     namespace: str = DEFAULT_NAMESPACE,
     aug: Augmentation | None = None,
 ) -> Augmentation:
-    """Statement triples for assigned bins plus the structural bin graph.
+    """Links for assigned bins plus the structural bin graph.
 
     The adjacency chain runs through every bin of a level, empty ones too;
-    chain and hierarchy triples are structural, not statement, triples.
-    Each bin IRI is built once.
+    chain and hierarchy statements are structural, not links.
     """
-    aug = aug if aug is not None else Augmentation()
-    predicate = IRI(group.predicate)
-    bin_iris = [[IRI(entity) for entity in level.entities] for level in layout.levels]
-    flat_iris = [iri for level_iris in bin_iris for iri in level_iris]
+    aug = aug if aug is not None else Augmentation(group.predicate, graph.entity_terms)
+    flat = [entity for level in layout.levels for entity in level.entities]
     offsets = np.cumsum([0] + [level.num_bins for level in layout.levels])
-    objects = [flat_iris[i] for i in (offsets[assignments.levels] + assignments.bins).tolist()]
-    terms = graph.entity_terms
-    subjects = [terms[sid] for sid in assignments.subjects.tolist()]
-    if len(objects) != len(subjects):
-        subjects = [subjects[row] for row in assignments.rows.tolist()]
-    aug.triples.extend(map(Triple, subjects, repeat(predicate), objects))
+    objects = [flat[i] for i in (offsets[assignments.levels] + assignments.bins).tolist()]
+    aug.link(assignments.subjects[assignments.rows].tolist(), objects)
     if layout.connect_adjacent and any(level.num_bins > 1 for level in layout.levels):
-        link = IRI(namespace + NEXT_BIN)
-        for level_iris in bin_iris:
-            for a, b in zip(level_iris, level_iris[1:]):
-                aug.structural_triples.append(Triple(a, link, b))
+        link = namespace + NEXT_BIN
+        for level in layout.levels:
+            for a, b in zip(level.entities, level.entities[1:]):
+                aug.join(a, link, b)
     if len(layout.levels) > 1:
-        link = IRI(namespace + PARENT_BIN)
-        for child_iris, parent_iris in zip(bin_iris, bin_iris[1:]):
-            for i, child in enumerate(child_iris):
-                parent = parent_iris[min(i // 2, len(parent_iris) - 1)]
-                aug.structural_triples.append(Triple(child, link, parent))
+        link = namespace + PARENT_BIN
+        for child, parent in zip(layout.levels, layout.levels[1:]):
+            last = parent.num_bins - 1
+            for i, entity in enumerate(child.entities):
+                aug.join(entity, link, parent.entities[min(i // 2, last)])
     return aug
 
 
@@ -460,7 +456,7 @@ def bin_statements(
     instead of a bin, so every statement still yields exactly one output
     statement.
     """
-    aug = aug if aug is not None else Augmentation()
+    aug = aug if aug is not None else Augmentation(group.predicate, graph.entity_terms)
     if subject_ids is None:
         subject_ids, values = group.subjects, [parse_numeric(lex) for lex in group.lexicals]
     if len(subject_ids) == 0:
@@ -489,14 +485,11 @@ def bin_statements(
     if outlier.any():
         pred_local = sanitize_value(local_name(group.predicate))
         sub = f"Sub{subpopulation}" if subpopulation is not None else ""
-        low = IRI(namespace + pred_local + sub + "OutlierLow")
-        high = IRI(namespace + pred_local + sub + "OutlierHigh")
+        low = namespace + pred_local + sub + "OutlierLow"
+        high = namespace + pred_local + sub + "OutlierHigh"
         mid = (layout.lower + layout.upper) / 2.0
-        predicate = IRI(group.predicate)
-        terms = graph.entity_terms
-        for subject_id, value in zip(subjects[outlier].tolist(), values[outlier].tolist()):
-            entity = low if value <= mid else high
-            aug.triples.append(Triple(terms[subject_id], predicate, entity))
+        entities = [low if value <= mid else high for value in values[outlier].tolist()]
+        aug.link(subjects[outlier].tolist(), entities)
     return aug
 
 
@@ -514,11 +507,9 @@ def nbins(
     Statements *parse* rejects link to the AnyValue entity after the bin
     links and are counted as unparseable *kind* statements.
     """
-    aug = Augmentation()
+    aug = Augmentation(group.predicate, graph.entity_terms)
     subject_ids, values, rejected = parse_or_reject(group, parse)
     bin_statements(group, graph, spec, namespace, lof, subject_ids, values, aug=aug)
-    link_any_value(aug, graph, group.predicate, rejected, namespace)
-    note_fallback(
-        aug, group.predicate, len(rejected), f"{len(rejected)} unparseable {kind} statements"
-    )
+    link_any_value(aug, rejected, namespace)
+    note_fallback(aug, len(rejected), f"{len(rejected)} unparseable {kind} statements")
     return aug

@@ -14,15 +14,14 @@ import logging
 import os
 import sys
 from contextlib import closing, contextmanager, suppress
-from itertools import chain
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .graph import ModalityRules, index_rows, profile_rows
 from .ntriples import (
     ParseDiagnostic,
     ParseError,
     SerializationError,
-    format_lines,
+    TermText,
     scan_ntriples,
     write_lines,
 )
@@ -79,6 +78,15 @@ class _DiagnosticCounter:
             log.warning("line %d: %s", diagnostic.line, diagnostic.message)
 
 
+def _print(text: str) -> None:
+    """Print *text* to stdout; a reader that closed it early gets no traceback."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Python's SIGPIPE advice: the flush at exit then goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _human_profile(data: dict) -> str:
     rows = [
         ("relations", data["relations"]),
@@ -126,10 +134,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     result = _read_input(args.input, lambda rows: profile_rows(rows, rules), args.strict)
     if result is None:
         return EXIT_INPUT
-    if args.human:
-        print(_human_profile(result.to_dict()))
-    else:
-        print(result.to_json())
+    _print(_human_profile(result.to_dict()) if args.human else result.to_json())
     return EXIT_OK
 
 
@@ -144,33 +149,59 @@ def _load_config(args: argparse.Namespace) -> StrategyConfig:
     return config
 
 
-def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> int:
+def _lines(result: PipelineResult, text: TermText, weights: bool = False) -> Iterator[str]:
+    """The output's canonical lines, in the order of result.triples.
+
+    With *weights*, the weights sidecar's lines instead: each link scored
+    above 0.0, a tab, and its score to six places. Every term's text comes
+    from *text*, so each is validated once across both.
+    """
+    entity, iri = text.entity, text.iri
+    if weights:
+        for aug in result.augmentations:
+            for s, o, score in zip(aug.subjects, aug.objects, aug.scores):
+                if score is not None and score > 0.0:
+                    yield f"{entity(s)} {iri(aug.predicate)} {iri(o)} .\t{score:.6f}"
+        return
+    # Known text is read from the table inline; a method call fills a miss.
+    by_id, known, relations = text.by_id, text.by_key, result.graph.relation_iris
+    for s, r, o in result.graph.relational:
+        p = relations[r]
+        yield f"{by_id[s] or entity(s)} {known.get(p) or iri(p)} {by_id[o] or entity(o)} ."
+    for aug in result.augmentations:
+        if aug.subjects:  # a predicate is checked only when it is written
+            p = iri(aug.predicate)
+            for s, o in zip(aug.subjects, aug.objects):
+                yield f"{by_id[s] or entity(s)} {p} {known.get(o) or iri(o)} ."
+    for a, r, b in result.structural:
+        yield f"{iri(a)} {iri(r)} {iri(b)} ."
+
+
+def _write_outputs(result: PipelineResult, output: str) -> int:
     """Write the output, report and weights, replacing earlier ones atomically.
 
     Each goes to a temp file beside its target first. Only once every write
     has succeeded are the old report and weights removed and each temp file
     moved into place, output first, so a crash can never pair a new output
     with an old report or sidecar. On failure the temp files are removed
-    and earlier files stay. The output's relational lines are written from
-    the graph's ids, then the minted triples; returns its line count.
+    and earlier files stay. The output and the weights, when the result's
+    emit_weights is on, are written by _lines from one TermText; returns
+    the output's line count.
     """
     report = output + ".report.json"
     weights = output + ".weights.tsv"
-    targets = [output, report, weights] if emit_weights else [output, report]
+    targets = [output, report, weights] if result.emit_weights else [output, report]
+    text = TermText(result.graph.entity_terms)
     temp = {target: f"{target}.{os.getpid()}.tmp" for target in targets}
     try:
         with open(temp[output], "wb") as out:
-            count = write_lines(
-                chain(result.graph.relational_lines(), format_lines(result.minted)), out
-            )
+            count = write_lines(_lines(result, text), out)
         with open(temp[report], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(result.report.to_json())
             fh.write("\n")
-        if emit_weights:
-            lines = format_lines(triple for triple, _ in result.weighted)
-            with open(temp[weights], "w", encoding="utf-8", newline="\n") as fh:
-                for line, (_, weight) in zip(lines, result.weighted):
-                    fh.write(f"{line}\t{weight:.6f}\n")
+        if result.emit_weights:
+            with open(temp[weights], "wb") as out:
+                write_lines(_lines(result, text, weights=True), out)
         for stale in (report, weights):
             with suppress(FileNotFoundError):
                 os.remove(stale)
@@ -205,7 +236,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         return EXIT_STRATEGY
 
     try:
-        count = _write_outputs(result, args.output, config.emit_weights)
+        count = _write_outputs(result, args.output)
     except SerializationError as exc:
         log.error("cannot serialize output: %s", exc)
         return EXIT_INPUT
@@ -237,15 +268,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problems = _read_input(args.input, lambda rows: check_rows(rows, report), True)
     if problems is None:
         return EXIT_INPUT
-    verdict = {"ok": not problems, "problems": problems}
     if args.human:
-        if problems:
-            for problem in problems:
-                print(problem)
-        else:
-            print("output consistent with report; all bounds hold")
+        _print("\n".join(problems) or "output consistent with report; all bounds hold")
     else:
-        print(json.dumps(verdict, indent=2))
+        _print(json.dumps({"ok": not problems, "problems": problems}, indent=2))
     return EXIT_OK if not problems else EXIT_VERIFY
 
 

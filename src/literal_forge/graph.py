@@ -13,10 +13,10 @@ import enum
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .ntriples import Row, term_text
+from .ntriples import Row
 from .terms import (
     IRI,
     BlankNode,
@@ -30,6 +30,7 @@ from .terms import (
 )
 
 if TYPE_CHECKING:
+    from array import array
     import numpy as np
 
 
@@ -104,6 +105,84 @@ class LiteralGroup:
         ]
 
 
+def _id_column() -> array:
+    """An empty column of packed 64-bit ids, so a link holds no int object.
+    array is a shared library, loaded here only by runs that mint links."""
+    from array import array
+    return array("q")
+
+
+@dataclass
+class Augmentation:
+    """Statements produced by one strategy application, as columns.
+
+    Link i joins subject id subjects[i] to the minted IRI objects[i] by the
+    group's *predicate*, and counts as an added statement; scores[i] is its
+    score, or None when unscored (only TXTLDA and IMAGETAGS score links).
+    *structural* holds (IRI, IRI, IRI) statements between minted entities,
+    such as bin chains and calendar scaffolding, accounted separately.
+    *entity_terms* is the graph's, read only by the Triple adapters.
+    """
+
+    predicate: str
+    entity_terms: Sequence[Term] = field(default=(), repr=False)
+    subjects: array = field(default_factory=_id_column)
+    objects: list[str] = field(default_factory=list)
+    scores: list[float | None] = field(default_factory=list)
+    structural: list[tuple[str, str, str]] = field(default_factory=list)
+    removed: int = 0
+    warnings: list[str] = field(default_factory=list)
+    fallback_statements: int = 0
+
+    def link(
+        self, subject_ids: Sequence[int], iri: str | Sequence[str], score: float | None = None
+    ) -> None:
+        """Link every subject to *iri*, or each to the IRI beside it when
+        *iri* is a list, all with *score*."""
+        self.subjects.extend(subject_ids)
+        self.objects.extend(repeat(iri, len(subject_ids)) if isinstance(iri, str) else iri)
+        self.scores.extend(repeat(score, len(subject_ids)))
+
+    def join(self, a: str, relation: str, b: str) -> None:
+        """A structural statement from minted entity *a* to *b*."""
+        self.structural.append((a, relation, b))
+
+    @property
+    def minted_objects(self) -> set[str]:
+        """The distinct link objects: the entities the group links its subjects to."""
+        return set(self.objects)
+
+    @property
+    def minted_entities(self) -> set[str]:
+        """*minted_objects* plus the nodes of *structural*: every minted entity
+        the group puts in the output."""
+        return set(self.objects).union(*((a, b) for a, _, b in self.structural))
+
+    @property
+    def delta_entities(self) -> int:
+        return len(self.minted_objects)
+
+    @property
+    def delta_statements(self) -> int:
+        return len(self.subjects)
+
+    @property
+    def triples(self) -> list[Triple]:
+        """The links as triples, built on each access for library callers."""
+        terms, predicate = self.entity_terms, IRI(self.predicate)
+        return [Triple(terms[s], predicate, IRI(o)) for s, o in zip(self.subjects, self.objects)]
+
+    @property
+    def structural_triples(self) -> list[Triple]:
+        """*structural* as triples, built on each access."""
+        return [Triple(IRI(a), IRI(r), IRI(b)) for a, r, b in self.structural]
+
+    @property
+    def weighted(self) -> list[tuple[Triple, float]]:
+        """(triple, score) of every scored link, built on each access."""
+        return [(t, w) for t, w in zip(self.triples, self.scores) if w is not None]
+
+
 @dataclass
 class IndexedGraph:
     entity_terms: list[Term] = field(default_factory=list)
@@ -133,21 +212,6 @@ class IndexedGraph:
         terms = self.entity_terms
         relations = [IRI(iri) for iri in self.relation_iris]
         return (Triple(terms[s], relations[r], terms[o]) for s, r, o in self.relational)
-
-    def relational_lines(self) -> Iterator[str]:
-        """Canonical text of relational_triples(); as in format_lines, each
-        distinct term is checked once, at the first statement naming it."""
-        n = len(self.entity_terms)
-        table = [*self.entity_terms, *map(IRI, self.relation_iris)]
-        text: list[str | None] = [None] * len(table)
-
-        def first(i: int) -> str:
-            out = text[i] = term_text(table[i])
-            return out
-
-        for s, r, o in self.relational:
-            r += n
-            yield f"{text[s] or first(s)} {text[r] or first(r)} {text[o] or first(o)} ."
 
     @cached_property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

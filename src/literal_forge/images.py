@@ -25,7 +25,7 @@ from .baselines import (
     sanitize_value,
 )
 from .graph import IndexedGraph, LiteralGroup
-from .terms import IRI, Triple, XSD_BASE64
+from .terms import BlankNode, XSD_BASE64
 
 log = logging.getLogger(__name__)
 
@@ -206,21 +206,20 @@ def resolve_image_refs(group: LiteralGroup) -> list[ImageRef]:
     """
     refs: list[ImageRef] = []
     for index, (lexical, datatype) in enumerate(zip(group.lexicals, group.datatypes)):
-        if datatype is IRI:
-            refs.append(ImageRef(index, iri=lexical))
+        if not isinstance(datatype, str):  # an IRI or a blank node, not a literal
+            if datatype is not BlankNode:
+                refs.append(ImageRef(index, iri=lexical))
             continue
-        if isinstance(datatype, str):  # a literal, not a blank node
-            text = lexical.strip()
-            if datatype == XSD_BASE64:
-                try:
-                    payload = base64.b64decode(text, validate=True)
-                except (binascii.Error, ValueError):
-                    payload = b""
-                if payload:
-                    refs.append(ImageRef(index, payload=payload))
-                continue
-            if text.startswith(("http://", "https://")):
-                refs.append(ImageRef(index, iri=text))
+        text = lexical.strip()
+        if datatype == XSD_BASE64:
+            try:
+                payload = base64.b64decode(text, validate=True)
+            except (binascii.Error, ValueError):
+                payload = b""
+            if payload:
+                refs.append(ImageRef(index, payload=payload))
+        elif text.startswith(("http://", "https://")):
+            refs.append(ImageRef(index, iri=text))
     return refs
 
 
@@ -253,23 +252,19 @@ def emit_image_triples(
 
     Label entities are shared across statements and predicates. Provider
     misses, undecodable payloads, and lookup errors fall back to a
-    one-entity link; every statement yields exactly one output triple.
+    one-entity link; every statement yields exactly one link.
     """
-    aug = Augmentation()
-    predicate = IRI(group.predicate)
+    aug = Augmentation(group.predicate, graph.entity_terms)
     refs = resolve_image_refs(group)
     distributions = _lookup_all(provider, refs, max_in_flight)
     misses = 0
     for index, subject_id in enumerate(group.subjects):
         distribution = distributions.get(index)
         if distribution is None:
-            link_any_value(aug, graph, group.predicate, [subject_id], namespace)
+            link_any_value(aug, [subject_id], namespace)
             misses += 1
             continue
-        label = top_label(distribution)
-        iri = IRI(namespace + prefix + sanitize_value(label))
-        triple = Triple(graph.entity_terms[subject_id], predicate, iri)
-        aug.triples.append(triple)
-        aug.weighted.append((triple, distribution.labels[0][1]))
-    note_fallback(aug, group.predicate, misses, f"{misses} image statements without tags")
+        label = namespace + prefix + sanitize_value(top_label(distribution))
+        aug.link([subject_id], label, distribution.labels[0][1])
+    note_fallback(aug, misses, f"{misses} image statements without tags")
     return aug

@@ -17,7 +17,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from .terms import (
     IRI,
@@ -285,10 +285,37 @@ def format_term(term: Term) -> str:
     return f'"{escaped}"^^<{term.datatype}>'
 
 
-def term_text(term: Term) -> str:
-    """format_term of a valid term; SerializationError for an invalid one."""
-    _check(validate_term, term)
-    return format_term(term)
+class TermText:
+    """The canonical text of terms, each validated the first time it is asked for.
+
+    A term's text is kept under its key: an IRI's string, or the term
+    itself. So an entity IRI and the same IRI met as a string are one
+    entry. The terms of *entity_terms* are also kept by their id there.
+    Asking for a term that breaks an invariant raises SerializationError.
+    """
+
+    def __init__(self, entity_terms: Sequence[Term] = ()) -> None:
+        self.entity_terms = entity_terms
+        self.by_id: list[str | None] = [None] * len(entity_terms)
+        self.by_key: dict[str | Term, str] = {}
+
+    def entity(self, eid: int) -> str:
+        out = self.by_id[eid]
+        if out is None:
+            out = self.by_id[eid] = self.term(self.entity_terms[eid])
+        return out
+
+    def iri(self, value: str) -> str:
+        return self.by_key.get(value) or self._first(value, IRI(value))
+
+    def term(self, term: Term) -> str:
+        key = term.value if type(term) is IRI else term
+        return self.by_key.get(key) or self._first(key, term)
+
+    def _first(self, key: str | Term, term: Term) -> str:
+        _check(validate_term, term)
+        out = self.by_key[key] = format_term(term)
+        return out
 
 
 def format_lines(triples: Iterable[Triple]) -> Iterator[str]:
@@ -298,23 +325,7 @@ def format_lines(triples: Iterable[Triple]) -> Iterator[str]:
     seen. A term or statement that breaks an invariant raises
     SerializationError when its triple is reached.
     """
-    # IRIs are remembered by their value, whose string hash is cached, and
-    # formatted on the fly; the few other terms keep their formatted text.
-    valid_iris: set[str] = set()
-    memo: dict[Term, str] = {}
-
-    def text(term: Term) -> str:
-        if type(term) is IRI:
-            value = term.value
-            if value not in valid_iris:
-                _check(validate_term, term)
-                valid_iris.add(value)
-            return f"<{value}>"
-        out = memo.get(term)
-        if out is None:
-            out = memo[term] = term_text(term)
-        return out
-
+    text = TermText().term
     for triple in triples:
         line = f"{text(triple.subject)} {text(triple.predicate)} {text(triple.object)} ."
         # Its terms are valid, so only a literal subject or a non-IRI

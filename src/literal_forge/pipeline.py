@@ -18,9 +18,9 @@ from importlib import import_module
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
-from .baselines import DEFAULT_NAMESPACE, Augmentation, BinningSpec, LdaSpec, LofSpec, bin_count
+from .baselines import DEFAULT_NAMESPACE, BinningSpec, LdaSpec, LofSpec, bin_count
 from .baselines import _load_json
-from .graph import IndexedGraph, LiteralGroup, Modality, ModalityRules, _rows
+from .graph import Augmentation, IndexedGraph, LiteralGroup, Modality, ModalityRules, _rows
 from .ntriples import Row
 from .terms import _IRI_BAD, IRI, Triple
 
@@ -511,21 +511,36 @@ class AugmentationReport:
 
 @dataclass
 class PipelineResult:
-    """Merged output: the graph's relational statements, then *minted*.
+    """Merged output, as columns: the graph's relational statements, then the
+    links of each group's augmentation, then *structural*, the structural
+    statements deduplicated in first-mint order.
 
-    *minted* holds each group's statement triples, then the structural
-    ones. *weighted* is filled only when the config's emit_weights is on.
+    *minted*, *triples* and *weighted* are Triple adapters, built on each
+    access; *weighted* is empty unless *emit_weights* is on.
     """
 
     graph: IndexedGraph
-    minted: list[Triple]
+    augmentations: list[Augmentation]
+    structural: list[tuple[str, str, str]]
     report: AugmentationReport
-    weighted: list[tuple[Triple, float]] = field(default_factory=list)
+    emit_weights: bool = False
+
+    @property
+    def minted(self) -> list[Triple]:
+        """Each group's link triples, then the structural ones."""
+        links = [t for aug in self.augmentations for t in aug.triples]
+        return links + [Triple(IRI(a), IRI(r), IRI(b)) for a, r, b in self.structural]
 
     @property
     def triples(self) -> list[Triple]:
-        """Every output triple in order, built on each access."""
+        """Every output triple in order."""
         return [*self.graph.relational_triples(), *self.minted]
+
+    @property
+    def weighted(self) -> list[tuple[Triple, float]]:
+        """(triple, score) of every link scored above 0.0, with emit_weights on."""
+        pairs = (pair for aug in self.augmentations for pair in aug.weighted)
+        return [pair for pair in pairs if pair[1] > 0.0] if self.emit_weights else []
 
 
 def _distinct_values(group: LiteralGroup) -> int:
@@ -681,19 +696,17 @@ def check_namespace(graph: IndexedGraph, namespace: str) -> None:
 def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
     """Run the configured strategies over every literal group and merge.
 
-    Output order is fixed: original relational triples first (input order),
-    then each group's statement triples (groups ordered by predicate id and
-    modality), then structural triples deduplicated in first-mint order.
+    Output order is fixed: original relational statements first (input
+    order), then each group's links (groups ordered by predicate id and
+    modality), then structural statements deduplicated in first-mint order.
     """
     check_namespace(graph, config.namespace)
     groups = graph.groups()
     plans = [config.plan_for(g.predicate, g.modality) for g in groups]
     provider = config.make_provider() if any(p.strategy == IMAGETAGS for p in plans) else None
 
-    minted: list[Triple] = []
-    weighted: list[tuple[Triple, float]] = []
-    structural: list[Triple] = []
-    structural_seen: set[Triple] = set()
+    augmentations: list[Augmentation] = []
+    structural: dict[tuple[str, str, str], None] = {}  # an ordered set
     minted_entities: set[str] = set()
     rows: list[PredicateReport] = []
 
@@ -715,16 +728,10 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
             outcome.aug.warnings.append(f"{group.predicate}: strategy failed ({exc})")
             fell_back = config.fallback
         aug = outcome.aug
-        minted.extend(aug.triples)
+        augmentations.append(aug)
         minted_entities |= aug.minted_entities
-        if config.emit_weights:
-            weighted.extend(pair for pair in aug.weighted if pair[1] > 0.0)
-        row_structural = 0
-        for triple in aug.structural_triples:
-            if triple not in structural_seen:
-                structural_seen.add(triple)
-                structural.append(triple)
-                row_structural += 1
+        before = len(structural)
+        structural.update(dict.fromkeys(aug.structural))
         S = len(group)
         rows.append(
             PredicateReport(
@@ -736,8 +743,8 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
                 parsed=0 if fell_back else S - aug.fallback_statements,
                 fallback_statements=aug.fallback_statements,
                 delta_entities=aug.delta_entities,
-                delta_statements=len(aug.triples),
-                structural=row_structural,
+                delta_statements=aug.delta_statements,
+                structural=len(structural) - before,
                 removed=aug.removed,
                 entity_allowance=outcome.entity_allowance,
                 statement_delta_exact=outcome.statement_delta_exact,
@@ -750,8 +757,6 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
             )
         )
 
-    minted.extend(structural)
-
     report = AugmentationReport(
         namespace=config.namespace,
         seed=config.seed,
@@ -759,12 +764,12 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
         relational_preserved=graph.num_relational,
         structural_total=len(structural),
         minted_entities_in_output=len(minted_entities),
-        minted_relations_in_output=len({t.predicate.value for t in structural}),
+        minted_relations_in_output=len({relation for _, relation, _ in structural}),
         duplicates_removed=graph.duplicates_removed,
         warnings=[w for row in rows for w in row.warnings],
     )
     verify_bounds(report)
-    return PipelineResult(graph, minted, report, weighted)
+    return PipelineResult(graph, augmentations, list(structural), report, config.emit_weights)
 
 
 def verify_bounds(report: AugmentationReport) -> dict[str, str]:

@@ -36,7 +36,7 @@ from .baselines import (
 )
 from .binning import BinningSpec, LofSpec, bin_statements, parse_numeric, sorted_distinct
 from .graph import IndexedGraph, LiteralGroup
-from .terms import BlankNode, IRI
+from .terms import BlankNode
 
 REL = "REL"
 RELENT = "RELENT"
@@ -53,11 +53,7 @@ Feature = str | tuple[str, str]
 
 def _entity_key(graph: IndexedGraph, entity_id: int) -> str:
     term = graph.entity_terms[entity_id]
-    if isinstance(term, IRI):
-        return term.value
-    if isinstance(term, BlankNode):
-        return "_:" + term.label
-    return repr(term)
+    return "_:" + term.label if isinstance(term, BlankNode) else term.value
 
 
 def entity_signature(subject_id: int, graph: IndexedGraph, mode: str = REL) -> frozenset[Feature]:
@@ -417,7 +413,7 @@ def kl_rel_binning(
     LOF, when enabled, runs separately inside each leaf.
     """
     spec = spec if spec is not None else BinningSpec()
-    aug = Augmentation()
+    aug = Augmentation(group.predicate, graph.entity_terms)
     subject_ids, values, rejected = parse_or_reject(group, parse_numeric)
 
     # The split looks only at subjects and their relational adjacency, so
@@ -443,8 +439,6 @@ def kl_rel_binning(
             subpopulation=leaf_index if multi else None,
             aug=aug,
         )
-    link_any_value(aug, graph, group.predicate, rejected, namespace)
-    note_fallback(
-        aug, group.predicate, len(rejected), f"{len(rejected)} unparseable numeric statements"
-    )
+    link_any_value(aug, rejected, namespace)
+    note_fallback(aug, len(rejected), f"{len(rejected)} unparseable numeric statements")
     return aug, split

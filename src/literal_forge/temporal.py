@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date as _date
 import re
+from sys import intern
 
 from .baselines import (
     Augmentation,
@@ -23,14 +24,7 @@ from .baselines import (
     parse_or_reject,
 )
 from .graph import IndexedGraph, LiteralGroup
-from .terms import (
-    IRI,
-    Triple,
-    XSD_DATE,
-    XSD_DATETIME,
-    XSD_GYEAR,
-    XSD_GYEARMONTH,
-)
+from .terms import XSD_DATE, XSD_DATETIME, XSD_GYEAR, XSD_GYEARMONTH, XSD_SPACE
 
 IN_QUARTER = "inQuarter"
 NEXT_DAY = "nextDay"
@@ -48,9 +42,10 @@ WEEKDAY_NAMES = (
 
 _EPOCH = _date(1970, 1, 1)
 
-_DATE_RE = re.compile(r"^(-?\d{4,})-(\d{2})-(\d{2})")
-_GYEARMONTH_RE = re.compile(r"^(-?\d{4,})-(\d{2})(?:Z|[+-]\d{2}:\d{2})?$")
-_GYEAR_RE = re.compile(r"^(-?\d{4,})(?:Z|[+-]\d{2}:\d{2})?$")
+# ASCII digits only, as in the XSD lexical forms.
+_DATE_RE = re.compile(r"^(-?\d{4,})-(\d{2})-(\d{2})", re.ASCII)
+_GYEARMONTH_RE = re.compile(r"^(-?\d{4,})-(\d{2})(?:Z|[+-]\d{2}:\d{2})?$", re.ASCII)
+_GYEAR_RE = re.compile(r"^(-?\d{4,})(?:Z|[+-]\d{2}:\d{2})?$", re.ASCII)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +57,10 @@ class CalendarDate:
     day: int
 
     def __post_init__(self) -> None:
-        _date(self.year, self.month, self.day)  # validates month/day ranges
+        try:
+            _date(self.year, self.month, self.day)  # validates year/month/day ranges
+        except OverflowError:  # a year too large for a C int
+            raise ValueError(f"year {self.year} is out of range") from None
 
     @property
     def weekday(self) -> int:
@@ -89,9 +87,11 @@ def parse_date(lexical: str, dt: str) -> CalendarDate:
     Handles full dates, dateTimes (time of day dropped), gYear (January 1st)
     and gYearMonth (first of the month), by the datatype *dt*. Timezone
     offsets are ignored; the lexical calendar fields alone decide the day.
-    Raises ValueError on anything else so callers can fall back.
+    Only ASCII digits count, after XSD whitespace collapse. Raises
+    ValueError on anything else, a year out of datetime's range included, so
+    callers can fall back.
     """
-    text = lexical.strip()
+    text = lexical.strip(XSD_SPACE)
     if dt in (XSD_DATE, XSD_DATETIME):
         m = _DATE_RE.match(text)
         if not m:
@@ -147,61 +147,28 @@ def datfeat(
     namespace: str = DEFAULT_NAMESPACE,
     link_features: bool = True,
 ) -> Augmentation:
-    """Calendar features: five statement triples per parsed date.
+    """Calendar features: five links per parsed date.
 
     Feature entities form one shared calendar vocabulary, so two predicates
     observing January both link to the same month1. Only observed features
-    are minted. Structural triples connect observed months to their quarter
+    are minted. Structural statements connect observed months to their quarter
     and chain consecutive observed days and months.
     """
-    aug = Augmentation()
+    aug = Augmentation(group.predicate, graph.entity_terms)
     subject_ids, days, rejected = parse_or_reject(group, parse_date)
-    predicate = IRI(group.predicate)
-    months_seen: set[int] = set()
-    days_seen: set[int] = set()
     for subject_id, day in zip(subject_ids, days):
-        subj = graph.entity_terms[subject_id]
-        for name in datfeat_names(day):
-            aug.triples.append(Triple(subj, predicate, IRI(namespace + name)))
-        months_seen.add(day.month)
-        days_seen.add(day.day)
+        # Interned, so each distinct feature IRI is one string.
+        aug.link([subject_id] * 5, [intern(namespace + name) for name in datfeat_names(day)])
     if link_features and days:
-        in_quarter = namespace + IN_QUARTER
-        for month in sorted(months_seen):
-            quarter = (month + 2) // 3
-            aug.structural_triples.append(
-                Triple(
-                    IRI(f"{namespace}month{month}"),
-                    IRI(in_quarter),
-                    IRI(f"{namespace}quarter{quarter}"),
-                )
-            )
-        day_list = sorted(days_seen)
-        if len(day_list) > 1:
-            next_day = namespace + NEXT_DAY
-            for a, b in zip(day_list, day_list[1:]):
+        months = sorted({day.month for day in days})
+        for month in months:
+            quarter = f"{namespace}quarter{(month + 2) // 3}"
+            aug.join(f"{namespace}month{month}", namespace + IN_QUARTER, quarter)
+        chains = (("day", NEXT_DAY, sorted({day.day for day in days})), ("month", NEXT_MONTH, months))
+        for unit, relation, seen in chains:
+            for a, b in zip(seen, seen[1:]):
                 if b == a + 1:
-                    aug.structural_triples.append(
-                        Triple(
-                            IRI(f"{namespace}day{a}"),
-                            IRI(next_day),
-                            IRI(f"{namespace}day{b}"),
-                        )
-                    )
-        month_list = sorted(months_seen)
-        if len(month_list) > 1:
-            next_month = namespace + NEXT_MONTH
-            for a, b in zip(month_list, month_list[1:]):
-                if b == a + 1:
-                    aug.structural_triples.append(
-                        Triple(
-                            IRI(f"{namespace}month{a}"),
-                            IRI(next_month),
-                            IRI(f"{namespace}month{b}"),
-                        )
-                    )
-    link_any_value(aug, graph, group.predicate, rejected, namespace)
-    note_fallback(
-        aug, group.predicate, len(rejected), f"{len(rejected)} unparseable date statements"
-    )
+                    aug.join(f"{namespace}{unit}{a}", namespace + relation, f"{namespace}{unit}{b}")
+    link_any_value(aug, rejected, namespace)
+    note_fallback(aug, len(rejected), f"{len(rejected)} unparseable date statements")
     return aug

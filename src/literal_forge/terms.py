@@ -22,6 +22,9 @@ XSD_BASE64 = XSD + "base64Binary"
 XSD_ANYURI = XSD + "anyURI"
 RDF_LANGSTRING = RDF + "langString"
 
+#: The whitespace that the XSD "collapse" facet strips around a lexical form.
+XSD_SPACE = " \t\r\n"
+
 #: xsd numeric datatypes (integer family, decimal, float, double).
 NUMERIC_DATATYPES = frozenset(
     XSD + name

@@ -26,7 +26,7 @@ from .baselines import (
     sanitize_value,
 )
 from .graph import IndexedGraph, LiteralGroup
-from .terms import IRI, Triple, local_name
+from .terms import local_name
 
 log = logging.getLogger(__name__)
 
@@ -243,28 +243,22 @@ def emit_topic_triples(
     after tokenization fall back to a one-entity link. Topic probabilities
     are recorded as edge weights.
     """
-    aug = Augmentation()
+    aug = Augmentation(group.predicate, graph.entity_terms)
     pred_local = sanitize_value(local_name(group.predicate))
     width = max(2, len(str(model.topics - 1)))
-    predicate = IRI(group.predicate)
+    topics = [f"{namespace}{pred_local}Topic{k:0{width}d}" for k in range(model.topics)]
     empty = set(corpus.empty_documents)
     for doc_id, subject_id in enumerate(group.subjects):
         if doc_id in empty:
-            link_any_value(aug, graph, group.predicate, [subject_id], namespace)
+            link_any_value(aug, [subject_id], namespace)
             continue
         row = model.theta[doc_id]
         hits = [k for k in range(model.topics) if row[k] >= threshold]
         if not hits:
             hits = [int(np.argmax(row))]
-        subj = graph.entity_terms[subject_id]
         for k in hits:
-            iri = IRI(f"{namespace}{pred_local}Topic{k:0{width}d}")
-            triple = Triple(subj, predicate, iri)
-            aug.triples.append(triple)
-            aug.weighted.append((triple, float(row[k])))
-    note_fallback(
-        aug, group.predicate, len(empty), f"{len(empty)} statements empty after tokenization"
-    )
+            aug.link([subject_id], topics[k], float(row[k]))
+    note_fallback(aug, len(empty), f"{len(empty)} statements empty after tokenization")
     return aug
 
 
@@ -276,7 +270,7 @@ def txtlda(
     seed: int = 0,
     stopwords: Mapping[str, Collection[str]] | None = None,
 ) -> tuple[Augmentation, TopicModel | None]:
-    """The full text strategy: corpus, model, topic triples.
+    """The full text strategy: corpus, model, topic links.
 
     A group with nothing to train on (every document empty) degrades to
     one-entity links for all statements.
@@ -284,9 +278,9 @@ def txtlda(
     spec = spec if spec is not None else LdaSpec()
     corpus = build_corpus(group, stopwords)
     if not any(corpus.documents):
-        aug = Augmentation()
-        link_any_value(aug, graph, group.predicate, group.subjects, namespace)
-        note_fallback(aug, group.predicate, len(group), "no tokenizable text, all statements")
+        aug = Augmentation(group.predicate, graph.entity_terms)
+        link_any_value(aug, group.subjects, namespace)
+        note_fallback(aug, len(group), "no tokenizable text, all statements")
         return aug, None
     started = time.perf_counter()
     model = train_lda(

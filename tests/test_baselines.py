@@ -113,10 +113,12 @@ def test_minted_entities_adds_structural_nodes_to_objects():
     graph = make_graph([numeric_line("a", "v", 1), numeric_line("b", "v", 2)])
     aug = transform_literal2entity(group_of(graph, "v"), graph, NEW)
     assert aug.minted_entities == aug.minted_objects == {NEW + "v1", NEW + "v2"}
-    aug = Augmentation(
-        triples=list(aug.triples),
-        structural_triples=[Triple(IRI(NEW + "v1"), IRI(NEW + "next"), IRI(NEW + "v3"))],
-    )
+    links = aug
+    aug = Augmentation(links.predicate, graph.entity_terms)
+    aug.link(links.subjects, links.objects)
+    aug.join(NEW + "v1", NEW + "next", NEW + "v3")
+    assert aug.triples == links.triples
+    assert aug.structural_triples == [Triple(IRI(NEW + "v1"), IRI(NEW + "next"), IRI(NEW + "v3"))]
     assert aug.minted_objects == {NEW + "v1", NEW + "v2"}
     assert aug.minted_entities == {NEW + "v1", NEW + "v2", NEW + "v3"}
     assert EX + "a" not in aug.minted_entities

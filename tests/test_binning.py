@@ -36,7 +36,7 @@ from literal_forge.binning import (
 )
 from literal_forge.terms import RDF_LANGSTRING, XSD_STRING
 
-from util import EX, NEW, XSD, make_graph, numeric_line, parse_outcomes, reference_outcomes
+from util import EX, NEW, XSD, assert_parse_matches_reference, make_graph, numeric_line
 
 
 def numeric_group(lines):
@@ -57,14 +57,20 @@ def numeric_group(lines):
         ("3.25", 3.25),
         ("2.5e3", 2500.0),
         ("  17 ", 17.0),
+        ("\r\n17\t", 17.0),
         (".5", 0.5),
+        ("5.", 5.0),
     ],
 )
 def test_parse_numeric_accepts(lex, value):
     assert parse_numeric(lex) == value
 
 
-@pytest.mark.parametrize("lex", ["", "  ", "abc", "INF", "-INF", "NaN", "1_000", "0x1f", "1,5"])
+@pytest.mark.parametrize(
+    "lex",
+    ["", "  ", "abc", "INF", "-INF", "NaN", "1_000", "0x1f", "1,5", "1 5", "1e", "\u0661\u0662",
+     "\u00a017", "\x0b17", "17\u2003"],
+)
 def test_parse_numeric_rejects(lex):
     with pytest.raises(ValueError):
         parse_numeric(lex)
@@ -105,9 +111,7 @@ _NUMERIC_OBJECTS = st.one_of(
 @given(st.lists(_NUMERIC_OBJECTS, min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_column_parse_matches_literal_parse_numeric(objects):
-    assert parse_outcomes(parse_numeric, objects) == reference_outcomes(
-        _parse_numeric_reference, objects
-    )
+    assert_parse_matches_reference(parse_numeric, _parse_numeric_reference, objects)
 
 
 # --- distinct values ----------------------------------------------------------

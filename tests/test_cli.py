@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from literal_forge.cli import (
     main,
 )
 from literal_forge.pipeline import shortcut_defaults
-from util import EX, NEW, date_line, numeric_line, rel_line, text_line
+from util import EX, MANNHEIM_NT, NEW, date_line, numeric_line, rel_line, text_line, write_tag_map
 
 
 def sample_lines() -> list[str]:
@@ -386,7 +387,7 @@ def test_transform_exits_verify_on_failed_bound(sample_nt, tmp_path, monkeypatch
 
     def overgrown(group, graph, namespace):
         aug = real(group, graph, namespace)
-        aug.triples.append(aug.triples[0])  # one past the exact bound of S
+        aug.link(aug.subjects[:1], aug.objects[0])  # one past the exact bound of S
         return aug
 
     monkeypatch.setattr(baselines, "one_entity", overgrown)
@@ -509,17 +510,17 @@ def _fail_report(monkeypatch):
 
 
 def _fail_weights(monkeypatch):
-    # The output's minted triples are formatted first, the weights second.
-    format_lines = cli.format_lines
+    # The output is written first, the weights second.
+    write_lines = cli.write_lines
     calls = []
 
-    def reject(triples):
-        calls.append(triples)
+    def reject(lines, out):
+        calls.append(out)
         if len(calls) > 1:
             raise SerializationError("unserializable term")
-        return format_lines(triples)
+        return write_lines(lines, out)
 
-    monkeypatch.setattr(cli, "format_lines", reject)
+    monkeypatch.setattr(cli, "write_lines", reject)
 
 
 @pytest.mark.parametrize(
@@ -534,18 +535,71 @@ def test_failed_write_keeps_earlier_output_and_report(sample_nt, tmp_path, monke
     assert _files(tmp_path) == before
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def test_transform_validates_each_written_term_once(tmp_path, monkeypatch):
+    # The city's subject is written in relational, minted and weighted lines.
+    source = tmp_path / "city.nt"
+    source.write_bytes(MANNHEIM_NT)
+    tags = write_tag_map(tmp_path / "tags.json", {EX + "img/mannheim.jpg": "building"})
+    config = tmp_path / "config.json"
+    settings = {
+        "image_predicates": [EX + "depiction"],
+        "image_provider": {"kind": "tag-map", "path": tags},
+    }
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    seen = []
+    validate = ntriples.validate_term
+    monkeypatch.setattr(ntriples, "validate_term", lambda term: seen.append(term) or validate(term))
+    out = tmp_path / "out.nt"
+    argv = ["--input", str(source), "--output", str(out), "--config", str(config)]
+    assert main(["transform", *argv, "--emit-weights"]) == EXIT_OK
+    assert len((tmp_path / "out.nt.weights.tsv").read_text().splitlines()) == 2
+    triples, _ = parse_ntriples(out.read_bytes())
+    written = {term for t in triples for term in (t.subject, t.predicate, t.object)}
+    assert Counter(seen) == Counter(written)
+
+
+def run_python(*args: str, stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this package, stderr captured as users see it."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("LITERAL_FORGE_LOG", None)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
     )
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return run_python("-m", "literal_forge.cli", *args)
+def run_cli(*args: str, stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
+    return run_python("-m", "literal_forge.cli", *args, stdout=stdout)
+
+
+@pytest.mark.parametrize(
+    "command, tampered, expected",
+    [("profile", False, EXIT_OK), ("verify", False, EXIT_OK), ("verify", True, EXIT_VERIFY)],
+    ids=["profile", "verify-ok", "verify-failing"],
+)
+def test_a_closed_stdout_keeps_the_exit_code_and_gives_no_traceback(
+    sample_nt, tmp_path, command, tampered, expected
+):
+    source = sample_nt
+    if command == "verify":
+        code, source = transform(sample_nt, tmp_path)
+        assert code == EXIT_OK
+        if tampered:
+            with open(source, "a", encoding="utf-8") as fh:
+                fh.write(rel_line("x", "knows", "y") + "\n")
+    read, write = os.pipe()
+    os.close(read)  # no reader, so the first write to stdout fails
+    try:
+        done = run_cli(command, "--input", source, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == expected
+    assert done.stderr == ""
 
 
 def test_a_failing_consumer_closes_the_scan_before_the_file(sample_nt):

@@ -1,9 +1,11 @@
 """`transform` output and report bytes on the city fixture, pinned by sha256.
 
 Every strategy runs on the same six-statement fixture, with the depiction
-predicate read as an image and a one-label tag map. A change to minted names,
-statement order, counts or report layout changes a hash here; update a hash
-only together with a CHANGES.md line that declares the change.
+predicate read as an image and a one-label tag map. The strategies that score
+their links also have the bytes of their `--emit-weights` sidecar pinned. A
+change to minted names, statement order, counts, scores or report layout
+changes a hash here; update a hash only together with a CHANGES.md line that
+declares the change.
 """
 
 from __future__ import annotations
@@ -68,8 +70,20 @@ GOLDEN = {
 }
 
 
-def transform_hashes(tmp_path, strategy: str) -> tuple[str, str]:
-    """sha256 of the output and of the report of one CLI transform run."""
+# sha256 of <output>.weights.tsv, for the strategies that score links.
+WEIGHTS = {
+    "COMBINED": "772f16a9fad9f36186d42965d6eb2383b68630442d4759d02191bfe086629bd0",
+    "IMAGETAGS": "e65fa39f1e4bed41cd775b3774119b5f86ad3cc5c98ca5233c692a3c88ea9f34",
+    "TXTLDA": "ad92036536338d1d786ce14a595708c62315776f929894d2c7a1cdd913461801",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_transform(tmp_path, strategy: str, *extra: str):
+    """The output path of one CLI transform run on the city fixture."""
     source = tmp_path / "mannheim.nt"
     source.write_bytes(MANNHEIM_NT)
     tags = write_tag_map(tmp_path / "tags.json", {EX + "img/mannheim.jpg": "building"})
@@ -85,11 +99,18 @@ def transform_hashes(tmp_path, strategy: str) -> tuple[str, str]:
     )
     out = tmp_path / "out.nt"
     argv = ["transform", "--input", str(source), "--output", str(out), "--config", str(config)]
-    assert main([*argv, "--strategy", strategy]) == EXIT_OK
-    report = tmp_path / "out.nt.report.json"
-    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, report))
+    assert main([*argv, "--strategy", strategy, *extra]) == EXIT_OK
+    return out
 
 
 @pytest.mark.parametrize("strategy", sorted(GOLDEN))
 def test_transform_bytes_are_pinned(tmp_path, strategy):
-    assert transform_hashes(tmp_path, strategy) == GOLDEN[strategy]
+    out = run_transform(tmp_path, strategy)
+    assert (sha256(out), sha256(tmp_path / "out.nt.report.json")) == GOLDEN[strategy]
+
+
+@pytest.mark.parametrize("strategy", sorted(WEIGHTS))
+def test_weights_bytes_are_pinned(tmp_path, strategy):
+    out = run_transform(tmp_path, strategy, "--emit-weights")
+    assert (sha256(out), sha256(tmp_path / "out.nt.report.json")) == GOLDEN[strategy]
+    assert sha256(tmp_path / "out.nt.weights.tsv") == WEIGHTS[strategy]

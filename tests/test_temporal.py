@@ -12,8 +12,9 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from literal_forge import IRI, BlankNode, Literal, Modality
+from literal_forge import IRI, BlankNode, Literal, Modality, StrategyConfig, apply
 from literal_forge.binning import BinningSpec
+from literal_forge.pipeline import ONEENTITY, shortcut_defaults
 from literal_forge.temporal import (
     CalendarDate,
     IN_QUARTER,
@@ -37,7 +38,7 @@ from literal_forge.terms import (
     XSD_STRING,
 )
 
-from util import EX, NEW, XSD, date_line, make_graph, parse_outcomes, reference_outcomes
+from util import EX, NEW, XSD, assert_parse_matches_reference, date_line, make_graph
 
 
 def sakamoto_weekday(y: int, m: int, d: int) -> int:
@@ -140,6 +141,7 @@ def test_consecutive_days_differ_by_86400(ordinal):
         ("1607", XSD_GYEAR, (1607, 1, 1)),
         ("1607+02:00", XSD_GYEAR, (1607, 1, 1)),
         ("1999-12-31", None, (1999, 12, 31)),  # untyped but date-shaped
+        ("\r\n1999-12-31 \t", XSD_DATE, (1999, 12, 31)),  # XSD whitespace collapse
     ],
 )
 def test_parse_date_accepts(lex, dt, expected):
@@ -156,6 +158,10 @@ def test_parse_date_accepts(lex, dt, expected):
         ("July 1999", XSD_GYEARMONTH),
         ("-0044-03-15", XSD_DATE),  # outside the supported year range
         ("10000-01-01", XSD_DATE),
+        ("99999999999-01-01", XSD_DATE),  # too large for a C int, too
+        ("99999999999", XSD_GYEAR),
+        ("\u0661\u0669\u0669\u0660-01-01", XSD_DATE),  # Arabic-Indic digits
+        ("\u00a01999-12-31", XSD_DATE),  # a no-break space is not XSD whitespace
         ("hello", None),
     ],
 )
@@ -233,7 +239,7 @@ _DATE_OBJECTS = st.one_of(
 @given(st.lists(_DATE_OBJECTS, min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_column_parse_matches_literal_parse_date(objects):
-    assert parse_outcomes(parse_date, objects) == reference_outcomes(_parse_date_reference, objects)
+    assert_parse_matches_reference(parse_date, _parse_date_reference, objects)
 
 
 def test_datfeat_names_example():
@@ -331,6 +337,25 @@ def test_datfeat_fallback_for_unparseable():
     assert aug.fallback_statements == 1
     assert any(t.object.value == NEW + "foundedAnyValue" for t in aug.triples)
     assert any("unparseable" in w for w in aug.warnings)
+
+
+@pytest.mark.parametrize("strategy", ["DATFEAT", "DATBIN"])
+def test_a_year_out_of_range_links_only_its_statement_to_any_value(strategy):
+    graph = make_graph(
+        [
+            date_line("a", "born", "1990-05-14"),
+            date_line("b", "born", "1991-06-15"),
+            date_line("c", "born", "99999999999-01-01"),
+        ]
+    )
+    config = StrategyConfig(defaults=shortcut_defaults(strategy, ONEENTITY))
+    result = apply(graph, config)
+    [row] = result.report.rows
+    assert (row.strategy, row.fell_back_to) == (strategy, None)
+    assert (row.parsed, row.fallback_statements) == (2, 1)
+    assert row.verdict.startswith("pass")
+    fallback = [t for t in result.minted if t.object.value == NEW + "bornAnyValue"]
+    assert [t.subject.value for t in fallback] == [EX + "c"]
 
 
 @given(st.lists(_ordinals.map(date.fromordinal), min_size=1, max_size=25))

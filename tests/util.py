@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 from literal_forge import IRI, ModalityRules, Triple, build_index, parse_ntriples
 from literal_forge.baselines import parse_or_reject
@@ -77,3 +78,21 @@ def reference_outcomes(parse, objects) -> list[tuple]:
         except (ValueError, AttributeError):
             out.append(("rejected",))
     return out
+
+
+# The one deliberate difference from the references: numbers and dates are
+# read by their XSD grammar in ASCII, so a lexical form that holds a
+# character other than printable ASCII or XSD whitespace (space, tab, CR,
+# LF) may be rejected where the reference accepted it.
+_NOT_XSD_ASCII = re.compile(r"[^\x20-\x7e\t\r\n]")
+
+
+def assert_parse_matches_reference(parse, reference, objects) -> None:
+    """parse_outcomes under *parse* equal reference_outcomes under
+    *reference*, but for the one deliberate difference above."""
+    got = parse_outcomes(parse, objects)
+    expected = reference_outcomes(reference, objects)
+    for obj, outcome, wanted in zip(objects, got, expected):
+        if outcome != wanted:
+            assert outcome == ("rejected",), (obj, outcome, wanted)
+            assert _NOT_XSD_ASCII.search(obj.lexical), (obj, outcome, wanted)
