@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 from urllib.parse import quote
 
-from .graph import Augmentation, IndexedGraph, LiteralGroup
-from .terms import BlankNode, local_name
+from .graph import Augmentation, LiteralGroup
+from .terms import BlankNode
 
 V = TypeVar("V")
 
@@ -70,15 +70,13 @@ def parse_or_reject(
     return subject_ids, values, rejected
 
 
-def link_any_value(
-    aug: Augmentation, subject_ids: Sequence[int], namespace: str = DEFAULT_NAMESPACE
-) -> None:
-    """Link each subject to the group predicate's ONEENTITY AnyValue entity.
+def link_any_value(aug: Augmentation, subject_ids: Sequence[int]) -> None:
+    """Link each subject to the group's ONEENTITY AnyValue entity.
 
     The entity is minted only when there is a subject to link.
     """
     if subject_ids:
-        aug.link(subject_ids, namespace + sanitize_value(local_name(aug.predicate)) + "AnyValue")
+        aug.link(subject_ids, aug.stem + "AnyValue")
 
 
 def note_fallback(aug: Augmentation, count: int, cause: str) -> None:
@@ -88,14 +86,13 @@ def note_fallback(aug: Augmentation, count: int, cause: str) -> None:
         aug.warnings.append(f"{aug.predicate}: {cause} got AnyValue links")
 
 
-def exclude(group: LiteralGroup) -> Augmentation:
+def exclude(group: LiteralGroup, aug: Augmentation) -> Augmentation:
     """Drop every literal statement of the group."""
-    return Augmentation(group.predicate, removed=len(group))
+    aug.removed = len(group)
+    return aug
 
 
-def transform_literal2entity(
-    group: LiteralGroup, graph: IndexedGraph, namespace: str = DEFAULT_NAMESPACE
-) -> Augmentation:
+def transform_literal2entity(group: LiteralGroup, aug: Augmentation) -> Augmentation:
     """One entity per distinct literal value of the predicate.
 
     Statements with equal lexical forms share the minted entity; equality is
@@ -103,22 +100,14 @@ def transform_literal2entity(
     """
     if BlankNode in group.datatypes:
         raise ValueError("a blank-node image reference has no value to name an entity by")
-    pred_local = sanitize_value(local_name(group.predicate))
-    entity = {
-        lexical: namespace + pred_local + sanitize_value(lexical)
-        for lexical in dict.fromkeys(group.lexicals)
-    }
-    aug = Augmentation(group.predicate, graph.entity_terms)
+    entity = {lex: aug.stem + sanitize_value(lex) for lex in dict.fromkeys(group.lexicals)}
     aug.link(group.subjects, [entity[lexical] for lexical in group.lexicals])
     return aug
 
 
-def one_entity(
-    group: LiteralGroup, graph: IndexedGraph, namespace: str = DEFAULT_NAMESPACE
-) -> Augmentation:
+def one_entity(group: LiteralGroup, aug: Augmentation) -> Augmentation:
     """A single entity per predicate, ignoring the literal values entirely."""
-    aug = Augmentation(group.predicate, graph.entity_terms)
-    link_any_value(aug, group.subjects, namespace)
+    link_any_value(aug, group.subjects)
     return aug
 
 

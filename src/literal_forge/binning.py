@@ -27,10 +27,9 @@ from .baselines import (
     link_any_value,
     note_fallback,
     parse_or_reject,
-    sanitize_value,
 )
-from .graph import IndexedGraph, LiteralGroup
-from .terms import XSD_SPACE, local_name
+from .graph import LiteralGroup
+from .terms import XSD_SPACE
 
 log = logging.getLogger(__name__)
 
@@ -111,10 +110,10 @@ class BinLayout:
         return self.leaf.boundaries[-1]
 
 
-def _bin_label(pred_local: str, subpop: int | None, level: int, index: int, width: int) -> str:
+def _bin_label(stem: str, subpop: int | None, level: int, index: int, width: int) -> str:
     sub = f"Sub{subpop}" if subpop is not None else ""
     lvl = f"L{level}" if level > 0 else ""
-    return f"{pred_local}{sub}{lvl}Bin{index:0{width}d}"
+    return f"{stem}{sub}{lvl}Bin{index:0{width}d}"
 
 
 def _leaf_boundaries(values: np.ndarray, k: int, scheme: str) -> list[float]:
@@ -138,11 +137,11 @@ def _leaf_boundaries(values: np.ndarray, k: int, scheme: str) -> list[float]:
 def compute_bins(
     values: list[float] | np.ndarray,
     spec: BinningSpec,
-    predicate: str = "value",
-    namespace: str = DEFAULT_NAMESPACE,
+    stem: str = DEFAULT_NAMESPACE + "value",
     subpopulation: int | None = None,
 ) -> BinLayout:
-    """Boundaries, entity names, and coarser levels for one value population.
+    """Boundaries, entity names under *stem*, and coarser levels for one
+    value population.
 
     Identical values collapse to a single degenerate bin. Hierarchy levels
     stop early once a level reaches a single bin.
@@ -152,17 +151,13 @@ def compute_bins(
         raise ValueError("cannot bin an empty population")
     unique = len(sorted_distinct(arr))
     k = bin_count(arr.size, unique, spec)
-    pred_local = sanitize_value(local_name(predicate))
     boundaries = _leaf_boundaries(arr, k, spec.scheme)
     k = max(len(boundaries) - 1, 1)
     width = max(2, len(str(k - 1)))
     levels = [
         BinLevel(
             tuple(boundaries),
-            tuple(
-                namespace + _bin_label(pred_local, subpopulation, 0, i, width)
-                for i in range(k)
-            ),
+            tuple(_bin_label(stem, subpopulation, 0, i, width) for i in range(k)),
         )
     ]
     prev = boundaries
@@ -174,10 +169,7 @@ def compute_bins(
         levels.append(
             BinLevel(
                 tuple(coarse),
-                tuple(
-                    namespace + _bin_label(pred_local, subpopulation, depth, i, width)
-                    for i in range(n_bins)
-                ),
+                tuple(_bin_label(stem, subpopulation, depth, i, width) for i in range(n_bins)),
             )
         )
         prev = coarse
@@ -278,14 +270,13 @@ class BinAssignments:
 
 @dataclass
 class LofResult:
-    """Per-value LOF scores with the retained/outlier partition.
+    """Per-value LOF scores and the positions of the outliers among them.
 
     *scores* aligns with the input order. When the population is too small
     for the neighbor count, scoring is skipped and everything is retained.
     """
 
     scores: np.ndarray
-    retained_indices: list[int]
     outlier_indices: list[int]
     skipped: bool = False
 
@@ -304,7 +295,7 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
     n = arr.size
     if n <= k:
         log.warning("LOF skipped: %d values <= k=%d, all retained", n, k)
-        return LofResult(np.ones(n), list(range(n)), [], skipped=True)
+        return LofResult(np.ones(n), [], skipped=True)
 
     order = np.argsort(arr, kind="stable")
     sv = arr[order]
@@ -356,10 +347,7 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
 
     scores = np.empty(n)
     scores[order] = scores_sorted
-    outlier = scores > threshold
-    return LofResult(
-        scores, np.flatnonzero(~outlier).tolist(), np.flatnonzero(outlier).tolist()
-    )
+    return LofResult(scores, np.flatnonzero(scores > threshold).tolist())
 
 
 def _settle(bound: np.ndarray, step: int, moves: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -406,30 +394,24 @@ def _reach_sums(
 
 
 def emit_bin_triples(
-    group: LiteralGroup,
-    graph: IndexedGraph,
-    layout: BinLayout,
-    assignments: BinAssignments,
-    namespace: str = DEFAULT_NAMESPACE,
-    aug: Augmentation | None = None,
+    aug: Augmentation, layout: BinLayout, assignments: BinAssignments
 ) -> Augmentation:
     """Links for assigned bins plus the structural bin graph.
 
     The adjacency chain runs through every bin of a level, empty ones too;
     chain and hierarchy statements are structural, not links.
     """
-    aug = aug if aug is not None else Augmentation(group.predicate, graph.entity_terms)
     flat = [entity for level in layout.levels for entity in level.entities]
     offsets = np.cumsum([0] + [level.num_bins for level in layout.levels])
     objects = [flat[i] for i in (offsets[assignments.levels] + assignments.bins).tolist()]
     aug.link(assignments.subjects[assignments.rows].tolist(), objects)
     if layout.connect_adjacent and any(level.num_bins > 1 for level in layout.levels):
-        link = namespace + NEXT_BIN
+        link = aug.namespace + NEXT_BIN
         for level in layout.levels:
             for a, b in zip(level.entities, level.entities[1:]):
                 aug.join(a, link, b)
     if len(layout.levels) > 1:
-        link = namespace + PARENT_BIN
+        link = aug.namespace + PARENT_BIN
         for child, parent in zip(layout.levels, layout.levels[1:]):
             last = parent.num_bins - 1
             for i, entity in enumerate(child.entities):
@@ -438,55 +420,38 @@ def emit_bin_triples(
 
 
 def bin_statements(
-    group: LiteralGroup,
-    graph: IndexedGraph,
+    aug: Augmentation,
     spec: BinningSpec,
-    namespace: str = DEFAULT_NAMESPACE,
+    subject_ids: Sequence[int],
+    values: Sequence[float],
     lof: LofSpec | None = None,
-    subject_ids: Sequence[int] | None = None,
-    values: Sequence[float] | None = None,
     subpopulation: int | None = None,
-    aug: Augmentation | None = None,
 ) -> Augmentation:
     """Bin one (sub)population: statement i links subject_ids[i] to values[i].
 
-    Without columns, every statement of the group is parsed with
-    parse_numeric. With LOF enabled, boundaries are computed from retained
-    values only; outlier statements link to OutlierLow/OutlierHigh entities
-    instead of a bin, so every statement still yields exactly one output
-    statement.
+    With LOF enabled, boundaries are computed from retained values only;
+    outlier statements link to OutlierLow/OutlierHigh entities instead of a
+    bin, so every statement still yields exactly one output statement.
     """
-    aug = aug if aug is not None else Augmentation(group.predicate, graph.entity_terms)
-    if subject_ids is None:
-        subject_ids, values = group.subjects, [parse_numeric(lex) for lex in group.lexicals]
     if len(subject_ids) == 0:
         return aug
     subjects = np.array(subject_ids, dtype=np.intp)
     values = np.array(values, dtype=float)
     outlier = np.zeros(values.size, dtype=bool)
     if lof is not None:
-        result = lof_scores(values, lof.k, lof.threshold)
-        outlier[result.outlier_indices] = True
+        outlier[lof_scores(values, lof.k, lof.threshold).outlier_indices] = True
         if outlier.all():  # everything flagged: skip the filter
             aug.warnings.append(
-                f"{group.predicate}: LOF flagged all {values.size} values, filter skipped"
+                f"{aug.predicate}: LOF flagged all {values.size} values, filter skipped"
             )
             outlier[:] = False
     retained = values[~outlier]
-    layout = compute_bins(
-        retained,
-        spec,
-        predicate=group.predicate,
-        namespace=namespace,
-        subpopulation=subpopulation,
-    )
+    layout = compute_bins(retained, spec, aug.stem, subpopulation)
     assignments = BinAssignments(subjects[~outlier], *assign_bins_array(retained, layout))
-    emit_bin_triples(group, graph, layout, assignments, namespace, aug)
+    emit_bin_triples(aug, layout, assignments)
     if outlier.any():
-        pred_local = sanitize_value(local_name(group.predicate))
         sub = f"Sub{subpopulation}" if subpopulation is not None else ""
-        low = namespace + pred_local + sub + "OutlierLow"
-        high = namespace + pred_local + sub + "OutlierHigh"
+        low, high = aug.stem + sub + "OutlierLow", aug.stem + sub + "OutlierHigh"
         mid = (layout.lower + layout.upper) / 2.0
         entities = [low if value <= mid else high for value in values[outlier].tolist()]
         aug.link(subjects[outlier].tolist(), entities)
@@ -495,9 +460,8 @@ def bin_statements(
 
 def nbins(
     group: LiteralGroup,
-    graph: IndexedGraph,
+    aug: Augmentation,
     spec: BinningSpec,
-    namespace: str = DEFAULT_NAMESPACE,
     lof: LofSpec | None = None,
     parse: Callable[[str, str], float] = parse_numeric,
     kind: str = "numeric",
@@ -507,9 +471,8 @@ def nbins(
     Statements *parse* rejects link to the AnyValue entity after the bin
     links and are counted as unparseable *kind* statements.
     """
-    aug = Augmentation(group.predicate, graph.entity_terms)
     subject_ids, values, rejected = parse_or_reject(group, parse)
-    bin_statements(group, graph, spec, namespace, lof, subject_ids, values, aug=aug)
-    link_any_value(aug, rejected, namespace)
+    bin_statements(aug, spec, subject_ids, values, lof)
+    link_any_value(aug, rejected)
     note_fallback(aug, len(rejected), f"{len(rejected)} unparseable {kind} statements")
     return aug

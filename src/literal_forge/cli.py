@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import zlib
 from contextlib import closing, contextmanager, suppress
 from typing import Any, Callable, Iterator
 
@@ -117,7 +118,7 @@ def _read_input(path: str, consume: Callable[[Any], Any], strict: bool) -> Any:
     except ParseError as exc:
         log.error("%s", exc)
         return None
-    except OSError as exc:
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:  # unreadable bytes
         log.error("cannot read %s: %s", path, exc)
         return None
     if counter.count:

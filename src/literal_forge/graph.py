@@ -121,11 +121,15 @@ class Augmentation:
     score, or None when unscored (only TXTLDA and IMAGETAGS score links).
     *structural* holds (IRI, IRI, IRI) statements between minted entities,
     such as bin chains and calendar scaffolding, accounted separately.
-    *entity_terms* is the graph's, read only by the Triple adapters.
+    A strategy names what it mints after *stem*, the group's own prefix under
+    the run's *namespace*, or after the bare namespace for names shared by
+    design. *entity_terms* is the graph's, read only by the Triple adapters.
     """
 
     predicate: str
     entity_terms: Sequence[Term] = field(default=(), repr=False)
+    namespace: str = ""
+    stem: str = ""
     subjects: array = field(default_factory=_id_column)
     objects: list[str] = field(default_factory=list)
     scores: list[float | None] = field(default_factory=list)
@@ -377,14 +381,8 @@ class GraphProfile:
 
     def check(self) -> None:
         assert self.objects_iris + self.objects_blank + self.objects_literal == self.triples
-        assert (
-            self.literal_numbers
-            + self.literal_dates
-            + self.literal_text
-            + self.literal_images
-            + self.literal_others
-            == self.objects_literal
-        )
+        literals = self.literal_numbers + self.literal_dates + self.literal_text
+        assert literals + self.literal_images + self.literal_others == self.objects_literal
 
 
 def profile(graph: IndexedGraph) -> GraphProfile:

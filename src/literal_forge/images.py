@@ -16,15 +16,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .baselines import (
-    Augmentation,
-    DEFAULT_NAMESPACE,
-    _load_json,
-    link_any_value,
-    note_fallback,
-    sanitize_value,
-)
-from .graph import IndexedGraph, LiteralGroup
+from .baselines import Augmentation, _load_json, link_any_value, note_fallback, sanitize_value
+from .graph import LiteralGroup
 from .terms import BlankNode, XSD_BASE64
 
 log = logging.getLogger(__name__)
@@ -107,9 +100,13 @@ def _parse_labels(raw: object, provider: str) -> LabelDistribution:
             raise ProviderError(f"{provider}: unreadable label entry {item!r}")
         if not isinstance(name, str) or not isinstance(score, (int, float)):
             raise ProviderError(f"{provider}: unreadable label entry {item!r}")
-        labels.append((name, float(score)))
-    labels.sort(key=lambda pair: (-pair[1], pair[0]))
-    return LabelDistribution(tuple(labels))
+        labels.append((name, score))
+    try:
+        labels = [(name, float(score)) for name, score in labels]
+        labels.sort(key=lambda pair: (-pair[1], pair[0]))
+        return LabelDistribution(tuple(labels))
+    except (OverflowError, ValueError) as exc:  # a score past a float or outside [0, 1]
+        raise ProviderError(f"{provider}: {exc}") from None
 
 
 @dataclass
@@ -242,9 +239,8 @@ def _lookup_all(
 
 def emit_image_triples(
     group: LiteralGroup,
-    graph: IndexedGraph,
+    aug: Augmentation,
     provider: TagProvider,
-    namespace: str = DEFAULT_NAMESPACE,
     prefix: str = DEFAULT_LABEL_PREFIX,
     max_in_flight: int = 8,
 ) -> Augmentation:
@@ -254,17 +250,16 @@ def emit_image_triples(
     misses, undecodable payloads, and lookup errors fall back to a
     one-entity link; every statement yields exactly one link.
     """
-    aug = Augmentation(group.predicate, graph.entity_terms)
     refs = resolve_image_refs(group)
     distributions = _lookup_all(provider, refs, max_in_flight)
     misses = 0
     for index, subject_id in enumerate(group.subjects):
         distribution = distributions.get(index)
         if distribution is None:
-            link_any_value(aug, [subject_id], namespace)
+            link_any_value(aug, [subject_id])
             misses += 1
             continue
-        label = namespace + prefix + sanitize_value(top_label(distribution))
+        label = aug.namespace + prefix + sanitize_value(top_label(distribution))
         aug.link([subject_id], label, distribution.labels[0][1])
     note_fallback(aug, misses, f"{misses} image statements without tags")
     return aug

@@ -19,10 +19,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
 from .baselines import DEFAULT_NAMESPACE, BinningSpec, LdaSpec, LofSpec, bin_count
-from .baselines import _load_json
+from .baselines import _load_json, sanitize_value
 from .graph import Augmentation, IndexedGraph, LiteralGroup, Modality, ModalityRules, _rows
 from .ntriples import Row
-from .terms import _IRI_BAD, IRI, Triple
+from .terms import _IRI_BAD, IRI, Triple, local_name
 
 if TYPE_CHECKING:
     from .images import TagProvider
@@ -551,13 +551,15 @@ def _distinct_values(group: LiteralGroup) -> int:
 
 def _binning_allowance(spec: BinningSpec, sizes: list[int], lof_on: bool, fallback: int) -> int:
     """Bin entities a binning run may mint: each population's bins at every
-    level, two outlier entities per population with LOF, one AnyValue."""
+    level up to the first one-bin level, two outlier entities per population
+    with LOF, one AnyValue."""
     allowance = 0
     for size in sizes:
-        target = bin_count(size, max(size, 1), spec)
-        allowance += target
-        step = target
+        step = bin_count(size, max(size, 1), spec)
+        allowance += step
         for _ in range(spec.hierarchy_depth):
+            if step == 1:
+                break
             step = (step + 1) // 2
             allowance += step
     if lof_on:
@@ -599,15 +601,15 @@ def _run_strategy(
     S = len(group)
     namespace = config.namespace
     name = plan.strategy
+    stem = namespace + sanitize_value(local_name(group.predicate))
+    aug = Augmentation(group.predicate, graph.entity_terms, namespace, stem)
 
     if name == EXCLUDE:
-        return _GroupOutcome(baselines.exclude(group), 0, 0, None)
+        return _GroupOutcome(baselines.exclude(group, aug), 0, 0, None)
     if name == TRANSFORM:
-        aug = baselines.transform_literal2entity(group, graph, namespace)
-        return _GroupOutcome(aug, distinct, S, None)
+        return _GroupOutcome(baselines.transform_literal2entity(group, aug), distinct, S, None)
     if name == ONEENTITY:
-        aug = baselines.one_entity(group, graph, namespace)
-        return _GroupOutcome(aug, 1, S, None)
+        return _GroupOutcome(baselines.one_entity(group, aug), 1, S, None)
 
     if name in _BINNERS:
         spec, lof, split_args = plan.spec
@@ -615,12 +617,11 @@ def _run_strategy(
             from .subpop import REL, RELENT
             mode = REL if name == KLREL else RELENT
             run = _entry("kl_rel_binning")
-            aug, split = run(group, graph, mode, spec, namespace, lof, **split_args)
+            aug, split = run(group, aug, graph, mode, spec, lof, **split_args)
             sizes = [leaf.value_count for leaf in split.leaves]
             detail = {"leaves": len(split.leaves), "split": split.root.to_dict()}
         else:
-            runner = _entry("datbin" if name == DATBIN else "nbins")
-            aug = runner(group, graph, spec, namespace, lof)
+            aug = _entry("datbin" if name == DATBIN else "nbins")(group, aug, spec, lof)
             sizes = [min(distinct, S - aug.fallback_statements)]
             detail = {"leaves": 1, "bin_entities": len(aug.minted_entities)}
         flat = spec.overlap == 0.0 and spec.hierarchy_depth == 0
@@ -634,7 +635,7 @@ def _run_strategy(
         )
 
     if name == DATFEAT:
-        aug = _entry("datfeat")(group, graph, namespace, **plan.spec)
+        aug = _entry("datfeat")(group, aug, **plan.spec)
         return _GroupOutcome(
             aug,
             aug.delta_entities,
@@ -645,14 +646,8 @@ def _run_strategy(
 
     if name == TXTLDA:
         spec = plan.spec
-        aug, model = _entry("txtlda")(
-            group,
-            graph,
-            spec,
-            namespace,
-            seed=derive_seed(config.seed, group.predicate),
-            stopwords=config.stopwords,
-        )
+        seed = derive_seed(config.seed, group.predicate)
+        aug, model = _entry("txtlda")(group, aug, spec, seed, config.stopwords)
         detail: dict[str, Any] = {"topics": spec.topics}
         if model is not None:
             detail["top_words"] = model.top_words(10)
@@ -670,7 +665,7 @@ def _run_strategy(
             f"{group.predicate}: image tagging needs an image_provider in the config"
         )
     vocab_cap, tag_args = plan.spec
-    aug = _entry("emit_image_triples")(group, graph, provider, namespace, **tag_args)
+    aug = _entry("emit_image_triples")(group, aug, provider, **tag_args)
     return _GroupOutcome(
         aug,
         min(S, vocab_cap) + (1 if aug.fallback_statements else 0),

@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import (
-    Augmentation,
-    DEFAULT_NAMESPACE,
-    link_any_value,
-    note_fallback,
-    parse_or_reject,
-)
+from .baselines import Augmentation, link_any_value, note_fallback, parse_or_reject
 from .binning import BinningSpec, LofSpec, bin_statements, parse_numeric, sorted_distinct
 from .graph import IndexedGraph, LiteralGroup
 from .terms import BlankNode
@@ -399,10 +393,10 @@ def _split_subjects(
 
 def kl_rel_binning(
     group: LiteralGroup,
+    aug: Augmentation,
     graph: IndexedGraph,
     mode: str = REL,
     spec: BinningSpec | None = None,
-    namespace: str = DEFAULT_NAMESPACE,
     lof: LofSpec | None = None,
     threshold: int = 300,
 ) -> tuple[Augmentation, PopulationSplit]:
@@ -413,7 +407,6 @@ def kl_rel_binning(
     LOF, when enabled, runs separately inside each leaf.
     """
     spec = spec if spec is not None else BinningSpec()
-    aug = Augmentation(group.predicate, graph.entity_terms)
     subject_ids, values, rejected = parse_or_reject(group, parse_numeric)
 
     # The split looks only at subjects and their relational adjacency, so
@@ -429,16 +422,7 @@ def kl_rel_binning(
         leaf_ids.append(subject_id)
         leaf_values.append(value)
     for leaf_index in sorted(per_leaf):
-        bin_statements(
-            group,
-            graph,
-            spec,
-            namespace,
-            lof,
-            *per_leaf[leaf_index],
-            subpopulation=leaf_index if multi else None,
-            aug=aug,
-        )
-    link_any_value(aug, rejected, namespace)
+        bin_statements(aug, spec, *per_leaf[leaf_index], lof, leaf_index if multi else None)
+    link_any_value(aug, rejected)
     note_fallback(aug, len(rejected), f"{len(rejected)} unparseable numeric statements")
     return aug, split

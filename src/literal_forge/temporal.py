@@ -17,13 +17,12 @@ from sys import intern
 from .baselines import (
     Augmentation,
     BinningSpec,
-    DEFAULT_NAMESPACE,
     LofSpec,
     link_any_value,
     note_fallback,
     parse_or_reject,
 )
-from .graph import IndexedGraph, LiteralGroup
+from .graph import LiteralGroup
 from .terms import XSD_DATE, XSD_DATETIME, XSD_GYEAR, XSD_GYEARMONTH, XSD_SPACE
 
 IN_QUARTER = "inQuarter"
@@ -42,8 +41,15 @@ WEEKDAY_NAMES = (
 
 _EPOCH = _date(1970, 1, 1)
 
-# ASCII digits only, as in the XSD lexical forms.
+# ASCII digits only, as in the XSD lexical forms. _DATE_RE reads the leading
+# date of an untyped value; xsd:date and xsd:dateTime must match in full.
 _DATE_RE = re.compile(r"^(-?\d{4,})-(\d{2})-(\d{2})", re.ASCII)
+_ZONE = r"(?:Z|[+-](?:(?:0\d|1[0-3]):[0-5]\d|14:00))?"
+_TIME = r"T(?:(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d(?:\.\d+)?|24:00:00(?:\.0+)?)"
+_FULL = {
+    XSD_DATE: re.compile(_DATE_RE.pattern + _ZONE, re.ASCII),
+    XSD_DATETIME: re.compile(_DATE_RE.pattern + _TIME + _ZONE, re.ASCII),
+}
 _GYEARMONTH_RE = re.compile(r"^(-?\d{4,})-(\d{2})(?:Z|[+-]\d{2}:\d{2})?$", re.ASCII)
 _GYEAR_RE = re.compile(r"^(-?\d{4,})(?:Z|[+-]\d{2}:\d{2})?$", re.ASCII)
 
@@ -85,15 +91,16 @@ def parse_date(lexical: str, dt: str) -> CalendarDate:
     """Extract the calendar day from a date-like literal's lexical form.
 
     Handles full dates, dateTimes (time of day dropped), gYear (January 1st)
-    and gYearMonth (first of the month), by the datatype *dt*. Timezone
-    offsets are ignored; the lexical calendar fields alone decide the day.
+    and gYearMonth (first of the month), by the datatype *dt*. A date or
+    dateTime must match its XSD grammar in full. Timezone offsets are
+    ignored; the lexical calendar fields alone decide the day.
     Only ASCII digits count, after XSD whitespace collapse. Raises
     ValueError on anything else, a year out of datetime's range included, so
     callers can fall back.
     """
     text = lexical.strip(XSD_SPACE)
-    if dt in (XSD_DATE, XSD_DATETIME):
-        m = _DATE_RE.match(text)
+    if dt in _FULL:
+        m = _FULL[dt].fullmatch(text)
         if not m:
             raise ValueError(f"not a date lexical form: {lexical!r}")
         return CalendarDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
@@ -130,23 +137,14 @@ def _timestamp(lexical: str, dt: str) -> float:
 
 
 def datbin(
-    group: LiteralGroup,
-    graph: IndexedGraph,
-    spec: BinningSpec,
-    namespace: str = DEFAULT_NAMESPACE,
-    lof: LofSpec | None = None,
+    group: LiteralGroup, aug: Augmentation, spec: BinningSpec, lof: LofSpec | None = None
 ) -> Augmentation:
     """Date binning: UNIX timestamps through the numeric binning runner."""
     from .binning import nbins  # here, so DATFEAT runs without numpy
-    return nbins(group, graph, spec, namespace, lof, parse=_timestamp, kind="date")
+    return nbins(group, aug, spec, lof, parse=_timestamp, kind="date")
 
 
-def datfeat(
-    group: LiteralGroup,
-    graph: IndexedGraph,
-    namespace: str = DEFAULT_NAMESPACE,
-    link_features: bool = True,
-) -> Augmentation:
+def datfeat(group: LiteralGroup, aug: Augmentation, link_features: bool = True) -> Augmentation:
     """Calendar features: five links per parsed date.
 
     Feature entities form one shared calendar vocabulary, so two predicates
@@ -154,7 +152,7 @@ def datfeat(
     are minted. Structural statements connect observed months to their quarter
     and chain consecutive observed days and months.
     """
-    aug = Augmentation(group.predicate, graph.entity_terms)
+    namespace = aug.namespace
     subject_ids, days, rejected = parse_or_reject(group, parse_date)
     for subject_id, day in zip(subject_ids, days):
         # Interned, so each distinct feature IRI is one string.
@@ -169,6 +167,6 @@ def datfeat(
             for a, b in zip(seen, seen[1:]):
                 if b == a + 1:
                     aug.join(f"{namespace}{unit}{a}", namespace + relation, f"{namespace}{unit}{b}")
-    link_any_value(aug, rejected, namespace)
+    link_any_value(aug, rejected)
     note_fallback(aug, len(rejected), f"{len(rejected)} unparseable date statements")
     return aug

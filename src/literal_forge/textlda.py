@@ -17,16 +17,8 @@ from typing import Mapping, Collection
 
 import numpy as np
 
-from .baselines import (
-    Augmentation,
-    DEFAULT_NAMESPACE,
-    LdaSpec,
-    link_any_value,
-    note_fallback,
-    sanitize_value,
-)
-from .graph import IndexedGraph, LiteralGroup
-from .terms import local_name
+from .baselines import Augmentation, LdaSpec, link_any_value, note_fallback
+from .graph import LiteralGroup
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +62,6 @@ class Corpus:
 
     documents: list[list[int]]
     vocabulary: tuple[str, ...]
-    statement_subjects: list[int]
 
     @property
     def num_documents(self) -> int:
@@ -107,7 +98,7 @@ def build_corpus(
                 vocab_ids[tok] = tid
             doc.append(tid)
         documents.append(doc)
-    return Corpus(documents, tuple(vocab_ids), group.subjects)
+    return Corpus(documents, tuple(vocab_ids))
 
 
 @dataclass
@@ -230,10 +221,9 @@ def document_topics(model: TopicModel, document_id: int) -> np.ndarray:
 
 def emit_topic_triples(
     group: LiteralGroup,
-    graph: IndexedGraph,
+    aug: Augmentation,
     model: TopicModel,
     corpus: Corpus,
-    namespace: str = DEFAULT_NAMESPACE,
     threshold: float = 0.10,
 ) -> Augmentation:
     """Link each statement's subject to every topic at or above the threshold.
@@ -243,14 +233,12 @@ def emit_topic_triples(
     after tokenization fall back to a one-entity link. Topic probabilities
     are recorded as edge weights.
     """
-    aug = Augmentation(group.predicate, graph.entity_terms)
-    pred_local = sanitize_value(local_name(group.predicate))
     width = max(2, len(str(model.topics - 1)))
-    topics = [f"{namespace}{pred_local}Topic{k:0{width}d}" for k in range(model.topics)]
+    topics = [f"{aug.stem}Topic{k:0{width}d}" for k in range(model.topics)]
     empty = set(corpus.empty_documents)
     for doc_id, subject_id in enumerate(group.subjects):
         if doc_id in empty:
-            link_any_value(aug, [subject_id], namespace)
+            link_any_value(aug, [subject_id])
             continue
         row = model.theta[doc_id]
         hits = [k for k in range(model.topics) if row[k] >= threshold]
@@ -264,9 +252,8 @@ def emit_topic_triples(
 
 def txtlda(
     group: LiteralGroup,
-    graph: IndexedGraph,
+    aug: Augmentation,
     spec: LdaSpec | None = None,
-    namespace: str = DEFAULT_NAMESPACE,
     seed: int = 0,
     stopwords: Mapping[str, Collection[str]] | None = None,
 ) -> tuple[Augmentation, TopicModel | None]:
@@ -278,8 +265,7 @@ def txtlda(
     spec = spec if spec is not None else LdaSpec()
     corpus = build_corpus(group, stopwords)
     if not any(corpus.documents):
-        aug = Augmentation(group.predicate, graph.entity_terms)
-        link_any_value(aug, group.subjects, namespace)
+        link_any_value(aug, group.subjects)
         note_fallback(aug, len(group), "no tokenizable text, all statements")
         return aug, None
     started = time.perf_counter()
@@ -299,5 +285,4 @@ def txtlda(
         time.perf_counter() - started,
         100.0 * model.last_sweep_changed,
     )
-    aug = emit_topic_triples(group, graph, model, corpus, namespace, spec.threshold)
-    return aug, model
+    return emit_topic_triples(group, aug, model, corpus, spec.threshold), model

@@ -52,6 +52,7 @@ from util import (
     numeric_line,
     rel_line,
     text_line,
+    with_aug,
     write_tag_map,
 )
 
@@ -376,7 +377,7 @@ def test_criterion_06_population_splits_on_distinguishing_relation():
     for leaf in split.leaves:
         if leaf.value_count >= 300 and not leaf.indivisible:
             problems.append("a leaf is both large and divisible")
-    aug, _ = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=300)
+    aug, _ = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=300)
     expected = {NEW + f"heightSub{s}Bin{i:02d}" for s in (0, 1) for i in range(3)}
     if aug.minted_objects != expected:
         problems.append("per-leaf bin vocabulary is wrong")
@@ -390,7 +391,8 @@ def test_criterion_07_lda_separates_disjoint_vocabularies():
     problems: list[str] = []
     for seed in range(5):
         graph = separable_graph()
-        corpus = build_corpus(text_group(graph))
+        group = text_group(graph)
+        corpus = build_corpus(group)
         model = train_lda(corpus, topics=2, alpha=0.5, iterations=500, seed=seed)
         if not (np.abs(model.theta.sum(axis=1) - 1.0) <= 1e-9).all():
             problems.append(f"seed {seed}: theta rows not normalized")
@@ -400,7 +402,7 @@ def test_criterion_07_lda_separates_disjoint_vocabularies():
         if not (dominant > 0.9).all():
             problems.append(f"seed {seed}: weakest dominance {dominant.min():.3f}")
         kinds = {}
-        for subject_id, doc in zip(corpus.statement_subjects, range(len(corpus.documents))):
+        for doc, subject_id in enumerate(group.subjects):  # one document per statement
             name = graph.entity_terms[subject_id].value
             kind = "sport" if "match" in name else "science"
             kinds.setdefault(kind, set()).add(int(model.theta[doc].argmax()))
@@ -412,7 +414,7 @@ def test_criterion_07_lda_separates_disjoint_vocabularies():
     group = text_group(graph)
     corpus = build_corpus(group)
     model = train_lda(corpus, topics=20, iterations=50, seed=0)
-    aug = emit_topic_triples(group, graph, model, corpus, NEW, threshold=0.10)
+    aug = emit_topic_triples(*with_aug(group, graph), model, corpus, threshold=0.10)
     per_subject = Counter(t.subject.value for t in aug.triples)
     if max(per_subject.values()) > 10:
         problems.append(f"{max(per_subject.values())} topic edges for one statement")

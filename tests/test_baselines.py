@@ -16,7 +16,7 @@ from literal_forge.baselines import (
     transform_literal2entity,
 )
 
-from util import EX, NEW, make_graph, numeric_line, text_line
+from util import EX, NEW, with_aug, make_graph, numeric_line, text_line
 
 
 def group_of(graph, predicate, modality=Modality.NUMERIC):
@@ -64,7 +64,8 @@ def test_transform_mints_value_entities():
             numeric_line("Berlin", "populationMetro", 3645000),
         ]
     )
-    aug = transform_literal2entity(group_of(graph, "populationMetro"), graph, NEW)
+    group = group_of(graph, "populationMetro")
+    aug = transform_literal2entity(*with_aug(group, graph))
     assert aug.minted_objects == {
         NEW + "populationMetro2362046",
         NEW + "populationMetro3645000",
@@ -82,7 +83,8 @@ def test_transform_mints_value_entities():
 def test_transform_bound_entities_by_distinct_values():
     lines = [numeric_line(f"s{i}", "v", i % 7) for i in range(50)]
     graph = make_graph(lines)
-    aug = transform_literal2entity(group_of(graph, "v"), graph, NEW)
+    group = group_of(graph, "v")
+    aug = transform_literal2entity(*with_aug(group, graph))
     assert aug.delta_entities == 7
     assert aug.delta_statements == 50
 
@@ -94,7 +96,8 @@ def test_one_entity_single_presence_marker():
             numeric_line("Berlin", "populationMetro", 3645000),
         ]
     )
-    aug = one_entity(group_of(graph, "populationMetro"), graph, NEW)
+    group = group_of(graph, "populationMetro")
+    aug = one_entity(*with_aug(group, graph))
     assert aug.delta_entities == 1
     assert aug.delta_statements == 2
     assert {t.object.value for t in aug.triples} == {NEW + "populationMetroAnyValue"}
@@ -102,7 +105,8 @@ def test_one_entity_single_presence_marker():
 
 def test_exclude_only_removes():
     graph = make_graph([text_line("a", "label", "A"), text_line("b", "label", "B")])
-    aug = exclude(group_of(graph, "label", Modality.TEXT))
+    group = group_of(graph, "label", Modality.TEXT)
+    aug = exclude(*with_aug(group, graph))
     assert aug.removed == 2
     assert aug.delta_entities == 0
     assert aug.delta_statements == 0
@@ -111,7 +115,8 @@ def test_exclude_only_removes():
 
 def test_minted_entities_adds_structural_nodes_to_objects():
     graph = make_graph([numeric_line("a", "v", 1), numeric_line("b", "v", 2)])
-    aug = transform_literal2entity(group_of(graph, "v"), graph, NEW)
+    group = group_of(graph, "v")
+    aug = transform_literal2entity(*with_aug(group, graph))
     assert aug.minted_entities == aug.minted_objects == {NEW + "v1", NEW + "v2"}
     links = aug
     aug = Augmentation(links.predicate, graph.entity_terms)

@@ -36,13 +36,19 @@ from literal_forge.binning import (
 )
 from literal_forge.terms import RDF_LANGSTRING, XSD_STRING
 
-from util import EX, NEW, XSD, assert_parse_matches_reference, make_graph, numeric_line
+from util import EX, NEW, XSD, assert_parse_matches_reference, make_graph, numeric_line, with_aug
 
 
 def numeric_group(lines):
     graph = make_graph(lines)
     (group,) = graph.groups()
     return group, graph
+
+
+def bin_group(group, graph, spec, lof=None):
+    """bin_statements over every statement of a group of numbers."""
+    values = [parse_numeric(lexical) for lexical in group.lexicals]
+    return bin_statements(with_aug(group, graph)[1], spec, group.subjects, values, lof)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -195,7 +201,7 @@ def test_lof_spec_validation():
 
 def test_equal_width_layout():
     layout = compute_bins(
-        [0.0, 10.0, 20.0, 30.0, 40.0], BinningSpec(bins=4), predicate=EX + "height"
+        [0.0, 10.0, 20.0, 30.0, 40.0], BinningSpec(bins=4), stem=NEW + "height"
     )
     assert layout.leaf.boundaries == (0.0, 10.0, 20.0, 30.0, 40.0)
     assert layout.leaf.entities == tuple(NEW + f"heightBin{i:02d}" for i in range(4))
@@ -220,7 +226,7 @@ def test_subpopulation_and_level_labels():
     layout = compute_bins(
         [0.0, 1.0, 2.0, 3.0],
         BinningSpec(bins=2, hierarchy_depth=1),
-        predicate=EX + "height",
+        stem=NEW + "height",
         subpopulation=3,
     )
     assert layout.leaf.entities == (NEW + "heightSub3Bin00", NEW + "heightSub3Bin01")
@@ -485,7 +491,7 @@ def test_lof_uniform_population_all_retained():
 def test_lof_small_population_skips():
     result = lof_scores([1.0, 2.0, 3.0], k=20)
     assert result.skipped
-    assert result.retained_indices == [0, 1, 2]
+    assert result.outlier_indices == []
     assert np.all(result.scores == 1.0)
 
 
@@ -501,7 +507,7 @@ def test_lof_duplicate_population_scores_one():
 def test_bin_statements_preserves_statement_count():
     lines = [numeric_line(f"s{i}", "height", float(i)) for i in range(20)]
     group, graph = numeric_group(lines)
-    aug = bin_statements(group, graph, BinningSpec(bins=4), NEW)
+    aug = bin_group(group, graph, BinningSpec(bins=4))
     assert aug.delta_statements == len(group)
     assert aug.delta_entities == 4
     assert all(t.predicate == IRI(EX + "height") for t in aug.triples)
@@ -513,7 +519,7 @@ def test_next_bin_chain_runs_through_all_bins():
     values = [0.0, 1.0, 2.0, 98.0, 99.0, 100.0]
     lines = [numeric_line(f"s{i}", "height", v) for i, v in enumerate(values)]
     group, graph = numeric_group(lines)
-    aug = bin_statements(group, graph, BinningSpec(bins=6), NEW)
+    aug = bin_group(group, graph, BinningSpec(bins=6))
     chain = [t for t in aug.structural_triples if t.predicate.value == NEW + NEXT_BIN]
     assert len(chain) == 5
     assert len({t.subject for t in chain} | {t.object for t in chain}) == 6
@@ -526,7 +532,7 @@ def test_next_bin_chain_runs_through_all_bins():
 def test_connect_adjacent_off():
     lines = [numeric_line(f"s{i}", "height", float(i)) for i in range(10)]
     group, graph = numeric_group(lines)
-    aug = bin_statements(group, graph, BinningSpec(bins=5, connect_adjacent=False), NEW)
+    aug = bin_group(group, graph, BinningSpec(bins=5, connect_adjacent=False))
     assert aug.structural_triples == []
     assert {t.predicate.value for t in aug.structural_triples} == set()
 
@@ -534,7 +540,7 @@ def test_connect_adjacent_off():
 def test_hierarchy_links_children_to_parents():
     lines = [numeric_line(f"s{i}", "height", float(i)) for i in range(16)]
     group, graph = numeric_group(lines)
-    aug = bin_statements(group, graph, BinningSpec(bins=4, hierarchy_depth=2), NEW)
+    aug = bin_group(group, graph, BinningSpec(bins=4, hierarchy_depth=2))
     parents = [t for t in aug.structural_triples if t.predicate.value == NEW + PARENT_BIN]
     # 4 leaves -> 2 mid -> 1 top: 4 + 2 child-parent links
     assert len(parents) == 6
@@ -547,7 +553,7 @@ def test_outliers_split_low_high_around_midpoint():
     values = [-1000.0] + [float(v) for v in range(40, 80)] + [5000.0]
     lines = [numeric_line(f"s{i}", "height", v) for i, v in enumerate(values)]
     group, graph = numeric_group(lines)
-    aug = bin_statements(group, graph, BinningSpec(bins=4), NEW, lof=LofSpec(k=5, threshold=1.5))
+    aug = bin_group(group, graph, BinningSpec(bins=4), LofSpec(k=5, threshold=1.5))
     assert aug.delta_statements == len(values)  # outliers keep their statements
     objs = {t.object.value for t in aug.triples}
     assert NEW + "heightOutlierLow" in objs
@@ -566,9 +572,7 @@ def test_lof_all_flagged_skips_filter_with_warning():
     values = [float(i) ** 2 for i in range(10)]
     lines = [numeric_line(f"s{i}", "height", v) for i, v in enumerate(values)]
     group, graph = numeric_group(lines)
-    aug = bin_statements(
-        group, graph, BinningSpec(bins=3), NEW, lof=LofSpec(k=3, threshold=1e-9)
-    )
+    aug = bin_group(group, graph, BinningSpec(bins=3), LofSpec(k=3, threshold=1e-9))
     assert aug.delta_statements == len(values)
     assert any("filter skipped" in w for w in aug.warnings)
     assert not any(t.object.value.endswith(("OutlierLow", "OutlierHigh")) for t in aug.triples)
@@ -578,7 +582,7 @@ def test_nbins_unparseable_values_fall_back():
     lines = [numeric_line(f"s{i}", "height", float(i)) for i in range(6)]
     lines.append(f'<{EX}s6> <{EX}height> "tall"^^<{XSD}decimal> .')
     group, graph = numeric_group(lines)
-    aug = nbins(group, graph, BinningSpec(bins=3), NEW)
+    aug = nbins(*with_aug(group, graph), BinningSpec(bins=3))
     assert aug.delta_statements == 7
     assert aug.fallback_statements == 1
     assert any("unparseable" in w for w in aug.warnings)
@@ -600,6 +604,6 @@ def test_bin_statements_statement_count_invariant(values, bins):
     lines = [numeric_line(f"s{i}", "v", v) for i, v in enumerate(values)]
     graph = make_graph(lines)
     (group,) = graph.groups()
-    aug = bin_statements(group, graph, BinningSpec(bins=bins), NEW)
+    aug = bin_group(group, graph, BinningSpec(bins=bins))
     assert aug.delta_statements == len(group)
     assert aug.delta_entities <= bins

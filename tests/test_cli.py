@@ -385,8 +385,8 @@ class TestLogging:
 def test_transform_exits_verify_on_failed_bound(sample_nt, tmp_path, monkeypatch, caplog):
     real = baselines.one_entity
 
-    def overgrown(group, graph, namespace):
-        aug = real(group, graph, namespace)
+    def overgrown(group, aug):
+        aug = real(group, aug)
         aug.link(aug.subjects[:1], aug.objects[0])  # one past the exact bound of S
         return aug
 

@@ -27,7 +27,7 @@ from literal_forge.images import (
     top_label,
 )
 
-from util import EX, NEW, XSD, make_graph, rel_line, write_tag_map
+from util import EX, NEW, XSD, make_graph, rel_line, with_aug, write_tag_map
 
 IMG_RULES = ModalityRules(image_predicates=frozenset({EX + "depiction"}))
 PNG_BYTES = b"\x89PNG\r\n\x1a\nfakepixels"
@@ -164,7 +164,7 @@ def test_emit_image_triples_exact_naming(tmp_path):
             EX + "img/2.jpg": "bridge",
         },
     )
-    aug = emit_image_triples(image_group(graph), graph, TagMapProvider.from_file(path), NEW)
+    aug = emit_image_triples(*with_aug(image_group(graph), graph), TagMapProvider.from_file(path))
     assert aug.delta_statements == 3
     assert [t.object.value for t in aug.triples] == [
         NEW + "VGG_building",
@@ -179,7 +179,7 @@ def test_emit_image_triples_exact_naming(tmp_path):
 def test_emit_image_triples_miss_falls_back(tmp_path):
     graph = make_graph(depiction_lines(2), IMG_RULES)
     path = write_tag_map(tmp_path / "tags.json", {EX + "img/0.jpg": "tower"})
-    aug = emit_image_triples(image_group(graph), graph, TagMapProvider.from_file(path), NEW)
+    aug = emit_image_triples(*with_aug(image_group(graph), graph), TagMapProvider.from_file(path))
     assert aug.delta_statements == 2
     assert aug.fallback_statements == 1
     assert NEW + "depictionAnyValue" in aug.minted_objects
@@ -190,7 +190,7 @@ def test_emit_image_triples_custom_prefix(tmp_path):
     graph = make_graph(depiction_lines(1), IMG_RULES)
     path = write_tag_map(tmp_path / "tags.json", {EX + "img/0.jpg": "building"})
     aug = emit_image_triples(
-        image_group(graph), graph, TagMapProvider.from_file(path), NEW, prefix="IMG_"
+        *with_aug(image_group(graph), graph), TagMapProvider.from_file(path), prefix="IMG_"
     )
     assert aug.minted_objects == {NEW + "IMG_building"}
 
@@ -200,7 +200,7 @@ def test_emit_image_triples_weight_is_top_score(tmp_path):
     path = tmp_path / "tags.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     graph = make_graph(depiction_lines(1), IMG_RULES)
-    aug = emit_image_triples(image_group(graph), graph, TagMapProvider.from_file(str(path)), NEW)
+    aug = emit_image_triples(*with_aug(image_group(graph), graph), TagMapProvider.from_file(str(path)))
     assert aug.weighted == [(aug.triples[0], 0.62)]
     assert aug.minted_objects == {NEW + "VGG_castle"}
 
@@ -333,7 +333,7 @@ def test_emit_through_remote_provider_concurrent(tag_server):
     server.app = app
     graph = make_graph(depiction_lines(6), IMG_RULES)
     provider = RemoteTagProvider(url, retries=0)
-    aug = emit_image_triples(image_group(graph), graph, provider, NEW, max_in_flight=4)
+    aug = emit_image_triples(*with_aug(image_group(graph), graph), provider, max_in_flight=4)
     assert aug.delta_statements == 6
     assert len(calls) == 6
     # results remain aligned with their statements despite concurrency

@@ -25,7 +25,7 @@ from literal_forge.textlda import (
     txtlda,
 )
 
-from util import EX, NEW, make_graph, text_line
+from util import EX, NEW, make_graph, text_line, with_aug
 
 
 def text_group(graph, predicate="abstract"):
@@ -158,19 +158,19 @@ def test_training_is_deterministic():
 
 
 def test_empty_document_gets_uniform_prior():
-    corpus = Corpus(documents=[[0, 1], []], vocabulary=("x", "y"), statement_subjects=[0, 1])
+    corpus = Corpus(documents=[[0, 1], []], vocabulary=("x", "y"))
     model = train_lda(corpus, topics=4, iterations=5, seed=0)
     assert np.allclose(model.theta[1], 0.25)
 
 
 def test_all_empty_corpus_rejected():
-    corpus = Corpus(documents=[[], []], vocabulary=(), statement_subjects=[0, 1])
+    corpus = Corpus(documents=[[], []], vocabulary=())
     with pytest.raises(ValueError):
         train_lda(corpus, topics=2)
 
 
 def test_more_topics_than_documents_warns(caplog):
-    corpus = Corpus(documents=[[0, 0, 1]], vocabulary=("x", "y"), statement_subjects=[0])
+    corpus = Corpus(documents=[[0, 0, 1]], vocabulary=("x", "y"))
     with caplog.at_level(logging.WARNING):
         train_lda(corpus, topics=5, iterations=2, seed=0)
     assert any("exceeds" in r.message for r in caplog.records)
@@ -214,7 +214,7 @@ def test_top_words_reflect_topic_content():
 
 
 def test_document_topics_accessor():
-    corpus = Corpus(documents=[[0, 1]], vocabulary=("x", "y"), statement_subjects=[0])
+    corpus = Corpus(documents=[[0, 1]], vocabulary=("x", "y"))
     model = train_lda(corpus, topics=2, iterations=3, seed=0)
     row = document_topics(model, 0)
     assert row.shape == (2,)
@@ -263,7 +263,7 @@ def test_emit_links_topics_above_threshold():
     group = text_group(graph)
     corpus = build_corpus(group)
     model = train_lda(corpus, topics=2, alpha=0.5, iterations=150, seed=0)
-    aug = emit_topic_triples(group, graph, model, corpus, NEW, threshold=0.10)
+    aug = emit_topic_triples(*with_aug(group, graph), model, corpus, threshold=0.10)
     assert aug.delta_statements >= len(group)  # at least one topic each
     assert aug.delta_statements <= 2 * len(group)
     assert aug.minted_objects <= {NEW + "abstractTopic00", NEW + "abstractTopic01"}
@@ -279,7 +279,7 @@ def test_emit_entity_names_zero_padded():
     group = text_group(graph)
     corpus = build_corpus(group)
     model = train_lda(corpus, topics=12, alpha=0.1, iterations=10, seed=0)
-    aug = emit_topic_triples(group, graph, model, corpus, NEW, threshold=0.99)
+    aug = emit_topic_triples(*with_aug(group, graph), model, corpus, threshold=0.99)
     # below-threshold document still links to its single best topic
     assert len(aug.triples) == 1
     name = aug.triples[0].object.value
@@ -292,7 +292,7 @@ def test_emit_wide_topic_count_widens_padding():
     group = text_group(graph)
     corpus = build_corpus(group)
     model = train_lda(corpus, topics=120, alpha=0.05, iterations=5, seed=0)
-    aug = emit_topic_triples(group, graph, model, corpus, NEW, threshold=0.9)
+    aug = emit_topic_triples(*with_aug(group, graph), model, corpus, threshold=0.9)
     name = aug.triples[0].object.value
     assert len(name.removeprefix(NEW + "abstractTopic")) == 3
 
@@ -307,7 +307,7 @@ def test_emit_empty_document_falls_back():
     group = text_group(graph)
     corpus = build_corpus(group)
     model = train_lda(corpus, topics=2, alpha=0.5, iterations=20, seed=0)
-    aug = emit_topic_triples(group, graph, model, corpus, NEW, threshold=0.10)
+    aug = emit_topic_triples(*with_aug(group, graph), model, corpus, threshold=0.10)
     assert aug.fallback_statements == 1
     fallback = [t for t in aug.triples if t.object.value == NEW + "abstractAnyValue"]
     assert len(fallback) == 1
@@ -322,7 +322,7 @@ def test_threshold_bounds_edges_per_statement(seed):
     group = text_group(graph)
     corpus = build_corpus(group)
     model = train_lda(corpus, topics=8, alpha=0.5, iterations=10, seed=seed)
-    aug = emit_topic_triples(group, graph, model, corpus, NEW, threshold=0.10)
+    aug = emit_topic_triples(*with_aug(group, graph), model, corpus, threshold=0.10)
     per_subject: dict[str, int] = {}
     for t in aug.triples:
         per_subject[t.subject.value] = per_subject.get(t.subject.value, 0) + 1
@@ -336,7 +336,7 @@ def test_threshold_bounds_edges_per_statement(seed):
 def test_txtlda_full_run():
     graph = separable_graph()
     aug, model = txtlda(
-        text_group(graph), graph, LdaSpec(topics=2, alpha=0.5, iterations=150), NEW, seed=3
+        *with_aug(text_group(graph), graph), LdaSpec(topics=2, alpha=0.5, iterations=150), seed=3
     )
     assert model is not None
     assert aug.delta_entities <= 2
@@ -347,7 +347,7 @@ def test_txtlda_untrainable_group_degrades():
     graph = make_graph(
         [text_line("a", "abstract", "!"), text_line("b", "abstract", "?")]
     )
-    aug, model = txtlda(text_group(graph), graph, LdaSpec(topics=2), NEW)
+    aug, model = txtlda(*with_aug(text_group(graph), graph), LdaSpec(topics=2))
     assert model is None
     assert aug.fallback_statements == 2
     assert {t.object.value for t in aug.triples} == {NEW + "abstractAnyValue"}
@@ -406,7 +406,6 @@ def test_sweep_matches_per_token_loop_reference():
     corpus = Corpus(
         documents=[[0, 1, 2, 1], [], [3, 3, 4], [2, 4, 0, 0, 1], [5]],
         vocabulary=tuple("abcdef"),
-        statement_subjects=[0, 1, 2, 3, 4],
     )
     model = train_lda(corpus, topics=3, alpha=0.4, beta=0.05, iterations=12, seed=4)
     phi, theta = loop_reference(corpus, 3, 0.4, 0.05, 12, 4)
@@ -434,7 +433,7 @@ def planted_corpus(seed: int, documents: int = 450) -> tuple[Corpus, np.ndarray]
     vocabulary = tuple(
         f"t{t}w{w}" for t in range(PLANTED_TOPICS) for w in range(PLANTED_WORDS)
     )
-    return Corpus(docs, vocabulary, list(range(documents))), np.array(mains)
+    return Corpus(docs, vocabulary), np.array(mains)
 
 
 def word_recovery(model) -> float:
@@ -483,7 +482,7 @@ def test_txtlda_logs_one_progress_line_per_group(caplog):
     graph = separable_graph()
     spec = LdaSpec(topics=2, alpha=0.5, iterations=40)
     with caplog.at_level(logging.INFO, logger="literal_forge.textlda"):
-        txtlda(text_group(graph), graph, spec, NEW, seed=3)
+        txtlda(*with_aug(text_group(graph), graph), spec, seed=3)
     lines = [r.getMessage() for r in caplog.records if r.name == "literal_forge.textlda"]
     assert len(lines) == 1
     assert lines[0].startswith(EX + "abstract: 240 tokens, 40 sweeps in ")

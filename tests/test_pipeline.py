@@ -864,6 +864,18 @@ def test_minted_totals_match_a_recount_of_the_output():
     assert structural_seen
 
 
+@pytest.mark.parametrize("depth", [1, 3, 10**7])
+def test_binning_allowance_stops_at_the_first_one_bin_level(depth):
+    # Two bins, then one parent bin: compute_bins makes no level past it, so
+    # neither does the allowance, and a huge depth costs nothing.
+    lines = [numeric_line(f"s{i}", "height", i) for i in range(3)]
+    config = single_strategy_config("NBINS", namespace=NEW)
+    config.overrides[EX + "height"] = GroupPlan("NBINS", {"bins": 2, "hierarchy_depth": depth})
+    (row,) = apply(make_graph(lines), config).report.rows
+    assert row.delta_entities == row.entity_allowance == 3
+    assert row.verdict == "pass-with-exceptions"
+
+
 class TestReportSerialization:
     def test_round_trip(self):
         graph = make_graph(mixed_lines())

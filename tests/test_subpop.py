@@ -30,7 +30,7 @@ from literal_forge.subpop import (
 )
 
 from test_pipeline import single_strategy_config
-from util import EX, NEW, XSD, make_graph, numeric_line, rel_line
+from util import EX, NEW, XSD, make_graph, numeric_line, rel_line, with_aug
 
 
 def height_group(graph):
@@ -226,7 +226,7 @@ def test_threshold_counts_values_not_subjects():
 def test_kl_rel_binning_routes_every_subject_to_its_leaf():
     graph = make_graph(person_building_lines(200, 200))
     group = height_group(graph)
-    aug, split = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=100)
+    aug, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=100)
     assert len(split.leaves) > 1
     terms = graph.entity_terms
     leaf_of = {terms[sid]: leaf.leaf_index for leaf in split.leaves for sid in leaf.subjects}
@@ -328,7 +328,7 @@ def test_kl_rel_binning_bins_each_leaf_separately():
     graph = make_graph(person_building_lines())
     group = height_group(graph)
     aug, split = kl_rel_binning(
-        group, graph, REL, BinningSpec(bins=3), NEW, threshold=300
+        *with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=300
     )
     assert len(split.leaves) == 2
     assert aug.delta_statements == len(group)
@@ -349,9 +349,9 @@ def test_single_leaf_reduces_to_plain_binning():
     lines = [numeric_line(f"s{i}", "height", float(i)) for i in range(20)]
     graph = make_graph(lines)
     group = height_group(graph)
-    aug, split = kl_rel_binning(group, graph, REL, BinningSpec(bins=4), NEW, threshold=300)
+    aug, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=4), threshold=300)
     assert len(split.leaves) == 1
-    plain = nbins(group, graph, BinningSpec(bins=4), NEW)
+    plain = nbins(*with_aug(group, graph), BinningSpec(bins=4))
     assert aug.triples == plain.triples
     assert aug.structural_triples == plain.structural_triples
 
@@ -360,7 +360,7 @@ def test_kl_rel_binning_unparseable_fall_back():
     lines = [numeric_line(f"s{i}", "height", float(i)) for i in range(10)]
     lines.append(f'<{EX}bad> <{EX}height> "tall"^^<http://www.w3.org/2001/XMLSchema#decimal> .')
     graph = make_graph(lines)
-    aug, _ = kl_rel_binning(height_group(graph), graph, REL, BinningSpec(bins=2), NEW)
+    aug, _ = kl_rel_binning(*with_aug(height_group(graph), graph), graph, REL, BinningSpec(bins=2))
     assert aug.fallback_statements == 1
     assert aug.delta_statements == 11
     assert any(t.object.value == NEW + "heightAnyValue" for t in aug.triples)
@@ -371,12 +371,12 @@ def test_group_below_threshold_builds_no_adjacency():
 
     graph = make_graph(person_building_lines(persons=40, buildings=40))
     group = height_group(graph)
-    aug, split = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=81)
+    aug, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=81)
     assert "adjacency" not in vars(graph)
     assert split.root.to_dict() == {"values": 80, "subjects": 80, "leaf": 0}
-    assert aug.triples == nbins(group, graph, BinningSpec(bins=3), NEW).triples
+    assert aug.triples == nbins(*with_aug(group, graph), BinningSpec(bins=3)).triples
     # At the threshold the root may split, so the signatures are needed.
-    _, split = kl_rel_binning(group, graph, REL, BinningSpec(bins=3), NEW, threshold=80)
+    _, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=80)
     assert len(split.leaves) == 2
     assert "adjacency" in vars(graph)
 

@@ -38,7 +38,7 @@ from literal_forge.terms import (
     XSD_STRING,
 )
 
-from util import EX, NEW, XSD, assert_parse_matches_reference, date_line, make_graph
+from util import EX, NEW, XSD, assert_parse_matches_reference, date_line, make_graph, with_aug
 
 
 def sakamoto_weekday(y: int, m: int, d: int) -> int:
@@ -136,11 +136,14 @@ def test_consecutive_days_differ_by_86400(ordinal):
         ("2004-07-14+05:30", XSD_DATE, (2004, 7, 14)),
         ("2004-07-14T23:59:59", XSD_DATETIME, (2004, 7, 14)),
         ("2004-07-14T23:59:59.123-08:00", XSD_DATETIME, (2004, 7, 14)),
+        ("2004-07-14T24:00:00", XSD_DATETIME, (2004, 7, 14)),  # the end of the day
+        ("2004-07-14T00:00:00.0+14:00", XSD_DATETIME, (2004, 7, 14)),
         ("1999-07", XSD_GYEARMONTH, (1999, 7, 1)),
         ("1999-07Z", XSD_GYEARMONTH, (1999, 7, 1)),
         ("1607", XSD_GYEAR, (1607, 1, 1)),
         ("1607+02:00", XSD_GYEAR, (1607, 1, 1)),
         ("1999-12-31", None, (1999, 12, 31)),  # untyped but date-shaped
+        ("1999-12-31, a Friday", None, (1999, 12, 31)),  # untyped: the leading date
         ("\r\n1999-12-31 \t", XSD_DATE, (1999, 12, 31)),  # XSD whitespace collapse
     ],
 )
@@ -162,6 +165,12 @@ def test_parse_date_accepts(lex, dt, expected):
         ("99999999999", XSD_GYEAR),
         ("\u0661\u0669\u0669\u0660-01-01", XSD_DATE),  # Arabic-Indic digits
         ("\u00a01999-12-31", XSD_DATE),  # a no-break space is not XSD whitespace
+        ("2020-01-01garbage", XSD_DATE),  # a date matches its grammar in full
+        ("2020-01-01T10:00:00", XSD_DATE),
+        ("2020-01-01+15:00", XSD_DATE),
+        ("2020-01-01T99:99:99", XSD_DATETIME),
+        ("2020-01-01T10:00:00Zjunk", XSD_DATETIME),
+        ("2020-01-01", XSD_DATETIME),  # a dateTime needs its time of day
         ("hello", None),
     ],
 )
@@ -252,7 +261,7 @@ def test_datfeat_names_example():
 
 def test_datfeat_single_date():
     graph = make_graph([date_line("Mannheim", "founded", "1607-01-24")])
-    aug = datfeat(date_group(graph), graph, NEW)
+    aug = datfeat(*with_aug(date_group(graph), graph))
     assert aug.delta_statements == 5
     assert [t.object.value for t in aug.triples] == [
         NEW + n for n in ("wednesday", "day24", "month1", "quarter1", "year1607")
@@ -273,7 +282,7 @@ def test_datfeat_chains_consecutive_observations():
             date_line("b", "founded", "2001-04-15"),
         ]
     )
-    aug = datfeat(date_group(graph), graph, NEW)
+    aug = datfeat(*with_aug(date_group(graph), graph))
     assert aug.delta_statements == 10
     structural = {
         (t.subject.value, t.predicate.value, t.object.value)
@@ -299,7 +308,7 @@ def test_datfeat_gap_breaks_chain():
             date_line("b", "founded", "2001-03-01"),
         ]
     )
-    aug = datfeat(date_group(graph), graph, NEW)
+    aug = datfeat(*with_aug(date_group(graph), graph))
     assert not any(t.predicate.value == NEW + NEXT_MONTH for t in aug.structural_triples)
     assert not any(t.predicate.value == NEW + NEXT_DAY for t in aug.structural_triples)
 
@@ -311,7 +320,7 @@ def test_datfeat_shares_feature_entities():
             date_line("b", "founded", "2003-08-07"),  # same day number
         ]
     )
-    aug = datfeat(date_group(graph), graph, NEW)
+    aug = datfeat(*with_aug(date_group(graph), graph))
     assert aug.delta_statements == 10
     assert aug.delta_entities == 9  # day7 is shared; every other feature differs
     day7_links = [t for t in aug.triples if t.object.value == NEW + "day7"]
@@ -320,7 +329,7 @@ def test_datfeat_shares_feature_entities():
 
 def test_datfeat_without_links():
     graph = make_graph([date_line("a", "founded", "2001-03-14")])
-    aug = datfeat(date_group(graph), graph, NEW, link_features=False)
+    aug = datfeat(*with_aug(date_group(graph), graph), link_features=False)
     assert aug.structural_triples == []
     assert {t.predicate.value for t in aug.structural_triples} == set()
 
@@ -332,7 +341,7 @@ def test_datfeat_fallback_for_unparseable():
             date_line("b", "founded", "the middle ages"),
         ]
     )
-    aug = datfeat(date_group(graph), graph, NEW)
+    aug = datfeat(*with_aug(date_group(graph), graph))
     assert aug.delta_statements == 6  # 5 features + 1 fallback
     assert aug.fallback_statements == 1
     assert any(t.object.value == NEW + "foundedAnyValue" for t in aug.triples)
@@ -370,7 +379,7 @@ def test_datfeat_statement_arithmetic(dates):
         for i, d in enumerate(dates)
     ]
     graph = make_graph(lines)
-    aug = datfeat(date_group(graph), graph, NEW)
+    aug = datfeat(*with_aug(date_group(graph), graph))
     assert aug.delta_statements == 5 * len(dates)
     assert aug.delta_entities <= 5 * len(dates)
 
@@ -385,7 +394,7 @@ def test_datbin_groups_nearby_dates():
         date_line(f"new{i}", "founded", f"{1990 + i}-01-01") for i in range(5)
     ]
     graph = make_graph(lines)
-    aug = datbin(date_group(graph), graph, BinningSpec(bins=2), NEW)
+    aug = datbin(*with_aug(date_group(graph), graph), BinningSpec(bins=2))
     assert aug.delta_statements == 10
     assert aug.delta_entities == 2
     assert aug.minted_objects == {NEW + "foundedBin00", NEW + "foundedBin01"}
@@ -403,7 +412,7 @@ def test_datbin_mixed_precision_datatypes():
         f'<{EX}c> <{EX}founded> "2004-07-14T12:00:00"^^<{XSD}dateTime> .',
     ]
     graph = make_graph(lines)
-    aug = datbin(date_group(graph), graph, BinningSpec(bins=3), NEW)
+    aug = datbin(*with_aug(date_group(graph), graph), BinningSpec(bins=3))
     assert aug.delta_statements == 3
     assert aug.fallback_statements == 0
 
@@ -415,7 +424,7 @@ def test_datbin_fallback_and_warning():
         date_line("c", "founded", "long ago"),
     ]
     graph = make_graph(lines)
-    aug = datbin(date_group(graph), graph, BinningSpec(bins=2), NEW)
+    aug = datbin(*with_aug(date_group(graph), graph), BinningSpec(bins=2))
     assert aug.delta_statements == 3
     assert aug.fallback_statements == 1
     assert any("unparseable" in w for w in aug.warnings)
