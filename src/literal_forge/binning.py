@@ -121,8 +121,10 @@ def _leaf_boundaries(values: np.ndarray, k: int, scheme: str) -> list[float]:
     hi = float(values.max())
     if lo == hi:
         return [lo, hi]
-    if scheme == "equal-width":
+    if scheme == "equal-width" and (k - 1) * (hi - lo) < math.inf:
         inner = [lo + i * (hi - lo) / k for i in range(1, k)]
+    elif scheme == "equal-width":  # i·(hi - lo) passes the largest float
+        inner = [lo / k * (k - i) + hi / k * i for i in range(1, k)]
     else:
         qs = np.quantile(values, np.linspace(0.0, 1.0, k + 1)[1:-1])
         inner = [float(q) for q in qs]

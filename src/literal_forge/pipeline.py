@@ -599,10 +599,9 @@ def _run_strategy(
     distinct: int,
 ) -> _GroupOutcome:
     S = len(group)
-    namespace = config.namespace
     name = plan.strategy
-    stem = namespace + sanitize_value(local_name(group.predicate))
-    aug = Augmentation(group.predicate, graph.entity_terms, namespace, stem)
+    stem = config.namespace + sanitize_value(local_name(group.predicate))
+    aug = Augmentation(group.predicate, graph.entity_terms, config.namespace, stem)
 
     if name == EXCLUDE:
         return _GroupOutcome(baselines.exclude(group, aug), 0, 0, None)
@@ -619,7 +618,7 @@ def _run_strategy(
             run = _entry("kl_rel_binning")
             aug, split = run(group, aug, graph, mode, spec, lof, **split_args)
             sizes = [leaf.value_count for leaf in split.leaves]
-            detail = {"leaves": len(split.leaves), "split": split.root.to_dict()}
+            detail = {"leaves": len(split.leaves), "split": [n.to_dict() for n in split.nodes]}
         else:
             aug = _entry("datbin" if name == DATBIN else "nbins")(group, aug, spec, lof)
             sizes = [min(distinct, S - aug.fallback_statements)]
@@ -636,9 +635,10 @@ def _run_strategy(
 
     if name == DATFEAT:
         aug = _entry("datfeat")(group, aug, **plan.spec)
+        # 7 weekdays, 31 days, 12 months and 4 quarters, and a year per value.
         return _GroupOutcome(
             aug,
-            aug.delta_entities,
+            min(5 * distinct, 54 + distinct) + (1 if aug.fallback_statements else 0),
             5 * (S - aug.fallback_statements) + aug.fallback_statements,
             None,
             detail={"feature_entities": aug.delta_entities},

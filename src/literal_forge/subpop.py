@@ -5,9 +5,9 @@ buildings both have a height). Before binning, the value population is split
 into structurally similar subpopulations: subjects are described by their
 relational signatures, candidate binary splits partition them by presence of
 one signature feature, and the split maximizing the symmetric KL divergence
-between the two sides' smoothed feature distributions wins. Splitting
-recurses until a node falls below the value-count threshold or no
-informative split remains; each leaf is then binned on its own value range.
+between the two sides' smoothed feature distributions wins. A node stays a
+leaf once it falls below the value-count threshold or no informative split
+remains; each leaf is then binned on its own value range.
 
 The signatures are a subject × feature incidence matrix in compressed sparse
 rows. A node scores all its candidates at once from co-occurrence counts:
@@ -275,65 +275,42 @@ def _best_split(
 
 @dataclass
 class SplitNode:
-    """One node of the split tree.
+    """One node of the split tree, held in PopulationSplit.nodes.
 
-    Internal nodes carry the winning feature (present → first child) and the
-    symmetrized divergence it achieved; leaves carry their index and their
-    subjects instead, so each subject is stored once.
+    Internal nodes carry the winning feature (present → first child), the
+    symmetrized divergence it achieved and their children's positions in
+    nodes; leaves carry their index and their subject ids, ascending, so
+    each subject is stored once.
     """
 
     value_count: int
+    subject_count: int
     feature: Feature | None = None
     divergence: float | None = None
-    children: tuple["SplitNode", "SplitNode"] | None = None
+    children: tuple[int, ...] | None = None
     indivisible: bool = False
     leaf_index: int | None = None
-    leaf_subjects: tuple[int, ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    @property
-    def subjects(self) -> tuple[int, ...]:
-        """The node's subject ids, ascending, gathered from its leaves."""
-        if self.is_leaf:
-            return self.leaf_subjects
-        found: list[int] = []
-        pending = [self]
-        while pending:
-            node = pending.pop()
-            if node.is_leaf:
-                found.extend(node.leaf_subjects)
-            else:
-                pending.extend(node.children)
-        return tuple(sorted(found))
+    subjects: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
-        if self.is_leaf:
-            out: dict = {
-                "values": self.value_count,
-                "subjects": len(self.leaf_subjects),
-                "leaf": self.leaf_index,
-            }
+        out: dict = {"values": self.value_count, "subjects": self.subject_count}
+        if self.children is None:
+            out["leaf"] = self.leaf_index
             if self.indivisible:
                 out["indivisible"] = True
             return out
-        children = [c.to_dict() for c in self.children]
-        return {
-            "values": self.value_count,
-            "subjects": children[0]["subjects"] + children[1]["subjects"],
-            "feature": list(self.feature) if isinstance(self.feature, tuple) else self.feature,
-            "divergence": self.divergence,
-            "children": children,
-        }
+        out["feature"] = list(self.feature) if isinstance(self.feature, tuple) else self.feature
+        out["divergence"] = self.divergence
+        out["children"] = list(self.children)
+        return out
 
 
 @dataclass
 class PopulationSplit:
-    """Split tree for one literal group, leaves in depth-first order."""
+    """Split tree for one literal group: its nodes depth first, root first,
+    and its leaves in the same order."""
 
-    root: SplitNode
+    nodes: list[SplitNode] = field(default_factory=list)
     leaves: list[SplitNode] = field(default_factory=list)
 
 
@@ -343,7 +320,7 @@ def split_population(
     mode: str = REL,
     threshold: int = 300,
 ) -> PopulationSplit:
-    """Recursive greedy split of the group's subjects by signature features.
+    """Greedy top-down split of the group's subjects by signature features.
 
     A node is split while it still holds at least *threshold* literal values
     and some feature separates it with divergence >= 1e-6; ties between
@@ -366,28 +343,32 @@ def _split_subjects(
         value_counts[subject_id] = value_counts.get(subject_id, 0) + 1
     subjects = np.array(sorted(value_counts), np.int64)
     values = np.array([value_counts[s] for s in subjects.tolist()], np.int64)
-    split = PopulationSplit(SplitNode(len(statement_subjects)))
     # A root below the threshold stays one leaf, so it needs no signatures
     # (and so no adjacency).
-    incidence = _incidence(subjects, graph, mode) if split.root.value_count >= threshold else None
+    incidence = _incidence(subjects, graph, mode) if len(statement_subjects) >= threshold else None
 
-    # Depth first with the left child popped first, so leaves are numbered
-    # as a recursive walk would number them.
-    pending = [(split.root, np.arange(len(subjects)))]
+    # Depth first with the left child popped first, so nodes and leaves come
+    # out in preorder. Each entry holds its parent's position.
+    split = PopulationSplit()
+    pending: list[tuple[int | None, np.ndarray]] = [(None, np.arange(len(subjects)))]
     while pending:
-        node, rows = pending.pop()
+        parent, rows = pending.pop()
+        position = len(split.nodes)
+        if parent is not None:
+            split.nodes[parent].children += (position,)
+        node = SplitNode(int(values[rows].sum()), len(rows))
+        split.nodes.append(node)
         found = _best_split(incidence, rows, mode) if node.value_count >= threshold else None
         if found is None:
             node.indivisible = node.value_count >= threshold
-            node.leaf_subjects = tuple(subjects[rows].tolist())
+            node.subjects = tuple(subjects[rows].tolist())
             node.leaf_index = len(split.leaves)
             split.leaves.append(node)
             continue
         feature, node.divergence, left, right = found
         node.feature = incidence.labels[feature]
-        node.children = (SplitNode(int(values[left].sum())), SplitNode(int(values[right].sum())))
-        pending.append((node.children[1], right))
-        pending.append((node.children[0], left))
+        node.children = ()
+        pending += [(position, right), (position, left)]
     return split
 
 

@@ -23,7 +23,7 @@ from .baselines import (
     parse_or_reject,
 )
 from .graph import LiteralGroup
-from .terms import XSD_DATE, XSD_DATETIME, XSD_GYEAR, XSD_GYEARMONTH, XSD_SPACE
+from .terms import XSD, XSD_DATE, XSD_DATETIME, XSD_GYEAR, XSD_GYEARMONTH, XSD_SPACE
 
 IN_QUARTER = "inQuarter"
 NEXT_DAY = "nextDay"
@@ -42,16 +42,17 @@ WEEKDAY_NAMES = (
 _EPOCH = _date(1970, 1, 1)
 
 # ASCII digits only, as in the XSD lexical forms. _DATE_RE reads the leading
-# date of an untyped value; xsd:date and xsd:dateTime must match in full.
+# date of an untyped value; the four XSD date types must match in full. A
+# gYearMonth or gYear leaves the fields it lacks empty.
 _DATE_RE = re.compile(r"^(-?\d{4,})-(\d{2})-(\d{2})", re.ASCII)
 _ZONE = r"(?:Z|[+-](?:(?:0\d|1[0-3]):[0-5]\d|14:00))?"
 _TIME = r"T(?:(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d(?:\.\d+)?|24:00:00(?:\.0+)?)"
 _FULL = {
     XSD_DATE: re.compile(_DATE_RE.pattern + _ZONE, re.ASCII),
     XSD_DATETIME: re.compile(_DATE_RE.pattern + _TIME + _ZONE, re.ASCII),
+    XSD_GYEARMONTH: re.compile(r"(-?\d{4,})-(\d{2})()" + _ZONE, re.ASCII),
+    XSD_GYEAR: re.compile(r"(-?\d{4,})()()" + _ZONE, re.ASCII),
 }
-_GYEARMONTH_RE = re.compile(r"^(-?\d{4,})-(\d{2})(?:Z|[+-]\d{2}:\d{2})?$", re.ASCII)
-_GYEAR_RE = re.compile(r"^(-?\d{4,})(?:Z|[+-]\d{2}:\d{2})?$", re.ASCII)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,8 +92,8 @@ def parse_date(lexical: str, dt: str) -> CalendarDate:
     """Extract the calendar day from a date-like literal's lexical form.
 
     Handles full dates, dateTimes (time of day dropped), gYear (January 1st)
-    and gYearMonth (first of the month), by the datatype *dt*. A date or
-    dateTime must match its XSD grammar in full. Timezone offsets are
+    and gYearMonth (first of the month), by the datatype *dt*. Each must
+    match its XSD grammar in full, a valid zone included. Timezone offsets are
     ignored; the lexical calendar fields alone decide the day.
     Only ASCII digits count, after XSD whitespace collapse. Raises
     ValueError on anything else, a year out of datetime's range included, so
@@ -102,18 +103,9 @@ def parse_date(lexical: str, dt: str) -> CalendarDate:
     if dt in _FULL:
         m = _FULL[dt].fullmatch(text)
         if not m:
-            raise ValueError(f"not a date lexical form: {lexical!r}")
-        return CalendarDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    if dt == XSD_GYEARMONTH:
-        m = _GYEARMONTH_RE.match(text)
-        if not m:
-            raise ValueError(f"not a gYearMonth lexical form: {lexical!r}")
-        return CalendarDate(int(m.group(1)), int(m.group(2)), 1)
-    if dt == XSD_GYEAR:
-        m = _GYEAR_RE.match(text)
-        if not m:
-            raise ValueError(f"not a gYear lexical form: {lexical!r}")
-        return CalendarDate(int(m.group(1)), 1, 1)
+            raise ValueError(f"not an xsd:{dt[len(XSD):]} lexical form: {lexical!r}")
+        year, month, day = m.groups()
+        return CalendarDate(int(year), int(month or 1), int(day or 1))
     # Untyped or oddly typed values still parse when they look like a date.
     m = _DATE_RE.match(text)
     if m:

@@ -363,8 +363,8 @@ def test_criterion_06_population_splits_on_distinguishing_relation():
     graph = make_graph(person_building_lines())
     group = height_group(graph)
     split = split_population(group, graph, REL, threshold=300)
-    if split.root.feature != EX + "birthPlace":
-        problems.append(f"root split on {split.root.feature}")
+    if split.nodes[0].feature != EX + "birthPlace":
+        problems.append(f"root split on {split.nodes[0].feature}")
     if len(split.leaves) != 2:
         problems.append(f"{len(split.leaves)} leaves")
     else:

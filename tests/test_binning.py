@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from literal_forge import IRI, BlankNode, Literal, Modality, binning
+from literal_forge import IRI, BlankNode, Literal, Modality, StrategyConfig, apply, binning, check_output
 from literal_forge.binning import (
     BinLayout,
     BinLevel,
@@ -34,6 +34,7 @@ from literal_forge.binning import (
     parse_numeric,
     sorted_distinct,
 )
+from literal_forge.pipeline import GroupPlan
 from literal_forge.terms import RDF_LANGSTRING, XSD_STRING
 
 from util import EX, NEW, XSD, assert_parse_matches_reference, make_graph, numeric_line, with_aug
@@ -607,3 +608,24 @@ def test_bin_statements_statement_count_invariant(values, bins):
     aug = bin_group(group, graph, BinningSpec(bins=bins))
     assert aug.delta_statements == len(group)
     assert aug.delta_entities <= bins
+
+
+@pytest.mark.parametrize("scheme", ["equal-width", "equal-frequency"])
+@pytest.mark.parametrize("strategy", ["NBINS", "KLREL"])
+def test_bins_span_a_range_past_the_largest_float(strategy, scheme):
+    # hi - lo overflows to inf here. Equal-width bins still give the two
+    # extremes bins of their own, apart from the 34 values between them.
+    values = [-1.79e308, *map(float, range(34)), 1.79e308]
+    lines = [f'<{EX}s{i}> <{EX}height> "{v!r}"^^<{XSD}double> .' for i, v in enumerate(values)]
+    graph = make_graph(lines)
+    plan = GroupPlan(strategy, {"scheme": scheme})
+    result = apply(graph, StrategyConfig(namespace=NEW, overrides={EX + "height": plan}))
+    (row,) = result.report.rows
+    bins = [t.object.value for aug in result.augmentations for t in aug.triples]
+    if scheme == "equal-width":
+        assert bins == [NEW + "heightBin00", *[NEW + "heightBin05"] * 34, NEW + "heightBin09"]
+    else:
+        assert bins == sorted(bins) and len(set(bins)) == 10
+    assert row.delta_entities == len(set(bins))
+    assert row.verdict == "pass" and row.fell_back_to is None
+    assert check_output(result.triples, result.report) == []

@@ -21,7 +21,7 @@ from util import EX, MANNHEIM_NT, write_tag_map
 GOLDEN = {
     "COMBINED": (
         "7a3f83851c50f8098f7be4ba026719ca1cf0af377bee62c50d4e7ec452c3fc29",
-        "f195e8903fc91a5a963beafec8855e8ce363998051ac53d8dbb167cd167c54fc",
+        "2b53f27b8d7ad765a15f1bcb1ae9ddf7839a2a383f1c71532e4e42a91ad6da6d",
     ),
     "EXCLUDE": (
         "52f2a9bb284c2c1c733f756dcffeb3c9a7b347bf351ce7c40fb6dd064bdb9fe5",
@@ -45,11 +45,11 @@ GOLDEN = {
     ),
     "KLREL": (
         "2cfc7bff75ba45525ff32cace2f867d6419f6f7404ed5527c731fed48ce59002",
-        "6ad5b63e4c27059e3f386631c33c582bcb74e882a2771933419450ebf4d75813",
+        "ae07e16aca58a419b2e1bab7ed467c4ae9d0b908e7441095e67597751830d56b",
     ),
     "KLRELENT": (
         "2cfc7bff75ba45525ff32cace2f867d6419f6f7404ed5527c731fed48ce59002",
-        "9c64173e7fd74798cdef273ba097c2ea14ead113b26bfce5455ec1005b1a8547",
+        "6659f11c26ccb924c375120958c543055474599138d4b5823b03748ff77367e6",
     ),
     "DATBIN": (
         "d1364d8f55105903f834213066d1dd88627380c8e4807fd5d79812e0f7305142",

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from literal_forge import Modality, apply
+from literal_forge import AugmentationReport, Modality, StrategyConfig, apply, check_output, subpop
 from literal_forge.binning import BinningSpec
+from literal_forge.cli import EXIT_OK, main
+from literal_forge.pipeline import GroupPlan
 from literal_forge.subpop import (
     MIN_DIVERGENCE,
     REL,
@@ -47,6 +52,18 @@ def person_building_lines(persons=400, buildings=400):
         lines.append(rel_line(f"building{i}", "locatedIn", f"city{i % 10}"))
         lines.append(numeric_line(f"building{i}", "height", 10.0 + (i % 90)))
     return lines
+
+
+def subtree_subjects(split, position):
+    """The subject ids under the node at *position*, ascending, from its leaves."""
+    found, pending = [], [position]
+    while pending:
+        node = split.nodes[pending.pop()]
+        if node.children is None:
+            found.extend(node.subjects)
+        else:
+            pending.extend(node.children)
+    return tuple(sorted(found))
 
 
 # --- signatures -------------------------------------------------------------
@@ -173,9 +190,12 @@ def test_kl_nonnegative_on_smoothed_pairs(c1, c2):
 def test_two_kinds_split_exactly():
     graph = make_graph(person_building_lines())
     split = split_population(height_group(graph), graph, REL, threshold=300)
-    assert split.root.feature == EX + "birthPlace"  # lexicographic winner of the tie
-    assert split.root.divergence is not None and split.root.divergence > 0
+    root = split.nodes[0]
+    assert root.feature == EX + "birthPlace"  # lexicographic winner of the tie
+    assert root.divergence is not None and root.divergence > 0
+    assert root.children == (1, 2)
     assert len(split.leaves) == 2
+    assert split.leaves == split.nodes[1:]
     person_leaf, building_leaf = split.leaves
     person_terms = {graph.entity_terms[s].value for s in person_leaf.subjects}
     building_terms = {graph.entity_terms[s].value for s in building_leaf.subjects}
@@ -189,10 +209,11 @@ def test_two_kinds_split_exactly():
 def test_below_threshold_stays_single_leaf():
     graph = make_graph(person_building_lines(150, 149))
     split = split_population(height_group(graph), graph, REL, threshold=300)
-    assert split.root.is_leaf
-    assert len(split.leaves) == 1
-    assert split.root.value_count == 299
-    assert not split.root.indivisible
+    (root,) = split.nodes
+    assert root.children is None
+    assert split.leaves == [root]
+    assert root.value_count == 299
+    assert not root.indivisible
 
 
 def test_identical_signatures_indivisible_regardless_of_size():
@@ -202,8 +223,9 @@ def test_identical_signatures_indivisible_regardless_of_size():
         lines.append(numeric_line(f"s{i}", "height", float(i)))
     graph = make_graph(lines)
     split = split_population(height_group(graph), graph, REL, threshold=300)
-    assert split.root.is_leaf
-    assert split.root.indivisible
+    (root,) = split.nodes
+    assert root.children is None
+    assert root.indivisible
 
 
 def test_threshold_counts_values_not_subjects():
@@ -219,8 +241,8 @@ def test_threshold_counts_values_not_subjects():
             lines.append(numeric_line(f"building{i}", "height", 10.0 + j + i / 10))
     graph = make_graph(lines)
     split = split_population(height_group(graph), graph, REL, threshold=300)
-    assert split.root.value_count == 300
-    assert not split.root.is_leaf
+    assert split.nodes[0].value_count == 300
+    assert split.nodes[0].children is not None
 
 
 def test_kl_rel_binning_routes_every_subject_to_its_leaf():
@@ -248,16 +270,8 @@ def test_relent_rare_features_pruned():
         lines.append(numeric_line(name, "height", float(ord(name))))
     graph = make_graph(lines)
     split = split_population(height_group(graph), graph, RELENT, threshold=1)
-    assert split.root.feature == (EX + "knows", EX + "x")
-    internal_features = set()
-
-    def walk(node):
-        if not node.is_leaf:
-            internal_features.add(node.feature)
-            for c in node.children:
-                walk(c)
-
-    walk(split.root)
+    assert split.nodes[0].feature == (EX + "knows", EX + "x")
+    internal_features = {node.feature for node in split.nodes if node.children is not None}
     assert (EX + "admires", EX + "z") not in internal_features
 
 
@@ -273,7 +287,7 @@ def test_split_is_deterministic():
     b = make_graph(lines)
     sa = split_population(height_group(a), a, REL, threshold=50)
     sb = split_population(height_group(b), b, REL, threshold=50)
-    assert sa.root.to_dict() == sb.root.to_dict()
+    assert [n.to_dict() for n in sa.nodes] == [n.to_dict() for n in sb.nodes]
 
 
 @st.composite
@@ -296,29 +310,31 @@ def test_split_invariants(lines, threshold):
     graph = make_graph(lines)
     group = height_group(graph)
     split = split_population(group, graph, REL, threshold=threshold)
+    root = split.nodes[0]
     # leaves partition the subjects
     seen = []
     for leaf in split.leaves:
         seen.extend(leaf.subjects)
-    assert sorted(seen) == sorted(split.root.subjects)
+    assert sorted(seen) == sorted(subtree_subjects(split, 0)) == sorted(set(group.subjects))
     assert len(set(seen)) == len(seen)
     # value counts add up
-    assert sum(leaf.value_count for leaf in split.leaves) == split.root.value_count
-    assert split.root.value_count == len(group)
+    assert sum(leaf.value_count for leaf in split.leaves) == root.value_count
+    assert root.value_count == len(group)
     # stop condition: small or genuinely unsplittable
     for leaf in split.leaves:
         assert leaf.value_count < threshold or leaf.indivisible
     # internal nodes recorded informative splits
-    def walk(node):
-        if node.is_leaf:
-            return
+    for position, node in enumerate(split.nodes):
+        if node.children is None:
+            continue
         assert node.divergence >= MIN_DIVERGENCE
         left, right = node.children
-        assert left.subjects and right.subjects
-        walk(left)
-        walk(right)
-
-    walk(split.root)
+        assert subtree_subjects(split, left) and subtree_subjects(split, right)
+        # depth first: the left child comes next, the right one after its subtree
+        assert left == position + 1 < right
+        sides = [split.nodes[left], split.nodes[right]]
+        assert node.value_count == sum(side.value_count for side in sides)
+        assert node.subject_count == sum(side.subject_count for side in sides)
 
 
 # --- composition with binning -----------------------------------------------
@@ -373,12 +389,61 @@ def test_group_below_threshold_builds_no_adjacency():
     group = height_group(graph)
     aug, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=81)
     assert "adjacency" not in vars(graph)
-    assert split.root.to_dict() == {"values": 80, "subjects": 80, "leaf": 0}
+    assert [n.to_dict() for n in split.nodes] == [{"values": 80, "subjects": 80, "leaf": 0}]
     assert aug.triples == nbins(*with_aug(group, graph), BinningSpec(bins=3)).triples
     # At the threshold the root may split, so the signatures are needed.
     _, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=80)
     assert len(split.leaves) == 2
     assert "adjacency" in vars(graph)
+
+
+def test_a_tree_of_any_depth_is_reported_and_verified(monkeypatch):
+    # A real symmetric chain rescores its near-tied candidates densely at
+    # every node, so the chain is built by peeling one row off each node.
+    def peel(incidence, rows, mode):
+        return 0, 1.0, rows[:1], rows[1:]
+
+    monkeypatch.setattr(subpop, "_best_split", peel)
+    n = 2_001
+    lines = [rel_line(f"s{i}", "next", f"s{i + 1}") for i in range(n)]
+    lines += [numeric_line(f"s{i}", "height", float(i)) for i in range(n)]
+    plan = GroupPlan("KLREL", {"split_threshold": 2})
+    result = apply(make_graph(lines), StrategyConfig(namespace=NEW, overrides={EX + "height": plan}))
+    report = AugmentationReport.from_dict(json.loads(result.report.to_json()))
+    (row,) = report.rows
+    assert row.fell_back_to is None and row.detail["leaves"] == n
+    nodes = row.detail["split"]
+    depth = [0] * len(nodes)
+    for position, node in enumerate(nodes):
+        for child in node.get("children", ()):
+            depth[child] = depth[position] + 1
+    assert max(depth) == n - 1 >= 2_000
+    assert check_output(result.triples, report) == []
+
+
+SLOW_ENV = "LITERAL_FORGE_SLOW"
+
+
+@pytest.mark.skipif(
+    os.environ.get(SLOW_ENV) != "1",
+    reason="opt-in: set LITERAL_FORGE_SLOW=1 to split 5x numeric-subpop under KLRELENT (about 12 s)",
+)
+def test_klrelent_reports_the_deep_trees_of_5x_numeric_subpop(tmp_path, monkeypatch, capsys, caplog):
+    # RELENT peels about one organisation per node: at 5x the trees are
+    # hundreds of levels deep.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    import workloads
+
+    inputs = workloads.generate("numeric-subpop", 1, tmp_path, 5.0)
+    out = str(tmp_path / "out.nt")
+    argv = ["transform", "--input", str(inputs.graph), "--output", out, "--strategy", "KLRELENT"]
+    assert main(argv) == EXIT_OK
+    report = AugmentationReport.from_file(out + ".report.json")
+    assert all(row.fell_back_to is None for row in report.rows)
+    assert "maximum recursion depth" not in caplog.text
+    capsys.readouterr()
+    assert main(["verify", "--input", out]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 # --- the sparse split search against the dense reference ----------------------
@@ -501,12 +566,13 @@ def test_sparse_split_matches_dense_reference(mode, lines, threshold):
     # The whole tree, walked until the first exempt near-tie.
     split = split_population(group, graph, mode, threshold)
     reference = dense_tree(subjects, value_counts, signatures, mode, threshold)
-    pending = [(split.root, reference, subjects)]
+    pending = [(0, reference, subjects)]
     while pending:
-        node, ref, node_subjects = pending.pop()
+        position, ref, node_subjects = pending.pop()
+        node = split.nodes[position]
         assert node.value_count == ref["values"]
-        assert node.subjects == tuple(node_subjects)
-        if node.is_leaf:
+        assert subtree_subjects(split, position) == tuple(node_subjects)
+        if node.children is None:
             assert "children" not in ref and node.indivisible == ref["indivisible"]
             continue
         if node.feature != ref["feature"]:
@@ -597,8 +663,8 @@ def test_exact_ties_go_to_the_first_feature():
     signatures = {sid: entity_signature(sid, graph, REL) for sid in subjects}
     expected, scores = dense_best_split(subjects, signatures, REL)
     assert scores[EX + "knows"] == scores[EX + "worksFor"] == scores[EX + "locatedIn"]
-    assert split.root.feature == expected[0] == EX + "knows"
-    assert split.root.divergence == expected[1]
+    assert split.nodes[0].feature == expected[0] == EX + "knows"
+    assert split.nodes[0].divergence == expected[1]
 
 
 def test_klrelent_timing_guard():

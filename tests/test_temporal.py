@@ -7,20 +7,19 @@ integer arithmetic alone, independent of any date library.
 
 from __future__ import annotations
 
+import re
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from literal_forge import IRI, BlankNode, Literal, Modality, StrategyConfig, apply
+from literal_forge import IRI, BlankNode, Literal, Modality, StrategyConfig, apply, pipeline
 from literal_forge.binning import BinningSpec
 from literal_forge.pipeline import ONEENTITY, shortcut_defaults
 from literal_forge.temporal import (
     CalendarDate,
     IN_QUARTER,
     _DATE_RE,
-    _GYEAR_RE,
-    _GYEARMONTH_RE,
     NEXT_DAY,
     NEXT_MONTH,
     WEEKDAY_NAMES,
@@ -171,12 +170,22 @@ def test_parse_date_accepts(lex, dt, expected):
         ("2020-01-01T99:99:99", XSD_DATETIME),
         ("2020-01-01T10:00:00Zjunk", XSD_DATETIME),
         ("2020-01-01", XSD_DATETIME),  # a dateTime needs its time of day
+        ("1607+99:99", XSD_GYEAR),  # a gYear's zone is a valid offset
+        ("1607-15:00", XSD_GYEAR),
+        ("1999-07-25:61", XSD_GYEARMONTH),  # and so is a gYearMonth's
+        ("1999-07Zjunk", XSD_GYEARMONTH),
         ("hello", None),
     ],
 )
 def test_parse_date_rejects(lex, dt):
     with pytest.raises(ValueError):
         parse_date(lex, dt or XSD_STRING)
+
+
+# The gYearMonth and gYear grammars parse_date read before their zones were
+# checked: any two-digit hour and minute passed.
+_GYEARMONTH_RE = re.compile(r"^(-?\d{4,})-(\d{2})(?:Z|[+-]\d{2}:\d{2})?$", re.ASCII)
+_GYEAR_RE = re.compile(r"^(-?\d{4,})(?:Z|[+-]\d{2}:\d{2})?$", re.ASCII)
 
 
 def _parse_date_reference(literal: Literal) -> CalendarDate:
@@ -216,7 +225,7 @@ _FIELDS = st.one_of(
     st.sampled_from(["1", "123", ""]),
 )
 _TIMES = st.sampled_from(["", "T00:00:00", "T23:59:59.123", "T24:00:00", "t1", " 12:00"])
-_ZONES = st.sampled_from(["", "Z", "z", "+05:30", "-08:00", "+5:30", "-14:00:00"])
+_ZONES = st.sampled_from(["", "Z", "z", "+05:30", "-08:00", "+5:30", "-14:00:00", "+99:99"])
 _SPACE = st.sampled_from(["", " ", "\t", "\n ", "\u00a0"])
 
 
@@ -346,6 +355,39 @@ def test_datfeat_fallback_for_unparseable():
     assert aug.fallback_statements == 1
     assert any(t.object.value == NEW + "foundedAnyValue" for t in aug.triples)
     assert any("unparseable" in w for w in aug.warnings)
+
+
+def datfeat_config():
+    return StrategyConfig(namespace=NEW, defaults=shortcut_defaults("DATFEAT", None))
+
+
+@pytest.mark.parametrize(
+    "lexicals,allowance",
+    [
+        (["1999-07-25"] * 3, 5),  # five features of one value
+        ([str(date(2000, 1, 1) + timedelta(days=i)) for i in range(3)], 15),
+        ([str(date(2000, 1, 1) + timedelta(days=i)) for i in range(200)], 254),  # 54 + a year each
+        (["1999-07-25", "2001-03-14", "the middle ages"], 16),  # 5·3, plus AnyValue
+    ],
+)
+def test_datfeat_entity_allowance_is_fixed_by_the_input(lexicals, allowance):
+    lines = [date_line(f"s{i}", "founded", lexical) for i, lexical in enumerate(lexicals)]
+    (row,) = apply(make_graph(lines), datfeat_config()).report.rows
+    assert row.entity_allowance == allowance
+    assert row.delta_entities <= allowance and row.verdict == "pass"
+
+
+def test_datfeat_minting_one_entity_too_many_fails(monkeypatch):
+    def one_too_many(group, aug, **kwargs):
+        aug = datfeat(group, aug, **kwargs)
+        aug.objects[-1] = NEW + "year2000"  # a second year for the one value
+        return aug
+
+    monkeypatch.setattr(pipeline, "datfeat", one_too_many)
+    lines = [date_line(f"s{i}", "founded", "1999-07-25") for i in range(2)]
+    (row,) = apply(make_graph(lines), datfeat_config()).report.rows
+    assert (row.delta_entities, row.entity_allowance, row.delta_statements) == (6, 5, 10)
+    assert row.verdict == "fail: delta_entities 6 exceeds allowance 5"
 
 
 @pytest.mark.parametrize("strategy", ["DATFEAT", "DATBIN"])

@@ -90,12 +90,14 @@ def reference_outcomes(parse, objects) -> list[tuple]:
     return out
 
 
-# The two deliberate differences from the references:
+# The three deliberate differences from the references:
 # - numbers and dates are read by their XSD grammar in ASCII, so a lexical
 #   form that holds a character other than printable ASCII or XSD whitespace
 #   (space, tab, CR, LF) may be rejected where the reference accepted it;
 # - an xsd:date or xsd:dateTime must match its XSD 1.1 grammar in full, where
-#   the reference read only the leading date.
+#   the reference read only the leading date;
+# - an xsd:gYear or xsd:gYearMonth zone must be a valid offset (up to 14:00),
+#   where the reference took any two-digit hour and minute.
 _NOT_XSD_ASCII = re.compile(r"[^\x20-\x7e\t\r\n]")
 _ZONE = r"(Z|[+-]((0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
 _XSD_DATES = {
@@ -104,6 +106,8 @@ _XSD_DATES = {
         r"-?[0-9]{4,}-[0-9]{2}-[0-9]{2}T"
         r"(([01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](\.[0-9]+)?|24:00:00(\.0+)?)" + _ZONE
     ),
+    XSD + "gYearMonth": re.compile(r"-?[0-9]{4,}-[0-9]{2}" + _ZONE),
+    XSD + "gYear": re.compile(r"-?[0-9]{4,}" + _ZONE),
 }
 
 
@@ -114,7 +118,7 @@ def _outside_date_grammar(obj) -> bool:
 
 def assert_parse_matches_reference(parse, reference, objects) -> None:
     """parse_outcomes under *parse* equal reference_outcomes under
-    *reference*, but for the two deliberate differences above."""
+    *reference*, but for the three deliberate differences above."""
     got = parse_outcomes(parse, objects)
     expected = reference_outcomes(reference, objects)
     for obj, outcome, wanted in zip(objects, got, expected):
