@@ -24,7 +24,6 @@ from .graph import (
     Modality,
     ModalityRules,
     build_index,
-    profile,
     profile_stream,
 )
 from .pipeline import (
@@ -61,7 +60,6 @@ __all__ = [
     "Modality",
     "ModalityRules",
     "build_index",
-    "profile",
     "profile_stream",
     "AugmentationReport",
     "ConfigError",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -301,6 +302,13 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
 
     order = np.argsort(arr, kind="stable")
     sv = arr[order]
+    # Scores do not change when every value is scaled by one positive factor,
+    # and scaling by a power of two is exact away from subnormals. So values
+    # large enough that v +- k-distance or a sum of n reach distances could
+    # pass the largest float are scored scaled down, where none can.
+    limit, magnitude = sys.float_info.max / (2 * n + 2), max(-sv[0], sv[-1])
+    if magnitude > limit:
+        sv = sv * 2.0 ** -math.ceil(math.log2(magnitude / limit))
 
     # k-distance: tightest window of k+1 consecutive sorted values around
     # each point; in 1-D the k nearest neighbors are contiguous.
@@ -345,7 +353,8 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
     scores_sorted = np.ones(n)
     finite = np.flatnonzero(np.isfinite(lrd))
     neighbor_lrd = _window_sums(lrd, lo[finite], hi[finite]) - lrd[finite]
-    scores_sorted[finite] = (neighbor_lrd / count[finite]) / lrd[finite]
+    with np.errstate(over="ignore"):  # a ratio past the largest float is inf: an outlier
+        scores_sorted[finite] = (neighbor_lrd / count[finite]) / lrd[finite]
 
     scores = np.empty(n)
     scores[order] = scores_sorted

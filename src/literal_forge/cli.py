@@ -101,7 +101,6 @@ def _human_profile(data: dict) -> str:
         ("  text", data["literals"]["text"]),
         ("  images", data["literals"]["images"]),
         ("  others", data["literals"]["others"]),
-        ("duplicate statements removed", data["duplicates_removed"]),
     ]
     width = max(len(label) for label, _ in rows)
     return "\n".join(f"{label:<{width}}  {value:>12,}" for label, value in rows)
@@ -153,16 +152,16 @@ def _load_config(args: argparse.Namespace) -> StrategyConfig:
 def _lines(result: PipelineResult, text: TermText, weights: bool = False) -> Iterator[str]:
     """The output's canonical lines, in the order of result.triples.
 
-    With *weights*, the weights sidecar's lines instead: each link scored
-    above 0.0, a tab, and its score to six places. Every term's text comes
-    from *text*, so each is validated once across both.
+    With *weights*, the weights sidecar's lines instead: each weighted link,
+    a tab, and its score to six places. Every term's text comes from *text*,
+    so each is validated once across both.
     """
     entity, iri = text.entity, text.iri
     if weights:
         for aug in result.augmentations:
-            for s, o, score in zip(aug.subjects, aug.objects, aug.scores):
-                if score is not None and score > 0.0:
-                    yield f"{entity(s)} {iri(aug.predicate)} {iri(o)} .\t{score:.6f}"
+            for i, score in aug.scored:
+                s, o = aug.subjects[i], aug.objects[i]
+                yield f"{entity(s)} {iri(aug.predicate)} {iri(o)} .\t{score:.6f}"
         return
     # Known text is read from the table inline; a method call fills a miss.
     by_id, known, relations = text.by_id, text.by_key, result.graph.relation_iris
@@ -178,20 +177,19 @@ def _lines(result: PipelineResult, text: TermText, weights: bool = False) -> Ite
         yield f"{iri(a)} {iri(r)} {iri(b)} ."
 
 
-def _write_outputs(result: PipelineResult, output: str) -> int:
+def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> int:
     """Write the output, report and weights, replacing earlier ones atomically.
 
     Each goes to a temp file beside its target first. Only once every write
     has succeeded are the old report and weights removed and each temp file
     moved into place, output first, so a crash can never pair a new output
     with an old report or sidecar. On failure the temp files are removed
-    and earlier files stay. The output and the weights, when the result's
-    emit_weights is on, are written by _lines from one TermText; returns
-    the output's line count.
+    and earlier files stay. The output and the weights, with *emit_weights*,
+    are written by _lines from one TermText; returns the output's line count.
     """
     report = output + ".report.json"
     weights = output + ".weights.tsv"
-    targets = [output, report, weights] if result.emit_weights else [output, report]
+    targets = [output, report, weights] if emit_weights else [output, report]
     text = TermText(result.graph.entity_terms)
     temp = {target: f"{target}.{os.getpid()}.tmp" for target in targets}
     try:
@@ -200,7 +198,7 @@ def _write_outputs(result: PipelineResult, output: str) -> int:
         with open(temp[report], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(result.report.to_json())
             fh.write("\n")
-        if result.emit_weights:
+        if emit_weights:
             with open(temp[weights], "wb") as out:
                 write_lines(_lines(result, text, weights=True), out)
         for stale in (report, weights):
@@ -237,7 +235,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         return EXIT_STRATEGY
 
     try:
-        count = _write_outputs(result, args.output)
+        count = _write_outputs(result, args.output, config.emit_weights)
     except SerializationError as exc:
         log.error("cannot serialize output: %s", exc)
         return EXIT_INPUT

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -94,16 +94,6 @@ class LiteralGroup:
     def __len__(self) -> int:
         return len(self.subjects)
 
-    @property
-    def statements(self) -> list[tuple[int, Term]]:
-        """(subject id, object term) pairs, built on each access for library callers."""
-        return [
-            (sid, dt(lex) if isinstance(dt, type) else Literal(lex, dt, lang))
-            for sid, lex, dt, lang in zip(
-                self.subjects, self.lexicals, self.datatypes, self.languages
-            )
-        ]
-
 
 def _id_column() -> array:
     """An empty column of packed 64-bit ids, so a link holds no int object.
@@ -117,8 +107,9 @@ class Augmentation:
     """Statements produced by one strategy application, as columns.
 
     Link i joins subject id subjects[i] to the minted IRI objects[i] by the
-    group's *predicate*, and counts as an added statement; scores[i] is its
-    score, or None when unscored (only TXTLDA and IMAGETAGS score links).
+    group's *predicate*, and counts as an added statement. *scored* holds
+    (i, score) for each link i that carries a weight: only TXTLDA and
+    IMAGETAGS score links, and a score of 0.0 carries none.
     *structural* holds (IRI, IRI, IRI) statements between minted entities,
     such as bin chains and calendar scaffolding, accounted separately.
     A strategy names what it mints after *stem*, the group's own prefix under
@@ -132,7 +123,7 @@ class Augmentation:
     stem: str = ""
     subjects: array = field(default_factory=_id_column)
     objects: list[str] = field(default_factory=list)
-    scores: list[float | None] = field(default_factory=list)
+    scored: list[tuple[int, float]] = field(default_factory=list)
     structural: list[tuple[str, str, str]] = field(default_factory=list)
     removed: int = 0
     warnings: list[str] = field(default_factory=list)
@@ -143,9 +134,11 @@ class Augmentation:
     ) -> None:
         """Link every subject to *iri*, or each to the IRI beside it when
         *iri* is a list, all with *score*."""
+        if score is not None and score > 0.0:
+            start = len(self.subjects)
+            self.scored.extend((i, score) for i in range(start, start + len(subject_ids)))
         self.subjects.extend(subject_ids)
         self.objects.extend(repeat(iri, len(subject_ids)) if isinstance(iri, str) else iri)
-        self.scores.extend(repeat(score, len(subject_ids)))
 
     def join(self, a: str, relation: str, b: str) -> None:
         """A structural statement from minted entity *a* to *b*."""
@@ -183,8 +176,9 @@ class Augmentation:
 
     @property
     def weighted(self) -> list[tuple[Triple, float]]:
-        """(triple, score) of every scored link, built on each access."""
-        return [(t, w) for t, w in zip(self.triples, self.scores) if w is not None]
+        """(triple, score) of every link in *scored*, built on each access."""
+        triples = self.triples
+        return [(triples[i], w) for i, w in self.scored]
 
 
 @dataclass
@@ -243,10 +237,6 @@ class IndexedGraph:
     @property
     def num_relational(self) -> int:
         return len(self.relational)
-
-    @property
-    def num_literal_statements(self) -> int:
-        return sum(len(g) for g in self.literal_groups.values())
 
 
 def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> IndexedGraph:
@@ -354,7 +344,6 @@ class GraphProfile:
     literal_text: int
     literal_images: int
     literal_others: int
-    duplicates_removed: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -373,7 +362,6 @@ class GraphProfile:
                 "images": self.literal_images,
                 "others": self.literal_others,
             },
-            "duplicates_removed": self.duplicates_removed,
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -383,23 +371,6 @@ class GraphProfile:
         assert self.objects_iris + self.objects_blank + self.objects_literal == self.triples
         literals = self.literal_numbers + self.literal_dates + self.literal_text
         assert literals + self.literal_images + self.literal_others == self.objects_literal
-
-
-def profile(graph: IndexedGraph) -> GraphProfile:
-    """Exact statement counts in the shape of the benchmark dataset table.
-
-    The graph's deduplicated statements go through profile_stream; the
-    duplicates build_index removed are carried over as a count.
-    Statements routed to image groups count as literal objects even when the
-    underlying term is an IRI, mirroring how image information is tallied.
-    """
-    literal_statements = (
-        Triple(graph.entity_terms[sid], IRI(group.predicate), obj)
-        for group in graph.literal_groups.values()
-        for sid, obj in group.statements
-    )
-    counts = profile_stream(chain(graph.relational_triples(), literal_statements), graph.rules)
-    return replace(counts, duplicates_removed=graph.duplicates_removed)
 
 
 def profile_stream(triples: Iterable[Triple], rules: ModalityRules | None = None) -> GraphProfile:

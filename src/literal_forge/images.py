@@ -198,13 +198,13 @@ def resolve_image_refs(group: LiteralGroup) -> list[ImageRef]:
 
     IRI-valued statements (and IRI-shaped strings) become external refs;
     base64 literals are decoded into embedded payloads. Statements that are
-    neither decodable nor IRI-shaped yield no ref and are left to the
-    caller's fallback.
+    neither decodable nor IRI-shaped, and the empty IRI <>, yield no ref and
+    are left to the caller's fallback.
     """
     refs: list[ImageRef] = []
     for index, (lexical, datatype) in enumerate(zip(group.lexicals, group.datatypes)):
         if not isinstance(datatype, str):  # an IRI or a blank node, not a literal
-            if datatype is not BlankNode:
+            if datatype is not BlankNode and lexical:
                 refs.append(ImageRef(index, iri=lexical))
             continue
         text = lexical.strip()

@@ -516,14 +516,13 @@ class PipelineResult:
     statements deduplicated in first-mint order.
 
     *minted*, *triples* and *weighted* are Triple adapters, built on each
-    access; *weighted* is empty unless *emit_weights* is on.
+    access.
     """
 
     graph: IndexedGraph
     augmentations: list[Augmentation]
     structural: list[tuple[str, str, str]]
     report: AugmentationReport
-    emit_weights: bool = False
 
     @property
     def minted(self) -> list[Triple]:
@@ -538,9 +537,8 @@ class PipelineResult:
 
     @property
     def weighted(self) -> list[tuple[Triple, float]]:
-        """(triple, score) of every link scored above 0.0, with emit_weights on."""
-        pairs = (pair for aug in self.augmentations for pair in aug.weighted)
-        return [pair for pair in pairs if pair[1] > 0.0] if self.emit_weights else []
+        """(triple, score) of every weighted link, group by group."""
+        return [pair for aug in self.augmentations for pair in aug.weighted]
 
 
 def _distinct_values(group: LiteralGroup) -> int:
@@ -764,7 +762,7 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
         warnings=[w for row in rows for w in row.warnings],
     )
     verify_bounds(report)
-    return PipelineResult(graph, augmentations, list(structural), report, config.emit_weights)
+    return PipelineResult(graph, augmentations, list(structural), report)
 
 
 def verify_bounds(report: AugmentationReport) -> dict[str, str]:

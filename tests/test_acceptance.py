@@ -133,7 +133,7 @@ def test_criterion_01_size_bounds_on_synthetic_graph(tmp_path):
     started = time.monotonic()
     lines = synthetic_lines()
     graph = make_graph(lines, IMAGE_RULES)
-    if sum(len(g.statements) for g in graph.groups()) != 10_000:
+    if sum(len(g.subjects) for g in graph.groups()) != 10_000:
         problems.append("fixture does not hold 10,000 literal statements")
 
     def run(defaults, **kwargs):
@@ -448,10 +448,10 @@ def test_criterion_08_pipeline_invariants(tmp_path):
         input_vocab.update([t.subject.value, t.predicate.value, t.object.value])
     for g in base.groups():
         input_vocab.add(base.relation_iris[g.relation_id] if hasattr(g, "relation_id") else g.predicate)
-        for subject_id, obj in g.statements:
+        for subject_id, lexical, datatype in zip(g.subjects, g.lexicals, g.datatypes):
             input_vocab.add(base.entity_terms[subject_id].value)
-            if isinstance(obj, IRI):
-                input_vocab.add(obj.value)
+            if datatype is IRI:  # an image IRI: its class stands as datatype
+                input_vocab.add(lexical)
 
     for strategy in ALL_STRATEGIES:
         outputs = []

@@ -629,3 +629,26 @@ def test_bins_span_a_range_past_the_largest_float(strategy, scheme):
     assert row.delta_entities == len(set(bins))
     assert row.verdict == "pass" and row.fell_back_to is None
     assert check_output(result.triples, result.report) == []
+
+
+@pytest.mark.parametrize(
+    "values, outliers",
+    [
+        # Neighbour distances pass the largest float.
+        ([-1.79e308, *map(float, range(34)), 1.79e308], {"s0": "Low", "s35": "High"}),
+        # The range is finite, but v + k-distance and the score ratio are not.
+        ([*map(float, range(35)), 1.7e308], {"s35": "High"}),
+    ],
+    ids=["range-overflows", "v-plus-kdist-overflows"],
+)
+def test_lof_on_values_near_the_largest_float(values, outliers):
+    # Tier-1 turns RuntimeWarning into an error, so no step may overflow.
+    lines = [f'<{EX}s{i}> <{EX}height> "{v!r}"^^<{XSD}double> .' for i, v in enumerate(values)]
+    plan = GroupPlan("NBINS", {"lof": {"k": 5, "threshold": 1.5}})
+    result = apply(make_graph(lines), StrategyConfig(namespace=NEW, overrides={EX + "height": plan}))
+    (aug,) = result.augmentations
+    links = [(t.subject.value[len(EX):], t.object.value[len(NEW):]) for t in aug.triples]
+    assert links[-len(outliers):] == [(s, "heightOutlier" + side) for s, side in outliers.items()]
+    bins = [o for _, o in links[: -len(outliers)]]
+    assert bins == sorted(bins) and len(set(bins)) == 10
+    assert check_output(result.triples, result.report) == []

@@ -114,6 +114,21 @@ class TestProfile:
         config.write_text(json.dumps({"mystery": 1}), encoding="utf-8")
         assert main(["profile", "--input", sample_nt, "--config", str(config)]) == EXIT_CONFIG
 
+    def test_repeats_count_as_statements_and_no_duplicates_are_reported(self, tmp_path, capsys):
+        # profile streams its input and keeps no statements, so it cannot
+        # tell a repeat; each line counts, and no duplicate count is printed.
+        path = tmp_path / "repeat.nt"
+        lines = [rel_line("a", "knows", "b"), rel_line("a", "knows", "b"), rel_line("b", "knows", "c")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["profile", "--input", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        data = json.loads(out)
+        assert (data["triples"], data["objects"]["iris"], data["nodes"]) == (3, 3, 3)
+        assert main(["profile", "--input", str(path), "--human"]) == EXIT_OK
+        human = capsys.readouterr().out
+        assert human.splitlines()[2].split() == ["triples", "3"]
+        assert "duplicate" not in out + human
+
 
 class TestTransform:
     def test_writes_output_and_report(self, sample_nt, tmp_path):
@@ -135,24 +150,17 @@ class TestTransform:
         _, second = transform(sample_nt, second_dir, "--strategy", "COMBINED", "--seed", "7")
         assert Path(first).read_bytes() == Path(second).read_bytes()
 
-    def test_weights_sidecar(self, sample_nt, tmp_path):
+    @staticmethod
+    def txtlda_config(tmp_path, **extra) -> str:
+        """A config whose text groups run TXTLDA, which scores its links."""
+        plan = {"strategy": "TXTLDA", "params": {"topics": 2, "iterations": 40, "threshold": 0.05}}
         config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "defaults": {
-                        "text": {
-                            "strategy": "TXTLDA",
-                            "params": {"topics": 2, "iterations": 40, "threshold": 0.05},
-                        }
-                    }
-                }
-            ),
-            encoding="utf-8",
-        )
-        code, out = transform(
-            sample_nt, tmp_path, "--config", str(config), "--emit-weights"
-        )
+        config.write_text(json.dumps({"defaults": {"text": plan}, **extra}), encoding="utf-8")
+        return str(config)
+
+    def test_weights_sidecar(self, sample_nt, tmp_path):
+        config = self.txtlda_config(tmp_path)
+        code, out = transform(sample_nt, tmp_path, "--config", config, "--emit-weights")
         assert code == EXIT_OK
         lines = Path(out + ".weights.tsv").read_text(encoding="utf-8").splitlines()
         assert lines, "the sidecar should list the weighted statements"
@@ -164,9 +172,15 @@ class TestTransform:
             assert 0.0 < float(weight) <= 1.0
 
     def test_no_sidecar_without_flag(self, sample_nt, tmp_path):
-        code, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
+        # TXTLDA scores its links, but only --emit-weights writes them.
+        code, out = transform(sample_nt, tmp_path, "--config", self.txtlda_config(tmp_path))
         assert code == EXIT_OK
         assert not (tmp_path / "out.nt.weights.tsv").exists()
+
+    def test_config_key_emit_weights_writes_the_sidecar(self, sample_nt, tmp_path):
+        config = self.txtlda_config(tmp_path, emit_weights=True)
+        assert transform(sample_nt, tmp_path, "--config", config)[0] == EXIT_OK
+        assert (tmp_path / "out.nt.weights.tsv").read_text(encoding="utf-8").splitlines()
 
     def test_unknown_strategy(self, sample_nt, tmp_path):
         code, _ = transform(sample_nt, tmp_path, "--strategy", "SHRED")
@@ -913,3 +927,35 @@ def test_zero_score_label_is_linked_without_a_weight(tmp_path):
     assert out.read_text(encoding="utf-8").splitlines() == [blank, tower]
     weights = Path(str(out) + ".weights.tsv").read_text(encoding="utf-8")
     assert weights.splitlines() == [f"{tower}\t0.500000"]
+
+
+def test_an_empty_image_iri_is_one_miss_not_a_failed_group(tmp_path, caplog, capsys):
+    graph = tmp_path / "images.nt"
+    lines = [
+        f"<{EX}a> <{EX}depiction> <> .",
+        rel_line("b", "depiction", "img/b.jpg"),
+        rel_line("c", "depiction", "img/c.jpg"),
+    ]
+    graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tags = write_tag_map(tmp_path / "tags.json", {EX + "img/b.jpg": "bridge", EX + "img/c.jpg": "tower"})
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {"image_predicates": [EX + "depiction"], "image_provider": {"kind": "tag-map", "path": tags}}
+        ),
+        encoding="utf-8",
+    )
+    out = str(tmp_path / "out.nt")
+    argv = ["transform", "--input", str(graph), "--output", out, "--config", str(config)]
+    assert main(argv) == EXIT_OK
+    assert Path(out).read_text(encoding="utf-8").splitlines() == [
+        f"<{EX}a> <{EX}depiction> <{NEW}depictionAnyValue> .",
+        f"<{EX}b> <{EX}depiction> <{NEW}VGG_bridge> .",
+        f"<{EX}c> <{EX}depiction> <{NEW}VGG_tower> .",
+    ]
+    (row,) = AugmentationReport.from_file(out + ".report.json").rows
+    assert (row.strategy, row.fallback_statements, row.fell_back_to) == ("IMAGETAGS", 1, None)
+    assert "failed" not in caplog.text
+    capsys.readouterr()
+    assert main(["verify", "--input", out]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True

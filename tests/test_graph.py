@@ -19,10 +19,9 @@ from literal_forge import (
     Triple,
     build_index,
     parse_ntriples,
-    profile,
     profile_stream,
 )
-from literal_forge.graph import classify_modality, index_rows, profile_rows
+from literal_forge.graph import Augmentation, classify_modality, index_rows, profile_rows
 from literal_forge.ntriples import ParseError, scan_ntriples
 from literal_forge.pipeline import StrategyConfig, apply, shortcut_defaults
 from literal_forge.terms import (
@@ -32,7 +31,7 @@ from literal_forge.terms import (
 )
 
 from test_rdfio import oracle_parse
-from util import EX, IMAGE_RULES, MANNHEIM_NT, XSD, make_graph, numeric_line, rel_line, text_line
+from util import EX, IMAGE_RULES, MANNHEIM_NT, NEW, XSD, make_graph, numeric_line, rel_line, text_line
 
 
 def lit(lex, dt=None, lang=None):
@@ -102,7 +101,7 @@ def test_build_index_dedups_exact_statements():
     )
     assert graph.duplicates_removed == 2
     assert graph.num_relational == 1
-    assert graph.num_literal_statements == 2
+    assert sum(len(g) for g in graph.groups()) == 2
 
 
 def test_iri_valued_image_objects_route_to_group():
@@ -114,8 +113,7 @@ def test_iri_valued_image_objects_route_to_group():
     graph = build_index(triples, rules)
     assert graph.num_relational == 1
     (group,) = [g for g in graph.groups() if g.modality is Modality.IMAGE]
-    assert len(group) == 1
-    assert isinstance(group.statements[0][1], IRI)
+    assert (group.lexicals, group.datatypes) == ([EX + "img/a.jpg"], [IRI])
 
 
 def adjacency_row(graph, entity_id):
@@ -142,8 +140,8 @@ def test_relational_triples_roundtrip():
     assert list(graph.relational_triples()) == texts
 
 
-def test_profile_mannheim(mannheim_graph):
-    p = profile(mannheim_graph)
+def test_profile_mannheim(mannheim_triples):
+    p = profile_stream(mannheim_triples, IMAGE_RULES)
     p.check()
     assert p.triples == 6
     assert p.objects_iris == 2  # country, federalState
@@ -152,32 +150,24 @@ def test_profile_mannheim(mannheim_graph):
     assert p.literal_dates == 1
     assert p.literal_text == 1
     assert p.literal_images == 1
-    assert p.duplicates_removed == 0
 
 
 def test_profile_counts_shared_literal_node_once():
     # same literal value on two subjects: 2 statements, 1 extra node
-    graph = make_graph([numeric_line("a", "age", 9), numeric_line("b", "age", 9)])
-    p = profile(graph)
+    lines = [numeric_line("a", "age", 9), numeric_line("b", "age", 9)]
+    p = profile_stream(parse_ntriples("\n".join(lines) + "\n")[0])
     assert p.objects_literal == 2
     assert p.nodes == 3  # a, b, "9"
 
 
-def test_profile_to_dict_shape(mannheim_graph):
-    d = profile(mannheim_graph).to_dict()
-    assert set(d) == {
-        "relations",
-        "nodes",
-        "triples",
-        "objects",
-        "literals",
-        "duplicates_removed",
-    }
+def test_profile_to_dict_shape(mannheim_triples):
+    d = profile_stream(mannheim_triples, IMAGE_RULES).to_dict()
+    assert set(d) == {"relations", "nodes", "triples", "objects", "literals"}
     assert set(d["objects"]) == {"iris", "blank_nodes", "literals"}
     assert set(d["literals"]) == {"numbers", "dates", "text", "images", "others"}
 
 
-# --- profile vs profile_stream agreement -----------------------------------
+# --- the streaming profile against counts taken directly --------------------
 
 _name = st.text(alphabet="abcd", min_size=1, max_size=2)
 _dt = st.sampled_from(
@@ -199,17 +189,64 @@ def _mixed_triples(draw):
     return triples
 
 
-@given(_mixed_triples())
-@settings(max_examples=150, deadline=None)
-def test_stream_profile_matches_indexed_profile(triples):
-    # stream counts duplicates, so compare on deduplicated input
+# IRIs, blank-node labels and lexical forms of one spelling, so the oracle
+# sees them kept apart; "urn:i" is also an image predicate.
+_spelling = st.sampled_from(["urn:a", "urn:b", "urn:i"])
+_node = st.one_of(st.builds(IRI, _spelling), st.builds(BlankNode, _spelling))
+_literal = st.one_of(
+    st.builds(Literal, _spelling, _dt.map(lambda dt: dt or XSD_STRING)),
+    st.builds(Literal, _spelling, st.just(RDF_LANGSTRING), st.sampled_from(["en", "de"])),
+)
+_PROFILE_RULES = ModalityRules(
+    image_predicates=frozenset({"urn:i"}), predicate_modalities={"urn:b": Modality.OTHER}
+)
+
+
+def _profile_oracle(triples, rules):
+    """profile's counts taken directly from the triples, terms compared whole."""
+    kinds = {kind: 0 for kind in (IRI, BlankNode, Literal)}
+    literals = dict.fromkeys(Modality, 0)
+    for t in triples:
+        if isinstance(t.object, Literal):
+            literals[classify_modality(t.object.datatype, t.predicate.value, rules)] += 1
+        elif t.predicate.value in rules.image_predicates:
+            literals[Modality.IMAGE] += 1
+        else:
+            kinds[type(t.object)] += 1
+    return {
+        "relations": len({t.predicate for t in triples}),
+        "nodes": len({term for t in triples for term in (t.subject, t.object)}),
+        "triples": len(triples),
+        "objects": {
+            "iris": kinds[IRI],
+            "blank_nodes": kinds[BlankNode],
+            "literals": sum(literals.values()),
+        },
+        "literals": {
+            "numbers": literals[Modality.NUMERIC],
+            "dates": literals[Modality.TEMPORAL],
+            "text": literals[Modality.TEXT],
+            "images": literals[Modality.IMAGE],
+            "others": literals[Modality.OTHER],
+        },
+    }
+
+
+@given(
+    st.lists(
+        st.builds(Triple, _node, st.builds(IRI, _spelling), st.one_of(_node, _literal)),
+        max_size=25,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_stream_profile_matches_direct_counts(triples):
     seen: set[Triple] = set()
     unique = [t for t in triples if t not in seen and not seen.add(t)]
-    indexed = profile(build_index(unique))
-    streamed = profile_stream(unique)
-    indexed.check()
-    streamed.check()
-    assert streamed == indexed
+    for rules in (ModalityRules(), _PROFILE_RULES):
+        for stream in (unique, triples):
+            counted = profile_stream(stream, rules)
+            counted.check()
+            assert counted.to_dict() == _profile_oracle(stream, rules)
 
 
 def test_stream_profile_large_input_constant_shape():
@@ -260,7 +297,6 @@ def test_duplicate_relational_statements_counted_first_copy_kept():
     assert graph.duplicates_removed == 2
     assert graph.num_relational == 2
     assert list(graph.relational_triples()) == [triples[0], triples[2]]
-    assert profile(graph).duplicates_removed == 2
 
 
 # --- the row indexer against the Term-keyed indexer it replaced ---------------
@@ -307,8 +343,17 @@ def _term_keyed_index(triples, rules):
     return entity_terms, relation_iris, relational, groups, duplicates
 
 
+def _statements(group):
+    """A group's columns as (subject id, object term) pairs, as the oracle keeps them."""
+    columns = zip(group.subjects, group.lexicals, group.datatypes, group.languages)
+    return [
+        (sid, dt(lex) if isinstance(dt, type) else Literal(lex, dt, lang))
+        for sid, lex, dt, lang in columns
+    ]
+
+
 def _indexed(graph):
-    groups = {key: group.statements for key, group in graph.literal_groups.items()}
+    groups = {key: _statements(group) for key, group in graph.literal_groups.items()}
     return (
         graph.entity_terms,
         graph.relation_iris,
@@ -420,26 +465,27 @@ def test_image_references_and_literal_spelled_alike_stay_apart():
     )
     graph = index_rows(scan_ntriples(document), _IMAGES)
     (group,) = graph.groups()
-    assert group.statements == [(0, IRI("urn:x")), (0, BlankNode("urn:x")), (0, Literal("urn:x"))]
+    assert _statements(group) == [(0, IRI("urn:x")), (0, BlankNode("urn:x")), (0, Literal("urn:x"))]
     assert _report_row(document, _IMAGES).distinct_values == 3
     # A blank node names no value, so TRANSFORM fails on the group and falls back.
     row = _report_row(document, _IMAGES, "TRANSFORM")
     assert (row.fell_back_to, row.distinct_values) == ("ONEENTITY", 3)
 
 
-def test_statements_adapter_matches_term_keyed_index(mannheim_triples):
+def test_group_columns_match_term_keyed_index(mannheim_triples):
     graph = index_rows(scan_ntriples(MANNHEIM_NT), IMAGE_RULES)
-    groups = {key: group.statements for key, group in graph.literal_groups.items()}
+    groups = {key: _statements(group) for key, group in graph.literal_groups.items()}
     assert groups == _term_keyed_index(mannheim_triples, IMAGE_RULES)[3]
     assert groups[5, Modality.IMAGE] == [(0, IRI(EX + "img/mannheim.jpg"))]
 
 
-# sha256 of `profile --input -` JSON on each benchmark workload at seed 1,
-# as the Literal-keyed profiler wrote it.
+# sha256 of `profile --input -` JSON on each benchmark workload at seed 1:
+# the Literal-keyed profiler's bytes without its "duplicates_removed" key,
+# which the streaming profiler never measured.
 _WORKLOAD_PROFILES = {
-    "numeric-subpop": "f3bba27a8ef30f7e17137c3b81f3ea3776c273f43042668b3df67d9078bcd85e",
-    "relational-bulk": "4c06eaca33815d47d91293cd9aa1e8bc9487ca4e8f676fa9823e7248b0e073ac",
-    "text-topics": "942cfd7d61a76cf45e1cf8f6fea87998621da47c1d83ba951c2e11c8b30f5ef9",
+    "numeric-subpop": "c0d463adb50f1bb3566dee17cafd8d55f5bc9dd488545aaddd80a4b35c4e8dcd",
+    "relational-bulk": "9d7fa075294f6924880808e330cc12d7eb6357d23bbb413257283c5d33e17625",
+    "text-topics": "98b40bbed79ab9de604fc344431ec6f0558e14f1637b3bd06f8bf54c093285b7",
 }
 
 
@@ -462,5 +508,17 @@ def test_indexed_literal_statements_are_not_tracked_by_gc():
     before = len(gc.get_objects())
     graph = index_rows(scan_ntriples(document))
     gc.collect()
-    assert graph.num_literal_statements == 20_000
+    assert sum(len(g) for g in graph.groups()) == 20_000
     assert len(gc.get_objects()) - before < 200
+
+
+def test_only_links_scored_above_zero_carry_a_weight():
+    terms = [IRI(EX + "a"), IRI(EX + "b")]
+    aug = Augmentation(EX + "p", terms)
+    aug.link([0, 1], NEW + "unscored")
+    aug.link([0], NEW + "zero", 0.0)
+    aug.link([1, 0], [NEW + "x", NEW + "y"], 0.25)
+    assert aug.scored == [(3, 0.25), (4, 0.25)]
+    assert aug.weighted == [(aug.triples[3], 0.25), (aug.triples[4], 0.25)]
+    assert [t.object.value for t, _ in aug.weighted] == [NEW + "x", NEW + "y"]
+    assert aug.delta_statements == 5

@@ -492,20 +492,6 @@ class TestApplySpecialists:
             assert 0.0 < weight <= 1.0
             assert triple in triples
 
-    def test_weights_collected_only_when_emitted(self):
-        config = StrategyConfig(
-            namespace=NEW, seed=5, defaults=shortcut_defaults("TXTLDA", "EXCLUDE")
-        )
-        config.defaults[Modality.TEXT] = GroupPlan(
-            "TXTLDA", {"topics": 2, "iterations": 40, "threshold": 0.05}
-        )
-        result = apply(make_graph(mixed_lines()), config)
-        config.emit_weights = True
-        emitted = apply(make_graph(mixed_lines()), config)
-        assert result.weighted == []
-        assert emitted.weighted
-        assert result.triples == emitted.triples
-
     def test_image_tags_with_tag_map(self, tmp_path):
         lines = [
             rel_line("a", "knows", "b"),
@@ -641,7 +627,7 @@ def test_anyvalue_fallbacks_keep_order_warnings_and_weights(tmp_path):
 @pytest.mark.parametrize(
     "key, modality, strategy",
     [
-        ("emit_weights", None, None),
+        ("emit_weights", None, None),  # its effect, the sidecar, is the CLI's: see test_cli
         ("connect_adjacent", "numeric", "NBINS"),
         ("link_features", "temporal", "DATFEAT"),
     ],
@@ -657,6 +643,10 @@ def test_config_booleans_must_be_json_booleans(key, modality, strategy):
     for bad in ("false", 0, None):
         with pytest.raises(ConfigError, match=key):
             run(bad)
+    if modality is None:
+        assert StrategyConfig.from_dict({key: True}).emit_weights is True
+        assert StrategyConfig.from_dict({key: False}).emit_weights is False
+        return
     on, off = run(True), run(False)
     assert (on.triples, on.weighted) != (off.triples, off.weighted)
 

@@ -252,7 +252,7 @@ def test_kl_rel_binning_routes_every_subject_to_its_leaf():
     assert len(split.leaves) > 1
     terms = graph.entity_terms
     leaf_of = {terms[sid]: leaf.leaf_index for leaf in split.leaves for sid in leaf.subjects}
-    assert len(leaf_of) == len({sid for sid, _ in group.statements})
+    assert len(leaf_of) == len(set(group.subjects))
     for t in aug.triples:
         assert t.object.value.startswith(NEW + f"heightSub{leaf_of[t.subject]}Bin")
 
@@ -542,7 +542,7 @@ def test_sparse_split_matches_dense_reference(mode, lines, threshold):
     graph = make_graph(lines)
     group = height_group(graph)
     value_counts = {}
-    for sid, _ in group.statements:
+    for sid in group.subjects:
         value_counts[sid] = value_counts.get(sid, 0) + 1
     subjects = sorted(value_counts)
     signatures = {sid: entity_signature(sid, graph, mode) for sid in subjects}
@@ -659,7 +659,7 @@ def test_exact_ties_go_to_the_first_feature():
     graph = make_graph(numeric_subpop_lines(1200, 1200))
     group = height_group(graph)
     split = split_population(group, graph, REL, threshold=300)
-    subjects = sorted({sid for sid, _ in group.statements})
+    subjects = sorted(set(group.subjects))
     signatures = {sid: entity_signature(sid, graph, REL) for sid in subjects}
     expected, scores = dense_best_split(subjects, signatures, REL)
     assert scores[EX + "knows"] == scores[EX + "worksFor"] == scores[EX + "locatedIn"]
