@@ -133,7 +133,7 @@ class Augmentation:
         self, subject_ids: Sequence[int], iri: str | Sequence[str], score: float | None = None
     ) -> None:
         """Link every subject to *iri*, or each to the IRI beside it when
-        *iri* is a list, all with *score*."""
+        *iri* is a list, all with *score*; only a score above 0.0 is a weight."""
         if score is not None and score > 0.0:
             start = len(self.subjects)
             self.scored.extend((i, score) for i in range(start, start + len(subject_ids)))
@@ -177,8 +177,9 @@ class Augmentation:
     @property
     def weighted(self) -> list[tuple[Triple, float]]:
         """(triple, score) of every link in *scored*, built on each access."""
-        triples = self.triples
-        return [(triples[i], w) for i, w in self.scored]
+        terms, predicate = self.entity_terms, IRI(self.predicate)
+        links = ((self.subjects[i], self.objects[i], w) for i, w in self.scored)
+        return [(Triple(terms[s], predicate, IRI(o)), w) for s, o, w in links]
 
 
 @dataclass
