@@ -159,7 +159,7 @@ def _lines(result: PipelineResult, text: TermText, weights: bool = False) -> Ite
     entity, iri = text.entity, text.iri
     if weights:
         for aug in result.augmentations:
-            for i, score in aug.scored:
+            for i, score in zip(aug.scored, aug.weights):
                 s, o = aug.subjects[i], aug.objects[i]
                 yield f"{entity(s)} {iri(aug.predicate)} {iri(o)} .\t{score:.6f}"
         return

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -95,11 +95,12 @@ class LiteralGroup:
         return len(self.subjects)
 
 
-def _id_column() -> array:
-    """An empty column of packed 64-bit ids, so a link holds no int object.
-    array is a shared library, loaded here only by runs that mint links."""
+def _column(typecode: str = "q") -> array:
+    """An empty packed column, of 64-bit ids unless *typecode* says otherwise,
+    so a link holds no int or float object. array is a shared library, loaded
+    here only by runs that mint links."""
     from array import array
-    return array("q")
+    return array(typecode)
 
 
 @dataclass
@@ -107,8 +108,8 @@ class Augmentation:
     """Statements produced by one strategy application, as columns.
 
     Link i joins subject id subjects[i] to the minted IRI objects[i] by the
-    group's *predicate*, and counts as an added statement. *scored* holds
-    (i, score) for each link i that carries a weight: only TXTLDA and
+    group's *predicate*, and counts as an added statement. scored[j] is the
+    position i of a link that carries the weight weights[j]: only TXTLDA and
     IMAGETAGS score links, and a score of 0.0 carries none.
     *structural* holds (IRI, IRI, IRI) statements between minted entities,
     such as bin chains and calendar scaffolding, accounted separately.
@@ -121,9 +122,10 @@ class Augmentation:
     entity_terms: Sequence[Term] = field(default=(), repr=False)
     namespace: str = ""
     stem: str = ""
-    subjects: array = field(default_factory=_id_column)
+    subjects: array = field(default_factory=_column)
     objects: list[str] = field(default_factory=list)
-    scored: list[tuple[int, float]] = field(default_factory=list)
+    scored: array = field(default_factory=_column)
+    weights: array = field(default_factory=partial(_column, "d"))
     structural: list[tuple[str, str, str]] = field(default_factory=list)
     removed: int = 0
     warnings: list[str] = field(default_factory=list)
@@ -136,7 +138,8 @@ class Augmentation:
         *iri* is a list, all with *score*; only a score above 0.0 is a weight."""
         if score is not None and score > 0.0:
             start = len(self.subjects)
-            self.scored.extend((i, score) for i in range(start, start + len(subject_ids)))
+            self.scored.extend(range(start, start + len(subject_ids)))
+            self.weights.extend(repeat(score, len(subject_ids)))
         self.subjects.extend(subject_ids)
         self.objects.extend(repeat(iri, len(subject_ids)) if isinstance(iri, str) else iri)
 
@@ -176,9 +179,9 @@ class Augmentation:
 
     @property
     def weighted(self) -> list[tuple[Triple, float]]:
-        """(triple, score) of every link in *scored*, built on each access."""
+        """(triple, weight) of every link in *scored*, built on each access."""
         terms, predicate = self.entity_terms, IRI(self.predicate)
-        links = ((self.subjects[i], self.objects[i], w) for i, w in self.scored)
+        links = ((self.subjects[i], self.objects[i], w) for i, w in zip(self.scored, self.weights))
         return [(Triple(terms[s], predicate, IRI(o)), w) for s, o, w in links]
 
 

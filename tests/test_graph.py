@@ -518,7 +518,7 @@ def test_only_links_scored_above_zero_carry_a_weight():
     aug.link([0, 1], NEW + "unscored")
     aug.link([0], NEW + "zero", 0.0)
     aug.link([1, 0], [NEW + "x", NEW + "y"], 0.25)
-    assert aug.scored == [(3, 0.25), (4, 0.25)]
+    assert (aug.scored.tolist(), aug.weights.tolist()) == ([3, 4], [0.25, 0.25])
     assert aug.weighted == [(aug.triples[3], 0.25), (aug.triples[4], 0.25)]
     assert [t.object.value for t, _ in aug.weighted] == [NEW + "x", NEW + "y"]
     assert aug.delta_statements == 5
