@@ -132,5 +132,5 @@ def write_manifest(workdir: Path) -> None:
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        write_manifest(Path(scratch))
+    with tempfile.TemporaryDirectory() as workdir:
+        write_manifest(Path(workdir))
