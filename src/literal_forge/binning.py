@@ -244,16 +244,6 @@ def assign_bins_array(
     return row[order], np.concatenate(levels)[order], np.concatenate(bins)[order]
 
 
-def assign_bins(value: float, layout: BinLayout) -> tuple[tuple[int, int], ...]:
-    """(level, bin index) pairs containing *value*, finest level first.
-
-    Flat disjoint layouts yield exactly one pair; overlap and hierarchy can
-    yield several. Out-of-range values clamp to the nearest boundary bin.
-    """
-    _, levels, bins = assign_bins_array(np.array([value], dtype=float), layout)
-    return tuple(zip(levels.tolist(), bins.tolist()))
-
-
 @dataclass(frozen=True)
 class BinAssignments:
     """The bins of one population's values, as assign_bins_array gives them.
@@ -291,8 +281,10 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
     Ties are handled per the definition: the neighborhood holds every point
     within the k-distance, so it can exceed k members. Populations of
     duplicates have zero reachability; their lrd is infinite and their score
-    is defined as 1.0. Scores can be infinite for points bordering such a
-    duplicate cluster.
+    is defined as 1.0. An lrd past the largest float is infinite too, and
+    scored the same; only a population whose gaps are subnormal while its
+    values come near the largest float has one. Scores can be infinite for
+    points bordering such a point.
     """
     arr = np.asarray(values, dtype=float)
     n = arr.size
@@ -325,6 +317,21 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
         )
         kdist = np.minimum(kdist, cand)
 
+    # An lrd is at most n / (smallest positive k-distance), and a window sums
+    # at most n of them. Where that could pass the largest float, values and
+    # k-distances are scaled up together, as far as the largest value allows.
+    # Scaling up is exact, and a subnormal difference is exact, so the scaled
+    # k-distances are those of the scaled values.
+    smallest = kdist[kdist > 0.0].min(initial=math.inf)
+    tiny = n * n / sys.float_info.max
+    if smallest < tiny:
+        up = min(
+            math.ceil(math.log2(tiny) - math.log2(smallest)),
+            math.floor(math.log2(limit) - math.log2(max(-sv[0], sv[-1]))),
+        )
+        if up > 0:
+            sv, kdist = sv * 2.0**up, kdist * 2.0**up
+
     # Neighborhood bounds: searchsorted on [v-kd, v+kd] is only a first
     # guess, because v-kd need not round to the neighbor value that defined
     # kd. The fixup compares distances with the same subtraction that
@@ -348,12 +355,11 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
     mean_reach = (reach - kdist) / count  # drop self (reach to self is own k-distance)
     dense = mean_reach <= 0.0
     lrd = np.full(n, np.inf)
-    lrd[~dense] = 1.0 / mean_reach[~dense]
-
     scores_sorted = np.ones(n)
-    finite = np.flatnonzero(np.isfinite(lrd))
-    neighbor_lrd = _window_sums(lrd, lo[finite], hi[finite]) - lrd[finite]
-    with np.errstate(over="ignore"):  # a ratio past the largest float is inf: an outlier
+    with np.errstate(over="ignore"):  # an lrd, sum or ratio past the largest float is inf
+        lrd[~dense] = 1.0 / mean_reach[~dense]
+        finite = np.flatnonzero(np.isfinite(lrd))
+        neighbor_lrd = _window_sums(lrd, lo[finite], hi[finite]) - lrd[finite]
         scores_sorted[finite] = (neighbor_lrd / count[finite]) / lrd[finite]
 
     scores = np.empty(n)

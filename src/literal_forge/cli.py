@@ -9,6 +9,7 @@ parse error, 2 configuration error, 3 strategy failure without a fallback,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -321,5 +322,15 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def run() -> None:
+    """The process entry point: main() with two process-wide settings."""
+    # No code here calls BLAS, so OpenBLAS, whose default pool spins up when
+    # numpy loads, gets one thread unless the caller chose a count.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = main()
+    gc.freeze()  # the collections at exit then skip every object still alive
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

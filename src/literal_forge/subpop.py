@@ -50,21 +50,6 @@ def _entity_key(graph: IndexedGraph, entity_id: int) -> str:
     return "_:" + term.label if isinstance(term, BlankNode) else term.value
 
 
-def entity_signature(subject_id: int, graph: IndexedGraph, mode: str = REL) -> frozenset[Feature]:
-    """Relational signature of one entity, literal statements excluded.
-
-    REL mode collects the relation IRIs incident in either direction;
-    RELENT pairs each relation with the neighbor entity.
-    """
-    indptr, relations, neighbours = graph.adjacency
-    at = slice(indptr[subject_id], indptr[subject_id + 1])
-    features: set[Feature] = set()
-    for rid, neighbour in zip(relations[at].tolist(), neighbours[at].tolist()):
-        rel = graph.relation_iris[rid]
-        features.add((rel, _entity_key(graph, neighbour)) if mode == RELENT else rel)
-    return frozenset(features)
-
-
 @dataclass(frozen=True)
 class RelationDistribution:
     """Smoothed categorical distribution over signature features.
@@ -87,33 +72,6 @@ def _smooth(counts: np.ndarray, vocabulary: tuple[Feature, ...]) -> RelationDist
     eps = 1.0 / (10.0 * len(vocabulary))
     smoothed = counts.astype(float) + eps
     return RelationDistribution(vocabulary, smoothed / smoothed.sum(), eps)
-
-
-def relation_distribution(
-    subjects: set[int] | list[int],
-    graph: IndexedGraph,
-    mode: str = REL,
-    vocabulary: tuple[Feature, ...] | None = None,
-) -> RelationDistribution:
-    """Empirical feature frequency across the subjects' signatures, smoothed.
-
-    Each distinct subject contributes each of its features once. An explicit
-    *vocabulary* aligns two populations onto a shared support for divergence
-    comparison; features outside it are dropped.
-    """
-    ids = sorted(set(subjects))
-    if not ids:
-        raise ValueError("cannot build a distribution over zero subjects")
-    counts_map: dict[Feature, int] = {}
-    for sid in ids:
-        for feat in entity_signature(sid, graph, mode):
-            counts_map[feat] = counts_map.get(feat, 0) + 1
-    if vocabulary is None:
-        vocabulary = tuple(sorted(counts_map))
-    if not vocabulary:
-        raise ValueError("no relational features among the given subjects")
-    counts = np.array([counts_map.get(feat, 0) for feat in vocabulary], dtype=float)
-    return _smooth(counts, vocabulary)
 
 
 def kl_divergence(p: RelationDistribution, q: RelationDistribution) -> float:

@@ -24,7 +24,6 @@ from literal_forge.binning import (
     LofSpec,
     NEXT_BIN,
     PARENT_BIN,
-    assign_bins,
     assign_bins_array,
     bin_count,
     bin_statements,
@@ -198,6 +197,17 @@ def test_lof_spec_validation():
 
 
 # --- layouts ----------------------------------------------------------------
+
+
+def assign_bins(value: float, layout: BinLayout) -> tuple[tuple[int, int], ...]:
+    """(level, bin index) pairs containing *value*, finest level first: the
+    one-value call of assign_bins_array.
+
+    Flat disjoint layouts yield exactly one pair; overlap and hierarchy can
+    yield several. Out-of-range values clamp to the nearest boundary bin.
+    """
+    _, levels, bins = assign_bins_array(np.array([value], dtype=float), layout)
+    return tuple(zip(levels.tolist(), bins.tolist()))
 
 
 def test_equal_width_layout():
@@ -652,3 +662,33 @@ def test_lof_on_values_near_the_largest_float(values, outliers):
     bins = [o for _, o in links[: -len(outliers)]]
     assert bins == sorted(bins) and len(set(bins)) == 10
     assert check_output(result.triples, result.report) == []
+
+
+@pytest.mark.parametrize(
+    "values, scale",
+    [
+        ([i * 5e-324 for i in range(36)], 1000),
+        ([i * 1e-310 for i in range(35)] + [1.0], 64),
+    ],
+    ids=["all-subnormal", "subnormal-gaps-and-one"],
+)
+def test_lof_on_subnormal_gaps_scores_as_the_scaled_population(values, scale):
+    # 1 / mean reach distance passes the largest float here, and tier-1 turns
+    # RuntimeWarning into an error. Scaling by a power of two is exact, and
+    # the scaled population's reach distances are all normal floats.
+    scaled = [v * 2.0**scale for v in values]
+    assert_scores_match(scaled, 5)
+    expected = lof_scores(scaled, k=5)
+    actual = lof_scores(values, k=5)
+    assert np.array_equal(actual.scores, expected.scores)
+    assert actual.outlier_indices == expected.outlier_indices
+
+
+def test_lof_lrd_past_the_largest_float_is_infinite():
+    # No one power of two brings both the subnormal gaps and 1e300 into range:
+    # the cluster's lrd is infinite, so it scores 1.0 and its neighbour inf.
+    values = [i * 5e-324 for i in range(35)] + [1e300]
+    result = lof_scores(values, k=5)
+    assert np.all(result.scores[:35] == 1.0)
+    assert result.scores[35] == math.inf
+    assert result.outlier_indices == [35]

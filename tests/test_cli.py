@@ -616,6 +616,37 @@ def test_a_closed_stdout_keeps_the_exit_code_and_gives_no_traceback(
     assert done.stderr == ""
 
 
+# A main() that loads numpy, prints the BLAS thread setting it saw and
+# exits with the number of threads the process then has.
+_THREADS_AT_MAIN = """
+import os
+from literal_forge import cli
+def main():
+    import numpy
+    print(os.environ.get("OPENBLAS_NUM_THREADS"))
+    return len(os.listdir("/proc/self/task"))
+cli.main = main
+cli.run()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("given", [None, "2"], ids=["unset", "caller-set"])
+def test_run_gives_blas_one_thread_unless_the_caller_chose(given):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_AT_MAIN], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert done.stderr == ""
+    assert done.stdout == f"{given or 1}\n"
+    if given is None:
+        assert done.returncode == 1  # numpy loaded and no BLAS worker started
+
+
 def test_a_failing_consumer_closes_the_scan_before_the_file(sample_nt):
     # Finalizing the scan after its file has closed would print "Exception
     # ignored ... I/O operation on closed file" to stderr.

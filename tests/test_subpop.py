@@ -21,16 +21,16 @@ from literal_forge.subpop import (
     MIN_DIVERGENCE,
     REL,
     RELENT,
+    Feature,
     RelationDistribution,
     _TRUSTED,
     _best_split,
+    _entity_key,
     _incidence,
     _jeffreys,
     _smooth,
-    entity_signature,
     kl_divergence,
     kl_rel_binning,
-    relation_distribution,
     split_population,
 )
 
@@ -67,6 +67,46 @@ def subtree_subjects(split, position):
 
 
 # --- signatures -------------------------------------------------------------
+
+
+def entity_signature(subject_id: int, graph, mode: str = REL) -> frozenset[Feature]:
+    """Relational signature of one entity, literal statements excluded, as a
+    reference for the incidence rows the split search builds.
+
+    REL mode collects the relation IRIs incident in either direction;
+    RELENT pairs each relation with the neighbor entity.
+    """
+    indptr, relations, neighbours = graph.adjacency
+    at = slice(indptr[subject_id], indptr[subject_id + 1])
+    features: set[Feature] = set()
+    for rid, neighbour in zip(relations[at].tolist(), neighbours[at].tolist()):
+        rel = graph.relation_iris[rid]
+        features.add((rel, _entity_key(graph, neighbour)) if mode == RELENT else rel)
+    return frozenset(features)
+
+
+def relation_distribution(
+    subjects, graph, mode: str = REL, vocabulary: tuple[Feature, ...] | None = None
+) -> RelationDistribution:
+    """Empirical feature frequency across the subjects' signatures, smoothed.
+
+    Each distinct subject contributes each of its features once. An explicit
+    *vocabulary* aligns two populations onto a shared support for divergence
+    comparison; features outside it are dropped.
+    """
+    ids = sorted(set(subjects))
+    if not ids:
+        raise ValueError("cannot build a distribution over zero subjects")
+    counts_map: dict[Feature, int] = {}
+    for sid in ids:
+        for feat in entity_signature(sid, graph, mode):
+            counts_map[feat] = counts_map.get(feat, 0) + 1
+    if vocabulary is None:
+        vocabulary = tuple(sorted(counts_map))
+    if not vocabulary:
+        raise ValueError("no relational features among the given subjects")
+    counts = np.array([counts_map.get(feat, 0) for feat in vocabulary], dtype=float)
+    return _smooth(counts, vocabulary)
 
 
 def test_signature_collects_both_directions_without_literals():
