@@ -115,28 +115,26 @@ def one_entity(group: LiteralGroup, aug: Augmentation) -> Augmentation:
 class BinningSpec:
     """How to discretize one predicate's (sub)population of values.
 
-    mode "fixed" uses *bins* directly; mode "percent" derives the bin count
-    as a fraction of the number of unique values. *overlap* widens every bin
+    A set *percent* derives the bin count as that fraction of the number of
+    unique values; without it, *bins* is the count. *overlap* widens every bin
     by that fraction of its width on both sides, letting values fall into
     more than one bin. *hierarchy_depth* adds coarser levels that halve the
     bin count per level, children linked to parents.
     """
 
-    mode: str = "fixed"
     bins: int = 10
-    percent: float = 0.10
+    percent: float | None = None
     overlap: float = 0.0
     hierarchy_depth: int = 0
     connect_adjacent: bool = True
     scheme: str = "equal-width"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "percent"):
-            raise ValueError(f"unknown binning mode: {self.mode!r}")
-        if self.mode == "fixed" and self.bins < 1:
-            raise ValueError("fixed mode needs bins >= 1")
-        if self.mode == "percent" and not 0.0 < self.percent <= 1.0:
-            raise ValueError("percent mode needs 0 < percent <= 1")
+        if self.percent is None:
+            if self.bins < 1:
+                raise ValueError("bins must be >= 1")
+        elif not 0.0 < self.percent <= 1.0:
+            raise ValueError("percent must be in (0, 1]")
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError("overlap must be in [0, 1)")
         if self.hierarchy_depth < 0:
@@ -165,7 +163,7 @@ def bin_count(occurrences: int, unique: int, spec: BinningSpec) -> int:
     """
     if unique < 1:
         raise ValueError("need at least one unique value")
-    if spec.mode == "fixed":
+    if spec.percent is None:
         return min(spec.bins, unique)
     return max(1, min(unique, int(math.floor(spec.percent * unique + 0.5))))
 

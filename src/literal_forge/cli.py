@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config:  # verify reads no config and is always strict
             p.add_argument("--config", help="JSON configuration file")
             p.add_argument("--strict", action="store_true", help="fail on the first malformed line")
-        p.add_argument("--human", action="store_true", help="human-readable output")
         if output:
             p.add_argument("--output", required=True, help="output N-Triples path")
             p.add_argument("--strategy", help="apply one strategy to every modality")
@@ -297,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="write the edge-weight sidecar next to the output",
             )
+        else:  # transform writes files and prints no verdict
+            p.add_argument("--human", action="store_true", help="human-readable output")
 
     p_profile = sub.add_parser("profile", help="count entities, relations, and literal kinds")
     common(p_profile)

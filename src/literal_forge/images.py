@@ -13,7 +13,7 @@ import base64
 import binascii
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from .baselines import Augmentation, _load_json, link_any_value, note_fallback, sanitize_value
@@ -147,7 +147,6 @@ class RemoteTagProvider:
     timeout: float = 10.0
     retries: int = 3
     backoff: float = 0.5
-    session: object | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.timeout > 0:
@@ -158,12 +157,10 @@ class RemoteTagProvider:
     def _post(self, body: dict) -> object:
         import requests
 
-        session = self.session
-        post = session.post if session is not None else requests.post
         last_exc: Exception | None = None
         for attempt in range(self.retries + 1):
             try:
-                response = post(self.endpoint, json=body, timeout=self.timeout)
+                response = requests.post(self.endpoint, json=body, timeout=self.timeout)
                 if response.status_code == 404:
                     return None
                 if response.status_code >= 500:

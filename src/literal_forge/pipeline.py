@@ -249,8 +249,9 @@ def _read_spec(strategy: str, params: dict[str, Any]) -> Any:
     if strategy in _BINNERS:
         lof = params.pop("lof", None)
         split = {"threshold": params.pop("split_threshold")} if "split_threshold" in params else {}
-        mode = "percent" if strategy == PBINS or "percent" in params else "fixed"
-        return BinningSpec(mode=mode, **params), None if lof is None else LofSpec(**lof), split
+        if strategy == PBINS:
+            params.setdefault("percent", 0.10)
+        return BinningSpec(**params), None if lof is None else LofSpec(**lof), split
     if strategy == TXTLDA:
         return LdaSpec(**params)
     if strategy == IMAGETAGS:

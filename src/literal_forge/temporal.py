@@ -9,8 +9,7 @@ that wire the calendar itself together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from datetime import date as _date
+from datetime import date
 import re
 from sys import intern
 
@@ -39,7 +38,7 @@ WEEKDAY_NAMES = (
     "sunday",
 )
 
-_EPOCH = _date(1970, 1, 1)
+_EPOCH = date(1970, 1, 1)
 
 # ASCII digits only, as in the XSD lexical forms. _DATE_RE reads the leading
 # date of an untyped value; the four XSD date types must match in full. A
@@ -55,40 +54,7 @@ _FULL = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class CalendarDate:
-    """A proleptic Gregorian calendar day."""
-
-    year: int
-    month: int
-    day: int
-
-    def __post_init__(self) -> None:
-        try:
-            _date(self.year, self.month, self.day)  # validates year/month/day ranges
-        except OverflowError:  # a year too large for a C int
-            raise ValueError(f"year {self.year} is out of range") from None
-
-    @property
-    def weekday(self) -> int:
-        """0 = Monday .. 6 = Sunday."""
-        return _date(self.year, self.month, self.day).weekday()
-
-    @property
-    def weekday_name(self) -> str:
-        return WEEKDAY_NAMES[self.weekday]
-
-    @property
-    def quarter(self) -> int:
-        return (self.month + 2) // 3
-
-    def to_unix_timestamp(self) -> int:
-        """Seconds since 1970-01-01T00:00:00, midnight of this day, no zone."""
-        days = (_date(self.year, self.month, self.day) - _EPOCH).days
-        return days * 86400
-
-
-def parse_date(lexical: str, dt: str) -> CalendarDate:
+def parse_date(lexical: str, dt: str) -> date:
     """Extract the calendar day from a date-like literal's lexical form.
 
     Handles full dates, dateTimes (time of day dropped), gYear (January 1st)
@@ -104,28 +70,32 @@ def parse_date(lexical: str, dt: str) -> CalendarDate:
         m = _FULL[dt].fullmatch(text)
         if not m:
             raise ValueError(f"not an xsd:{dt[len(XSD):]} lexical form: {lexical!r}")
-        year, month, day = m.groups()
-        return CalendarDate(int(year), int(month or 1), int(day or 1))
-    # Untyped or oddly typed values still parse when they look like a date.
-    m = _DATE_RE.match(text)
-    if m:
-        return CalendarDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    raise ValueError(f"unsupported temporal datatype: {dt}")
+    else:
+        # Untyped or oddly typed values still parse when they look like a date.
+        m = _DATE_RE.match(text)
+        if not m:
+            raise ValueError(f"unsupported temporal datatype: {dt}")
+    year, month, day = m.groups()
+    try:
+        return date(int(year), int(month or 1), int(day or 1))
+    except OverflowError:  # a year too large for a C int
+        raise ValueError(f"year {year} is out of range") from None
 
 
-def datfeat_names(day: CalendarDate) -> tuple[str, str, str, str, str]:
+def datfeat_names(day: date) -> tuple[str, str, str, str, str]:
     """The five feature entity local names for one calendar day."""
     return (
-        day.weekday_name,
+        WEEKDAY_NAMES[day.weekday()],
         f"day{day.day}",
         f"month{day.month}",
-        f"quarter{day.quarter}",
+        f"quarter{(day.month + 2) // 3}",
         f"year{day.year}",
     )
 
 
 def _timestamp(lexical: str, dt: str) -> float:
-    return float(parse_date(lexical, dt).to_unix_timestamp())
+    """Seconds since 1970-01-01T00:00:00 to midnight of the parsed day, no zone."""
+    return float((parse_date(lexical, dt) - _EPOCH).days * 86400)
 
 
 def datbin(

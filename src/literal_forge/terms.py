@@ -19,7 +19,6 @@ XSD_DATETIME = XSD + "dateTime"
 XSD_GYEAR = XSD + "gYear"
 XSD_GYEARMONTH = XSD + "gYearMonth"
 XSD_BASE64 = XSD + "base64Binary"
-XSD_ANYURI = XSD + "anyURI"
 RDF_LANGSTRING = RDF + "langString"
 
 #: The whitespace that the XSD "collapse" facet strips around a lexical form.

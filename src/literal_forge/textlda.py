@@ -212,13 +212,6 @@ def train_lda(
     return TopicModel(T, phi, theta, corpus.vocabulary, changed / n_tokens)
 
 
-def document_topics(model: TopicModel, document_id: int) -> np.ndarray:
-    """The trained topic distribution of one document."""
-    if not 0 <= document_id < model.theta.shape[0]:
-        raise ValueError(f"unknown document id: {document_id}")
-    return model.theta[document_id].copy()
-
-
 def emit_topic_triples(
     group: LiteralGroup,
     aug: Augmentation,

@@ -219,7 +219,7 @@ def test_criterion_01_size_bounds_on_synthetic_graph(tmp_path):
 
 def test_criterion_02_percent_binning_twenty_bins():
     problems: list[str] = []
-    spec = BinningSpec(mode="percent", percent=0.10)
+    spec = BinningSpec(percent=0.10)
     if bin_count(1000, 200, spec) != 20:
         problems.append(f"bin_count gave {bin_count(1000, 200, spec)}")
     lines = [numeric_line(f"s{i}", "height", f"{i % 200}.0") for i in range(1000)]

@@ -157,7 +157,7 @@ def test_sorted_distinct_equals_np_unique(values):
 
 
 def test_bin_count_percent_rounds_half_up():
-    spec = BinningSpec(mode="percent", percent=0.10)
+    spec = BinningSpec(percent=0.10)
     assert bin_count(1000, 200, spec) == 20
     assert bin_count(100, 25, spec) == 3  # 2.5 rounds up
     assert bin_count(100, 14, spec) == 1  # 1.4 rounds down
@@ -165,7 +165,7 @@ def test_bin_count_percent_rounds_half_up():
 
 
 def test_bin_count_fixed_capped_by_unique():
-    spec = BinningSpec(mode="fixed", bins=10)
+    spec = BinningSpec(bins=10)
     assert bin_count(500, 200, spec) == 10
     assert bin_count(500, 3, spec) == 3
     assert bin_count(500, 1, spec) == 1
@@ -174,10 +174,9 @@ def test_bin_count_fixed_capped_by_unique():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(mode="nope"),
-        dict(mode="fixed", bins=0),
-        dict(mode="percent", percent=0.0),
-        dict(mode="percent", percent=1.5),
+        dict(bins=0),
+        dict(percent=0.0),
+        dict(percent=1.5),
         dict(overlap=-0.1),
         dict(overlap=1.0),
         dict(hierarchy_depth=-1),

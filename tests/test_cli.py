@@ -194,6 +194,14 @@ class TestTransform:
         assert err.startswith("usage: ")
         assert "unrecognized arguments: --workers 2" in err
 
+    def test_rejects_human(self, sample_nt, tmp_path, capsys):
+        # transform prints no verdict, so it takes no flag to format one
+        with pytest.raises(SystemExit) as exc:
+            transform(sample_nt, tmp_path, "--human")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --human" in capsys.readouterr().err
+        assert not (tmp_path / "out.nt").exists()
+
     def test_missing_input(self, tmp_path):
         code = main(
             [

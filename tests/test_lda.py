@@ -18,7 +18,6 @@ from literal_forge.textlda import (
     Corpus,
     LdaSpec,
     build_corpus,
-    document_topics,
     emit_topic_triples,
     tokenize,
     train_lda,
@@ -211,17 +210,6 @@ def test_top_words_reflect_topic_content():
     joined = [set(words) for words in tops]
     assert set(SPORT.split()) in joined
     assert set(SCIENCE.split()) in joined
-
-
-def test_document_topics_accessor():
-    corpus = Corpus(documents=[[0, 1]], vocabulary=("x", "y"))
-    model = train_lda(corpus, topics=2, iterations=3, seed=0)
-    row = document_topics(model, 0)
-    assert row.shape == (2,)
-    row[0] = 99.0  # a copy: the model must not change
-    assert model.theta[0, 0] != 99.0
-    with pytest.raises(ValueError):
-        document_topics(model, 1)
 
 
 # --- spec -------------------------------------------------------------------

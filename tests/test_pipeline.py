@@ -91,6 +91,23 @@ class TestGroupPlan:
         plan = GroupPlan("KLREL", {"lof": {"k": 5, "threshold": 2.0}})
         assert plan.params["lof"] == {"k": 5, "threshold": 2.0}
 
+    @pytest.mark.parametrize(
+        "strategy,params,bins,percent",
+        [
+            ("NBINS", {}, 10, None),
+            ("NBINS", {"bins": 4}, 4, None),
+            ("PBINS", {}, 10, 0.10),  # PBINS alone sizes by share when not told
+            ("PBINS", {"percent": 0.25}, 10, 0.25),
+            ("NBINS", {"percent": 0.25, "bins": 0}, 0, 0.25),  # a percent leaves bins unread
+            ("DATBIN", {"percent": 0.5}, 10, 0.5),
+        ],
+    )
+    def test_binning_spec_reads_percent(self, strategy, params, bins, percent):
+        plan = GroupPlan(strategy, dict(params))
+        spec, lof, split = plan.spec
+        assert (spec.bins, spec.percent, lof, split) == (bins, percent, None, {})
+        assert plan.params == params  # the report shows the parameters as given
+
 
 class TestComposeCombined:
     def test_default_shape(self):

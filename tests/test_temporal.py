@@ -17,12 +17,12 @@ from literal_forge import IRI, BlankNode, Literal, Modality, StrategyConfig, app
 from literal_forge.binning import BinningSpec
 from literal_forge.pipeline import ONEENTITY, shortcut_defaults
 from literal_forge.temporal import (
-    CalendarDate,
     IN_QUARTER,
     _DATE_RE,
     NEXT_DAY,
     NEXT_MONTH,
     WEEKDAY_NAMES,
+    _timestamp,
     datbin,
     datfeat,
     datfeat_names,
@@ -63,33 +63,47 @@ def date_group(graph, predicate="founded"):
     return graph.literal_groups[(graph.relation_ids[EX + predicate], Modality.TEMPORAL)]
 
 
-# --- CalendarDate -----------------------------------------------------------
+# --- calendar features and timestamps ---------------------------------------
+
+
+def weekday_name(d: date) -> str:
+    """The weekday feature name DATFEAT gives the day *d*."""
+    return datfeat_names(d)[0]
+
+
+def quarter(d: date) -> int:
+    return int(datfeat_names(d)[3].removeprefix("quarter"))
+
+
+def timestamp(d: date) -> float:
+    """The timestamp DATBIN bins for the xsd:date literal of day *d*."""
+    return _timestamp(d.isoformat(), XSD_DATE)
 
 
 def test_known_weekdays():
-    assert CalendarDate(1607, 1, 24).weekday_name == "wednesday"
-    assert CalendarDate(2000, 1, 1).weekday_name == "saturday"
-    assert CalendarDate(1970, 1, 1).weekday_name == "thursday"
+    assert weekday_name(parse_date("1607-01-24", XSD_DATE)) == "wednesday"
+    assert weekday_name(parse_date("2000-01-01", XSD_DATE)) == "saturday"
+    assert weekday_name(parse_date("1970-01-01", XSD_DATE)) == "thursday"
 
 
 def test_known_timestamps():
-    assert CalendarDate(1970, 1, 1).to_unix_timestamp() == 0
-    assert CalendarDate(1970, 1, 2).to_unix_timestamp() == 86400
-    assert CalendarDate(1969, 12, 31).to_unix_timestamp() == -86400
-    assert CalendarDate(1607, 1, 24).to_unix_timestamp() == -11453184000
+    assert _timestamp("1970-01-01", XSD_DATE) == 0
+    assert _timestamp("1970-01-02", XSD_DATE) == 86400
+    assert _timestamp("1969-12-31", XSD_DATE) == -86400
+    assert _timestamp("1607-01-24", XSD_DATE) == -11453184000
 
 
 def test_quarter_mapping():
     expected = [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
-    assert [CalendarDate(2020, m, 1).quarter for m in range(1, 13)] == expected
+    assert [quarter(parse_date(f"2020-{m:02d}", XSD_GYEARMONTH)) for m in range(1, 13)] == expected
 
 
 def test_invalid_dates_rejected():
     with pytest.raises(ValueError):
-        CalendarDate(2020, 13, 1)
+        parse_date("2020-13-01", XSD_DATE)
     with pytest.raises(ValueError):
-        CalendarDate(2019, 2, 29)
-    CalendarDate(2020, 2, 29)  # leap day fine
+        parse_date("2019-02-29", XSD_DATE)
+    parse_date("2020-02-29", XSD_DATE)  # leap day fine
 
 
 _ordinals = st.integers(date(1, 1, 1).toordinal(), date(9999, 12, 31).toordinal())
@@ -99,9 +113,8 @@ _ordinals = st.integers(date(1, 1, 1).toordinal(), date(9999, 12, 31).toordinal(
 @settings(max_examples=300, deadline=None)
 def test_weekday_matches_sakamoto(ordinal):
     d = date.fromordinal(ordinal)
-    assert CalendarDate(d.year, d.month, d.day).weekday == sakamoto_weekday(
-        d.year, d.month, d.day
-    )
+    expected = WEEKDAY_NAMES[sakamoto_weekday(d.year, d.month, d.day)]
+    assert weekday_name(parse_date(d.isoformat(), XSD_DATE)) == expected
 
 
 @given(_ordinals)
@@ -109,7 +122,7 @@ def test_weekday_matches_sakamoto(ordinal):
 def test_timestamp_matches_days_from_civil(ordinal):
     d = date.fromordinal(ordinal)
     expected = days_from_civil(d.year, d.month, d.day) * 86400
-    assert CalendarDate(d.year, d.month, d.day).to_unix_timestamp() == expected
+    assert timestamp(d) == expected
 
 
 @given(_ordinals.filter(lambda o: o < date(9999, 12, 31).toordinal()))
@@ -117,11 +130,7 @@ def test_timestamp_matches_days_from_civil(ordinal):
 def test_consecutive_days_differ_by_86400(ordinal):
     a = date.fromordinal(ordinal)
     b = a + timedelta(days=1)
-    assert (
-        CalendarDate(b.year, b.month, b.day).to_unix_timestamp()
-        - CalendarDate(a.year, a.month, a.day).to_unix_timestamp()
-        == 86400
-    )
+    assert timestamp(b) - timestamp(a) == 86400
 
 
 # --- parsing ----------------------------------------------------------------
@@ -147,7 +156,7 @@ def test_consecutive_days_differ_by_86400(ordinal):
     ],
 )
 def test_parse_date_accepts(lex, dt, expected):
-    assert parse_date(lex, dt or XSD_STRING) == CalendarDate(*expected)
+    assert parse_date(lex, dt or XSD_STRING) == date(*expected)
 
 
 @pytest.mark.parametrize(
@@ -188,7 +197,15 @@ _GYEARMONTH_RE = re.compile(r"^(-?\d{4,})-(\d{2})(?:Z|[+-]\d{2}:\d{2})?$", re.AS
 _GYEAR_RE = re.compile(r"^(-?\d{4,})(?:Z|[+-]\d{2}:\d{2})?$", re.ASCII)
 
 
-def _parse_date_reference(literal: Literal) -> CalendarDate:
+def _day(year: str, month: str | int, day: str | int) -> date:
+    """date(), with a year too large for a C int rejected as a ValueError."""
+    try:
+        return date(int(year), int(month), int(day))
+    except OverflowError:
+        raise ValueError(f"year {year} is out of range") from None
+
+
+def _parse_date_reference(literal: Literal) -> date:
     """parse_date as it read a Literal term before literal groups became columns."""
     text = literal.lexical.strip()
     dt = literal.datatype
@@ -196,20 +213,20 @@ def _parse_date_reference(literal: Literal) -> CalendarDate:
         m = _DATE_RE.match(text)
         if not m:
             raise ValueError(f"not a date lexical form: {literal.lexical!r}")
-        return CalendarDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        return _day(m.group(1), m.group(2), m.group(3))
     if dt == XSD_GYEARMONTH:
         m = _GYEARMONTH_RE.match(text)
         if not m:
             raise ValueError(f"not a gYearMonth lexical form: {literal.lexical!r}")
-        return CalendarDate(int(m.group(1)), int(m.group(2)), 1)
+        return _day(m.group(1), m.group(2), 1)
     if dt == XSD_GYEAR:
         m = _GYEAR_RE.match(text)
         if not m:
             raise ValueError(f"not a gYear lexical form: {literal.lexical!r}")
-        return CalendarDate(int(m.group(1)), 1, 1)
+        return _day(m.group(1), 1, 1)
     m = _DATE_RE.match(text)
     if m:
-        return CalendarDate(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        return _day(m.group(1), m.group(2), m.group(3))
     raise ValueError(f"unsupported temporal datatype: {dt}")
 
 
@@ -261,7 +278,7 @@ def test_column_parse_matches_literal_parse_date(objects):
 
 
 def test_datfeat_names_example():
-    names = datfeat_names(CalendarDate(1607, 1, 24))
+    names = datfeat_names(parse_date("1607-01-24", XSD_DATE))
     assert names == ("wednesday", "day24", "month1", "quarter1", "year1607")
 
 
