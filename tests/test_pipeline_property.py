@@ -7,10 +7,10 @@ succeed, give the same bytes twice, keep every relational statement and
 leave no literal in the output.
 
 The pool deliberately avoids the shapes that still mint one IRI for two
-predicates (ROADMAP item 1): local names that are equal or prefixes of one
-another, one predicate holding two modalities, and calendar words (``month``,
-``day``, ``quarter``, ``year``, weekdays) as local names. Item 1's registry
-adds them here once minting is injective.
+predicates ("Injective minting" in ROADMAP.md): local names that are equal
+or prefixes of one another, one predicate holding two modalities, and
+calendar words (``month``, ``day``, ``quarter``, ``year``, weekdays) as local
+names. They join the pool once minting is injective.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _main(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-@given(lines=st.lists(STATEMENTS, min_size=1, max_size=60), strategy=st.sampled_from(sorted(STRATEGIES)))
+@given(st.lists(STATEMENTS, min_size=1, max_size=60), st.sampled_from(sorted(STRATEGIES)))
 @settings(max_examples=200, deadline=None)
 def test_transform_is_repeatable_and_verifies(lines, strategy):
     with tempfile.TemporaryDirectory() as tmp:
