@@ -112,6 +112,18 @@ def one_entity(group: LiteralGroup, aug: Augmentation) -> Augmentation:
 
 
 @dataclass(frozen=True)
+class LofSpec:
+    k: int = 20
+    threshold: float = 1.5
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("LOF needs k >= 1")
+        if self.threshold <= 0:
+            raise ValueError("LOF threshold must be positive")
+
+
+@dataclass(frozen=True)
 class BinningSpec:
     """How to discretize one predicate's (sub)population of values.
 
@@ -119,7 +131,9 @@ class BinningSpec:
     unique values; without it, *bins* is the count. *overlap* widens every bin
     by that fraction of its width on both sides, letting values fall into
     more than one bin. *hierarchy_depth* adds coarser levels that halve the
-    bin count per level, children linked to parents.
+    bin count per level, children linked to parents. A set *lof* diverts
+    outliers before boundaries are computed; KLREL and KLRELENT split a
+    population while it holds at least *split_threshold* values.
     """
 
     bins: int = 10
@@ -128,6 +142,8 @@ class BinningSpec:
     hierarchy_depth: int = 0
     connect_adjacent: bool = True
     scheme: str = "equal-width"
+    lof: LofSpec | None = None
+    split_threshold: int = 300
 
     def __post_init__(self) -> None:
         if self.percent is None:
@@ -141,18 +157,6 @@ class BinningSpec:
             raise ValueError("hierarchy_depth must be >= 0")
         if self.scheme not in ("equal-width", "equal-frequency"):
             raise ValueError(f"unknown binning scheme: {self.scheme!r}")
-
-
-@dataclass(frozen=True)
-class LofSpec:
-    k: int = 20
-    threshold: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("LOF needs k >= 1")
-        if self.threshold <= 0:
-            raise ValueError("LOF threshold must be positive")
 
 
 def bin_count(occurrences: int, unique: int, spec: BinningSpec) -> int:

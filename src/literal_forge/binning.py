@@ -23,7 +23,6 @@ from .baselines import (
     Augmentation,
     BinningSpec,
     DEFAULT_NAMESPACE,
-    LofSpec,
     bin_count,
     link_any_value,
     note_fallback,
@@ -81,35 +80,6 @@ class BinLevel:
     boundaries: tuple[float, ...]
     entities: tuple[str, ...]
 
-    @property
-    def num_bins(self) -> int:
-        return len(self.entities)
-
-
-@dataclass(frozen=True)
-class BinLayout:
-    """Computed boundaries and minted bin entities for one (sub)population.
-
-    levels[0] is the finest level; each further level halves the bin count.
-    Bins are inclusive-lower/exclusive-upper except the last, which is closed.
-    """
-
-    levels: tuple[BinLevel, ...]
-    overlap: float
-    connect_adjacent: bool
-
-    @property
-    def leaf(self) -> BinLevel:
-        return self.levels[0]
-
-    @property
-    def lower(self) -> float:
-        return self.leaf.boundaries[0]
-
-    @property
-    def upper(self) -> float:
-        return self.leaf.boundaries[-1]
-
 
 def _bin_label(stem: str, subpop: int | None, level: int, index: int, width: int) -> str:
     sub = f"Sub{subpop}" if subpop is not None else ""
@@ -142,12 +112,13 @@ def compute_bins(
     spec: BinningSpec,
     stem: str = DEFAULT_NAMESPACE + "value",
     subpopulation: int | None = None,
-) -> BinLayout:
-    """Boundaries, entity names under *stem*, and coarser levels for one
-    value population.
+) -> tuple[BinLevel, ...]:
+    """The bin levels of one value population, finest first: boundaries,
+    entity names under *stem*, and coarser levels that halve the bin count.
 
-    Identical values collapse to a single degenerate bin. Hierarchy levels
-    stop early once a level reaches a single bin.
+    Bins are inclusive-lower/exclusive-upper except the last, which is
+    closed. Identical values collapse to a single degenerate bin. Hierarchy
+    levels stop early once a level reaches a single bin.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -176,7 +147,7 @@ def compute_bins(
             )
         )
         prev = coarse
-    return BinLayout(tuple(levels), spec.overlap, spec.connect_adjacent)
+    return tuple(levels)
 
 
 def _flat_indices(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
@@ -213,7 +184,7 @@ def _overlap_hits(
 
 
 def assign_bins_array(
-    values: np.ndarray, layout: BinLayout
+    values: np.ndarray, levels: Sequence[BinLevel], overlap: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(value position, level, bin index) of every bin holding each value.
 
@@ -225,23 +196,23 @@ def assign_bins_array(
     values = np.asarray(values, dtype=float)
     n = values.size
     rows: list[np.ndarray] = []
-    levels: list[np.ndarray] = []
+    depths: list[np.ndarray] = []
     bins: list[np.ndarray] = []
-    for level_idx, level in enumerate(layout.levels):
+    for depth, level in enumerate(levels):
         b = np.asarray(level.boundaries, dtype=float)
-        if level.num_bins == 1 or layout.overlap == 0.0:
+        if len(level.entities) == 1 or overlap == 0.0:
             level_rows = np.arange(n)
             level_bins = _flat_indices(values, b)
         else:
-            level_rows, level_bins = _overlap_hits(values, b, layout.overlap)
+            level_rows, level_bins = _overlap_hits(values, b, overlap)
         rows.append(level_rows)
-        levels.append(np.full(level_rows.size, level_idx))
+        depths.append(np.full(level_rows.size, depth))
         bins.append(level_bins)
     if len(rows) == 1:
-        return rows[0], levels[0], bins[0]
+        return rows[0], depths[0], bins[0]
     row = np.concatenate(rows)
     order = np.argsort(row, kind="stable")  # levels were concatenated in order
-    return row[order], np.concatenate(levels)[order], np.concatenate(bins)[order]
+    return row[order], np.concatenate(depths)[order], np.concatenate(bins)[order]
 
 
 @dataclass(frozen=True)
@@ -261,22 +232,11 @@ class BinAssignments:
         return len(self.subjects)
 
 
-@dataclass
-class LofResult:
-    """Per-value LOF scores and the positions of the outliers among them.
-
-    *scores* aligns with the input order. When the population is too small
-    for the neighbor count, scoring is skipped and everything is retained.
-    """
-
-    scores: np.ndarray
-    outlier_indices: list[int]
-    skipped: bool = False
-
-
-def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float = 1.5) -> LofResult:
-    """1-D local outlier factor: reachability distances, local reachability
-    density, and the mean lrd ratio over the k-distance neighborhood.
+def lof_scores(values: list[float] | np.ndarray, k: int = 20) -> np.ndarray:
+    """1-D local outlier factor in input order: reachability distances, local
+    reachability density, and the mean lrd ratio over the k-distance
+    neighborhood. A population of at most k values is not scored; every
+    value gets 1.0.
 
     Ties are handled per the definition: the neighborhood holds every point
     within the k-distance, so it can exceed k members. Populations of
@@ -290,7 +250,7 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
     n = arr.size
     if n <= k:
         log.warning("LOF skipped: %d values <= k=%d, all retained", n, k)
-        return LofResult(np.ones(n), [], skipped=True)
+        return np.ones(n)
 
     order = np.argsort(arr, kind="stable")
     sv = arr[order]
@@ -364,7 +324,7 @@ def lof_scores(values: list[float] | np.ndarray, k: int = 20, threshold: float =
 
     scores = np.empty(n)
     scores[order] = scores_sorted
-    return LofResult(scores, np.flatnonzero(scores > threshold).tolist())
+    return scores
 
 
 def _settle(bound: np.ndarray, step: int, moves: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -411,26 +371,30 @@ def _reach_sums(
 
 
 def emit_bin_triples(
-    aug: Augmentation, layout: BinLayout, assignments: BinAssignments
+    aug: Augmentation,
+    layout: Sequence[BinLevel],
+    assignments: BinAssignments,
+    connect_adjacent: bool,
 ) -> Augmentation:
-    """Links for assigned bins plus the structural bin graph.
+    """Links for assigned bins plus the structural bin graph over the levels
+    of *layout*.
 
     The adjacency chain runs through every bin of a level, empty ones too;
     chain and hierarchy statements are structural, not links.
     """
-    flat = [entity for level in layout.levels for entity in level.entities]
-    offsets = np.cumsum([0] + [level.num_bins for level in layout.levels])
+    flat = [entity for level in layout for entity in level.entities]
+    offsets = np.cumsum([0] + [len(level.entities) for level in layout])
     objects = [flat[i] for i in (offsets[assignments.levels] + assignments.bins).tolist()]
     aug.link(assignments.subjects[assignments.rows].tolist(), objects)
-    if layout.connect_adjacent and any(level.num_bins > 1 for level in layout.levels):
+    if connect_adjacent and len(flat) > len(layout):  # some level has two bins
         link = aug.namespace + NEXT_BIN
-        for level in layout.levels:
+        for level in layout:
             for a, b in zip(level.entities, level.entities[1:]):
                 aug.join(a, link, b)
-    if len(layout.levels) > 1:
+    if len(layout) > 1:
         link = aug.namespace + PARENT_BIN
-        for child, parent in zip(layout.levels, layout.levels[1:]):
-            last = parent.num_bins - 1
+        for child, parent in zip(layout, layout[1:]):
+            last = len(parent.entities) - 1
             for i, entity in enumerate(child.entities):
                 aug.join(entity, link, parent.entities[min(i // 2, last)])
     return aug
@@ -441,12 +405,11 @@ def bin_statements(
     spec: BinningSpec,
     subject_ids: Sequence[int],
     values: Sequence[float],
-    lof: LofSpec | None = None,
     subpopulation: int | None = None,
 ) -> Augmentation:
     """Bin one (sub)population: statement i links subject_ids[i] to values[i].
 
-    With LOF enabled, boundaries are computed from retained values only;
+    With spec.lof set, boundaries are computed from retained values only;
     outlier statements link to OutlierLow/OutlierHigh entities instead of a
     bin, so every statement still yields exactly one output statement.
     """
@@ -455,8 +418,8 @@ def bin_statements(
     subjects = np.array(subject_ids, dtype=np.intp)
     values = np.array(values, dtype=float)
     outlier = np.zeros(values.size, dtype=bool)
-    if lof is not None:
-        outlier[lof_scores(values, lof.k, lof.threshold).outlier_indices] = True
+    if spec.lof is not None:
+        outlier = lof_scores(values, spec.lof.k) > spec.lof.threshold
         if outlier.all():  # everything flagged: skip the filter
             aug.warnings.append(
                 f"{aug.predicate}: LOF flagged all {values.size} values, filter skipped"
@@ -464,12 +427,14 @@ def bin_statements(
             outlier[:] = False
     retained = values[~outlier]
     layout = compute_bins(retained, spec, aug.stem, subpopulation)
-    assignments = BinAssignments(subjects[~outlier], *assign_bins_array(retained, layout))
-    emit_bin_triples(aug, layout, assignments)
+    assigned = assign_bins_array(retained, layout, spec.overlap)
+    emit_bin_triples(
+        aug, layout, BinAssignments(subjects[~outlier], *assigned), spec.connect_adjacent
+    )
     if outlier.any():
         sub = f"Sub{subpopulation}" if subpopulation is not None else ""
         low, high = aug.stem + sub + "OutlierLow", aug.stem + sub + "OutlierHigh"
-        mid = (layout.lower + layout.upper) / 2.0
+        mid = (layout[0].boundaries[0] + layout[0].boundaries[-1]) / 2.0
         entities = [low if value <= mid else high for value in values[outlier].tolist()]
         aug.link(subjects[outlier].tolist(), entities)
     return aug
@@ -479,7 +444,6 @@ def nbins(
     group: LiteralGroup,
     aug: Augmentation,
     spec: BinningSpec,
-    lof: LofSpec | None = None,
     parse: Callable[[str, str], float] = parse_numeric,
     kind: str = "numeric",
 ) -> Augmentation:
@@ -489,7 +453,7 @@ def nbins(
     links and are counted as unparseable *kind* statements.
     """
     subject_ids, values, rejected = parse_or_reject(group, parse)
-    bin_statements(aug, spec, subject_ids, values, lof)
+    bin_statements(aug, spec, subject_ids, values)
     link_any_value(aug, rejected)
     note_fallback(aug, len(rejected), f"{len(rejected)} unparseable {kind} statements")
     return aug

@@ -195,7 +195,6 @@ class IndexedGraph:
     relational: list[tuple[int, int, int]] = field(default_factory=list)
     literal_groups: dict[tuple[int, Modality], LiteralGroup] = field(default_factory=dict)
     duplicates_removed: int = 0
-    rules: ModalityRules = field(default_factory=ModalityRules)
 
     @cached_property
     def entity_ids(self) -> dict[Term, int]:
@@ -252,8 +251,8 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
     statements go to their group's columns; the modality is classified once
     per predicate and datatype.
     """
-    graph = IndexedGraph(rules=rules or ModalityRules())
-    rules, terms, relation_ids = graph.rules, graph.entity_terms, graph.relation_ids
+    graph, rules = IndexedGraph(), rules or ModalityRules()
+    terms, relation_ids = graph.entity_terms, graph.relation_ids
     iri_ids: dict[str, int] = {}
     label_ids: dict[str, int] = {}
     # Relational keys hold three ids, literal keys five fields: they never meet.

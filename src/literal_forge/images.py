@@ -98,7 +98,7 @@ def _parse_labels(raw: object, provider: str) -> LabelDistribution:
             name, score = item, 1.0
         else:
             raise ProviderError(f"{provider}: unreadable label entry {item!r}")
-        if not isinstance(name, str) or not isinstance(score, (int, float)):
+        if not isinstance(name, str) or type(score) not in (int, float):  # a bool is not a number
             raise ProviderError(f"{provider}: unreadable label entry {item!r}")
         labels.append((name, score))
     try:

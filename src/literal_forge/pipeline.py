@@ -222,11 +222,11 @@ def _read_json(
 class GroupPlan:
     """One resolved (strategy, parameters) choice.
 
-    *spec* is *params* read once, at construction: for binning strategies
-    (BinningSpec, LofSpec or None, kl_rel_binning keywords), for TXTLDA an
-    LdaSpec, for IMAGETAGS (vocabulary cap, emit_image_triples keywords),
-    for COMBINED the per-modality plans, otherwise the strategy function's
-    keywords. *params* stays as given, for the report.
+    *spec* is *params* read once, at construction: for binning strategies a
+    BinningSpec, for TXTLDA an LdaSpec, for IMAGETAGS (vocabulary cap,
+    emit_image_triples keywords), for COMBINED the per-modality plans,
+    otherwise the strategy function's keywords. *params* stays as given,
+    for the report.
     """
 
     strategy: str
@@ -247,11 +247,11 @@ class GroupPlan:
 
 def _read_spec(strategy: str, params: dict[str, Any]) -> Any:
     if strategy in _BINNERS:
-        lof = params.pop("lof", None)
-        split = {"threshold": params.pop("split_threshold")} if "split_threshold" in params else {}
+        if params.get("lof") is not None:
+            params["lof"] = LofSpec(**params["lof"])
         if strategy == PBINS:
             params.setdefault("percent", 0.10)
-        return BinningSpec(**params), None if lof is None else LofSpec(**lof), split
+        return BinningSpec(**params)
     if strategy == TXTLDA:
         return LdaSpec(**params)
     if strategy == IMAGETAGS:
@@ -548,7 +548,7 @@ def _distinct_values(group: LiteralGroup) -> int:
     return len(set(zip(group.lexicals, group.datatypes, group.languages)))
 
 
-def _binning_allowance(spec: BinningSpec, sizes: list[int], lof_on: bool, fallback: int) -> int:
+def _binning_allowance(spec: BinningSpec, sizes: list[int], fallback: int) -> int:
     """Bin entities a binning run may mint: each population's bins at every
     level up to the first one-bin level, two outlier entities per population
     with LOF, one AnyValue."""
@@ -561,7 +561,7 @@ def _binning_allowance(spec: BinningSpec, sizes: list[int], lof_on: bool, fallba
                 break
             step = (step + 1) // 2
             allowance += step
-    if lof_on:
+    if spec.lof is not None:
         allowance += 2 * len(sizes)
     if fallback:
         allowance += 1
@@ -610,22 +610,21 @@ def _run_strategy(
         return _GroupOutcome(baselines.one_entity(group, aug), 1, S, None)
 
     if name in _BINNERS:
-        spec, lof, split_args = plan.spec
+        spec = plan.spec
         if name in (KLREL, KLRELENT):
             from .subpop import REL, RELENT
             mode = REL if name == KLREL else RELENT
-            run = _entry("kl_rel_binning")
-            aug, split = run(group, aug, graph, mode, spec, lof, **split_args)
+            aug, split = _entry("kl_rel_binning")(group, aug, graph, mode, spec)
             sizes = [leaf.value_count for leaf in split.leaves]
             detail = {"leaves": len(split.leaves), "split": [n.to_dict() for n in split.nodes]}
         else:
-            aug = _entry("datbin" if name == DATBIN else "nbins")(group, aug, spec, lof)
+            aug = _entry("datbin" if name == DATBIN else "nbins")(group, aug, spec)
             sizes = [min(distinct, S - aug.fallback_statements)]
             detail = {"leaves": 1, "bin_entities": len(aug.minted_entities)}
         flat = spec.overlap == 0.0 and spec.hierarchy_depth == 0
         return _GroupOutcome(
             aug,
-            _binning_allowance(spec, sizes, lof is not None, aug.fallback_statements),
+            _binning_allowance(spec, sizes, aug.fallback_statements),
             S if flat else None,
             None,
             _binning_exceptions(spec, aug.minted_objects),

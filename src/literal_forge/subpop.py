@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import Augmentation, link_any_value, note_fallback, parse_or_reject
-from .binning import BinningSpec, LofSpec, bin_statements, parse_numeric, sorted_distinct
+from .binning import BinningSpec, bin_statements, parse_numeric, sorted_distinct
 from .graph import IndexedGraph, LiteralGroup
 from .terms import BlankNode
 
@@ -61,7 +61,6 @@ class RelationDistribution:
 
     vocabulary: tuple[Feature, ...]
     probs: np.ndarray
-    epsilon: float
 
     def __post_init__(self) -> None:
         if len(self.vocabulary) != self.probs.size:
@@ -71,7 +70,7 @@ class RelationDistribution:
 def _smooth(counts: np.ndarray, vocabulary: tuple[Feature, ...]) -> RelationDistribution:
     eps = 1.0 / (10.0 * len(vocabulary))
     smoothed = counts.astype(float) + eps
-    return RelationDistribution(vocabulary, smoothed / smoothed.sum(), eps)
+    return RelationDistribution(vocabulary, smoothed / smoothed.sum())
 
 
 def kl_divergence(p: RelationDistribution, q: RelationDistribution) -> float:
@@ -336,10 +335,8 @@ def kl_rel_binning(
     graph: IndexedGraph,
     mode: str = REL,
     spec: BinningSpec | None = None,
-    lof: LofSpec | None = None,
-    threshold: int = 300,
 ) -> tuple[Augmentation, PopulationSplit]:
-    """Split, then bin every leaf on its own range.
+    """Split at spec.split_threshold, then bin every leaf on its own range.
 
     Leaf bins carry the subpopulation tag in their entity names whenever more
     than one leaf exists; a single-leaf split degenerates to plain binning.
@@ -350,7 +347,7 @@ def kl_rel_binning(
 
     # The split looks only at subjects and their relational adjacency, so
     # only parseable statements take part.
-    split = _split_subjects(subject_ids, graph, mode, threshold)
+    split = _split_subjects(subject_ids, graph, mode, spec.split_threshold)
 
     multi = len(split.leaves) > 1
     # The leaves partition the subjects.
@@ -361,7 +358,7 @@ def kl_rel_binning(
         leaf_ids.append(subject_id)
         leaf_values.append(value)
     for leaf_index in sorted(per_leaf):
-        bin_statements(aug, spec, *per_leaf[leaf_index], lof, leaf_index if multi else None)
+        bin_statements(aug, spec, *per_leaf[leaf_index], leaf_index if multi else None)
     link_any_value(aug, rejected)
     note_fallback(aug, len(rejected), f"{len(rejected)} unparseable numeric statements")
     return aug, split

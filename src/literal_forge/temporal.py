@@ -16,7 +16,6 @@ from sys import intern
 from .baselines import (
     Augmentation,
     BinningSpec,
-    LofSpec,
     link_any_value,
     note_fallback,
     parse_or_reject,
@@ -98,12 +97,10 @@ def _timestamp(lexical: str, dt: str) -> float:
     return float((parse_date(lexical, dt) - _EPOCH).days * 86400)
 
 
-def datbin(
-    group: LiteralGroup, aug: Augmentation, spec: BinningSpec, lof: LofSpec | None = None
-) -> Augmentation:
+def datbin(group: LiteralGroup, aug: Augmentation, spec: BinningSpec) -> Augmentation:
     """Date binning: UNIX timestamps through the numeric binning runner."""
     from .binning import nbins  # here, so DATFEAT runs without numpy
-    return nbins(group, aug, spec, lof, parse=_timestamp, kind="date")
+    return nbins(group, aug, spec, parse=_timestamp, kind="date")
 
 
 def datfeat(group: LiteralGroup, aug: Augmentation, link_features: bool = True) -> Augmentation:

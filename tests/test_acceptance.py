@@ -318,8 +318,8 @@ def test_criterion_05_kl_and_lof_oracles():
         q = rng.gamma(1.0, size=m) + 1e-12
         p /= p.sum()
         q /= q.sum()
-        P = RelationDistribution(vocab, p, 0.0)
-        Q = RelationDistribution(vocab, q, 0.0)
+        P = RelationDistribution(vocab, p)
+        Q = RelationDistribution(vocab, q)
         direct = float(sum(pi * math.log(pi / qi) for pi, qi in zip(p, q)))
         worst = max(worst, abs(kl_divergence(P, Q) - direct))
         if abs(kl_divergence(P, Q) - direct) > 1e-9:
@@ -377,7 +377,9 @@ def test_criterion_06_population_splits_on_distinguishing_relation():
     for leaf in split.leaves:
         if leaf.value_count >= 300 and not leaf.indivisible:
             problems.append("a leaf is both large and divisible")
-    aug, _ = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=300)
+    aug, _ = kl_rel_binning(
+        *with_aug(group, graph), graph, REL, BinningSpec(bins=3, split_threshold=300)
+    )
     expected = {NEW + f"heightSub{s}Bin{i:02d}" for s in (0, 1) for i in range(3)}
     if aug.minted_objects != expected:
         problems.append("per-leaf bin vocabulary is wrong")

@@ -17,11 +17,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from literal_forge import IRI, BlankNode, Literal, Modality, StrategyConfig, apply, binning, check_output
+from literal_forge.baselines import LofSpec
 from literal_forge.binning import (
-    BinLayout,
     BinLevel,
     BinningSpec,
-    LofSpec,
     NEXT_BIN,
     PARENT_BIN,
     assign_bins_array,
@@ -45,10 +44,10 @@ def numeric_group(lines):
     return group, graph
 
 
-def bin_group(group, graph, spec, lof=None):
+def bin_group(group, graph, spec):
     """bin_statements over every statement of a group of numbers."""
     values = [parse_numeric(lexical) for lexical in group.lexicals]
-    return bin_statements(with_aug(group, graph)[1], spec, group.subjects, values, lof)
+    return bin_statements(with_aug(group, graph)[1], spec, group.subjects, values)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -198,14 +197,16 @@ def test_lof_spec_validation():
 # --- layouts ----------------------------------------------------------------
 
 
-def assign_bins(value: float, layout: BinLayout) -> tuple[tuple[int, int], ...]:
+def assign_bins(
+    value: float, layout: tuple[BinLevel, ...], overlap: float = 0.0
+) -> tuple[tuple[int, int], ...]:
     """(level, bin index) pairs containing *value*, finest level first: the
     one-value call of assign_bins_array.
 
     Flat disjoint layouts yield exactly one pair; overlap and hierarchy can
     yield several. Out-of-range values clamp to the nearest boundary bin.
     """
-    _, levels, bins = assign_bins_array(np.array([value], dtype=float), layout)
+    _, levels, bins = assign_bins_array(np.array([value], dtype=float), layout, overlap)
     return tuple(zip(levels.tolist(), bins.tolist()))
 
 
@@ -213,8 +214,8 @@ def test_equal_width_layout():
     layout = compute_bins(
         [0.0, 10.0, 20.0, 30.0, 40.0], BinningSpec(bins=4), stem=NEW + "height"
     )
-    assert layout.leaf.boundaries == (0.0, 10.0, 20.0, 30.0, 40.0)
-    assert layout.leaf.entities == tuple(NEW + f"heightBin{i:02d}" for i in range(4))
+    assert layout[0].boundaries == (0.0, 10.0, 20.0, 30.0, 40.0)
+    assert layout[0].entities == tuple(NEW + f"heightBin{i:02d}" for i in range(4))
 
 
 def test_equal_frequency_layout_balances_counts():
@@ -227,8 +228,8 @@ def test_equal_frequency_layout_balances_counts():
 
 def test_all_equal_values_single_degenerate_bin():
     layout = compute_bins([5.0, 5.0, 5.0], BinningSpec(bins=10))
-    assert layout.leaf.num_bins == 1
-    assert layout.leaf.boundaries == (5.0, 5.0)
+    assert len(layout[0].entities) == 1
+    assert layout[0].boundaries == (5.0, 5.0)
     assert assign_bins(5.0, layout) == ((0, 0),)
 
 
@@ -239,22 +240,22 @@ def test_subpopulation_and_level_labels():
         stem=NEW + "height",
         subpopulation=3,
     )
-    assert layout.leaf.entities == (NEW + "heightSub3Bin00", NEW + "heightSub3Bin01")
-    assert layout.levels[1].entities == (NEW + "heightSub3L1Bin00",)
+    assert layout[0].entities == (NEW + "heightSub3Bin00", NEW + "heightSub3Bin01")
+    assert layout[1].entities == (NEW + "heightSub3L1Bin00",)
 
 
 def test_label_width_grows_with_bin_count():
     layout = compute_bins([float(i) for i in range(200)], BinningSpec(bins=120))
-    assert layout.leaf.entities[0].endswith("Bin000")
-    assert layout.leaf.entities[-1].endswith("Bin119")
+    assert layout[0].entities[0].endswith("Bin000")
+    assert layout[0].entities[-1].endswith("Bin119")
 
 
 def test_hierarchy_halves_and_stops_at_one():
     layout = compute_bins(
         [float(i) for i in range(100)], BinningSpec(bins=8, hierarchy_depth=5)
     )
-    assert [lvl.num_bins for lvl in layout.levels] == [8, 4, 2, 1]
-    for child, parent in zip(layout.levels, layout.levels[1:]):
+    assert [len(lvl.entities) for lvl in layout] == [8, 4, 2, 1]
+    for child, parent in zip(layout, layout[1:]):
         assert child.boundaries[0] == parent.boundaries[0]
         assert child.boundaries[-1] == parent.boundaries[-1]
 
@@ -270,7 +271,7 @@ _populations = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_flat_assignment_is_a_partition(values, bins):
     layout = compute_bins(values, BinningSpec(bins=bins))
-    b = layout.leaf.boundaries
+    b = layout[0].boundaries
     assert list(b) == sorted(b)
     assert b[0] == min(values) and b[-1] == max(values)
     for v in values:
@@ -279,7 +280,7 @@ def test_flat_assignment_is_a_partition(values, bins):
         (level, idx) = assigned[0]
         assert level == 0
         lo, hi = b[idx], b[idx + 1]
-        if idx == layout.leaf.num_bins - 1:
+        if idx == len(layout[0].entities) - 1:
             assert lo <= v <= hi
         else:
             assert lo <= v < hi
@@ -287,7 +288,7 @@ def test_flat_assignment_is_a_partition(values, bins):
 
 def test_max_value_lands_in_last_bin():
     layout = compute_bins([0.0, 1.0, 2.0, 3.0, 4.0], BinningSpec(bins=5))
-    assert assign_bins(4.0, layout) == ((0, layout.leaf.num_bins - 1),)
+    assert assign_bins(4.0, layout) == ((0, len(layout[0].entities) - 1),)
 
 
 def test_out_of_range_values_clamp():
@@ -297,12 +298,12 @@ def test_out_of_range_values_clamp():
 
 
 def test_overlap_widens_membership():
-    layout = compute_bins([0.0, 10.0, 20.0, 30.0, 40.0], BinningSpec(bins=4, overlap=0.2))
+    layout = compute_bins([0.0, 10.0, 20.0, 30.0, 40.0], BinningSpec(bins=4))
     # 11.0 is within 20% of bin 0's upper edge (widened to 12.0) and inside bin 1
-    assigned = {idx for _, idx in assign_bins(11.0, layout)}
+    assigned = {idx for _, idx in assign_bins(11.0, layout, 0.2)}
     assert assigned == {0, 1}
     # bin centers stay unambiguous
-    assert {idx for _, idx in assign_bins(5.0, layout)} == {0}
+    assert {idx for _, idx in assign_bins(5.0, layout, 0.2)} == {0}
 
 
 def test_hierarchy_assigns_every_level():
@@ -313,20 +314,22 @@ def test_hierarchy_assigns_every_level():
     assert [lvl for lvl, _ in assigned] == [0, 1, 2]
 
 
-def assign_bins_reference(value: float, layout: BinLayout) -> list[tuple[int, int]]:
+def assign_bins_reference(
+    value: float, layout: tuple[BinLevel, ...], overlap: float
+) -> list[tuple[int, int]]:
     """Per-value assignment: bisect for disjoint bins, a scan over the widened
     bins with overlap, the flat bin when no widened bin holds the value."""
     out = []
-    for level_idx, level in enumerate(layout.levels):
+    for level_idx, level in enumerate(layout):
         b = level.boundaries
-        k = level.num_bins
+        k = len(level.entities)
         flat = min(max(bisect_right(b, value) - 1, 0), k - 1)
-        if k == 1 or layout.overlap == 0.0:
+        if k == 1 or overlap == 0.0:
             out.append((level_idx, flat))
             continue
         hits = []
         for i in range(k):
-            w = (b[i + 1] - b[i]) * layout.overlap
+            w = (b[i + 1] - b[i]) * overlap
             lo, hi = b[i] - w, b[i + 1] + w
             if lo <= value < hi or (i == k - 1 and lo <= value <= hi):
                 hits.append(i)
@@ -351,38 +354,38 @@ def test_array_assignment_matches_per_value_reference(
     # population values, every exact boundary of every level, out-of-range
     # values on both sides, and arbitrary probes
     edges = []
-    for level in layout.levels:
+    for level in layout:
         b = level.boundaries
         edges += b
         for lo, hi in zip(b, b[1:]):  # edges of the widened bins
             w = (hi - lo) * overlap
             edges += [lo - w, hi + w]
-    probes = values + edges + [layout.lower - 1.0, layout.upper + 1.0] + extra
-    rows, levels, bin_idx = assign_bins_array(np.array(probes), layout)
+    lower, upper = layout[0].boundaries[0], layout[0].boundaries[-1]
+    probes = values + edges + [lower - 1.0, upper + 1.0] + extra
+    rows, levels, bin_idx = assign_bins_array(np.array(probes), layout, overlap)
     expected = [
         (row, level, idx)
         for row, v in enumerate(probes)
-        for level, idx in assign_bins_reference(v, layout)
+        for level, idx in assign_bins_reference(v, layout, overlap)
     ]
     assert list(zip(rows.tolist(), levels.tolist(), bin_idx.tolist())) == expected
     for v in probes[:5]:
-        assert list(assign_bins(v, layout)) == assign_bins_reference(v, layout)
+        assert list(assign_bins(v, layout, overlap)) == assign_bins_reference(v, layout, overlap)
 
 
 def test_overlap_last_bin_is_closed():
     # a wide first bin widens past the narrow last bin's widened top edge
     level = BinLevel((0.0, 10.0, 11.0), (NEW + "b0", NEW + "b1"))
-    layout = BinLayout((level,), overlap=0.5, connect_adjacent=True)
-    assert assign_bins(11.5, layout) == ((0, 0), (0, 1))
-    assert assign_bins(14.0, layout) == ((0, 0),)
+    assert assign_bins(11.5, (level,), 0.5) == ((0, 0), (0, 1))
+    assert assign_bins(14.0, (level,), 0.5) == ((0, 0),)
 
 
 def test_overlap_assignment_chunked_like_whole(monkeypatch):
     values = np.linspace(-5.0, 105.0, 301)
-    layout = compute_bins(values, BinningSpec(bins=7, overlap=0.3, hierarchy_depth=2))
-    whole = assign_bins_array(values, layout)
+    layout = compute_bins(values, BinningSpec(bins=7, hierarchy_depth=2))
+    whole = assign_bins_array(values, layout, 0.3)
     monkeypatch.setattr(binning, "_CHUNK_CELLS", 3)  # 1 value of 7 bins per chunk
-    for got, want in zip(assign_bins_array(values, layout), whole):
+    for got, want in zip(assign_bins_array(values, layout, 0.3), whole):
         assert np.array_equal(got, want)
 
 
@@ -416,7 +419,7 @@ def lof_oracle(values: list[float], k: int) -> list[float]:
 
 def assert_scores_match(values, k):
     expected = lof_oracle(list(values), k)
-    actual = lof_scores(values, k=k).scores
+    actual = lof_scores(values, k=k)
     for i, (e, a) in enumerate(zip(expected, actual)):
         if math.isinf(e) or math.isinf(a):
             assert e == a, f"index {i}: {e} vs {a}"
@@ -478,37 +481,29 @@ def test_lof_chunk_budget_never_changes_scores(monkeypatch, cells):
     )
     expected = lof_scores(values, k=10)
     monkeypatch.setattr(binning, "_CHUNK_CELLS", cells)
-    actual = lof_scores(values, k=10)
-    assert np.array_equal(actual.scores, expected.scores)
-    assert actual.outlier_indices == expected.outlier_indices
+    assert np.array_equal(lof_scores(values, k=10), expected)
 
 
 def test_lof_flags_isolated_point():
     values = [float(v) for v in [10, 11, 12, 10.5, 11.5, 12.5, 500]]
-    result = lof_scores(values, k=3, threshold=1.5)
-    assert result.outlier_indices == [6]
-    assert result.scores[6] > 1.5
-    assert not result.skipped
+    scores = lof_scores(values, k=3)
+    assert np.flatnonzero(scores > 1.5).tolist() == [6]
 
 
 def test_lof_uniform_population_all_retained():
     values = [float(i) for i in range(40)]
-    result = lof_scores(values, k=5, threshold=1.5)
-    assert result.outlier_indices == []
-    assert np.all(result.scores <= 1.5)
+    assert np.all(lof_scores(values, k=5) <= 1.5)
 
 
-def test_lof_small_population_skips():
-    result = lof_scores([1.0, 2.0, 3.0], k=20)
-    assert result.skipped
-    assert result.outlier_indices == []
-    assert np.all(result.scores == 1.0)
+def test_lof_small_population_skips(caplog):
+    with caplog.at_level("WARNING", logger="literal_forge.binning"):
+        scores = lof_scores([1.0, 2.0, 3.0], k=20)
+    assert np.all(scores == 1.0) and scores.size == 3
+    assert "LOF skipped: 3 values <= k=20" in caplog.text
 
 
 def test_lof_duplicate_population_scores_one():
-    result = lof_scores([7.0] * 30, k=5)
-    assert np.all(result.scores == 1.0)
-    assert result.outlier_indices == []
+    assert np.all(lof_scores([7.0] * 30, k=5) == 1.0)
 
 
 # --- statement emission -----------------------------------------------------
@@ -563,7 +558,7 @@ def test_outliers_split_low_high_around_midpoint():
     values = [-1000.0] + [float(v) for v in range(40, 80)] + [5000.0]
     lines = [numeric_line(f"s{i}", "height", v) for i, v in enumerate(values)]
     group, graph = numeric_group(lines)
-    aug = bin_group(group, graph, BinningSpec(bins=4), LofSpec(k=5, threshold=1.5))
+    aug = bin_group(group, graph, BinningSpec(bins=4, lof=LofSpec(k=5, threshold=1.5)))
     assert aug.delta_statements == len(values)  # outliers keep their statements
     objs = {t.object.value for t in aug.triples}
     assert NEW + "heightOutlierLow" in objs
@@ -582,7 +577,7 @@ def test_lof_all_flagged_skips_filter_with_warning():
     values = [float(i) ** 2 for i in range(10)]
     lines = [numeric_line(f"s{i}", "height", v) for i, v in enumerate(values)]
     group, graph = numeric_group(lines)
-    aug = bin_group(group, graph, BinningSpec(bins=3), LofSpec(k=3, threshold=1e-9))
+    aug = bin_group(group, graph, BinningSpec(bins=3, lof=LofSpec(k=3, threshold=1e-9)))
     assert aug.delta_statements == len(values)
     assert any("filter skipped" in w for w in aug.warnings)
     assert not any(t.object.value.endswith(("OutlierLow", "OutlierHigh")) for t in aug.triples)
@@ -678,16 +673,14 @@ def test_lof_on_subnormal_gaps_scores_as_the_scaled_population(values, scale):
     scaled = [v * 2.0**scale for v in values]
     assert_scores_match(scaled, 5)
     expected = lof_scores(scaled, k=5)
-    actual = lof_scores(values, k=5)
-    assert np.array_equal(actual.scores, expected.scores)
-    assert actual.outlier_indices == expected.outlier_indices
+    assert np.array_equal(lof_scores(values, k=5), expected)
 
 
 def test_lof_lrd_past_the_largest_float_is_infinite():
     # No one power of two brings both the subnormal gaps and 1e300 into range:
     # the cluster's lrd is infinite, so it scores 1.0 and its neighbour inf.
     values = [i * 5e-324 for i in range(35)] + [1e300]
-    result = lof_scores(values, k=5)
-    assert np.all(result.scores[:35] == 1.0)
-    assert result.scores[35] == math.inf
-    assert result.outlier_indices == [35]
+    scores = lof_scores(values, k=5)
+    assert np.all(scores[:35] == 1.0)
+    assert scores[35] == math.inf
+    assert np.flatnonzero(scores > 1.5).tolist() == [35]

@@ -84,7 +84,8 @@ def test_parse_labels_formats():
     assert d2.labels == (("dog", 0.7), ("cat", 0.3))
     d3 = _parse_labels(["cat", "dog"], "t")
     assert d3.labels == (("cat", 1.0), ("dog", 1.0))
-    for bad in ([], [42], [{"name": "x"}], "notalist"):
+    bool_scores = ([{"name": "cat", "score": True}], [["dog", False]])  # a bool is not a number
+    for bad in ([], [42], [{"name": "x"}], "notalist", *bool_scores):
         with pytest.raises(ProviderError):
             _parse_labels(bad, "t")
 

@@ -24,6 +24,7 @@ from literal_forge import (
     parse_ntriples,
     verify_bounds,
 )
+from literal_forge.baselines import BinningSpec, LofSpec
 from literal_forge.graph import Modality, ModalityRules
 from literal_forge.images import RemoteTagProvider, TagMapProvider
 from literal_forge.pipeline import (
@@ -92,21 +93,27 @@ class TestGroupPlan:
         assert plan.params["lof"] == {"k": 5, "threshold": 2.0}
 
     @pytest.mark.parametrize(
-        "strategy,params,bins,percent",
+        "strategy,params,spec",
         [
-            ("NBINS", {}, 10, None),
-            ("NBINS", {"bins": 4}, 4, None),
-            ("PBINS", {}, 10, 0.10),  # PBINS alone sizes by share when not told
-            ("PBINS", {"percent": 0.25}, 10, 0.25),
-            ("NBINS", {"percent": 0.25, "bins": 0}, 0, 0.25),  # a percent leaves bins unread
-            ("DATBIN", {"percent": 0.5}, 10, 0.5),
+            ("NBINS", {}, BinningSpec()),
+            ("NBINS", {"bins": 4}, BinningSpec(bins=4)),
+            ("PBINS", {}, BinningSpec(percent=0.10)),  # PBINS alone sizes by share when not told
+            ("PBINS", {"percent": 0.25}, BinningSpec(percent=0.25)),
+            # a percent leaves bins unread
+            ("NBINS", {"percent": 0.25, "bins": 0}, BinningSpec(bins=0, percent=0.25)),
+            ("DATBIN", {"percent": 0.5}, BinningSpec(percent=0.5)),
+            ("NBINS", {"lof": {"k": 5, "threshold": 2.0}}, BinningSpec(lof=LofSpec(5, 2.0))),
+            ("NBINS", {"lof": None}, BinningSpec(lof=None)),
+            ("KLREL", {"split_threshold": 50}, BinningSpec(split_threshold=50)),
         ],
     )
-    def test_binning_spec_reads_percent(self, strategy, params, bins, percent):
+    def test_binning_spec_reads_percent(self, strategy, params, spec):
         plan = GroupPlan(strategy, dict(params))
-        spec, lof, split = plan.spec
-        assert (spec.bins, spec.percent, lof, split) == (bins, percent, None, {})
+        assert plan.spec == spec
         assert plan.params == params  # the report shows the parameters as given
+
+    def test_combined_numeric_default_filters_outliers(self):
+        assert compose_combined()[Modality.NUMERIC].spec.lof == LofSpec()
 
 
 class TestComposeCombined:

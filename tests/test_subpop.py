@@ -154,7 +154,6 @@ def test_distribution_matches_hand_counts():
     expected = np.array([1 + eps, 3 + eps])
     expected /= expected.sum()
     assert np.allclose(dist.probs, expected, atol=1e-12)
-    assert dist.epsilon == eps
 
 
 def test_distribution_single_relation_near_one():
@@ -187,7 +186,7 @@ def test_distribution_errors():
 
 
 def dist(vocab, probs):
-    return RelationDistribution(tuple(vocab), np.asarray(probs, dtype=float), 0.0)
+    return RelationDistribution(tuple(vocab), np.asarray(probs, dtype=float))
 
 
 def test_kl_identity_is_zero():
@@ -288,7 +287,9 @@ def test_threshold_counts_values_not_subjects():
 def test_kl_rel_binning_routes_every_subject_to_its_leaf():
     graph = make_graph(person_building_lines(200, 200))
     group = height_group(graph)
-    aug, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=100)
+    aug, split = kl_rel_binning(
+        *with_aug(group, graph), graph, REL, BinningSpec(bins=3, split_threshold=100)
+    )
     assert len(split.leaves) > 1
     terms = graph.entity_terms
     leaf_of = {terms[sid]: leaf.leaf_index for leaf in split.leaves for sid in leaf.subjects}
@@ -384,7 +385,7 @@ def test_kl_rel_binning_bins_each_leaf_separately():
     graph = make_graph(person_building_lines())
     group = height_group(graph)
     aug, split = kl_rel_binning(
-        *with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=300
+        *with_aug(group, graph), graph, REL, BinningSpec(bins=3, split_threshold=300)
     )
     assert len(split.leaves) == 2
     assert aug.delta_statements == len(group)
@@ -405,7 +406,9 @@ def test_single_leaf_reduces_to_plain_binning():
     lines = [numeric_line(f"s{i}", "height", float(i)) for i in range(20)]
     graph = make_graph(lines)
     group = height_group(graph)
-    aug, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=4), threshold=300)
+    aug, split = kl_rel_binning(
+        *with_aug(group, graph), graph, REL, BinningSpec(bins=4, split_threshold=300)
+    )
     assert len(split.leaves) == 1
     plain = nbins(*with_aug(group, graph), BinningSpec(bins=4))
     assert aug.triples == plain.triples
@@ -427,12 +430,16 @@ def test_group_below_threshold_builds_no_adjacency():
 
     graph = make_graph(person_building_lines(persons=40, buildings=40))
     group = height_group(graph)
-    aug, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=81)
+    aug, split = kl_rel_binning(
+        *with_aug(group, graph), graph, REL, BinningSpec(bins=3, split_threshold=81)
+    )
     assert "adjacency" not in vars(graph)
     assert [n.to_dict() for n in split.nodes] == [{"values": 80, "subjects": 80, "leaf": 0}]
     assert aug.triples == nbins(*with_aug(group, graph), BinningSpec(bins=3)).triples
     # At the threshold the root may split, so the signatures are needed.
-    _, split = kl_rel_binning(*with_aug(group, graph), graph, REL, BinningSpec(bins=3), threshold=80)
+    _, split = kl_rel_binning(
+        *with_aug(group, graph), graph, REL, BinningSpec(bins=3, split_threshold=80)
+    )
     assert len(split.leaves) == 2
     assert "adjacency" in vars(graph)
 
