@@ -4,16 +4,14 @@ EXCLUDE drops literal statements, TRANSFORM mints one entity per distinct
 (predicate, value) pair, ONEENTITY mints a single per-predicate entity that
 only records the presence of a value. Minted IRIs live under a reserved
 namespace so they can never collide with pre-existing entities. The binning,
-LOF and LDA parameter specs and the JSON file loader live here too, so loading
-a config needs no numpy.
+LOF and LDA parameter specs live here too, so loading a config needs no numpy.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 from urllib.parse import quote
 
 from .graph import Augmentation, LiteralGroup
@@ -194,19 +192,3 @@ class LdaSpec:
         if self.alpha is not None and not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
-
-def _load_json(path: str, what: str, error: type[Exception]) -> Any:
-    """The JSON value in the file at *path*, which messages call *what*.
-
-    An unreadable file, bytes that are not UTF-8 JSON, or nesting too deep
-    for the decoder raises *error*.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise error(f"{what} {path} is nested too deeply") from None

@@ -16,9 +16,9 @@ import os
 import sys
 import zlib
 from contextlib import closing, contextmanager, suppress
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from .graph import ModalityRules, index_rows, profile_rows
+# verify needs only these; profile adds graph, and transform or --config pipeline.
 from .ntriples import (
     ParseDiagnostic,
     ParseError,
@@ -27,16 +27,11 @@ from .ntriples import (
     scan_ntriples,
     write_lines,
 )
-from .pipeline import (
-    AugmentationReport,
-    ConfigError,
-    PipelineResult,
-    StrategyConfig,
-    StrategyError,
-    apply,
-    check_rows,
-    shortcut_defaults,
-)
+from .report import AugmentationReport, ConfigError, check_rows
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineResult, StrategyConfig
+
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
@@ -127,11 +122,16 @@ def _read_input(path: str, consume: Callable[[Any], Any], strict: bool) -> Any:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    try:
-        rules = StrategyConfig.from_file(args.config).rules if args.config else ModalityRules()
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
+    from .graph import ModalityRules, profile_rows
+
+    rules = ModalityRules()
+    if args.config:
+        from .pipeline import StrategyConfig  # only a config needs the pipeline
+        try:
+            rules = StrategyConfig.from_file(args.config).rules
+        except ConfigError as exc:
+            log.error("%s", exc)
+            return EXIT_CONFIG
     result = _read_input(args.input, lambda rows: profile_rows(rows, rules), args.strict)
     if result is None:
         return EXIT_INPUT
@@ -140,6 +140,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _load_config(args: argparse.Namespace) -> StrategyConfig:
+    from .pipeline import StrategyConfig, shortcut_defaults
+
     config = StrategyConfig.from_file(args.config) if args.config else StrategyConfig()
     if args.strategy:
         config.defaults = shortcut_defaults(args.strategy, config.fallback)
@@ -178,6 +180,11 @@ def _lines(result: PipelineResult, text: TermText, weights: bool = False) -> Ite
         yield f"{iri(a)} {iri(r)} {iri(b)} ."
 
 
+def _output_paths(output: str) -> tuple[str, str, str]:
+    """The paths transform writes: output, report and weights sidecar."""
+    return output, output + ".report.json", output + ".weights.tsv"
+
+
 def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> int:
     """Write the output, report and weights, replacing earlier ones atomically.
 
@@ -188,8 +195,7 @@ def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> i
     and earlier files stay. The output and the weights, with *emit_weights*,
     are written by _lines from one TermText; returns the output's line count.
     """
-    report = output + ".report.json"
-    weights = output + ".weights.tsv"
+    _, report, weights = _output_paths(output)
     targets = [output, report, weights] if emit_weights else [output, report]
     text = TermText(result.graph.entity_terms)
     temp = {target: f"{target}.{os.getpid()}.tmp" for target in targets}
@@ -216,11 +222,19 @@ def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> i
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    from .graph import index_rows
+    from .pipeline import StrategyError, apply
+
     try:
         config = _load_config(args)
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
+    # A write replaces each path and removes stale sidecars: never a FIFO or device.
+    for path in _output_paths(args.output):
+        if os.path.exists(path) and not os.path.isfile(path):
+            log.error("%s exists and is not a regular file; nothing was written", path)
+            return EXIT_INPUT
 
     graph = _read_input(args.input, lambda rows: index_rows(rows, config.rules), args.strict)
     if graph is None:
@@ -258,6 +272,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.input == "-" and not args.report:
+        log.error("verify --input - needs --report: stdin has no report beside it")
+        return EXIT_CONFIG
     report_path = args.report or args.input + ".report.json"
     try:
         report = AugmentationReport.from_file(report_path)
@@ -310,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a transform output against its report")
     common(p_verify, config=False)
     p_verify.add_argument(
-        "--report", help="report JSON path (default: <input>.report.json)"
+        "--report", help="report JSON path (default: <input>.report.json; required for stdin)"
     )
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -16,8 +16,9 @@ import time
 from dataclasses import dataclass
 from typing import Protocol
 
-from .baselines import Augmentation, _load_json, link_any_value, note_fallback, sanitize_value
+from .baselines import Augmentation, link_any_value, note_fallback, sanitize_value
 from .graph import LiteralGroup
+from .report import _load_json
 from .terms import BlankNode, XSD_BASE64
 
 log = logging.getLogger(__name__)

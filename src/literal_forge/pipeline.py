@@ -1,27 +1,25 @@
-"""Strategy orchestration: configuration, execution, merging, bound checks.
+"""Strategy orchestration: configuration, execution, merging.
 
 The pipeline routes every literal group to a strategy (per-predicate
 override, else per-modality default), runs the strategies, merges their
 augmentations with the untouched relational triples, and produces a report
-whose per-predicate size deltas are checked against the declared growth
-bounds. Failures of individual strategies degrade to a configurable
-fallback instead of aborting the whole run.
+(see `report`) whose per-predicate size deltas are checked against the
+declared growth bounds. Failures of individual strategies degrade to a
+configurable fallback instead of aborting the whole run.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 from dataclasses import dataclass, field
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
-from .baselines import DEFAULT_NAMESPACE, BinningSpec, LdaSpec, LofSpec, bin_count
-from .baselines import _load_json, sanitize_value
+from .baselines import DEFAULT_NAMESPACE, BinningSpec, LdaSpec, LofSpec, bin_count, sanitize_value
 from .graph import Augmentation, IndexedGraph, LiteralGroup, Modality, ModalityRules, _rows
-from .ntriples import Row
+from .report import AugmentationReport, ConfigError, PredicateReport, _load_json, _read_json
+from .report import check_rows, verify_bounds
 from .terms import _IRI_BAD, IRI, Triple, local_name
 
 if TYPE_CHECKING:
@@ -52,10 +50,6 @@ def _entry(name: str) -> Callable[..., Any]:
 
 
 __getattr__ = _entry  # PEP 562: reading pipeline.<entry point> imports it too
-
-
-class ConfigError(ValueError):
-    """The configuration is unusable; nothing has been transformed."""
 
 
 class StrategyError(RuntimeError):
@@ -136,86 +130,7 @@ _PROVIDERS = {
     "remote": {"kind": "string", "endpoint": "string", "timeout": "number", "retries": "int"},
 }
 
-# The report's layout: each key in written order, with its JSON type. The
-# reader requires every key. The three *_total keys are sums over the rows,
-# written from them and checked against them on read.
-_REPORT_ROW = {
-    "predicate": "string", "modality": "string", "strategy": "string",
-    "statements": "int", "distinct_values": "int", "parsed": "int",
-    "fallback_statements": "int", "delta_entities": "int", "delta_statements": "int",
-    "structural": "int", "removed": "int", "entity_allowance": "int",
-    "statement_delta_exact": "int?", "statement_delta_max": "int?",
-    "exceptions": "list", "warnings": "list", "fell_back_to": "string?",
-    "params": "object", "detail": "object", "verdict": "string",
-}
-_REPORT = {
-    "namespace": "string", "seed": "int", "relational_preserved": "int",
-    "delta_entities_total": "int", "delta_statements_total": "int", "removed_total": "int",
-    "structural_total": "int", "minted_entities_in_output": "int",
-    "minted_relations_in_output": "int", "duplicates_removed": "int",
-    "warnings": "list", "predicates": [_REPORT_ROW],
-}
-_REPORT_TOTALS = ("delta_entities_total", "delta_statements_total", "removed_total")
-
-# A JSON type name: what it reads as in a message, and its test. A bool is
-# not a number; an int is.
-_JSON_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "count": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "number": ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
-    "bool": ("true or false", lambda v: type(v) is bool),
-    "string": ("a string", lambda v: type(v) is str),
-    "object": ("an object", lambda v: type(v) is dict),
-    "list": ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
-}
-
 MODALITY_NAMES = {m.value: m for m in Modality}
-
-
-def _read_json(
-    raw: Any, schema: dict[str, Any], what: str, required: bool = False
-) -> dict[str, Any]:
-    """*raw* checked against *schema*, as a new dict with numbers as floats.
-
-    *schema* maps each allowed key to a type name of ``_JSON_TYPES``; a
-    trailing "?" also allows null. A nested schema is an object read the
-    same way, or null; a schema in a one-item list is a list of such
-    objects. With *required*, every key of *schema*, and of each object in
-    its lists, must be present. *what* names the keys in messages.
-    """
-    if type(raw) is not dict:
-        raise ConfigError(f"{what}: expected a JSON object, not {raw!r}")
-    unknown = set(raw) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
-    missing = [key for key in schema if key not in raw] if required else []
-    if missing:
-        raise ConfigError(f"{what}: missing {missing}")
-    out: dict[str, Any] = {}
-    for key, value in raw.items():
-        kind = schema[key]
-        if isinstance(kind, list):
-            if type(value) is not list:
-                raise ConfigError(f"{what}: {key} must be a list of objects, not {value!r}")
-            out[key] = [
-                _read_json(item, kind[0], f"{key}[{i}] keys", required)
-                for i, item in enumerate(value)
-            ]
-            continue
-        if isinstance(kind, dict):
-            try:
-                out[key] = None if value is None else _read_json(value, kind, f"{key} keys")
-            except ConfigError as exc:
-                raise ConfigError(f"bad {key} settings: {exc}") from None
-            continue
-        nullable = kind.endswith("?")
-        kind = kind.rstrip("?")
-        described, fits = _JSON_TYPES[kind]
-        if not (fits(value) or (nullable and value is None)):
-            described += " or null" if nullable else ""
-            raise ConfigError(f"{what}: {key} must be {described}, not {value!r}")
-        out[key] = float(value) if kind == "number" and value is not None else value
-    return out
 
 
 @dataclass(frozen=True)
@@ -426,88 +341,6 @@ def shortcut_defaults(strategy: str, fallback: str | None) -> dict[Modality, Gro
         else:
             out[modality] = degraded
     return out
-
-
-@dataclass
-class PredicateReport:
-    """One report row: what happened to one literal group."""
-
-    predicate: str
-    modality: str
-    strategy: str
-    statements: int
-    distinct_values: int
-    parsed: int
-    fallback_statements: int
-    delta_entities: int
-    delta_statements: int
-    structural: int
-    removed: int
-    entity_allowance: int
-    statement_delta_exact: int | None
-    statement_delta_max: int | None
-    exceptions: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    fell_back_to: str | None = None
-    params: dict[str, Any] = field(default_factory=dict)
-    detail: dict[str, Any] = field(default_factory=dict)
-    verdict: str = "unchecked"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {key: getattr(self, key) for key in _REPORT_ROW}
-
-
-@dataclass
-class AugmentationReport:
-    """Run summary: per-predicate rows plus global accounting.
-
-    Row sums give the totals; the *_in_output fields are post-merge counts
-    (structural triples and shared entities are deduplicated across rows).
-    """
-
-    namespace: str
-    seed: int
-    rows: list[PredicateReport] = field(default_factory=list)
-    relational_preserved: int = 0
-    structural_total: int = 0
-    minted_entities_in_output: int = 0
-    minted_relations_in_output: int = 0
-    duplicates_removed: int = 0
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def delta_entities_total(self) -> int:
-        return sum(r.delta_entities for r in self.rows)
-
-    @property
-    def delta_statements_total(self) -> int:
-        return sum(r.delta_statements for r in self.rows)
-
-    @property
-    def removed_total(self) -> int:
-        return sum(r.removed for r in self.rows)
-
-    def to_dict(self) -> dict[str, Any]:
-        rows = [row.to_dict() for row in self.rows]
-        return {key: rows if key == "predicates" else getattr(self, key) for key in _REPORT}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    @classmethod
-    def from_dict(cls, raw: Any) -> "AugmentationReport":
-        """A report from its JSON form; one that breaks the layout raises ValueError."""
-        raw = _read_json(raw, _REPORT, "report keys", required=True)
-        totals = {key: raw.pop(key) for key in _REPORT_TOTALS}
-        rows = [PredicateReport(**row) for row in raw.pop("predicates")]
-        report = cls(rows=rows, **raw)
-        if any(getattr(report, key) != value for key, value in totals.items()):
-            raise ValueError("report totals do not match the sum of its rows")
-        return report
-
-    @classmethod
-    def from_file(cls, path: str) -> "AugmentationReport":
-        return cls.from_dict(_load_json(path, "report", ValueError))
 
 
 @dataclass
@@ -765,134 +598,9 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
     return PipelineResult(graph, augmentations, list(structural), report)
 
 
-def verify_bounds(report: AugmentationReport) -> dict[str, str]:
-    """Check every row's measured deltas against its declared growth bounds.
-
-    Sets each row's verdict: pass, pass-with-exceptions (documented
-    multi-edge or outlier-entity cases), or fail.
-    """
-    verdicts: dict[str, str] = {}
-    for row in report.rows:
-        problems: list[str] = []
-        if row.delta_entities > row.entity_allowance:
-            problems.append(
-                f"delta_entities {row.delta_entities} exceeds allowance {row.entity_allowance}"
-            )
-        if row.statement_delta_exact is not None and row.delta_statements != row.statement_delta_exact:
-            problems.append(
-                f"delta_statements {row.delta_statements} != expected {row.statement_delta_exact}"
-            )
-        if row.statement_delta_max is not None and row.delta_statements > row.statement_delta_max:
-            problems.append(
-                f"delta_statements {row.delta_statements} exceeds cap {row.statement_delta_max}"
-            )
-        if row.statement_delta_exact is None and row.statement_delta_max is None and row.strategy != EXCLUDE:
-            if row.delta_statements < row.statements:
-                problems.append(
-                    f"delta_statements {row.delta_statements} below statement count {row.statements}"
-                )
-        if row.strategy == EXCLUDE and row.removed != row.statements:
-            problems.append(f"removed {row.removed} != statements {row.statements}")
-        if problems:
-            row.verdict = "fail: " + "; ".join(problems)
-        elif row.exceptions:
-            row.verdict = "pass-with-exceptions"
-        else:
-            row.verdict = "pass"
-        verdicts[f"{row.predicate}|{row.modality}"] = row.verdict
-    return verdicts
-
-
 def check_output(triples: Iterable[Triple], report: AugmentationReport) -> list[str]:
     """check_rows over triples, for callers that hold Triple objects.
 
     A triple with a literal subject or a non-IRI predicate raises ValueError.
     """
     return check_rows(_rows(triples), report)
-
-
-def check_rows(rows: Iterable[Row], report: AugmentationReport) -> list[str]:
-    """Recompute the report's accounting from merged output rows, in one pass.
-
-    Returns a list of problems, empty when the output is consistent with
-    the report: no literals, relational count preserved, per-predicate
-    delta_statements and delta_entities match, global minted-term counts
-    match, and every bound verdict passes.
-    """
-    namespace = report.namespace
-    problems: list[str] = []
-    relational = 0
-    structural = 0
-    per_pred_statements: dict[str, int] = {}
-    per_pred_objects: dict[str, set[str]] = {}
-    minted_entities: set[str] = set()
-    minted_relations: set[str] = set()
-
-    for s_iri, _, pred, o_iri, _, lexical, _, _ in rows:
-        if lexical is not None:
-            problems.append(f"literal object survived: {lexical[:50]!r}")
-            continue
-        s_minted = s_iri is not None and s_iri.startswith(namespace)
-        o_minted = o_iri is not None and o_iri.startswith(namespace)
-        p_minted = pred.startswith(namespace)
-        if o_minted:
-            minted_entities.add(o_iri)
-        if p_minted:
-            minted_relations.add(pred)
-        if s_minted:
-            minted_entities.add(s_iri)
-            structural += 1
-        elif o_minted:
-            per_pred_statements[pred] = per_pred_statements.get(pred, 0) + 1
-            per_pred_objects.setdefault(pred, set()).add(o_iri)
-        elif p_minted:
-            problems.append(f"minted relation on original terms: {pred}")
-        else:
-            relational += 1
-
-    if relational != report.relational_preserved:
-        problems.append(
-            f"relational triples {relational} != reported {report.relational_preserved}"
-        )
-    if structural != report.structural_total:
-        problems.append(f"structural triples {structural} != reported {report.structural_total}")
-    if len(minted_entities) != report.minted_entities_in_output:
-        problems.append(
-            f"minted entities {len(minted_entities)} != reported {report.minted_entities_in_output}"
-        )
-    if len(minted_relations) != report.minted_relations_in_output:
-        problems.append(
-            f"minted relations {len(minted_relations)} != reported {report.minted_relations_in_output}"
-        )
-
-    by_pred: dict[str, list[PredicateReport]] = {}
-    for row in report.rows:
-        by_pred.setdefault(row.predicate, []).append(row)
-    for pred, rows in by_pred.items():
-        measured_s = per_pred_statements.get(pred, 0)
-        reported_s = sum(r.delta_statements for r in rows)
-        if measured_s != reported_s:
-            problems.append(
-                f"{pred}: output statements {measured_s} != reported {reported_s}"
-            )
-        measured_e = len(per_pred_objects.get(pred, ()))
-        if len(rows) == 1:
-            if measured_e != rows[0].delta_entities:
-                problems.append(
-                    f"{pred}: output entities {measured_e} != reported {rows[0].delta_entities}"
-                )
-        else:
-            cap = sum(r.delta_entities for r in rows)
-            if measured_e > cap:
-                problems.append(
-                    f"{pred}: output entities {measured_e} exceed reported total {cap}"
-                )
-    for pred in per_pred_statements:
-        if pred not in by_pred:
-            problems.append(f"{pred}: minted statements for an unreported predicate")
-
-    verify_bounds(report)
-    for row in report.rows:
-        if row.verdict.startswith("fail"):
-            problems.append(f"{row.predicate} [{row.modality}]: {row.verdict}")
-    return problems

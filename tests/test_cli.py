@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import os
+import stat
 import subprocess
 import sys
 import types
@@ -249,6 +250,19 @@ class TestTransform:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("suffix", ["", ".report.json", ".weights.tsv"])
+    def test_refuses_a_path_that_is_not_a_regular_file(self, sample_nt, tmp_path, caplog, suffix):
+        fifo = tmp_path / f"out.nt{suffix}"
+        os.mkfifo(fifo)
+        with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+            code, _ = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
+        assert code == EXIT_INPUT
+        [message] = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
+        assert message == f"{fifo} exists and is not a regular file; nothing was written"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["input.nt", fifo.name])
+
 
 def with_row(raw: dict, **changes) -> dict:
     """A report dict whose first row has *changes* applied."""
@@ -300,6 +314,20 @@ class TestVerify:
 
     def test_missing_report(self, sample_nt, tmp_path):
         assert main(["verify", "--input", sample_nt]) == EXIT_INPUT
+
+    def test_stdin_reads_the_given_report_and_needs_one(
+        self, sample_nt, tmp_path, monkeypatch, caplog, capsys
+    ):
+        _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
+        stdin = types.SimpleNamespace(buffer=io.BytesIO(Path(out).read_bytes()))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+            assert main(["verify", "--input", "-"]) == EXIT_CONFIG
+        [message] = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
+        assert message == "verify --input - needs --report: stdin has no report beside it"
+        assert capsys.readouterr().out == "" and stdin.buffer.tell() == 0
+        assert main(["verify", "--input", "-", "--report", out + ".report.json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"ok": True, "problems": []}
 
     def test_malformed_line_near_the_end_fails_without_a_verdict(self, sample_nt, tmp_path, capsys):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
@@ -855,12 +883,29 @@ print(json.dumps({"codes": codes, "loaded": [relational, loaded()],
                   "numpy": sys.modules["numpy"] is not None}))
 """
 
-# Runs a KLREL transform with numpy present and prints whether numpy.ma loaded.
+# Runs one command with numpy present and prints whether numpy and numpy.ma
+# loaded, and which of the package's modules.
 _WITH_NUMPY = """
 import json, sys
 from literal_forge.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "ma": "numpy.ma" in sys.modules}))
+modules = sorted(name for name in sys.modules if name.startswith("literal_forge."))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "ma": "numpy.ma" in sys.modules,
+                  "modules": modules}))
+"""
+
+# Imports the package alone, then reads every name of __all__ and one unknown.
+_PACKAGE = """
+import json, sys
+import literal_forge
+loaded = [name for name in sys.modules if name.startswith("literal_forge.")]
+unresolved = [name for name in literal_forge.__all__ if getattr(literal_forge, name, None) is None]
+try:
+    literal_forge.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"loaded": loaded, "unresolved": unresolved, "unknown": unknown}))
 """
 
 
@@ -894,19 +939,40 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
         "numpy": False,
     }
 
+    def run(*argv: str) -> dict:
+        done = python("-c", _WITH_NUMPY, *argv)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
     # Binning and the relational-signature split load numpy but not numpy.ma.
     split = tmp_path / "split.json"
     config = {"defaults": {"numeric": {"strategy": "KLREL", "params": {"split_threshold": 2}}}}
     split.write_text(json.dumps(config), encoding="utf-8")
     numbers, split_out = str(tmp_path / "numbers.nt"), str(tmp_path / "split.nt")
-    done = python(
-        "-c", _WITH_NUMPY, "transform", "--input", numbers, "--output", split_out,
-        "--config", str(split),
-    )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {"code": EXIT_OK, "numpy": True, "ma": False}
+    result = run("transform", "--input", numbers, "--output", split_out, "--config", str(split))
+    assert (result["code"], result["numpy"], result["ma"]) == (EXIT_OK, True, False)
     [row] = AugmentationReport.from_file(split_out + ".report.json").rows
     assert row.strategy == "KLREL" and row.detail["leaves"] > 1
+
+    # verify loads the report module, not the pipeline; profile adds the graph,
+    # and the pipeline only to read a config.
+    verify = ["cli", "ntriples", "report", "terms"]
+    for argv, extra in [
+        (["verify", "--input", paths[2]], []),
+        (["profile", "--input", paths[0]], ["graph"]),
+        (["profile", "--input", numbers, "--config", str(split)], ["baselines", "graph", "pipeline"]),
+    ]:
+        modules = sorted(f"literal_forge.{name}" for name in verify + extra)
+        assert run(*argv) == {"code": EXIT_OK, "numpy": False, "ma": False, "modules": modules}
+
+    # The package alone loads no submodule and serves each exported name on first read.
+    done = python("-c", _PACKAGE)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "loaded": [],
+        "unresolved": [],
+        "unknown": "module 'literal_forge' has no attribute 'no_such_name'",
+    }
 
     # A strategy whose import fails fails the run; no fallback absorbs it.
     binned = tmp_path / "binned.nt"

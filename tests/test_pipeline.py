@@ -30,12 +30,11 @@ from literal_forge.images import RemoteTagProvider, TagMapProvider
 from literal_forge.pipeline import (
     STRATEGIES,
     GroupPlan,
-    _REPORT_ROW,
-    PredicateReport,
     check_namespace,
     derive_seed,
     shortcut_defaults,
 )
+from literal_forge.report import _REPORT_ROW, PredicateReport
 from util import (
     EX,
     IMAGE_RULES,
