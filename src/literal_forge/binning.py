@@ -124,29 +124,16 @@ def compute_bins(
     if arr.size == 0:
         raise ValueError("cannot bin an empty population")
     unique = len(sorted_distinct(arr))
-    k = bin_count(arr.size, unique, spec)
-    boundaries = _leaf_boundaries(arr, k, spec.scheme)
-    k = max(len(boundaries) - 1, 1)
-    width = max(2, len(str(k - 1)))
-    levels = [
-        BinLevel(
-            tuple(boundaries),
-            tuple(_bin_label(stem, subpopulation, 0, i, width) for i in range(k)),
-        )
-    ]
-    prev = boundaries
-    for depth in range(1, spec.hierarchy_depth + 1):
-        if len(prev) - 1 <= 1:
+    boundaries = _leaf_boundaries(arr, bin_count(arr.size, unique, spec), spec.scheme)
+    width = max(2, len(str(len(boundaries) - 2)))  # digits of the last leaf bin
+    levels = []
+    for depth in range(spec.hierarchy_depth + 1):
+        k = len(boundaries) - 1
+        labels = tuple(_bin_label(stem, subpopulation, depth, i, width) for i in range(k))
+        levels.append(BinLevel(tuple(boundaries), labels))
+        if k == 1:
             break
-        coarse = prev[0:-1:2] + [prev[-1]]
-        n_bins = max(len(coarse) - 1, 1)
-        levels.append(
-            BinLevel(
-                tuple(coarse),
-                tuple(_bin_label(stem, subpopulation, depth, i, width) for i in range(n_bins)),
-            )
-        )
-        prev = coarse
+        boundaries = boundaries[0:-1:2] + [boundaries[-1]]
     return tuple(levels)
 
 

@@ -16,7 +16,7 @@ import os
 import sys
 import zlib
 from contextlib import closing, contextmanager, suppress
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator
 
 # verify needs only these; profile adds graph, and transform or --config pipeline.
 from .ntriples import (
@@ -188,31 +188,40 @@ def _output_paths(output: str) -> tuple[str, str, str]:
 def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> int:
     """Write the output, report and weights, replacing earlier ones atomically.
 
-    Each goes to a temp file beside its target first. Only once every write
+    Each goes to a new temp file beside its target first: anything already
+    at that path fails the write and is left alone. Only once every write
     has succeeded are the old report and weights removed and each temp file
     moved into place, output first, so a crash can never pair a new output
-    with an old report or sidecar. On failure the temp files are removed
-    and earlier files stay. The output and the weights, with *emit_weights*,
-    are written by _lines from one TermText; returns the output's line count.
+    with an old report or sidecar. On failure the temp files made here are
+    removed and earlier files stay. The output and the weights, with
+    *emit_weights*, are written by _lines from one TermText; returns the
+    output's line count.
     """
     _, report, weights = _output_paths(output)
     targets = [output, report, weights] if emit_weights else [output, report]
     text = TermText(result.graph.entity_terms)
-    temp = {target: f"{target}.{os.getpid()}.tmp" for target in targets}
+    temp: dict[str, str] = {}  # target: the temp file made for it and not yet moved
+
+    def create(target: str) -> IO[bytes]:
+        path = f"{target}.{os.getpid()}.tmp"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        temp[target] = path
+        return open(fd, "wb")
+
     try:
-        with open(temp[output], "wb") as out:
+        with create(output) as out:
             count = write_lines(_lines(result, text), out)
-        with open(temp[report], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(result.report.to_json())
-            fh.write("\n")
+        with create(report) as out:
+            out.write(f"{result.report.to_json()}\n".encode())
         if emit_weights:
-            with open(temp[weights], "wb") as out:
+            with create(weights) as out:
                 write_lines(_lines(result, text, weights=True), out)
         for stale in (report, weights):
             with suppress(FileNotFoundError):
                 os.remove(stale)
         for target in targets:
             os.replace(temp[target], target)
+            del temp[target]
     except BaseException:
         for path in temp.values():
             with suppress(OSError):

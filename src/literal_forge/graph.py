@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 import json
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -30,7 +31,6 @@ from .terms import (
 )
 
 if TYPE_CHECKING:
-    from array import array
     import numpy as np
 
 
@@ -95,14 +95,6 @@ class LiteralGroup:
         return len(self.subjects)
 
 
-def _column(typecode: str = "q") -> array:
-    """An empty packed column, of 64-bit ids unless *typecode* says otherwise,
-    so a link holds no int or float object. array is a shared library, loaded
-    here only by runs that mint links."""
-    from array import array
-    return array(typecode)
-
-
 @dataclass
 class Augmentation:
     """Statements produced by one strategy application, as columns.
@@ -122,10 +114,10 @@ class Augmentation:
     entity_terms: Sequence[Term] = field(default=(), repr=False)
     namespace: str = ""
     stem: str = ""
-    subjects: array = field(default_factory=_column)
+    subjects: array = field(default_factory=lambda: array("q"))
     objects: list[str] = field(default_factory=list)
-    scored: array = field(default_factory=_column)
-    weights: array = field(default_factory=partial(_column, "d"))
+    scored: array = field(default_factory=lambda: array("q"))
+    weights: array = field(default_factory=lambda: array("d"))
     structural: list[tuple[str, str, str]] = field(default_factory=list)
     removed: int = 0
     warnings: list[str] = field(default_factory=list)

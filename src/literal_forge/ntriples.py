@@ -61,11 +61,6 @@ _ECHAR_DECODE = {
 
 _ESCAPE_SEQ = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 
-# Canonical string escaping: only backslash, quote, LF and CR use ECHARs;
-# everything else stays raw UTF-8.
-_CANON_ESCAPE = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"}
-_CANON_NEEDED = re.compile(r'[\\"\n\r]')
-
 # Statements encoded and written per write() call.
 _WRITE_BATCH = 256
 
@@ -266,27 +261,9 @@ def parse_ntriples(
     return triples, diagnostics
 
 
-def _escape_string(lexical: str) -> str:
-    if _CANON_NEEDED.search(lexical) is None:
-        return lexical
-    return "".join(_CANON_ESCAPE.get(c, c) for c in lexical)
-
-
-def format_term(term: Term) -> str:
-    if isinstance(term, IRI):
-        return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    escaped = _escape_string(term.lexical)
-    if term.language is not None:
-        return f'"{escaped}"@{term.language}'
-    if term.datatype == XSD_STRING:
-        return f'"{escaped}"'
-    return f'"{escaped}"^^<{term.datatype}>'
-
-
 class TermText:
-    """The canonical text of terms, each validated the first time it is asked for.
+    """The canonical text of terms, str(term), each validated the first time
+    it is asked for.
 
     A term's text is kept under its key: an IRI's string, or the term
     itself. So an entity IRI and the same IRI met as a string are one
@@ -314,7 +291,7 @@ class TermText:
 
     def _first(self, key: str | Term, term: Term) -> str:
         _check(validate_term, term)
-        out = self.by_key[key] = format_term(term)
+        out = self.by_key[key] = str(term)
         return out
 
 

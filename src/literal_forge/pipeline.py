@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from importlib import import_module
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
@@ -422,6 +423,14 @@ class _GroupOutcome:
     detail: dict[str, Any] = field(default_factory=dict)
 
 
+def augmentation_for(group: LiteralGroup, graph: IndexedGraph, namespace: str) -> Augmentation:
+    """The empty augmentation a strategy fills for *group*: its names start
+    with the stem, *namespace* and the predicate's local name, or, when
+    shared by design, with the bare *namespace*."""
+    stem = namespace + sanitize_value(local_name(group.predicate))
+    return Augmentation(group.predicate, graph.entity_terms, namespace, stem)
+
+
 def _run_strategy(
     group: LiteralGroup,
     graph: IndexedGraph,
@@ -432,8 +441,7 @@ def _run_strategy(
 ) -> _GroupOutcome:
     S = len(group)
     name = plan.strategy
-    stem = config.namespace + sanitize_value(local_name(group.predicate))
-    aug = Augmentation(group.predicate, graph.entity_terms, config.namespace, stem)
+    aug = augmentation_for(group, graph, config.namespace)
 
     if name == EXCLUDE:
         return _GroupOutcome(baselines.exclude(group, aug), 0, 0, None)
@@ -507,16 +515,10 @@ def _run_strategy(
 
 def check_namespace(graph: IndexedGraph, namespace: str) -> None:
     """Reject inputs that already use the reserved minting namespace."""
-    for term in graph.entity_terms:
-        if isinstance(term, IRI) and term.value.startswith(namespace):
-            raise ConfigError(
-                f"input already contains IRIs under the minting namespace: {term.value}"
-            )
-    for iri in graph.relation_iris:
+    entity_iris = (term.value for term in graph.entity_terms if isinstance(term, IRI))
+    for iri in chain(entity_iris, graph.relation_iris):
         if iri.startswith(namespace):
-            raise ConfigError(
-                f"input already contains IRIs under the minting namespace: {iri}"
-            )
+            raise ConfigError(f"input already contains IRIs under the minting namespace: {iri}")
 
 
 def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:

@@ -198,13 +198,12 @@ class AugmentationReport:
         return cls.from_dict(_load_json(path, "report", ValueError))
 
 
-def verify_bounds(report: AugmentationReport) -> dict[str, str]:
+def verify_bounds(report: AugmentationReport) -> None:
     """Check every row's measured deltas against its declared growth bounds.
 
     Sets each row's verdict: pass, pass-with-exceptions (documented
     multi-edge or outlier-entity cases), or fail.
     """
-    verdicts: dict[str, str] = {}
     for row in report.rows:
         problems: list[str] = []
         if row.delta_entities > row.entity_allowance:
@@ -232,8 +231,6 @@ def verify_bounds(report: AugmentationReport) -> dict[str, str]:
             row.verdict = "pass-with-exceptions"
         else:
             row.verdict = "pass"
-        verdicts[f"{row.predicate}|{row.modality}"] = row.verdict
-    return verdicts
 
 
 def check_rows(rows: Iterable[Row], report: AugmentationReport) -> list[str]:

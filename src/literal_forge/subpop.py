@@ -295,11 +295,7 @@ def _split_subjects(
 ) -> PopulationSplit:
     if mode not in (REL, RELENT):
         raise ValueError(f"unknown signature mode: {mode!r}")
-    value_counts: dict[int, int] = {}
-    for subject_id in statement_subjects:
-        value_counts[subject_id] = value_counts.get(subject_id, 0) + 1
-    subjects = np.array(sorted(value_counts), np.int64)
-    values = np.array([value_counts[s] for s in subjects.tolist()], np.int64)
+    subjects, values = np.unique(np.asarray(statement_subjects, np.int64), return_counts=True)
     # A root below the threshold stays one leaf, so it needs no signatures
     # (and so no adjacency).
     incidence = _incidence(subjects, graph, mode) if len(statement_subjects) >= threshold else None

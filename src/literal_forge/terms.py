@@ -58,6 +58,9 @@ _IRI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 # N-Triples blank node label (practical ASCII subset; no leading/trailing dot).
 _BNODE_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.:\-]*[A-Za-z0-9_:\-])?$")
 _LANG_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*$")
+# Canonical string escaping: only backslash, quote, LF and CR use ECHARs;
+# everything else stays raw UTF-8.
+_CANON_ESCAPE = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
 
 class TermError(ValueError):
@@ -87,11 +90,12 @@ class Literal:
     language: str | None = None
 
     def __str__(self) -> str:
+        lexical = self.lexical.translate(_CANON_ESCAPE)
         if self.language is not None:
-            return f'"{self.lexical}"@{self.language}'
+            return f'"{lexical}"@{self.language}'
         if self.datatype == XSD_STRING:
-            return f'"{self.lexical}"'
-        return f'"{self.lexical}"^^<{self.datatype}>'
+            return f'"{lexical}"'
+        return f'"{lexical}"^^<{self.datatype}>'
 
 
 Term = IRI | BlankNode | Literal

@@ -64,14 +64,6 @@ class Corpus:
     vocabulary: tuple[str, ...]
 
     @property
-    def num_documents(self) -> int:
-        return len(self.documents)
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocabulary)
-
-    @property
     def empty_documents(self) -> list[int]:
         return [i for i, doc in enumerate(self.documents) if not doc]
 
@@ -161,9 +153,7 @@ def train_lda(
             "topic count %d exceeds the %d non-empty documents", topics, len(non_empty)
         )
 
-    V = corpus.vocab_size
-    D = corpus.num_documents
-    T = topics
+    V, D, T = len(corpus.vocabulary), len(corpus.documents), topics
     doc_of = np.concatenate(
         [np.full(len(corpus.documents[d]), d, dtype=np.int64) for d in non_empty]
     )

@@ -40,7 +40,7 @@ from literal_forge.cli import (
     main,
 )
 from literal_forge.pipeline import shortcut_defaults
-from util import EX, MANNHEIM_NT, NEW, date_line, numeric_line, rel_line, text_line, write_tag_map
+from util import EX, NEW, date_line, numeric_line, rel_line, text_line, write_city, write_tag_map
 
 
 def sample_lines() -> list[str]:
@@ -263,6 +263,27 @@ class TestTransform:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["input.nt", fifo.name])
 
+    @pytest.mark.parametrize("link_at_output", [True, False], ids=["link-and-file", "file"])
+    def test_leaves_whatever_sits_at_a_temp_path(self, sample_nt, tmp_path, caplog, link_at_output):
+        # main runs in this process, so the temp paths carry this pid.
+        victim = tmp_path / "victim.nt"
+        victim.write_bytes(b"victim\n")
+        link = tmp_path / f"out.nt.{os.getpid()}.tmp"
+        stray = tmp_path / f"out.nt.report.json.{os.getpid()}.tmp"
+        stray.write_bytes(b"stray\n")
+        if link_at_output:
+            link.symlink_to(victim)
+        with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+            code, _ = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
+        assert code == EXIT_INPUT
+        [message] = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
+        refused = link if link_at_output else stray
+        assert message.startswith("cannot write output: ") and str(refused) in message
+        assert victim.read_bytes() == b"victim\n" and stray.read_bytes() == b"stray\n"
+        kept = ["input.nt", victim.name, stray.name] + ([link.name] if link_at_output else [])
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(kept)
+        assert not link_at_output or os.readlink(link) == str(victim)
+
 
 def with_row(raw: dict, **changes) -> dict:
     """A report dict whose first row has *changes* applied."""
@@ -294,6 +315,49 @@ class TestVerify:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["ok"] is False
         assert verdict["problems"]
+
+    @staticmethod
+    def verify_tampered(out: str, tmp_path, capsys, strategy: str, **changes) -> list[str]:
+        """verify's problems, which must fail it, against out's report with
+        *changes* made to the first row of *strategy*; the totals follow."""
+        raw = json.loads(Path(out + ".report.json").read_text(encoding="utf-8"))
+        row = next(row for row in raw["predicates"] if row["strategy"] == strategy)
+        raw["delta_entities_total"] += changes.get("delta_entities", row["delta_entities"]) - row["delta_entities"]
+        row.update(changes)
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--input", out, "--report", str(tampered)]) == EXIT_VERIFY
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["ok"] is False
+        return verdict["problems"]
+
+    def test_statements_over_the_cap_fail(self, sample_nt, tmp_path, capsys):
+        _, out = transform(sample_nt, tmp_path, "--strategy", "TXTLDA")
+        problems = self.verify_tampered(out, tmp_path, capsys, "TXTLDA", statement_delta_max=1)
+        assert problems == [
+            f"{EX}abstract [text]: fail: delta_statements 2 exceeds cap 1"
+        ]
+
+    def test_hierarchical_bins_below_the_statement_count_fail(self, sample_nt, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        plan = {"strategy": "NBINS", "params": {"bins": 4, "hierarchy_depth": 1}}
+        config.write_text(json.dumps({"defaults": {"numeric": plan}}), encoding="utf-8")
+        _, out = transform(sample_nt, tmp_path, "--config", str(config))
+        problems = self.verify_tampered(out, tmp_path, capsys, "NBINS", statements=17)
+        assert problems == [
+            f"{EX}height [numeric]: fail: delta_statements 16 below statement count 17"
+        ]
+
+    def test_one_predicate_over_its_rows_entity_total_fails(self, tmp_path, capsys):
+        # One predicate holds numbers and dates: two rows, one entity total.
+        lines = [numeric_line(f"n{i}", "value", i) for i in range(3)]
+        lines += [date_line(f"d{i}", "value", f"200{i}-01-01") for i in range(3)]
+        source = tmp_path / "input.nt"
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _, out = transform(str(source), tmp_path, "--strategy", "TRANSFORM")
+        problems = self.verify_tampered(out, tmp_path, capsys, "TRANSFORM", delta_entities=2)
+        assert problems == [f"{EX}value: output entities 6 exceed reported total 5"]
 
     def test_tampered_output_fails(self, sample_nt, tmp_path, capsys):
         _, out = transform(sample_nt, tmp_path, "--strategy", "TRANSFORM")
@@ -587,15 +651,7 @@ def test_failed_write_keeps_earlier_output_and_report(sample_nt, tmp_path, monke
 
 def test_transform_validates_each_written_term_once(tmp_path, monkeypatch):
     # The city's subject is written in relational, minted and weighted lines.
-    source = tmp_path / "city.nt"
-    source.write_bytes(MANNHEIM_NT)
-    tags = write_tag_map(tmp_path / "tags.json", {EX + "img/mannheim.jpg": "building"})
-    config = tmp_path / "config.json"
-    settings = {
-        "image_predicates": [EX + "depiction"],
-        "image_provider": {"kind": "tag-map", "path": tags},
-    }
-    config.write_text(json.dumps(settings), encoding="utf-8")
+    source, config = write_city(tmp_path)
     seen = []
     validate = ntriples.validate_term
     monkeypatch.setattr(ntriples, "validate_term", lambda term: seen.append(term) or validate(term))
@@ -625,6 +681,28 @@ def run_python(*args: str, stdout: int = subprocess.PIPE) -> subprocess.Complete
 
 def run_cli(*args: str, stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
     return run_python("-m", "literal_forge.cli", *args, stdout=stdout)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_at_a_temp_path_is_refused_at_once(sample_nt, tmp_path):
+    # In a child, whose pid names the temp path, so a write that opened the
+    # FIFO would block there, until run_python's timeout, not here.
+    out = tmp_path / "out.nt"
+    script = "\n".join(
+        [
+            "import os, sys",
+            "from literal_forge.cli import main",
+            "os.mkfifo(f'{sys.argv[2]}.{os.getpid()}.tmp')",
+            "sys.exit(main(['transform', '--input', sys.argv[1], '--output', sys.argv[2],",
+            "               '--strategy', 'TRANSFORM']))",
+        ]
+    )
+    done = run_python("-c", script, sample_nt, str(out))
+    assert done.returncode == EXIT_INPUT
+    [line] = done.stderr.splitlines()
+    assert line.startswith("ERROR literal_forge.cli: cannot write output: ")
+    [fifo] = [path for path in tmp_path.iterdir() if path.name != "input.nt"]
+    assert fifo.name.startswith("out.nt.") and stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 @pytest.mark.parametrize(
@@ -718,6 +796,8 @@ def test_a_failing_consumer_closes_the_scan_before_the_file(sample_nt):
         ({"kind": "tag-map", "path": "not-json.json"}, "tag-map"),
         ({"kind": "tag-map", "path": "deep.json"}, "tag-map"),
         ({"kind": "tag-map", "path": "latin-1.json"}, "tag-map"),
+        ({"kind": "tag-map", "path": "score-above-one.json"}, "tag-map"),
+        ({"kind": "tag-map", "path": "score-past-a-float.json"}, "tag-map"),
     ],
     ids=[
         "remote-timeout",
@@ -730,6 +810,8 @@ def test_a_failing_consumer_closes_the_scan_before_the_file(sample_nt):
         "tag-map-unreadable",
         "tag-map-nested-too-deeply",
         "tag-map-not-utf-8",
+        "tag-map-score-above-one",
+        "tag-map-score-past-a-float",
     ],
 )
 def test_bad_image_provider_config_is_a_diagnostic(tmp_path, provider, named):
@@ -738,6 +820,9 @@ def test_bad_image_provider_config_is_a_diagnostic(tmp_path, provider, named):
     (tmp_path / "not-json.json").write_text("{not json", encoding="utf-8")
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     (tmp_path / "latin-1.json").write_bytes(b'{"caf\xe9": ["building"]}')
+    for name, score in (("score-above-one", "1.5"), ("score-past-a-float", "1" + "0" * 400)):
+        labels = f'[{{"name": "building", "score": {score}}}]'
+        (tmp_path / f"{name}.json").write_text(f'{{"{EX}img/a.jpg": {labels}}}', encoding="utf-8")
     if provider["kind"] == "tag-map":
         provider = {**provider, "path": str(tmp_path / provider["path"])}
     config = tmp_path / "config.json"

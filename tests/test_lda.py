@@ -89,7 +89,7 @@ def test_build_corpus_first_encounter_vocabulary():
     corpus = build_corpus(text_group(graph))
     assert corpus.vocabulary == ("alpha", "beta", "gamma")
     assert corpus.documents == [[0, 1, 0], [1, 2]]
-    assert corpus.num_documents == 2
+    assert len(corpus.documents) == 2
     assert corpus.empty_documents == []
 
 
@@ -125,11 +125,11 @@ def test_single_topic_matches_frequency_oracle():
     beta = 0.01
     model = train_lda(corpus, topics=1, beta=beta, iterations=3, seed=11)
     # counts: wine 3, cheese 2, bread 3; total 8; V = 3
-    counts = np.zeros(corpus.vocab_size)
+    counts = np.zeros(len(corpus.vocabulary))
     for doc in corpus.documents:
         for w in doc:
             counts[w] += 1
-    expected_phi = (counts + beta) / (counts.sum() + corpus.vocab_size * beta)
+    expected_phi = (counts + beta) / (counts.sum() + len(corpus.vocabulary) * beta)
     assert np.allclose(model.phi[0], expected_phi, atol=1e-12)
     assert np.allclose(model.theta, 1.0, atol=1e-12)
 
@@ -363,7 +363,7 @@ def loop_reference(corpus, topics, alpha, beta, iterations, seed):
     """The synchronous sweep written per token: every token's topic is drawn
     from the previous sweep's counts minus its own assignment, with the same
     random stream and arithmetic as train_lda. Returns (phi, theta)."""
-    T, V, D = topics, corpus.vocab_size, corpus.num_documents
+    T, V, D = topics, len(corpus.vocabulary), len(corpus.documents)
     tokens = [(d, w) for d, doc in enumerate(corpus.documents) for w in doc]
     rng = np.random.Generator(np.random.PCG64(seed))
     z = rng.integers(0, T, size=len(tokens))

@@ -1,11 +1,14 @@
-"""`transform` bytes on the benchmark workloads, pinned by sha256.
+"""`transform` bytes on the benchmark workloads and the city fixture,
+pinned by sha256.
 
 Each workload of `benchmarks/workloads.py` is generated at 1× and run
 through `transform --emit-weights` in process: all three at seeds 1-3, and
-numeric-subpop at seed 1 under every `--strategy`. The sha256 of the
-output, the report and the weights sidecar of each run are pinned in
-`manifest.json` beside this file. One fresh process per workload, under
-two PYTHONHASHSEED values, must write the same bytes.
+numeric-subpop at seed 1 under every `--strategy`. The city fixture of
+`util`, with its depiction read as an image through a one-label tag map,
+runs under every `--strategy` too. The sha256 of the output, the report
+and the weights sidecar of each run are pinned in `manifest.json` beside
+this file. One fresh process per workload, under two PYTHONHASHSEED
+values, must write the same bytes.
 
 A change to minted names, statement order, counts, scores, report layout
 or the workload generator changes a hash here; update a hash only together
@@ -30,13 +33,17 @@ import pytest
 from literal_forge import cli
 from literal_forge.cli import EXIT_OK, main
 from literal_forge.pipeline import STRATEGIES
+from util import write_city
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("manifest.json")
 WORKLOADS = ("numeric-subpop", "relational-bulk", "text-topics")
-# (workload, seed, --strategy or None for the default plan)
+# (workload, seed, --strategy or None for the default plan). The city
+# fixture has one form, listed under seed 1.
 RUNS = [(w, seed, None) for w in WORKLOADS for seed in (1, 2, 3)] + [
-    ("numeric-subpop", 1, strategy) for strategy in sorted(STRATEGIES)
+    (workload, 1, strategy)
+    for workload in ("numeric-subpop", "city")
+    for strategy in sorted(STRATEGIES)
 ]
 
 
@@ -45,17 +52,22 @@ def run_id(run: tuple[str, int, str | None]) -> str:
     return f"{workload}/seed{seed}/{strategy or 'default'}"
 
 
-def generate(workload: str, seed: int, workdir: Path):
-    """The workload's inputs, from the benchmark generator, used read only."""
+def generate(workload: str, seed: int, workdir: Path) -> tuple[Path, Path | None]:
+    """The (graph, config) paths of a run's inputs: the city fixture's, or
+    the benchmark generator's, which is used read only."""
+    if workload == "city":
+        return write_city(workdir)
     if str(ROOT / "benchmarks") not in sys.path:
         sys.path.insert(0, str(ROOT / "benchmarks"))
-    return importlib.import_module("workloads").generate(workload, seed, workdir)
+    inputs = importlib.import_module("workloads").generate(workload, seed, workdir)
+    return inputs.graph, inputs.config
 
 
 def transform_argv(inputs, output: Path, strategy: str | None) -> list[str]:
-    argv = ["transform", "--input", str(inputs.graph), "--output", str(output), "--emit-weights"]
-    if inputs.config:
-        argv += ["--config", str(inputs.config)]
+    graph, config = inputs
+    argv = ["transform", "--input", str(graph), "--output", str(output), "--emit-weights"]
+    if config:
+        argv += ["--config", str(config)]
     return argv + (["--strategy", strategy] if strategy else [])
 
 

@@ -752,8 +752,10 @@ class TestVerifyBounds:
 
     def test_clean_rows_pass(self):
         report = self.run_report()
-        verdicts = verify_bounds(report)
-        assert set(verdicts.values()) == {"pass"}
+        for row in report.rows:
+            row.verdict = "unchecked"
+        assert verify_bounds(report) is None
+        assert {row.verdict for row in report.rows} == {"pass"}
 
     def test_entity_allowance_breach_fails(self):
         report = self.run_report()

@@ -403,12 +403,17 @@ def test_writer_matches_format_triple_and_validates_each_term_once(monkeypatch):
         (Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), IRI("http://a.org/a b")), "forbidden"),
         (Triple(Literal("x"), IRI("http://a.org/p"), IRI("http://a.org/o")), "subject position"),
         (Triple(IRI("http://a.org/s"), BlankNode("b"), IRI("http://a.org/o")), "predicate must be"),
+        (Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), Literal("x", RDF_LANGSTRING, "en_GB")),
+         "invalid language tag: @en_GB"),
+        (Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), Literal("x", "http://a.org/a b")),
+         "invalid datatype IRI: 'http://a.org/a b'"),
+        (Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), None), "not an RDF term: None"),
     ],
 )
 def test_writer_rejects_bad_terms_and_positions(triple, message):
     good = Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), IRI("http://a.org/o"))
     with pytest.raises(SerializationError, match=message):
-        write_ntriples([good, triple, good], io.BytesIO())
+        serialize_ntriples([good, triple, good])
     with pytest.raises(SerializationError, match=message):
         format_triple(triple)
 

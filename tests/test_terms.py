@@ -66,6 +66,17 @@ def test_literal_cannot_be_subject_or_predicate():
         Triple(s, BlankNode("b"), s).validate()  # type: ignore[arg-type]
 
 
+def test_term_text_is_canonical_n_triples():
+    assert str(IRI("http://ex.org/a")) == "<http://ex.org/a>"
+    assert str(BlankNode("b0")) == "_:b0"
+    assert str(Literal('say "hi"\\\n\r\t')) == '"say \\"hi\\"\\\\\\n\\r\t"'
+    assert str(Literal("x", "http://ex.org/dt")) == '"x"^^<http://ex.org/dt>'
+    assert str(Literal("a\nb", RDF_LANGSTRING, "de")) == '"a\\nb"@de'
+    # A message that embeds a literal shows it escaped, on one line.
+    with pytest.raises(TermError, match=r'must have rdf:langString datatype: "a\\nb"@de$'):
+        validate_term(Literal("a\nb", datatype=XSD_STRING, language="de"))
+
+
 def test_terms_are_hashable_and_interning_friendly():
     assert IRI("http://ex.org/a") == IRI("http://ex.org/a")
     assert len({Literal("1"), Literal("1"), Literal("2")}) == 2

@@ -6,9 +6,8 @@ import json
 import re
 
 from literal_forge import IRI, ModalityRules, Triple, build_index, parse_ntriples
-from literal_forge.baselines import parse_or_reject, sanitize_value
-from literal_forge.graph import Augmentation
-from literal_forge.terms import local_name
+from literal_forge.baselines import parse_or_reject
+from literal_forge.pipeline import augmentation_for
 
 EX = "http://ex.org/"
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -29,9 +28,8 @@ IMAGE_RULES = ModalityRules(image_predicates=frozenset({EX + "depiction"}))
 def with_aug(group, graph, namespace: str = NEW) -> tuple:
     """(group, augmentation): the leading arguments of every strategy, with
     the augmentation apply hands a strategy for *group* when it mints under
-    *namespace*. The group's own names start with its predicate's local name."""
-    stem = namespace + sanitize_value(local_name(group.predicate))
-    return group, Augmentation(group.predicate, graph.entity_terms, namespace, stem)
+    *namespace*."""
+    return group, augmentation_for(group, graph, namespace)
 
 
 def make_graph(lines: list[str], rules: ModalityRules | None = None):
@@ -62,6 +60,21 @@ def write_tag_map(path, mapping: dict[str, str]) -> str:
     payload = {key: [{"name": label, "score": 1.0}] for key, label in mapping.items()}
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def write_city(directory) -> tuple:
+    """(graph, config) paths under *directory*: the city fixture, and a config
+    that reads its depiction as an image through a one-label tag map."""
+    graph = directory / "mannheim.nt"
+    graph.write_bytes(MANNHEIM_NT)
+    tags = write_tag_map(directory / "tags.json", {EX + "img/mannheim.jpg": "building"})
+    config = directory / "config.json"
+    settings = {
+        "image_predicates": sorted(IMAGE_RULES.image_predicates),
+        "image_provider": {"kind": "tag-map", "path": tags},
+    }
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    return graph, config
 
 
 def parse_outcomes(parse, objects) -> list[tuple]:
