@@ -23,10 +23,9 @@ _EXPORTS = {
         "GraphProfile", "IndexedGraph", "LiteralGroup", "Modality", "ModalityRules",
         "build_index", "profile_stream",
     ),
-    "report": ("AugmentationReport", "ConfigError", "verify_bounds"),
+    "report": ("AugmentationReport", "ConfigError", "StrategyError", "verify_bounds"),
     "pipeline": (
-        "PipelineResult", "StrategyConfig", "StrategyError", "apply", "check_output",
-        "compose_combined",
+        "PipelineResult", "StrategyConfig", "apply", "check_output", "compose_combined",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

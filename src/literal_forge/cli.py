@@ -3,7 +3,8 @@
 Machine-readable output goes to standard output or to files; logs go to
 standard error. Exit codes are a scripting contract: 0 success, 1 input or
 parse error, 2 configuration error, 3 strategy failure without a fallback,
-4 verification failure.
+4 verification failure. A command raises InputError, ConfigError or
+StrategyError for codes 1 to 3, and main logs it and returns its code.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .ntriples import (
     scan_ntriples,
     write_lines,
 )
-from .report import AugmentationReport, ConfigError, check_rows
+from .report import AugmentationReport, ConfigError, StrategyError, check_rows
 
 if TYPE_CHECKING:
     from .pipeline import PipelineResult, StrategyConfig
@@ -39,6 +40,13 @@ EXIT_INPUT = 1
 EXIT_CONFIG = 2
 EXIT_STRATEGY = 3
 EXIT_VERIFY = 4
+
+
+class InputError(Exception):
+    """The input or a report cannot be read, or the output cannot be written."""
+
+
+_EXIT_CODES = {InputError: EXIT_INPUT, ConfigError: EXIT_CONFIG, StrategyError: EXIT_STRATEGY}
 
 LOG_ENV = "LITERAL_FORGE_LOG"
 
@@ -103,7 +111,7 @@ def _human_profile(data: dict) -> str:
 
 
 def _read_input(path: str, consume: Callable[[Any], Any], strict: bool) -> Any:
-    """*consume* applied to the rows scanned from *path*; None after a logged error."""
+    """*consume* applied to the rows scanned from *path*."""
     counter = _DiagnosticCounter()
     try:
         with _open_source(path) as source:
@@ -111,11 +119,9 @@ def _read_input(path: str, consume: Callable[[Any], Any], strict: bool) -> Any:
             with closing(rows):  # closes the scan before its source, even if consume raises
                 result = consume(rows)
     except ParseError as exc:
-        log.error("%s", exc)
-        return None
+        raise InputError(str(exc)) from exc
     except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:  # unreadable bytes
-        log.error("cannot read %s: %s", path, exc)
-        return None
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if counter.count:
         log.warning("%d malformed lines skipped", counter.count)
     return result
@@ -127,14 +133,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     rules = ModalityRules()
     if args.config:
         from .pipeline import StrategyConfig  # only a config needs the pipeline
-        try:
-            rules = StrategyConfig.from_file(args.config).rules
-        except ConfigError as exc:
-            log.error("%s", exc)
-            return EXIT_CONFIG
+        rules = StrategyConfig.from_file(args.config).rules
     result = _read_input(args.input, lambda rows: profile_rows(rows, rules), args.strict)
-    if result is None:
-        return EXIT_INPUT
     _print(_human_profile(result.to_dict()) if args.human else result.to_json())
     return EXIT_OK
 
@@ -232,40 +232,22 @@ def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> i
 
 def cmd_transform(args: argparse.Namespace) -> int:
     from .graph import index_rows
-    from .pipeline import StrategyError, apply
+    from .pipeline import apply
 
-    try:
-        config = _load_config(args)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
+    config = _load_config(args)
     # A write replaces each path and removes stale sidecars: never a FIFO or device.
     for path in _output_paths(args.output):
         if os.path.exists(path) and not os.path.isfile(path):
-            log.error("%s exists and is not a regular file; nothing was written", path)
-            return EXIT_INPUT
+            raise InputError(f"{path} exists and is not a regular file; nothing was written")
 
     graph = _read_input(args.input, lambda rows: index_rows(rows, config.rules), args.strict)
-    if graph is None:
-        return EXIT_INPUT
-
-    try:
-        result = apply(graph, config)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
-    except StrategyError as exc:
-        log.error("%s", exc)
-        return EXIT_STRATEGY
-
+    result = apply(graph, config)
     try:
         count = _write_outputs(result, args.output, config.emit_weights)
     except SerializationError as exc:
-        log.error("cannot serialize output: %s", exc)
-        return EXIT_INPUT
+        raise InputError(f"cannot serialize output: {exc}") from exc
     except OSError as exc:
-        log.error("cannot write output: %s", exc)
-        return EXIT_INPUT
+        raise InputError(f"cannot write output: {exc}") from exc
 
     log.info(
         "wrote %d triples (%d minted statements, %d structural) to %s",
@@ -282,18 +264,14 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.input == "-" and not args.report:
-        log.error("verify --input - needs --report: stdin has no report beside it")
-        return EXIT_CONFIG
+        raise ConfigError("verify --input - needs --report: stdin has no report beside it")
     report_path = args.report or args.input + ".report.json"
     try:
         report = AugmentationReport.from_file(report_path)
-    except ValueError as exc:
-        log.error("cannot load report %s: %s", report_path, exc)
-        return EXIT_INPUT
+    except ValueError as exc:  # a ConfigError too: a report that breaks the layout
+        raise InputError(f"cannot load report {report_path}: {exc}") from exc
     # Checked as parsed: a malformed line anywhere exits 1 with no verdict.
     problems = _read_input(args.input, lambda rows: check_rows(rows, report), True)
-    if problems is None:
-        return EXIT_INPUT
     if args.human:
         _print("\n".join(problems) or "output consistent with report; all bounds hold")
     else:
@@ -344,9 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        log.error("%s", exc)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def run() -> None:

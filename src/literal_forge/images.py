@@ -18,7 +18,7 @@ from typing import Protocol
 
 from .baselines import Augmentation, link_any_value, note_fallback, sanitize_value
 from .graph import LiteralGroup
-from .report import _load_json
+from .report import _is_number, _load_json
 from .terms import BlankNode, XSD_BASE64
 
 log = logging.getLogger(__name__)
@@ -58,7 +58,8 @@ class ImageRef:
 
 @dataclass(frozen=True)
 class LabelDistribution:
-    """Ranked classifier output; scores must be non-increasing."""
+    """Classifier output, ranked on construction: highest score first, exact
+    ties by name. So labels[0] is the top label."""
 
     labels: tuple[tuple[str, float], ...]
 
@@ -70,16 +71,8 @@ class LabelDistribution:
                 raise ValueError("label names must be non-empty")
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"label score out of range: {score}")
-        scores = [s for _, s in self.labels]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("label scores must be non-increasing")
-
-
-def top_label(distribution: LabelDistribution) -> str:
-    """The first-ranked label; exact score ties break lexicographically."""
-    best_score = distribution.labels[0][1]
-    tied = [name for name, score in distribution.labels if score == best_score]
-    return min(tied)
+        ranked = tuple(sorted(self.labels, key=lambda pair: (-pair[1], pair[0])))
+        object.__setattr__(self, "labels", ranked)
 
 
 class TagProvider(Protocol):
@@ -99,14 +92,12 @@ def _parse_labels(raw: object, provider: str) -> LabelDistribution:
             name, score = item, 1.0
         else:
             raise ProviderError(f"{provider}: unreadable label entry {item!r}")
-        if not isinstance(name, str) or type(score) not in (int, float):  # a bool is not a number
+        if not isinstance(name, str) or not _is_number(score):
             raise ProviderError(f"{provider}: unreadable label entry {item!r}")
-        labels.append((name, score))
+        labels.append((name, float(score)))
     try:
-        labels = [(name, float(score)) for name, score in labels]
-        labels.sort(key=lambda pair: (-pair[1], pair[0]))
         return LabelDistribution(tuple(labels))
-    except (OverflowError, ValueError) as exc:  # a score past a float or outside [0, 1]
+    except ValueError as exc:  # an empty name or a score outside [0, 1]
         raise ProviderError(f"{provider}: {exc}") from None
 
 
@@ -114,8 +105,8 @@ def _parse_labels(raw: object, provider: str) -> LabelDistribution:
 class TagMapProvider:
     """Precomputed tags: a JSON object keyed by image IRI or content hash.
 
-    Values are ranked label arrays, either [{"name": ..., "score": ...}, ...]
-    or bare [name, ...] pairs/strings.
+    Values are label arrays, in any order, either [{"name": ..., "score": ...},
+    ...] or bare [name, ...] pairs/strings.
     """
 
     mapping: dict[str, LabelDistribution]
@@ -257,7 +248,7 @@ def emit_image_triples(
             link_any_value(aug, [subject_id])
             misses += 1
             continue
-        label = aug.namespace + prefix + sanitize_value(top_label(distribution))
-        aug.link([subject_id], label, distribution.labels[0][1])
+        name, score = distribution.labels[0]
+        aug.link([subject_id], aug.namespace + prefix + sanitize_value(name), score)
     note_fallback(aug, misses, f"{misses} image statements without tags")
     return aug

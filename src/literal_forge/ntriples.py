@@ -262,47 +262,48 @@ def parse_ntriples(
 
 
 class TermText:
-    """The canonical text of terms, str(term), each validated the first time
-    it is asked for.
+    """The canonical text of entities, by id, and of IRIs, by their string,
+    each validated the first time it is asked for.
 
-    A term's text is kept under its key: an IRI's string, or the term
-    itself. So an entity IRI and the same IRI met as a string are one
-    entry. The terms of *entity_terms* are also kept by their id there.
-    Asking for a term that breaks an invariant raises SerializationError.
+    An entity IRI and the same IRI met as a string are one entry of
+    *by_key*. Asking for a term that breaks an invariant raises
+    SerializationError.
     """
 
-    def __init__(self, entity_terms: Sequence[Term] = ()) -> None:
+    def __init__(self, entity_terms: Sequence[IRI | BlankNode]) -> None:
         self.entity_terms = entity_terms
         self.by_id: list[str | None] = [None] * len(entity_terms)
-        self.by_key: dict[str | Term, str] = {}
+        self.by_key: dict[str, str] = {}
 
     def entity(self, eid: int) -> str:
         out = self.by_id[eid]
         if out is None:
-            out = self.by_id[eid] = self.term(self.entity_terms[eid])
+            term = self.entity_terms[eid]
+            out = self.by_id[eid] = self.iri(term.value) if type(term) is IRI else _text(term)
         return out
 
     def iri(self, value: str) -> str:
-        return self.by_key.get(value) or self._first(value, IRI(value))
+        return self.by_key.get(value) or self.by_key.setdefault(value, _text(IRI(value)))
 
-    def term(self, term: Term) -> str:
-        key = term.value if type(term) is IRI else term
-        return self.by_key.get(key) or self._first(key, term)
 
-    def _first(self, key: str | Term, term: Term) -> str:
-        _check(validate_term, term)
-        out = self.by_key[key] = str(term)
-        return out
+def _text(term: Term) -> str:
+    """str(term), once *term* is checked."""
+    _check(validate_term, term)
+    return str(term)
 
 
 def format_lines(triples: Iterable[Triple]) -> Iterator[str]:
     """Canonical statements, without trailing newlines, one per triple.
 
     Each distinct term is validated once per call, the first time it is
-    seen. A term or statement that breaks an invariant raises
-    SerializationError when its triple is reached.
+    seen. A term or statement that breaks an invariant, or an object that
+    is no term, raises SerializationError when its triple is reached.
     """
-    text = TermText().term
+    known: dict[Term, str] = {}
+
+    def text(term: Term) -> str:
+        return known.get(term) or known.setdefault(term, _text(term))
+
     for triple in triples:
         line = f"{text(triple.subject)} {text(triple.predicate)} {text(triple.object)} ."
         # Its terms are valid, so only a literal subject or a non-IRI

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 from . import baselines
 from .baselines import DEFAULT_NAMESPACE, BinningSpec, LdaSpec, LofSpec, bin_count, sanitize_value
 from .graph import Augmentation, IndexedGraph, LiteralGroup, Modality, ModalityRules, _rows
-from .report import AugmentationReport, ConfigError, PredicateReport, _load_json, _read_json
-from .report import check_rows, verify_bounds
+from .report import AugmentationReport, ConfigError, PredicateReport, StrategyError, _load_json
+from .report import _read_json, check_rows, verify_bounds
 from .terms import _IRI_BAD, IRI, Triple, local_name
 
 if TYPE_CHECKING:
@@ -51,10 +51,6 @@ def _entry(name: str) -> Callable[..., Any]:
 
 
 __getattr__ = _entry  # PEP 562: reading pipeline.<entry point> imports it too
-
-
-class StrategyError(RuntimeError):
-    """A strategy failed on a group and no fallback is configured."""
 
 
 EXCLUDE = "EXCLUDE"
@@ -329,19 +325,11 @@ def shortcut_defaults(strategy: str, fallback: str | None) -> dict[Modality, Gro
     Modalities the strategy cannot handle degrade to the fallback (or are
     excluded when no fallback is configured).
     """
-    strategy = strategy.upper()
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy name: {strategy!r}")
-    if strategy == COMBINED:
-        return compose_combined()
-    out: dict[Modality, GroupPlan] = {}
+    plan = GroupPlan(strategy.upper())
+    if plan.strategy == COMBINED:
+        return plan.spec
     degraded = GroupPlan(fallback if fallback is not None else EXCLUDE)
-    for modality in Modality:
-        if strategy in VALID_FOR[modality]:
-            out[modality] = GroupPlan(strategy)
-        else:
-            out[modality] = degraded
-    return out
+    return {m: plan if plan.strategy in VALID_FOR[m] else degraded for m in Modality}
 
 
 @dataclass
@@ -382,10 +370,10 @@ def _distinct_values(group: LiteralGroup) -> int:
     return len(set(zip(group.lexicals, group.datatypes, group.languages)))
 
 
-def _binning_allowance(spec: BinningSpec, sizes: list[int], fallback: int) -> int:
+def _binning_allowance(spec: BinningSpec, sizes: list[int]) -> int:
     """Bin entities a binning run may mint: each population's bins at every
-    level up to the first one-bin level, two outlier entities per population
-    with LOF, one AnyValue."""
+    level up to the first one-bin level, and two outlier entities per
+    population with LOF."""
     allowance = 0
     for size in sizes:
         step = bin_count(size, max(size, 1), spec)
@@ -397,8 +385,6 @@ def _binning_allowance(spec: BinningSpec, sizes: list[int], fallback: int) -> in
             allowance += step
     if spec.lof is not None:
         allowance += 2 * len(sizes)
-    if fallback:
-        allowance += 1
     return allowance
 
 
@@ -416,7 +402,7 @@ def _binning_exceptions(spec: BinningSpec, minted: frozenset[str]) -> list[str]:
 @dataclass
 class _GroupOutcome:
     aug: Augmentation
-    entity_allowance: int
+    entity_allowance: int  # without the AnyValue entity, which apply adds
     statement_delta_exact: int | None
     statement_delta_max: int | None
     exceptions: list[str] = field(default_factory=list)
@@ -465,7 +451,7 @@ def _run_strategy(
         flat = spec.overlap == 0.0 and spec.hierarchy_depth == 0
         return _GroupOutcome(
             aug,
-            _binning_allowance(spec, sizes, aug.fallback_statements),
+            _binning_allowance(spec, sizes),
             S if flat else None,
             None,
             _binning_exceptions(spec, aug.minted_objects),
@@ -477,7 +463,7 @@ def _run_strategy(
         # 7 weekdays, 31 days, 12 months and 4 quarters, and a year per value.
         return _GroupOutcome(
             aug,
-            min(5 * distinct, 54 + distinct) + (1 if aug.fallback_statements else 0),
+            min(5 * distinct, 54 + distinct),
             5 * (S - aug.fallback_statements) + aug.fallback_statements,
             None,
             detail={"feature_entities": aug.delta_entities},
@@ -492,7 +478,7 @@ def _run_strategy(
             detail["top_words"] = model.top_words(10)
         return _GroupOutcome(
             aug,
-            spec.topics + (1 if aug.fallback_statements else 0),
+            spec.topics,
             None,
             spec.topics * S,
             detail=detail,
@@ -505,12 +491,7 @@ def _run_strategy(
         )
     vocab_cap, tag_args = plan.spec
     aug = _entry("emit_image_triples")(group, aug, provider, **tag_args)
-    return _GroupOutcome(
-        aug,
-        min(S, vocab_cap) + (1 if aug.fallback_statements else 0),
-        S,
-        None,
-    )
+    return _GroupOutcome(aug, min(S, vocab_cap), S, None)
 
 
 def check_namespace(graph: IndexedGraph, namespace: str) -> None:
@@ -574,7 +555,8 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
                 delta_statements=aug.delta_statements,
                 structural=len(structural) - before,
                 removed=aug.removed,
-                entity_allowance=outcome.entity_allowance,
+                # A statement that fell back links to the AnyValue entity.
+                entity_allowance=outcome.entity_allowance + (1 if aug.fallback_statements else 0),
                 statement_delta_exact=outcome.statement_delta_exact,
                 statement_delta_max=outcome.statement_delta_max,
                 exceptions=outcome.exceptions,

@@ -1,13 +1,14 @@
 """The augmentation report: its layout, its bound check, its check of an output.
 
 `verify` needs only this of the pipeline, so it lives apart and imports no
-other module of the package; so does the JSON reader the config shares.
+other module of the package; so do the JSON reader the config shares and
+the two errors the command line maps to exit codes.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -17,6 +18,16 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """The configuration is unusable; nothing has been transformed."""
+
+
+class StrategyError(RuntimeError):
+    """A strategy failed on a group and no fallback is configured."""
+
+
+def _is_number(value: Any) -> bool:
+    """Whether *value* is a JSON number a float holds: not a bool, NaN, an
+    infinity or an integer past the float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 # The report's layout: each key in written order, with its JSON type. The
@@ -45,7 +56,7 @@ _REPORT_TOTALS = ("delta_entities_total", "delta_statements_total", "removed_tot
 _JSON_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "int": ("an integer", lambda v: type(v) is int),
     "count": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "number": ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "number": ("a number", _is_number),
     "bool": ("true or false", lambda v: type(v) is bool),
     "string": ("a string", lambda v: type(v) is str),
     "object": ("an object", lambda v: type(v) is dict),

@@ -19,9 +19,11 @@ import pytest
 
 from literal_forge import (
     AugmentationReport,
+    ConfigError,
     ModalityRules,
     SerializationError,
     StrategyConfig,
+    StrategyError,
     apply,
     baselines,
     build_index,
@@ -114,6 +116,15 @@ class TestProfile:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"mystery": 1}), encoding="utf-8")
         assert main(["profile", "--input", sample_nt, "--config", str(config)]) == EXIT_CONFIG
+
+    def test_a_number_past_the_float_range_is_a_config_error(self, sample_nt, tmp_path):
+        config = tmp_path / "config.json"
+        overlap = _param_config("numeric", "NBINS", "overlap", 10**400)
+        config.write_text(json.dumps(overlap), encoding="utf-8")
+        done = run_cli("profile", "--input", sample_nt, "--config", str(config))
+        lines = done.stderr.splitlines()
+        assert done.returncode == EXIT_CONFIG and "Traceback" not in done.stderr
+        assert len(lines) == 1 and lines[0].startswith("ERROR ") and "overlap" in lines[0]
 
     def test_repeats_count_as_statements_and_no_duplicates_are_reported(self, tmp_path, capsys):
         # profile streams its input and keeps no statements, so it cannot
@@ -496,6 +507,34 @@ class TestLogging:
             root.level = level
 
 
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (cli.InputError, EXIT_INPUT),
+        (ConfigError, EXIT_CONFIG),
+        (StrategyError, EXIT_STRATEGY),
+        (RuntimeError, None),
+    ],
+)
+def test_main_turns_only_the_three_errors_into_exit_codes(
+    sample_nt, monkeypatch, caplog, error, code
+):
+    def fail(args):
+        raise error("the command failed")
+
+    monkeypatch.setattr(cli, "cmd_profile", fail)
+    argv = ["profile", "--input", sample_nt]
+    if code is None:
+        with pytest.raises(RuntimeError, match="the command failed"):
+            main(argv)
+        return
+    with caplog.at_level(logging.DEBUG):
+        assert main(argv) == code
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("ERROR", "the command failed")
+    ]
+
+
 def test_transform_exits_verify_on_failed_bound(sample_nt, tmp_path, monkeypatch, caplog):
     real = baselines.one_entity
 
@@ -791,6 +830,7 @@ def test_a_failing_consumer_closes_the_scan_before_the_file(sample_nt):
         ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "timeout": 0}, "remote"),
         ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "retries": -1}, "remote"),
         ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "timeout": True}, "remote"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "timeout": 10**400}, "remote"),
         ({"kind": "remote", "endpoint": "http://127.0.0.1:9/tag", "retries": True}, "remote"),
         ({"kind": "tag-map", "path": "missing.json"}, "tag-map"),
         ({"kind": "tag-map", "path": "not-json.json"}, "tag-map"),
@@ -805,6 +845,7 @@ def test_a_failing_consumer_closes_the_scan_before_the_file(sample_nt):
         "remote-timeout-zero",
         "remote-retries-negative",
         "remote-timeout-bool",
+        "remote-timeout-past-a-float",
         "remote-retries-bool",
         "tag-map-missing",
         "tag-map-unreadable",
@@ -870,7 +911,8 @@ def _param_config(modality: str, strategy: str, key: str, value) -> dict:
 
 
 # (key, bad value, config): every numeric parameter with each kind of value
-# that is wrong for it (alpha alone may be null), then top-level shapes.
+# that is wrong for it (alpha alone may be null; an integer past the float
+# range is no number), then top-level shapes.
 BAD_CONFIGS = [
     *(
         (key, value, _param_config(modality, strategy, key, value))
@@ -880,7 +922,7 @@ BAD_CONFIGS = [
     *(
         (key, value, _param_config(modality, strategy, key, value))
         for modality, strategy, key, low in NUMBER_PARAMS
-        for value in ("0.5", True, low, *(() if key == "alpha" else (None,)))
+        for value in ("0.5", True, low, 10**400, *(() if key == "alpha" else (None,)))
     ),
     ("numeric", "abc", _param_config("numeric", "COMBINED", "numeric", "abc")),
     ("image_predicates", 5, {"image_predicates": 5}),

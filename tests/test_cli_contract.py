@@ -31,6 +31,9 @@ CONTRACT = {0, 1, 2, 3, 4}
 _SIZED = re.compile(rb'"(topics|iterations)"\s*:\s*$')
 _NUMBER = re.compile(rb"-?[0-9]+(\.[0-9]+)?")
 _HUGE = [b"1e400", b"-1e400", b"1e-400", b"9" * 40, b"-" + b"9" * 40, b"9" * 400, b"1.79e308"]
+# The value of a number-typed key, which the huge mutation also makes an
+# integer past the float range.
+_NUMBER_FIELD = re.compile(rb'"(?:threshold|alpha|overlap|score)"\s*:\s*(-?[0-9]+(?:\.[0-9]+)?)')
 _NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\xf4\x90\x80\x80"]
 
 
@@ -57,9 +60,12 @@ def files(tmp_path_factory):
         "image_predicates": sorted(IMAGE_RULES.image_predicates),
         "image_provider": {"kind": "tag-map", "path": str(paths["tags.json"])},
         "defaults": {
-            "numeric": {"strategy": "KLREL", "params": {"bins": 3, "lof": {"k": 4, "threshold": 1.5}}},
+            "numeric": {
+                "strategy": "KLREL",
+                "params": {"bins": 3, "overlap": 0.0, "lof": {"k": 4, "threshold": 1.5}},
+            },
             "temporal": {"strategy": "DATBIN", "params": {"bins": 2, "hierarchy_depth": 1}},
-            "text": {"strategy": "TXTLDA", "params": {"topics": 2, "iterations": 5}},
+            "text": {"strategy": "TXTLDA", "params": {"topics": 2, "iterations": 5, "alpha": 0.5}},
         },
         "overrides": {EX + "founded": {"strategy": "DATFEAT"}},
         "stopwords": {"en": ["into"]},
@@ -96,8 +102,13 @@ def mutations(draw, data: bytes) -> bytes:
             chunk = draw(st.sampled_from(_NOT_UTF8) | st.binary(min_size=1, max_size=6))
             data = data[:at] + chunk + data[at:]
         elif kind == "huge" and numbers:
-            m = draw(st.sampled_from(numbers))
-            data = data[: m.start()] + draw(st.sampled_from(_HUGE)) + data[m.end() :]
+            fields = [m.span(1) for m in _NUMBER_FIELD.finditer(data)]
+            if fields and draw(st.booleans()):
+                (start, end), value = draw(st.sampled_from(fields)), b"9" * 400
+            else:
+                m = draw(st.sampled_from(numbers))
+                (start, end), value = m.span(), draw(st.sampled_from(_HUGE))
+            data = data[:start] + value + data[end:]
         elif kind == "nest":
             depth = draw(st.sampled_from([3, 900, 5000, 100_000]))
             opener, closer = draw(st.sampled_from([(b"[", b"]"), (b'{"a":', b"}")]))

@@ -24,7 +24,6 @@ from literal_forge.images import (
     _parse_labels,
     emit_image_triples,
     resolve_image_refs,
-    top_label,
 )
 
 from util import EX, NEW, XSD, make_graph, rel_line, with_aug, write_tag_map
@@ -67,14 +66,12 @@ def test_label_distribution_validation():
         LabelDistribution((("cat", 1.2),))
     with pytest.raises(ValueError):
         LabelDistribution((("", 0.5),))
-    with pytest.raises(ValueError):
-        LabelDistribution((("cat", 0.4), ("dog", 0.6)))  # increasing
 
 
-def test_top_label_breaks_ties_lexicographically():
-    dist = LabelDistribution((("zebra", 0.4), ("aardvark", 0.4), ("cat", 0.1)))
-    assert top_label(dist) == "aardvark"
-    assert top_label(LabelDistribution((("building", 0.9), ("tower", 0.1)))) == "building"
+def test_labels_rank_by_score_then_name():
+    dist = LabelDistribution((("cat", 0.1), ("zebra", 0.4), ("aardvark", 0.4)))
+    assert dist.labels == (("aardvark", 0.4), ("zebra", 0.4), ("cat", 0.1))
+    assert LabelDistribution((("cat", 0.4), ("dog", 0.6))).labels == (("dog", 0.6), ("cat", 0.4))
 
 
 def test_parse_labels_formats():
@@ -85,7 +82,8 @@ def test_parse_labels_formats():
     d3 = _parse_labels(["cat", "dog"], "t")
     assert d3.labels == (("cat", 1.0), ("dog", 1.0))
     bool_scores = ([{"name": "cat", "score": True}], [["dog", False]])  # a bool is not a number
-    for bad in ([], [42], [{"name": "x"}], "notalist", *bool_scores):
+    past_a_float = ([["cat", 10**400]], [["cat", float("nan")]], [["cat", float("inf")]])
+    for bad in ([], [42], [{"name": "x"}], "notalist", *bool_scores, *past_a_float):
         with pytest.raises(ProviderError):
             _parse_labels(bad, "t")
 
@@ -97,7 +95,7 @@ def test_tag_map_provider_lookup(tmp_path):
     path = write_tag_map(tmp_path / "tags.json", {EX + "img/0.jpg": "building"})
     provider = TagMapProvider.from_file(path)
     hit = provider.lookup(ImageRef(0, iri=EX + "img/0.jpg"))
-    assert hit is not None and top_label(hit) == "building"
+    assert hit is not None and hit.labels[0][0] == "building"
     assert provider.lookup(ImageRef(1, iri=EX + "img/9.jpg")) is None
 
 
@@ -106,7 +104,7 @@ def test_tag_map_provider_hash_keys(tmp_path):
     path = write_tag_map(tmp_path / "tags.json", {digest: "screenshot"})
     provider = TagMapProvider.from_file(path)
     hit = provider.lookup(ImageRef(0, payload=PNG_BYTES))
-    assert hit is not None and top_label(hit) == "screenshot"
+    assert hit is not None and hit.labels[0][0] == "screenshot"
 
 
 def test_tag_map_provider_bad_files(tmp_path):
@@ -249,7 +247,7 @@ def test_remote_provider_round_trip(tag_server):
     server.app = app
     provider = RemoteTagProvider(url, retries=0)
     hit = provider.lookup(ImageRef(0, iri=EX + "img/0.jpg"))
-    assert hit is not None and top_label(hit) == "building"
+    assert hit is not None and hit.labels[0][0] == "building"
     assert provider.lookup(ImageRef(1, iri=EX + "img/1.jpg")) is None
 
 
@@ -280,7 +278,7 @@ def test_remote_provider_retries_transient_errors(tag_server):
     server.app = app
     provider = RemoteTagProvider(url, retries=3, backoff=0.01)
     hit = provider.lookup(ImageRef(0, iri=EX + "x"))
-    assert hit is not None and top_label(hit) == "cat"
+    assert hit is not None and hit.labels[0][0] == "cat"
     assert len(attempts) == 3
 
 

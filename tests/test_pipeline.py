@@ -879,6 +879,34 @@ def test_minted_totals_match_a_recount_of_the_output():
     assert structural_seen
 
 
+# Three statements per group, one of which falls back to AnyValue. Each
+# strategy's documented allowance is 2 here: two bins of the two parsed
+# values (NBINS, KLREL's one leaf, DATBIN), two topics, or a vocabulary of 2.
+FALLBACK_GROUPS = {
+    "NBINS": ({"bins": 2}, numeric_line, "size", [1, "x", 3]),
+    "KLREL": ({"bins": 2}, numeric_line, "size", [1, "x", 3]),
+    "DATBIN": ({"bins": 2}, date_line, "opened", ["2001-02-30", "2001-05-14", "2002-01-01"]),
+    "TXTLDA": ({"topics": 2, "iterations": 5}, text_line, "abstract", ["solar", "!?", "wind"]),
+    "IMAGETAGS": ({"vocabulary": 2}, rel_line, "depiction", ["img/0.jpg", "img/1.jpg", "img/2.jpg"]),
+}
+
+
+@pytest.mark.parametrize("strategy", FALLBACK_GROUPS)
+def test_a_fallback_adds_the_any_value_entity_to_the_allowance(tmp_path, strategy):
+    params, line, predicate, values = FALLBACK_GROUPS[strategy]
+    lines = [line(f"s{i}", predicate, value) for i, value in enumerate(values)]
+    tags = write_tag_map(tmp_path / "tags.json", {EX + "img/0.jpg": "a", EX + "img/2.jpg": "b"})
+    config = StrategyConfig(
+        namespace=NEW,
+        image_provider={"kind": "tag-map", "path": tags},
+        overrides={EX + predicate: GroupPlan(strategy, params)},
+    )
+    (row,) = apply(make_graph(lines, IMAGE_RULES), config).report.rows
+    assert (row.strategy, row.fallback_statements, row.fell_back_to) == (strategy, 1, None)
+    assert row.entity_allowance == 2 + 1
+    assert row.verdict in ("pass", "pass-with-exceptions")
+
+
 @pytest.mark.parametrize("depth", [1, 3, 10**7])
 def test_binning_allowance_stops_at_the_first_one_bin_level(depth):
     # Two bins, then one parent bin: compute_bins makes no level past it, so

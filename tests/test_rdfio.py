@@ -408,6 +408,11 @@ def test_writer_matches_format_triple_and_validates_each_term_once(monkeypatch):
         (Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), Literal("x", "http://a.org/a b")),
          "invalid datatype IRI: 'http://a.org/a b'"),
         (Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), None), "not an RDF term: None"),
+        # A bare string is no IRI, even when the same IRI was written before.
+        (Triple("http://a.org/s", IRI("http://a.org/p"), IRI("http://a.org/o")),
+         "not an RDF term: 'http://a.org/s'"),
+        (Triple(IRI("http://a.org/s"), IRI("http://a.org/p"), "http://a.org/o"),
+         "not an RDF term: 'http://a.org/o'"),
     ],
 )
 def test_writer_rejects_bad_terms_and_positions(triple, message):
