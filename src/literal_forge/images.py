@@ -18,7 +18,7 @@ from typing import Protocol
 
 from .baselines import Augmentation, link_any_value, note_fallback, sanitize_value
 from .graph import LiteralGroup
-from .report import _is_number, _load_json
+from .report import _is_number, _load_json, _shown
 from .terms import BlankNode, XSD_BASE64
 
 log = logging.getLogger(__name__)
@@ -91,9 +91,9 @@ def _parse_labels(raw: object, provider: str) -> LabelDistribution:
         elif isinstance(item, str):
             name, score = item, 1.0
         else:
-            raise ProviderError(f"{provider}: unreadable label entry {item!r}")
+            raise ProviderError(f"{provider}: unreadable label entry {_shown(item)}")
         if not isinstance(name, str) or not _is_number(score):
-            raise ProviderError(f"{provider}: unreadable label entry {item!r}")
+            raise ProviderError(f"{provider}: unreadable label entry {_shown(item)}")
         labels.append((name, float(score)))
     try:
         return LabelDistribution(tuple(labels))

@@ -11,6 +11,7 @@ configurable fallback instead of aborting the whole run.
 from __future__ import annotations
 
 import logging
+import random
 from dataclasses import dataclass, field
 from importlib import import_module
 from itertools import chain
@@ -312,11 +313,9 @@ class StrategyConfig:
 
 
 def derive_seed(seed: int, predicate: str) -> int:
-    """A stable per-predicate seed, independent of group execution order."""
-    import hashlib  # maps OpenSSL; only TXTLDA derives a seed
-
-    digest = hashlib.sha256(f"{seed}:{predicate}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    """A stable per-predicate seed, independent of group execution order;
+    ``Random`` hashes a str seed with the builtin sha512, not OpenSSL's."""
+    return random.Random(f"{seed}:{predicate}").getrandbits(63)
 
 
 def shortcut_defaults(strategy: str, fallback: str | None) -> dict[Modality, GroupPlan]:

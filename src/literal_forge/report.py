@@ -30,6 +30,12 @@ def _is_number(value: Any) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def _shown(value: Any) -> str:
+    """``repr(value)`` for a message, cut to 60 characters with "..."."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 # The report's layout: each key in written order, with its JSON type. The
 # reader requires every key. The three *_total keys are sums over the rows,
 # written from them and checked against them on read.
@@ -93,10 +99,10 @@ def _read_json(
     its lists, must be present. *what* names the keys in messages.
     """
     if type(raw) is not dict:
-        raise ConfigError(f"{what}: expected a JSON object, not {raw!r}")
+        raise ConfigError(f"{what}: expected a JSON object, not {_shown(raw)}")
     unknown = set(raw) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what}: {_shown(sorted(unknown))}")
     missing = [key for key in schema if key not in raw] if required else []
     if missing:
         raise ConfigError(f"{what}: missing {missing}")
@@ -105,7 +111,7 @@ def _read_json(
         kind = schema[key]
         if isinstance(kind, list):
             if type(value) is not list:
-                raise ConfigError(f"{what}: {key} must be a list of objects, not {value!r}")
+                raise ConfigError(f"{what}: {key} must be a list of objects, not {_shown(value)}")
             out[key] = [
                 _read_json(item, kind[0], f"{key}[{i}] keys", required)
                 for i, item in enumerate(value)
@@ -122,7 +128,7 @@ def _read_json(
         described, fits = _JSON_TYPES[kind]
         if not (fits(value) or (nullable and value is None)):
             described += " or null" if nullable else ""
-            raise ConfigError(f"{what}: {key} must be {described}, not {value!r}")
+            raise ConfigError(f"{what}: {key} must be {described}, not {_shown(value)}")
         out[key] = float(value) if kind == "number" and value is not None else value
     return out
 

@@ -5,11 +5,16 @@ own topic model, trained by synchronous collapsed Gibbs sampling. Subjects
 are then linked to every topic whose document probability clears the
 threshold, default 10%, giving entities like abstractTopic04. Topic
 probabilities feed the edge-weight sidecar.
+
+The sampler draws from the standard library's Mersenne Twister, whose
+``random()`` sequence Python keeps the same across versions, so a seed gives
+the same model on every supported Python without loading ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import logging
+import random
 import re
 import time
 from dataclasses import dataclass, field
@@ -122,6 +127,16 @@ def _topic_counts(
     return n_dk, n_wk, n_k
 
 
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The next *n* values of ``rng.random()``, bit for bit, from one call.
+
+    ``getrandbits`` fills its 32-bit words from the least significant up, so
+    the little-endian words pair up as the (a, b) of CPython's ``random()``.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
 def train_lda(
     corpus: Corpus,
     topics: int = 20,
@@ -139,11 +154,16 @@ def train_lda(
     of about _CHUNK_CELLS cells to cap memory; the counts change only between
     sweeps, so the chunk size never changes the result.
 
-    Identical corpus, parameters, and seed give identical models. Empty
-    documents keep a uniform topic distribution (the prior-only estimate).
+    The draws come from ``random.Random(seed)``: the first value of
+    ``random()`` per token sets its initial topic, then each sweep takes the
+    next one per token. Identical corpus, parameters, and seed give identical
+    models on every supported Python. Empty documents keep a uniform topic
+    distribution (the prior-only estimate).
     """
     if topics < 1:
         raise ValueError("need at least one topic")
+    if seed < 0:  # Random folds the sign, so -5 would share 5's stream
+        raise ValueError(f"seed must be non-negative, not {seed}")
     alpha = alpha if alpha is not None else 50.0 / topics
     non_empty = [i for i, doc in enumerate(corpus.documents) if doc]
     if not non_empty:
@@ -162,15 +182,15 @@ def train_lda(
     )
     n_tokens = word_of.size
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    z = rng.integers(0, T, size=n_tokens)
+    rng = random.Random(seed)
+    z = np.minimum((_uniforms(rng, n_tokens) * T).astype(np.int64), T - 1)
     n_dk, n_wk, n_k = _topic_counts(doc_of, word_of, z, D, V, T)
 
     v_beta = V * beta
     chunk = max(1, _CHUNK_CELLS // T)
     changed = 0
     for _ in range(iterations):
-        draws = rng.random(n_tokens)
+        draws = _uniforms(rng, n_tokens)
         new_z = np.empty_like(z)
         for start in range(0, n_tokens, chunk):
             stop = min(start + chunk, n_tokens)

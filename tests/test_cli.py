@@ -960,6 +960,32 @@ def test_bad_config_values_stop_before_the_input_is_read(tmp_path):
     assert not wrong, "\n".join(wrong)
 
 
+@pytest.mark.parametrize("where", ["config", "tag-map", "top-level"])
+def test_a_refused_value_is_shown_shortened(tmp_path, where):
+    # 4000 digits: under the int-to-str limit, so the message could show it all.
+    huge = 10**3999
+    config, tags = tmp_path / "config.json", tmp_path / "tags.json"
+    settings, key = _param_config("numeric", "NBINS", "overlap", huge), "overlap"
+    graph = tmp_path / "images.nt"
+    graph.write_text(rel_line("a", "depiction", "img/a.jpg") + "\n", encoding="utf-8")
+    if where == "tag-map":
+        tags.write_text(json.dumps({EX + "img/a.jpg": [{"name": "x", "score": huge}]}))
+        settings = {
+            "image_predicates": [EX + "depiction"],
+            "image_provider": {"kind": "tag-map", "path": str(tags)},
+        }
+        key = "score"
+    elif where == "top-level":
+        settings, key = list(range(2000)), "JSON object"
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    out = str(tmp_path / "out.nt")
+    done = run_cli("transform", "--input", str(graph), "--output", out, "--config", str(config))
+    lines = done.stderr.splitlines()
+    assert done.returncode == EXIT_CONFIG and len(lines) == 1, done.stderr[:500]
+    assert lines[0].startswith("ERROR ") and key in lines[0]
+    assert len(lines[0]) <= 200 and lines[0].endswith("..."), lines[0]
+
+
 @pytest.mark.parametrize("command", ["transform", "profile"])
 @pytest.mark.parametrize(
     "key, config",
@@ -1017,8 +1043,9 @@ import json, sys
 from literal_forge.cli import main
 code = main(sys.argv[1:])
 modules = sorted(name for name in sys.modules if name.startswith("literal_forge."))
+native = [name for name in ("numpy.random", "secrets", "hashlib", "_hashlib") if name in sys.modules]
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "ma": "numpy.ma" in sys.modules,
-                  "modules": modules}))
+                  "modules": modules, "native": native}))
 """
 
 # Imports the package alone, then reads every name of __all__ and one unknown.
@@ -1046,6 +1073,10 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
         ],
         "numbers.nt": [numeric_line(f"n{i}", "height", f"{i}.5") for i in range(4)]
         + [rel_line("n0", "knows", "n1"), rel_line("n2", "locatedIn", "n3")],
+        "text.nt": [
+            text_line(f"t{i}", "abstract", f"wind and solar power plant number {i}")
+            for i in range(6)
+        ],
     }
     for name, lines in files.items():
         (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -1081,6 +1112,14 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
     [row] = AugmentationReport.from_file(split_out + ".report.json").rows
     assert row.strategy == "KLREL" and row.detail["leaves"] > 1
 
+    # Topic models draw from the standard library's generator and seed it
+    # without hashlib, so neither numpy.random nor OpenSSL is mapped.
+    text, topics_out = str(tmp_path / "text.nt"), str(tmp_path / "topics.nt")
+    result = run("transform", "--input", text, "--output", topics_out, "--strategy", "TXTLDA")
+    assert (result["code"], result["numpy"], result["native"]) == (EXIT_OK, True, [])
+    [row] = AugmentationReport.from_file(topics_out + ".report.json").rows
+    assert row.strategy == "TXTLDA" and row.delta_entities > 0
+
     # verify loads the report module, not the pipeline; profile adds the graph,
     # and the pipeline only to read a config.
     verify = ["cli", "ntriples", "report", "terms"]
@@ -1090,7 +1129,9 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
         (["profile", "--input", numbers, "--config", str(split)], ["baselines", "graph", "pipeline"]),
     ]:
         modules = sorted(f"literal_forge.{name}" for name in verify + extra)
-        assert run(*argv) == {"code": EXIT_OK, "numpy": False, "ma": False, "modules": modules}
+        assert run(*argv) == {
+            "code": EXIT_OK, "numpy": False, "ma": False, "modules": modules, "native": []
+        }
 
     # The package alone loads no submodule and serves each exported name on first read.
     done = python("-c", _PACKAGE)
