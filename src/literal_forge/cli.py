@@ -265,7 +265,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.input == "-" and not args.report:
         raise ConfigError("verify --input - needs --report: stdin has no report beside it")
-    report_path = args.report or args.input + ".report.json"
+    report_path = args.report or _output_paths(args.input)[1]
     try:
         report = AugmentationReport.from_file(report_path)
     except ValueError as exc:  # a ConfigError too: a report that breaks the layout

@@ -210,7 +210,7 @@ def resolve_image_refs(group: LiteralGroup) -> list[ImageRef]:
 
 
 def _lookup_all(
-    provider: TagProvider, refs: list[ImageRef], max_in_flight: int = 8
+    provider: TagProvider, refs: list[ImageRef], max_in_flight: int
 ) -> dict[int, LabelDistribution | None]:
     """Query the provider for every ref, keyed by statement index.
 

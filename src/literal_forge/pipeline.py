@@ -67,7 +67,7 @@ TXTLDA = "TXTLDA"
 IMAGETAGS = "IMAGETAGS"
 COMBINED = "COMBINED"
 
-_UNIVERSAL = {EXCLUDE, TRANSFORM, ONEENTITY}
+_UNIVERSAL = {EXCLUDE, TRANSFORM, ONEENTITY, COMBINED}
 VALID_FOR: dict[Modality, set[str]] = {
     Modality.NUMERIC: _UNIVERSAL | {NBINS, PBINS, KLREL, KLRELENT},
     Modality.TEMPORAL: _UNIVERSAL | {DATBIN, DATFEAT},
@@ -105,7 +105,7 @@ _PARAMS: dict[str, dict[str, Any]] = {
         "iterations": "int",
         "threshold": "number",
     },
-    IMAGETAGS: {"prefix": "string", "max_in_flight": "count", "vocabulary": "count"},
+    IMAGETAGS: {"prefix": "string", "max_in_flight": "count"},
     COMBINED: {m.value: "object" for m in Modality},
 }
 STRATEGIES = set(_PARAMS)
@@ -136,10 +136,9 @@ class GroupPlan:
     """One resolved (strategy, parameters) choice.
 
     *spec* is *params* read once, at construction: for binning strategies a
-    BinningSpec, for TXTLDA an LdaSpec, for IMAGETAGS (vocabulary cap,
-    emit_image_triples keywords), for COMBINED the per-modality plans,
-    otherwise the strategy function's keywords. *params* stays as given,
-    for the report.
+    BinningSpec, for TXTLDA an LdaSpec, for COMBINED the per-modality plans,
+    which only StrategyConfig.plan_for resolves, otherwise the strategy
+    function's keywords. *params* stays as given, for the report.
     """
 
     strategy: str
@@ -167,10 +166,8 @@ def _read_spec(strategy: str, params: dict[str, Any]) -> Any:
         return BinningSpec(**params)
     if strategy == TXTLDA:
         return LdaSpec(**params)
-    if strategy == IMAGETAGS:
-        if _IRI_BAD.search(params.get("prefix", "")):
-            raise ConfigError(f"prefix holds a character no IRI may hold: {params['prefix']!r}")
-        return params.pop("vocabulary", 1000), params
+    if strategy == IMAGETAGS and _IRI_BAD.search(params.get("prefix", "")):
+        raise ConfigError(f"prefix holds a character no IRI may hold: {params['prefix']!r}")
     if strategy == COMBINED:
         return compose_combined(params)
     return params
@@ -231,7 +228,7 @@ class StrategyConfig:
         if self.fallback is not None and self.fallback not in (ONEENTITY, EXCLUDE):
             raise ConfigError(f"fallback must be ONEENTITY, EXCLUDE, or null: {self.fallback!r}")
         for modality, plan in self.defaults.items():
-            if plan.strategy != COMBINED and plan.strategy not in VALID_FOR[modality]:
+            if plan.strategy not in VALID_FOR[modality]:
                 raise ConfigError(
                     f"strategy {plan.strategy} cannot handle {modality.value} literals"
                 )
@@ -250,8 +247,7 @@ class StrategyConfig:
             modality = MODALITY_NAMES.get(name.lower())
             if modality is None:
                 raise ConfigError(f"unknown modality in defaults: {name!r}")
-            plan = _plan_from_dict(entry, f"defaults.{name}")
-            defaults[modality] = plan.spec[modality] if plan.strategy == COMBINED else plan
+            defaults[modality] = _plan_from_dict(entry, f"defaults.{name}")
         overrides = {
             pred: _plan_from_dict(entry, f"overrides.{pred}")
             for pred, entry in raw.pop("overrides", {}).items()
@@ -273,6 +269,8 @@ class StrategyConfig:
         return cls.from_dict(_load_json(path, "config", ConfigError))
 
     def plan_for(self, predicate: str, modality: Modality) -> GroupPlan:
+        """The plan that runs on *predicate*'s *modality* group: its override,
+        else the modality default, a COMBINED plan resolved to its part."""
         plan = self.overrides.get(predicate)
         if plan is None:
             plan = self.defaults[modality]
@@ -325,8 +323,6 @@ def shortcut_defaults(strategy: str, fallback: str | None) -> dict[Modality, Gro
     excluded when no fallback is configured).
     """
     plan = GroupPlan(strategy.upper())
-    if plan.strategy == COMBINED:
-        return plan.spec
     degraded = GroupPlan(fallback if fallback is not None else EXCLUDE)
     return {m: plan if plan.strategy in VALID_FOR[m] else degraded for m in Modality}
 
@@ -488,9 +484,9 @@ def _run_strategy(
         raise StrategyError(
             f"{group.predicate}: image tagging needs an image_provider in the config"
         )
-    vocab_cap, tag_args = plan.spec
-    aug = _entry("emit_image_triples")(group, aug, provider, **tag_args)
-    return _GroupOutcome(aug, min(S, vocab_cap), S, None)
+    # Each statement links to its image's top label: at most one per value.
+    aug = _entry("emit_image_triples")(group, aug, provider, **plan.spec)
+    return _GroupOutcome(aug, distinct, S, None)
 
 
 def check_namespace(graph: IndexedGraph, namespace: str) -> None:

@@ -218,8 +218,11 @@ class AugmentationReport:
 def verify_bounds(report: AugmentationReport) -> None:
     """Check every row's measured deltas against its declared growth bounds.
 
-    Sets each row's verdict: pass, pass-with-exceptions (documented
-    multi-edge or outlier-entity cases), or fail.
+    A row without an exact statement count must add at least one statement
+    per statement. Only a row that ran EXCLUDE, as its strategy or its
+    fallback, removes statements, and then all of them. Sets each row's
+    verdict: pass, pass-with-exceptions (documented multi-edge or
+    outlier-entity cases), or fail.
     """
     for row in report.rows:
         problems: list[str] = []
@@ -235,13 +238,13 @@ def verify_bounds(report: AugmentationReport) -> None:
             problems.append(
                 f"delta_statements {row.delta_statements} exceeds cap {row.statement_delta_max}"
             )
-        if row.statement_delta_exact is None and row.statement_delta_max is None and row.strategy != "EXCLUDE":
-            if row.delta_statements < row.statements:
-                problems.append(
-                    f"delta_statements {row.delta_statements} below statement count {row.statements}"
-                )
-        if row.strategy == "EXCLUDE" and row.removed != row.statements:
-            problems.append(f"removed {row.removed} != statements {row.statements}")
+        if row.statement_delta_exact is None and row.delta_statements < row.statements:
+            problems.append(
+                f"delta_statements {row.delta_statements} below statement count {row.statements}"
+            )
+        removed = row.statements if (row.fell_back_to or row.strategy) == "EXCLUDE" else 0
+        if row.removed != removed:
+            problems.append(f"removed {row.removed} != expected {removed}")
         if problems:
             row.verdict = "fail: " + "; ".join(problems)
         elif row.exceptions:

@@ -31,6 +31,7 @@ from literal_forge import (
     ntriples,
     parse_ntriples,
     serialize_ntriples,
+    textlda,
 )
 from literal_forge.cli import (
     EXIT_CONFIG,
@@ -333,7 +334,8 @@ class TestVerify:
         *changes* made to the first row of *strategy*; the totals follow."""
         raw = json.loads(Path(out + ".report.json").read_text(encoding="utf-8"))
         row = next(row for row in raw["predicates"] if row["strategy"] == strategy)
-        raw["delta_entities_total"] += changes.get("delta_entities", row["delta_entities"]) - row["delta_entities"]
+        for key in ("delta_entities", "delta_statements", "removed"):
+            raw[f"{key}_total"] += changes.get(key, row[key]) - row[key]
         row.update(changes)
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(raw), encoding="utf-8")
@@ -359,6 +361,18 @@ class TestVerify:
         assert problems == [
             f"{EX}height [numeric]: fail: delta_statements 16 below statement count 17"
         ]
+
+    def test_a_fallback_to_exclude_that_keeps_statements_fails(self, tmp_path, capsys):
+        # No image provider: IMAGETAGS fails and the group falls back to EXCLUDE.
+        source, config = tmp_path / "input.nt", tmp_path / "config.json"
+        lines = [rel_line(f"s{i}", "depiction", f"img/{i}.jpg") for i in range(5)]
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        settings = {"fallback": "EXCLUDE", "image_predicates": [EX + "depiction"]}
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        code, out = transform(str(source), tmp_path, "--config", str(config))
+        assert code == EXIT_OK
+        problems = self.verify_tampered(out, tmp_path, capsys, "IMAGETAGS", removed=2)
+        assert problems == [f"{EX}depiction [image]: fail: removed 2 != expected 5"]
 
     def test_one_predicate_over_its_rows_entity_total_fails(self, tmp_path, capsys):
         # One predicate holds numbers and dates: two rows, one entity total.
@@ -554,6 +568,32 @@ def test_transform_exits_verify_on_failed_bound(sample_nt, tmp_path, monkeypatch
     for row in failed:
         assert f"{row.predicate} [{row.modality}]: {row.verdict}" in logged
     assert main(["verify", "--input", out]) == EXIT_VERIFY
+
+
+def test_a_topic_run_that_drops_links_fails_transform_and_verify(
+    tmp_path, monkeypatch, caplog, capsys
+):
+    real = textlda.emit_topic_triples
+
+    def first_link_only(*args, **kwargs):
+        aug = real(*args, **kwargs)
+        for column in (aug.subjects, aug.objects, aug.scored, aug.weights):
+            del column[1:]
+        return aug
+
+    monkeypatch.setattr(textlda, "emit_topic_triples", first_link_only)
+    words = "solar wind turbine panel grid storage battery river dam tide".split()
+    source = tmp_path / "input.nt"
+    lines = [text_line(f"t{i}", "abstract", " ".join(words[i : i + 4])) for i in range(6)]
+    source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+        code, out = transform(str(source), tmp_path, "--strategy", "TXTLDA")
+    assert code == EXIT_VERIFY
+    verdict = f"{EX}abstract [text]: fail: delta_statements 1 below statement count 6"
+    assert [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"] == [verdict]
+    capsys.readouterr()
+    assert main(["verify", "--input", out]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["problems"] == [verdict]
 
 
 def test_text_output_identical_across_reruns(tmp_path):
@@ -893,7 +933,6 @@ INT_PARAMS = [
     ("text", "TXTLDA", "topics", 0),
     ("text", "TXTLDA", "iterations", -3),
     ("image", "IMAGETAGS", "max_in_flight", 0),
-    ("image", "IMAGETAGS", "vocabulary", -1),
 ]
 NUMBER_PARAMS = [
     ("numeric", "NBINS", "percent", 0),
@@ -925,6 +964,8 @@ BAD_CONFIGS = [
         for value in ("0.5", True, low, 10**400, *(() if key == "alpha" else (None,)))
     ),
     ("numeric", "abc", _param_config("numeric", "COMBINED", "numeric", "abc")),
+    # IMAGETAGS' entity allowance is its group's distinct images; no key sets it.
+    ("vocabulary", 1000, _param_config("image", "IMAGETAGS", "vocabulary", 1000)),
     ("image_predicates", 5, {"image_predicates": 5}),
     ("predicate_modalities", "abc", {"predicate_modalities": "abc"}),
     ("overrides", 5, {"overrides": 5}),

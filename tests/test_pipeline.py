@@ -185,7 +185,7 @@ class TestStrategyConfig:
                 }
             }
         )
-        plan = config.defaults[Modality.NUMERIC]
+        plan = config.plan_for(EX + "height", Modality.NUMERIC)
         assert plan.strategy == "KLREL"
         assert plan.params["bins"] == 4
 
@@ -336,7 +336,8 @@ class TestShortcutDefaults:
         assert plans[Modality.NUMERIC].strategy == "EXCLUDE"
 
     def test_combined_expands(self):
-        assert shortcut_defaults("COMBINED", None) == compose_combined()
+        config = StrategyConfig(defaults=shortcut_defaults("COMBINED", None))
+        assert {m: config.plan_for(EX + "p", m) for m in Modality} == compose_combined()
 
     def test_lowercase_accepted(self):
         assert shortcut_defaults("datfeat", None)[Modality.TEMPORAL].strategy == "DATFEAT"
@@ -777,6 +778,12 @@ class TestVerifyBounds:
         verify_bounds(report)
         assert report.rows[0].verdict.startswith("fail")
 
+    def test_only_an_exclude_run_removes_statements(self):
+        report = self.run_report()
+        report.rows[0].removed = 1
+        verify_bounds(report)
+        assert report.rows[0].verdict == "fail: removed 1 != expected 0"
+
     def test_overlap_reports_exception_verdict(self):
         graph = make_graph([numeric_line(f"s{i}", "height", i) for i in range(10)])
         config = StrategyConfig(
@@ -881,13 +888,13 @@ def test_minted_totals_match_a_recount_of_the_output():
 
 # Three statements per group, one of which falls back to AnyValue. Each
 # strategy's documented allowance is 2 here: two bins of the two parsed
-# values (NBINS, KLREL's one leaf, DATBIN), two topics, or a vocabulary of 2.
+# values (NBINS, KLREL's one leaf, DATBIN), two topics, or two distinct images.
 FALLBACK_GROUPS = {
     "NBINS": ({"bins": 2}, numeric_line, "size", [1, "x", 3]),
     "KLREL": ({"bins": 2}, numeric_line, "size", [1, "x", 3]),
     "DATBIN": ({"bins": 2}, date_line, "opened", ["2001-02-30", "2001-05-14", "2002-01-01"]),
     "TXTLDA": ({"topics": 2, "iterations": 5}, text_line, "abstract", ["solar", "!?", "wind"]),
-    "IMAGETAGS": ({"vocabulary": 2}, rel_line, "depiction", ["img/0.jpg", "img/1.jpg", "img/2.jpg"]),
+    "IMAGETAGS": ({}, rel_line, "depiction", ["img/0.jpg", "img/1.jpg", "img/0.jpg"]),
 }
 
 
@@ -905,6 +912,17 @@ def test_a_fallback_adds_the_any_value_entity_to_the_allowance(tmp_path, strateg
     assert (row.strategy, row.fallback_statements, row.fell_back_to) == (strategy, 1, None)
     assert row.entity_allowance == 2 + 1
     assert row.verdict in ("pass", "pass-with-exceptions")
+
+
+def test_image_allowance_is_the_distinct_images(tmp_path):
+    images = ["img/0.jpg", "img/1.jpg", "img/0.jpg", "img/1.jpg", "img/0.jpg"]
+    lines = [rel_line(f"s{i}", "depiction", image) for i, image in enumerate(images)]
+    tags = write_tag_map(tmp_path / "tags.json", {EX + "img/0.jpg": "a", EX + "img/1.jpg": "b"})
+    config = StrategyConfig(namespace=NEW, image_provider={"kind": "tag-map", "path": tags})
+    (row,) = apply(make_graph(lines, IMAGE_RULES), config).report.rows
+    assert (row.strategy, row.statements, row.fallback_statements) == ("IMAGETAGS", 5, 0)
+    assert row.entity_allowance == row.distinct_values == row.delta_entities == 2
+    assert row.verdict == "pass"
 
 
 @pytest.mark.parametrize("depth", [1, 3, 10**7])
