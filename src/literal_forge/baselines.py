@@ -10,12 +10,11 @@ LOF and LDA parameter specs live here too, so loading a config needs no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 from urllib.parse import quote
 
 from .graph import Augmentation, LiteralGroup
-from .terms import BlankNode
+from .terms import BlankNode, Frozen
 
 V = TypeVar("V")
 
@@ -109,20 +108,18 @@ def one_entity(group: LiteralGroup, aug: Augmentation) -> Augmentation:
     return aug
 
 
-@dataclass(frozen=True)
-class LofSpec:
-    k: int = 20
-    threshold: float = 1.5
+class LofSpec(Frozen):
+    __slots__ = ("k", "threshold")
 
-    def __post_init__(self) -> None:
+    def __init__(self, k: int = 20, threshold: float = 1.5) -> None:
+        self._fill(locals())
         if self.k < 1:
             raise ValueError("LOF needs k >= 1")
         if self.threshold <= 0:
             raise ValueError("LOF threshold must be positive")
 
 
-@dataclass(frozen=True)
-class BinningSpec:
+class BinningSpec(Frozen):
     """How to discretize one predicate's (sub)population of values.
 
     A set *percent* derives the bin count as that fraction of the number of
@@ -134,16 +131,17 @@ class BinningSpec:
     population while it holds at least *split_threshold* values.
     """
 
-    bins: int = 10
-    percent: float | None = None
-    overlap: float = 0.0
-    hierarchy_depth: int = 0
-    connect_adjacent: bool = True
-    scheme: str = "equal-width"
-    lof: LofSpec | None = None
-    split_threshold: int = 300
+    __slots__ = (
+        "bins", "percent", "overlap", "hierarchy_depth", "connect_adjacent", "scheme", "lof",
+        "split_threshold",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, bins: int = 10, percent: float | None = None, overlap: float = 0.0,
+        hierarchy_depth: int = 0, connect_adjacent: bool = True, scheme: str = "equal-width",
+        lof: LofSpec | None = None, split_threshold: int = 300,
+    ) -> None:
+        self._fill(locals())
         if self.percent is None:
             if self.bins < 1:
                 raise ValueError("bins must be >= 1")
@@ -170,17 +168,16 @@ def bin_count(occurrences: int, unique: int, spec: BinningSpec) -> int:
     return max(1, min(unique, int(math.floor(spec.percent * unique + 0.5))))
 
 
-@dataclass(frozen=True)
-class LdaSpec:
+class LdaSpec(Frozen):
     """Topic model hyperparameters; alpha defaults to 50/T when omitted."""
 
-    topics: int = 20
-    alpha: float | None = None
-    beta: float = 0.01
-    iterations: int = 500
-    threshold: float = 0.10
+    __slots__ = ("topics", "alpha", "beta", "iterations", "threshold")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, topics: int = 20, alpha: float | None = None, beta: float = 0.01,
+        iterations: int = 500, threshold: float = 0.10,
+    ) -> None:
+        self._fill(locals())
         if self.topics < 1:
             raise ValueError("topics must be >= 1")
         if self.iterations < 1:

@@ -14,7 +14,6 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ from .baselines import (
     parse_or_reject,
 )
 from .graph import LiteralGroup
-from .terms import XSD_SPACE
+from .terms import XSD_SPACE, Frozen
 
 log = logging.getLogger(__name__)
 
@@ -73,12 +72,13 @@ def parse_numeric(lexical: str, dt: str | None = None) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class BinLevel:
+class BinLevel(Frozen):
     """One granularity level: half-open bins over sorted boundaries."""
 
-    boundaries: tuple[float, ...]
-    entities: tuple[str, ...]
+    __slots__ = ("boundaries", "entities")
+
+    def __init__(self, boundaries: tuple[float, ...], entities: tuple[str, ...]) -> None:
+        self._fill(locals())
 
 
 def _bin_label(stem: str, subpop: int | None, level: int, index: int, width: int) -> str:
@@ -202,18 +202,19 @@ def assign_bins_array(
     return row[order], np.concatenate(depths)[order], np.concatenate(bins)[order]
 
 
-@dataclass(frozen=True)
-class BinAssignments:
+class BinAssignments(Frozen):
     """The bins of one population's values, as assign_bins_array gives them.
 
     *subjects* holds one subject id per value; pair p links value
     ``rows[p]`` to bin ``bins[p]`` of level ``levels[p]``.
     """
 
-    subjects: np.ndarray
-    rows: np.ndarray
-    levels: np.ndarray
-    bins: np.ndarray
+    __slots__ = ("subjects", "rows", "levels", "bins")
+
+    def __init__(
+        self, subjects: np.ndarray, rows: np.ndarray, levels: np.ndarray, bins: np.ndarray
+    ) -> None:
+        self._fill(locals())
 
     def __len__(self) -> int:
         return len(self.subjects)

@@ -9,18 +9,18 @@ applied to.
 
 from __future__ import annotations
 
-import enum
 import json
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .ntriples import Row
+from .report import Modality
 from .terms import (
     IRI,
     BlankNode,
+    Frozen,
     Literal,
     NUMERIC_DATATYPES,
     TEMPORAL_DATATYPES,
@@ -34,16 +34,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class Modality(enum.Enum):
-    NUMERIC = "numeric"
-    TEMPORAL = "temporal"
-    TEXT = "text"
-    IMAGE = "image"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class ModalityRules:
+class ModalityRules(Frozen):
     """Configuration for routing literal statements to modality groups.
 
     Predicates in *image_predicates* have their objects (IRI or literal)
@@ -51,8 +42,14 @@ class ModalityRules:
     fixed modality and wins over datatype-based rules.
     """
 
-    image_predicates: frozenset[str] = frozenset()
-    predicate_modalities: dict[str, Modality] = field(default_factory=dict)
+    __slots__ = ("image_predicates", "predicate_modalities")
+
+    def __init__(
+        self, image_predicates: frozenset[str] = frozenset(),
+        predicate_modalities: dict[str, Modality] | None = None,
+    ) -> None:
+        predicate_modalities = {} if predicate_modalities is None else predicate_modalities
+        self._fill(locals())
 
 
 def classify_modality(dt: str, predicate: str, rules: ModalityRules) -> Modality:
@@ -73,7 +70,6 @@ def classify_modality(dt: str, predicate: str, rules: ModalityRules) -> Modality
     return Modality.OTHER
 
 
-@dataclass
 class LiteralGroup:
     """All statements sharing one predicate and modality, as columns.
 
@@ -84,18 +80,18 @@ class LiteralGroup:
     IRI or BlankNode stands as datatype, so it never equals a literal's.
     """
 
-    predicate: str
-    modality: Modality
-    subjects: list[int] = field(default_factory=list)
-    lexicals: list[str] = field(default_factory=list)
-    datatypes: list[str | type[IRI | BlankNode]] = field(default_factory=list)
-    languages: list[str | None] = field(default_factory=list)
+    def __init__(self, predicate: str, modality: Modality) -> None:
+        self.predicate = predicate
+        self.modality = modality
+        self.subjects: list[int] = []
+        self.lexicals: list[str] = []
+        self.datatypes: list[str | type[IRI | BlankNode]] = []
+        self.languages: list[str | None] = []
 
     def __len__(self) -> int:
         return len(self.subjects)
 
 
-@dataclass
 class Augmentation:
     """Statements produced by one strategy application, as columns.
 
@@ -110,18 +106,21 @@ class Augmentation:
     design. *entity_terms* is the graph's, read only by the Triple adapters.
     """
 
-    predicate: str
-    entity_terms: Sequence[Term] = field(default=(), repr=False)
-    namespace: str = ""
-    stem: str = ""
-    subjects: array = field(default_factory=lambda: array("q"))
-    objects: list[str] = field(default_factory=list)
-    scored: array = field(default_factory=lambda: array("q"))
-    weights: array = field(default_factory=lambda: array("d"))
-    structural: list[tuple[str, str, str]] = field(default_factory=list)
-    removed: int = 0
-    warnings: list[str] = field(default_factory=list)
-    fallback_statements: int = 0
+    def __init__(
+        self, predicate: str, entity_terms: Sequence[Term] = (), namespace: str = "", stem: str = ""
+    ) -> None:
+        self.predicate = predicate
+        self.entity_terms = entity_terms
+        self.namespace = namespace
+        self.stem = stem
+        self.subjects = array("q")
+        self.objects: list[str] = []
+        self.scored = array("q")
+        self.weights = array("d")
+        self.structural: list[tuple[str, str, str]] = []
+        self.removed = 0
+        self.warnings: list[str] = []
+        self.fallback_statements = 0
 
     def link(
         self, subject_ids: Sequence[int], iri: str | Sequence[str], score: float | None = None
@@ -177,16 +176,16 @@ class Augmentation:
         return [(Triple(terms[s], predicate, IRI(o)), w) for s, o, w in links]
 
 
-@dataclass
 class IndexedGraph:
-    entity_terms: list[Term] = field(default_factory=list)
-    relation_iris: list[str] = field(default_factory=list)
-    relation_ids: dict[str, int] = field(default_factory=dict)
-    # Relational statements as (subject, relation, object) ids, deduplicated,
-    # in first-encounter order; they pass through to the output untouched.
-    relational: list[tuple[int, int, int]] = field(default_factory=list)
-    literal_groups: dict[tuple[int, Modality], LiteralGroup] = field(default_factory=dict)
-    duplicates_removed: int = 0
+    def __init__(self) -> None:
+        self.entity_terms: list[Term] = []
+        self.relation_iris: list[str] = []
+        self.relation_ids: dict[str, int] = {}
+        # Relational statements as (subject, relation, object) ids, deduplicated,
+        # in first-encounter order; they pass through to the output untouched.
+        self.relational: list[tuple[int, int, int]] = []
+        self.literal_groups: dict[tuple[int, Modality], LiteralGroup] = {}
+        self.duplicates_removed = 0
 
     @cached_property
     def entity_ids(self) -> dict[Term, int]:
@@ -326,19 +325,18 @@ def build_index(triples: Iterable[Triple], rules: ModalityRules | None = None) -
     return index_rows(_rows(triples), rules)
 
 
-@dataclass(frozen=True)
-class GraphProfile:
-    relations: int
-    nodes: int
-    triples: int
-    objects_iris: int
-    objects_blank: int
-    objects_literal: int
-    literal_numbers: int
-    literal_dates: int
-    literal_text: int
-    literal_images: int
-    literal_others: int
+class GraphProfile(Frozen):
+    __slots__ = (
+        "relations", "nodes", "triples", "objects_iris", "objects_blank", "objects_literal",
+        "literal_numbers", "literal_dates", "literal_text", "literal_images", "literal_others",
+    )
+
+    def __init__(
+        self, relations: int, nodes: int, triples: int, objects_iris: int, objects_blank: int,
+        objects_literal: int, literal_numbers: int, literal_dates: int, literal_text: int,
+        literal_images: int, literal_others: int,
+    ) -> None:
+        self._fill(locals())
 
     def to_dict(self) -> dict:
         return {

@@ -13,13 +13,12 @@ import base64
 import binascii
 import logging
 import time
-from dataclasses import dataclass
 from typing import Protocol
 
 from .baselines import Augmentation, link_any_value, note_fallback, sanitize_value
 from .graph import LiteralGroup
 from .report import _is_number, _load_json, _shown
-from .terms import BlankNode, XSD_BASE64
+from .terms import BlankNode, Frozen, XSD_BASE64, _set
 
 log = logging.getLogger(__name__)
 
@@ -30,15 +29,15 @@ class ProviderError(RuntimeError):
     """The provider could not answer at all (endpoint down, bad map file)."""
 
 
-@dataclass(frozen=True)
-class ImageRef:
+class ImageRef(Frozen):
     """One image statement: either an external IRI or embedded bytes."""
 
-    statement_index: int
-    iri: str | None = None
-    payload: bytes | None = None
+    __slots__ = ("statement_index", "iri", "payload")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, statement_index: int, iri: str | None = None, payload: bytes | None = None
+    ) -> None:
+        self._fill(locals())
         if self.iri is None and self.payload is None:
             raise ValueError("image reference needs an IRI or a payload")
         if self.iri is not None and not self.iri:
@@ -56,14 +55,14 @@ class ImageRef:
         return hashlib.sha256(self.payload).hexdigest()
 
 
-@dataclass(frozen=True)
-class LabelDistribution:
+class LabelDistribution(Frozen):
     """Classifier output, ranked on construction: highest score first, exact
     ties by name. So labels[0] is the top label."""
 
-    labels: tuple[tuple[str, float], ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, labels: tuple[tuple[str, float], ...]) -> None:
+        self._fill(locals())
         if not self.labels:
             raise ValueError("a label distribution needs at least one label")
         for name, score in self.labels:
@@ -72,7 +71,7 @@ class LabelDistribution:
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"label score out of range: {score}")
         ranked = tuple(sorted(self.labels, key=lambda pair: (-pair[1], pair[0])))
-        object.__setattr__(self, "labels", ranked)
+        _set(self, "labels", ranked)
 
 
 class TagProvider(Protocol):
@@ -101,7 +100,6 @@ def _parse_labels(raw: object, provider: str) -> LabelDistribution:
         raise ProviderError(f"{provider}: {exc}") from None
 
 
-@dataclass
 class TagMapProvider:
     """Precomputed tags: a JSON object keyed by image IRI or content hash.
 
@@ -109,7 +107,8 @@ class TagMapProvider:
     ...] or bare [name, ...] pairs/strings.
     """
 
-    mapping: dict[str, LabelDistribution]
+    def __init__(self, mapping: dict[str, LabelDistribution]) -> None:
+        self.mapping = mapping
 
     @classmethod
     def from_file(cls, path: str) -> "TagMapProvider":
@@ -125,7 +124,6 @@ class TagMapProvider:
         return self.mapping.get(ref.key)
 
 
-@dataclass
 class RemoteTagProvider:
     """HTTP classifier client.
 
@@ -135,12 +133,13 @@ class RemoteTagProvider:
     with ok status "not_found") returns None.
     """
 
-    endpoint: str
-    timeout: float = 10.0
-    retries: int = 3
-    backoff: float = 0.5
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, endpoint: str, timeout: float = 10.0, retries: int = 3, backoff: float = 0.5
+    ) -> None:
+        self.endpoint = endpoint
+        self.timeout = timeout
+        self.retries = retries
+        self.backoff = backoff
         if not self.timeout > 0:
             raise ValueError("timeout must be positive")
         if self.retries < 0:

@@ -15,13 +15,13 @@ import gzip
 import io
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from .terms import (
     IRI,
     BlankNode,
+    Frozen,
     Literal,
     Term,
     TermError,
@@ -77,11 +77,11 @@ class SerializationError(ValueError):
     """A triple violating term invariants cannot be serialized."""
 
 
-@dataclass(frozen=True, slots=True)
-class ParseDiagnostic:
-    line: int
-    message: str
-    text: str
+class ParseDiagnostic(Frozen):
+    __slots__ = ("line", "message", "text")
+
+    def __init__(self, line: int, message: str, text: str) -> None:
+        self._fill(locals())
 
     def __str__(self) -> str:
         return f"line {self.line}: {self.message}: {self.text.strip()[:120]}"

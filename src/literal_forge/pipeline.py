@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
 from importlib import import_module
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
 from .baselines import DEFAULT_NAMESPACE, BinningSpec, LdaSpec, LofSpec, bin_count, sanitize_value
-from .graph import Augmentation, IndexedGraph, LiteralGroup, Modality, ModalityRules, _rows
-from .report import AugmentationReport, ConfigError, PredicateReport, StrategyError, _load_json
-from .report import _read_json, check_rows, verify_bounds
-from .terms import _IRI_BAD, IRI, Triple, local_name
+from .graph import Augmentation, IndexedGraph, LiteralGroup, ModalityRules, _rows
+from .report import (
+    COMBINED, DATBIN, DATFEAT, EXCLUDE, FALLBACKS, IMAGETAGS, KLREL, KLRELENT, MODALITY_NAMES,
+    NBINS, ONEENTITY, PBINS, STRATEGIES, TRANSFORM, TXTLDA, AugmentationReport, ConfigError,
+    Modality, PredicateReport, StrategyError, _load_json, _read_json, check_rows, verify_bounds,
+)
+from .terms import _IRI_BAD, IRI, Frozen, Triple, _set, local_name
 
 if TYPE_CHECKING:
     from .images import TagProvider
@@ -54,19 +56,6 @@ def _entry(name: str) -> Callable[..., Any]:
 __getattr__ = _entry  # PEP 562: reading pipeline.<entry point> imports it too
 
 
-EXCLUDE = "EXCLUDE"
-TRANSFORM = "TRANSFORM"
-ONEENTITY = "ONEENTITY"
-NBINS = "NBINS"
-PBINS = "PBINS"
-KLREL = "KLREL"
-KLRELENT = "KLRELENT"
-DATBIN = "DATBIN"
-DATFEAT = "DATFEAT"
-TXTLDA = "TXTLDA"
-IMAGETAGS = "IMAGETAGS"
-COMBINED = "COMBINED"
-
 _UNIVERSAL = {EXCLUDE, TRANSFORM, ONEENTITY, COMBINED}
 VALID_FOR: dict[Modality, set[str]] = {
     Modality.NUMERIC: _UNIVERSAL | {NBINS, PBINS, KLREL, KLRELENT},
@@ -77,7 +66,7 @@ VALID_FOR: dict[Modality, set[str]] = {
 }
 
 # Each strategy's parameters and their JSON types, as read by _read_json. The
-# defaults live in the spec dataclasses and the strategy functions' signatures.
+# defaults live in the spec classes and the strategy functions' signatures.
 _BINNING_PARAMS: dict[str, Any] = {
     "bins": "int",
     "percent": "number",
@@ -108,7 +97,6 @@ _PARAMS: dict[str, dict[str, Any]] = {
     IMAGETAGS: {"prefix": "string", "max_in_flight": "count"},
     COMBINED: {m.value: "object" for m in Modality},
 }
-STRATEGIES = set(_PARAMS)
 _BINNERS = {NBINS, PBINS, KLREL, KLRELENT, DATBIN}
 _PLAN = {"strategy": "string", "params": "object"}
 _CONFIG = {
@@ -128,11 +116,8 @@ _PROVIDERS = {
     "remote": {"kind": "string", "endpoint": "string", "timeout": "number", "retries": "int"},
 }
 
-MODALITY_NAMES = {m.value: m for m in Modality}
 
-
-@dataclass(frozen=True)
-class GroupPlan:
+class GroupPlan(Frozen):
     """One resolved (strategy, parameters) choice.
 
     *spec* is *params* read once, at construction: for binning strategies a
@@ -141,20 +126,21 @@ class GroupPlan:
     function's keywords. *params* stays as given, for the report.
     """
 
-    strategy: str
-    params: dict[str, Any] = field(default_factory=dict)
-    spec: Any = field(init=False, compare=False, repr=False)
+    __slots__ = ("strategy", "params", "spec")
+    _fields = ("strategy", "params")  # *spec* follows from them
 
-    def __post_init__(self) -> None:
+    def __init__(self, strategy: str, params: dict[str, Any] | None = None) -> None:
+        params = {} if params is None else params
+        self._fill(locals())
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy name: {self.strategy!r}")
         what = f"parameters for {self.strategy}"
         params = _read_json(self.params, _PARAMS[self.strategy], what)
         try:
             spec = _read_spec(self.strategy, params)
-        except ValueError as exc:  # a spec dataclass's range check, or a COMBINED part's
+        except ValueError as exc:  # a spec class's range check, or a COMBINED part's
             raise ConfigError(f"{what}: {exc}") from exc
-        object.__setattr__(self, "spec", spec)
+        _set(self, "spec", spec)
 
 
 def _read_spec(strategy: str, params: dict[str, Any]) -> Any:
@@ -200,7 +186,6 @@ def compose_combined(params: dict[str, Any] | None = None) -> dict[Modality, Gro
     }
 
 
-@dataclass
 class StrategyConfig:
     """Everything a transformation run depends on.
 
@@ -210,22 +195,27 @@ class StrategyConfig:
     Stopword tables map language tags, casefolded here, to word lists.
     """
 
-    namespace: str = DEFAULT_NAMESPACE
-    seed: int = 0
-    defaults: dict[Modality, GroupPlan] = field(default_factory=compose_combined)
-    overrides: dict[str, GroupPlan] = field(default_factory=dict)
-    image_provider: dict[str, Any] | None = None
-    emit_weights: bool = False
-    fallback: str | None = ONEENTITY
-    rules: ModalityRules = field(default_factory=ModalityRules)
-    stopwords: dict[str, list[str]] | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, namespace: str = DEFAULT_NAMESPACE, seed: int = 0,
+        defaults: dict[Modality, GroupPlan] | None = None,
+        overrides: dict[str, GroupPlan] | None = None, image_provider: dict[str, Any] | None = None,
+        emit_weights: bool = False, fallback: str | None = ONEENTITY,
+        rules: ModalityRules | None = None, stopwords: dict[str, list[str]] | None = None,
+    ) -> None:
+        self.namespace = namespace
+        self.seed = seed
+        self.defaults = compose_combined() if defaults is None else defaults
+        self.overrides = {} if overrides is None else overrides
+        self.image_provider = image_provider
+        self.emit_weights = emit_weights
+        self.fallback = fallback
+        self.rules = ModalityRules() if rules is None else rules
+        self.stopwords = stopwords
         if not self.namespace or not self.namespace.startswith(("http://", "https://", "urn:")):
             raise ConfigError(f"namespace must be an absolute IRI prefix: {self.namespace!r}")
         if _IRI_BAD.search(self.namespace):
             raise ConfigError(f"namespace holds a character no IRI may hold: {self.namespace!r}")
-        if self.fallback is not None and self.fallback not in (ONEENTITY, EXCLUDE):
+        if self.fallback is not None and self.fallback not in FALLBACKS:
             raise ConfigError(f"fallback must be ONEENTITY, EXCLUDE, or null: {self.fallback!r}")
         for modality, plan in self.defaults.items():
             if plan.strategy not in VALID_FOR[modality]:
@@ -327,7 +317,6 @@ def shortcut_defaults(strategy: str, fallback: str | None) -> dict[Modality, Gro
     return {m: plan if plan.strategy in VALID_FOR[m] else degraded for m in Modality}
 
 
-@dataclass
 class PipelineResult:
     """Merged output, as columns: the graph's relational statements, then the
     links of each group's augmentation, then *structural*, the structural
@@ -337,10 +326,14 @@ class PipelineResult:
     access.
     """
 
-    graph: IndexedGraph
-    augmentations: list[Augmentation]
-    structural: list[tuple[str, str, str]]
-    report: AugmentationReport
+    def __init__(
+        self, graph: IndexedGraph, augmentations: list[Augmentation],
+        structural: list[tuple[str, str, str]], report: AugmentationReport,
+    ) -> None:
+        self.graph = graph
+        self.augmentations = augmentations
+        self.structural = structural
+        self.report = report
 
     @property
     def minted(self) -> list[Triple]:
@@ -394,14 +387,18 @@ def _binning_exceptions(spec: BinningSpec, minted: frozenset[str]) -> list[str]:
     return out
 
 
-@dataclass
 class _GroupOutcome:
-    aug: Augmentation
-    entity_allowance: int  # without the AnyValue entity, which apply adds
-    statement_delta_exact: int | None
-    statement_delta_max: int | None
-    exceptions: list[str] = field(default_factory=list)
-    detail: dict[str, Any] = field(default_factory=dict)
+    def __init__(
+        self, aug: Augmentation, entity_allowance: int, statement_delta_exact: int | None,
+        statement_delta_max: int | None, exceptions: list[str] | None = None,
+        detail: dict[str, Any] | None = None,
+    ) -> None:
+        self.aug = aug
+        self.entity_allowance = entity_allowance  # without the AnyValue entity, which apply adds
+        self.statement_delta_exact = statement_delta_exact
+        self.statement_delta_max = statement_delta_max
+        self.exceptions = [] if exceptions is None else exceptions
+        self.detail = {} if detail is None else detail
 
 
 def augmentation_for(group: LiteralGroup, graph: IndexedGraph, namespace: str) -> Augmentation:

@@ -1,19 +1,47 @@
 """The augmentation report: its layout, its bound check, its check of an output.
 
 `verify` needs only this of the pipeline, so it lives apart and imports no
-other module of the package; so do the JSON reader the config shares and
-the two errors the command line maps to exit codes.
+other module of the package; so do the names a report row uses (modalities
+and strategies), the JSON reader the config shares and the two errors the
+command line maps to exit codes.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:
     from .ntriples import Row
+
+
+class Modality(enum.Enum):
+    NUMERIC = "numeric"
+    TEMPORAL = "temporal"
+    TEXT = "text"
+    IMAGE = "image"
+    OTHER = "other"
+
+
+MODALITY_NAMES = {m.value: m for m in Modality}
+
+EXCLUDE = "EXCLUDE"
+TRANSFORM = "TRANSFORM"
+ONEENTITY = "ONEENTITY"
+NBINS = "NBINS"
+PBINS = "PBINS"
+KLREL = "KLREL"
+KLRELENT = "KLRELENT"
+DATBIN = "DATBIN"
+DATFEAT = "DATFEAT"
+TXTLDA = "TXTLDA"
+IMAGETAGS = "IMAGETAGS"
+COMBINED = "COMBINED"
+STRATEGIES = {EXCLUDE, TRANSFORM, ONEENTITY, NBINS, PBINS, KLREL, KLRELENT, DATBIN, DATFEAT,
+              TXTLDA, IMAGETAGS, COMBINED}
+FALLBACKS = (ONEENTITY, EXCLUDE)
 
 
 class ConfigError(ValueError):
@@ -133,36 +161,29 @@ def _read_json(
     return out
 
 
-@dataclass
 class PredicateReport:
-    """One report row: what happened to one literal group."""
+    """One report row: what happened to one literal group.
 
-    predicate: str
-    modality: str
-    strategy: str
-    statements: int
-    distinct_values: int
-    parsed: int
-    fallback_statements: int
-    delta_entities: int
-    delta_statements: int
-    structural: int
-    removed: int
-    entity_allowance: int
-    statement_delta_exact: int | None
-    statement_delta_max: int | None
-    exceptions: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    fell_back_to: str | None = None
-    params: dict[str, Any] = field(default_factory=dict)
-    detail: dict[str, Any] = field(default_factory=dict)
-    verdict: str = "unchecked"
+    Its fields are the keys of _REPORT_ROW, each given by keyword; the lists
+    and objects default to empty, fell_back_to to None and verdict to
+    "unchecked". An unknown or a missing key raises TypeError.
+    """
+
+    __slots__ = tuple(_REPORT_ROW)
+
+    def __init__(self, **fields: Any) -> None:
+        fields = {"exceptions": [], "warnings": [], "fell_back_to": None, "params": {},
+                  "detail": {}, "verdict": "unchecked", **fields}
+        if fields.keys() != _REPORT_ROW.keys():
+            unknown, missing = fields.keys() - _REPORT_ROW, _REPORT_ROW.keys() - fields
+            raise TypeError(f"report row: unknown {sorted(unknown)}, missing {sorted(missing)}")
+        for key, value in fields.items():
+            setattr(self, key, value)
 
     def to_dict(self) -> dict[str, Any]:
         return {key: getattr(self, key) for key in _REPORT_ROW}
 
 
-@dataclass
 class AugmentationReport:
     """Run summary: per-predicate rows plus global accounting.
 
@@ -170,15 +191,21 @@ class AugmentationReport:
     (structural triples and shared entities are deduplicated across rows).
     """
 
-    namespace: str
-    seed: int
-    rows: list[PredicateReport] = field(default_factory=list)
-    relational_preserved: int = 0
-    structural_total: int = 0
-    minted_entities_in_output: int = 0
-    minted_relations_in_output: int = 0
-    duplicates_removed: int = 0
-    warnings: list[str] = field(default_factory=list)
+    def __init__(
+        self, namespace: str, seed: int, rows: list[PredicateReport] | None = None,
+        relational_preserved: int = 0, structural_total: int = 0,
+        minted_entities_in_output: int = 0, minted_relations_in_output: int = 0,
+        duplicates_removed: int = 0, warnings: list[str] | None = None,
+    ) -> None:
+        self.namespace = namespace
+        self.seed = seed
+        self.rows = [] if rows is None else rows
+        self.relational_preserved = relational_preserved
+        self.structural_total = structural_total
+        self.minted_entities_in_output = minted_entities_in_output
+        self.minted_relations_in_output = minted_relations_in_output
+        self.duplicates_removed = duplicates_removed
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def delta_entities_total(self) -> int:
@@ -203,6 +230,14 @@ class AugmentationReport:
     def from_dict(cls, raw: Any) -> "AugmentationReport":
         """A report from its JSON form; one that breaks the layout raises ValueError."""
         raw = _read_json(raw, _REPORT, "report keys", required=True)
+        # A row names the strategy that ran, so never COMBINED, which
+        # StrategyConfig.plan_for resolves, and the fallback that ran, if any.
+        names = {"modality": MODALITY_NAMES, "strategy": STRATEGIES - {COMBINED},
+                 "fell_back_to": (*FALLBACKS, None)}
+        for i, row in enumerate(raw["predicates"]):
+            for key, known in names.items():
+                if row[key] not in known:
+                    raise ValueError(f"predicates[{i}]: unknown {key} {_shown(row[key])}")
         totals = {key: raw.pop(key) for key in _REPORT_TOTALS}
         rows = [PredicateReport(**row) for row in raw.pop("predicates")]
         report = cls(rows=rows, **raw)

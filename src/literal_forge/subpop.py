@@ -23,14 +23,12 @@ divergences are those of a dense search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .baselines import Augmentation, link_any_value, note_fallback, parse_or_reject
 from .binning import BinningSpec, bin_statements, parse_numeric, sorted_distinct
 from .graph import IndexedGraph, LiteralGroup
-from .terms import BlankNode
+from .terms import BlankNode, Frozen
 
 REL = "REL"
 RELENT = "RELENT"
@@ -50,8 +48,7 @@ def _entity_key(graph: IndexedGraph, entity_id: int) -> str:
     return "_:" + term.label if isinstance(term, BlankNode) else term.value
 
 
-@dataclass(frozen=True)
-class RelationDistribution:
+class RelationDistribution(Frozen):
     """Smoothed categorical distribution over signature features.
 
     Probabilities are strictly positive and sum to one; the smoothing
@@ -59,10 +56,10 @@ class RelationDistribution:
     renormalizing.
     """
 
-    vocabulary: tuple[Feature, ...]
-    probs: np.ndarray
+    __slots__ = ("vocabulary", "probs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vocabulary: tuple[Feature, ...], probs: np.ndarray) -> None:
+        self._fill(locals())
         if len(self.vocabulary) != self.probs.size:
             raise ValueError("vocabulary and probability vector sizes differ")
 
@@ -130,8 +127,7 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
-@dataclass(frozen=True)
-class _Incidence:
+class _Incidence(Frozen):
     """Subject × feature incidence of one group, in compressed sparse rows.
 
     Row i belongs to the i-th subject in id order and lists the ids of its
@@ -139,9 +135,10 @@ class _Incidence:
     feature order, so labels[i] < labels[j] whenever i < j.
     """
 
-    indptr: np.ndarray
-    features: np.ndarray
-    labels: list[Feature]
+    __slots__ = ("indptr", "features", "labels")
+
+    def __init__(self, indptr: np.ndarray, features: np.ndarray, labels: list[Feature]) -> None:
+        self._fill(locals())
 
 
 def _incidence(subjects: np.ndarray, graph: IndexedGraph, mode: str) -> _Incidence:
@@ -230,7 +227,6 @@ def _best_split(
     return feature, score, rows[has], rows[~has]
 
 
-@dataclass
 class SplitNode:
     """One node of the split tree, held in PopulationSplit.nodes.
 
@@ -240,14 +236,15 @@ class SplitNode:
     each subject is stored once.
     """
 
-    value_count: int
-    subject_count: int
-    feature: Feature | None = None
-    divergence: float | None = None
-    children: tuple[int, ...] | None = None
-    indivisible: bool = False
-    leaf_index: int | None = None
-    subjects: tuple[int, ...] = ()
+    def __init__(self, value_count: int, subject_count: int) -> None:
+        self.value_count = value_count
+        self.subject_count = subject_count
+        self.feature: Feature | None = None
+        self.divergence: float | None = None
+        self.children: tuple[int, ...] | None = None
+        self.indivisible = False
+        self.leaf_index: int | None = None
+        self.subjects: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
         out: dict = {"values": self.value_count, "subjects": self.subject_count}
@@ -262,13 +259,13 @@ class SplitNode:
         return out
 
 
-@dataclass
 class PopulationSplit:
     """Split tree for one literal group: its nodes depth first, root first,
     and its leaves in the same order."""
 
-    nodes: list[SplitNode] = field(default_factory=list)
-    leaves: list[SplitNode] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.nodes: list[SplitNode] = []
+        self.leaves: list[SplitNode] = []
 
 
 def split_population(

@@ -3,12 +3,13 @@
 Terms are immutable and hashable so they can be dictionary-encoded and
 deduplicated freely. A literal always carries exactly one datatype IRI:
 plain literals default to xsd:string, language-tagged ones to rdf:langString.
+Their base, Frozen, serves the package's other read-only records too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -67,27 +68,75 @@ class TermError(ValueError):
     """A term violates the N-Triples term invariants."""
 
 
-@dataclass(frozen=True, slots=True)
-class IRI:
-    value: str
+_set = object.__setattr__  # how a Frozen record's __init__ sets a field
+
+
+class Frozen:
+    """A read-only record of the fields its class names in *_fields*, else in
+    *__slots__*: equal to a record of its own class with equal fields, hashed,
+    shown and copied by them. Assigning to a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = attrgetter(*cls._fields)
+
+    def _fill(self, values: dict[str, object]) -> None:
+        """Set each field from *values*, the locals() of an __init__."""
+        for name in self._fields:
+            _set(self, name, values[name])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+# Terms are made per statement, so their __init__s set each field directly.
+class IRI(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str) -> None:
+        _set(self, "value", value)
 
     def __str__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    label: str
+class BlankNode(Frozen):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        _set(self, "label", label)
 
     def __str__(self) -> str:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lexical: str
-    datatype: str = XSD_STRING
-    language: str | None = None
+class Literal(Frozen):
+    __slots__ = ("lexical", "datatype", "language")
+
+    def __init__(self, lexical: str, datatype: str = XSD_STRING, language: str | None = None) -> None:
+        _set(self, "lexical", lexical)
+        _set(self, "datatype", datatype)
+        _set(self, "language", language)
 
     def __str__(self) -> str:
         lexical = self.lexical.translate(_CANON_ESCAPE)
@@ -130,11 +179,13 @@ def validate_term(term: Term) -> None:
         raise TermError(f"not an RDF term: {term!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+class Triple(Frozen):
+    __slots__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: Term, predicate: Term, object: Term) -> None:
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
 
     def validate(self) -> None:
         """Check statement-position constraints on top of term invariants."""

@@ -17,7 +17,6 @@ import logging
 import random
 import re
 import time
-from dataclasses import dataclass, field
 from typing import Mapping, Collection
 
 import numpy as np
@@ -56,7 +55,6 @@ def tokenize(
     return tokens
 
 
-@dataclass
 class Corpus:
     """Tokenized documents for one literal group, one document per statement.
 
@@ -65,8 +63,9 @@ class Corpus:
     tokenization; those are excluded from training and flagged for fallback.
     """
 
-    documents: list[list[int]]
-    vocabulary: tuple[str, ...]
+    def __init__(self, documents: list[list[int]], vocabulary: tuple[str, ...]) -> None:
+        self.documents = documents
+        self.vocabulary = vocabulary
 
     @property
     def empty_documents(self) -> list[int]:
@@ -98,16 +97,19 @@ def build_corpus(
     return Corpus(documents, tuple(vocab_ids))
 
 
-@dataclass
 class TopicModel:
     """Trained topic model: per-topic word distributions and per-document
     topic distributions, estimated from the final Gibbs state."""
 
-    topics: int
-    phi: np.ndarray  # T x V
-    theta: np.ndarray  # D x T
-    vocabulary: tuple[str, ...] = field(default=())
-    last_sweep_changed: float = 0.0  # share of tokens that moved in the last sweep
+    def __init__(
+        self, topics: int, phi: np.ndarray, theta: np.ndarray, vocabulary: tuple[str, ...] = (),
+        last_sweep_changed: float = 0.0,
+    ) -> None:
+        self.topics = topics
+        self.phi = phi  # T x V
+        self.theta = theta  # D x T
+        self.vocabulary = vocabulary
+        self.last_sweep_changed = last_sweep_changed  # share of tokens moved in the last sweep
 
     def top_words(self, k: int = 10) -> list[list[str]]:
         out = []

@@ -374,6 +374,34 @@ class TestVerify:
         problems = self.verify_tampered(out, tmp_path, capsys, "IMAGETAGS", removed=2)
         assert problems == [f"{EX}depiction [image]: fail: removed 2 != expected 5"]
 
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"strategy": "NO-SUCH", "fell_back_to": "ALSO-NO-SUCH"}, "strategy 'NO-SUCH'"),
+            ({"strategy": "COMBINED"}, "strategy 'COMBINED'"),
+            ({"fell_back_to": "NBINS"}, "fell_back_to 'NBINS'"),
+            ({"modality": "sound"}, "modality 'sound'"),
+        ],
+        ids=["no-such-names", "combined", "fallback-not-a-fallback", "no-such-modality"],
+    )
+    def test_a_row_that_names_no_strategy_is_a_layout_error(
+        self, sample_nt, tmp_path, caplog, capsys, changes, named
+    ):
+        # The bound rules read a row's strategy and fallback, so a row must
+        # name ones that can run: never COMBINED, which plan_for resolves.
+        _, out = transform(sample_nt, tmp_path, "--strategy", "NBINS")
+        path = Path(out + ".report.json")
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        i = next(i for i, row in enumerate(raw["predicates"]) if row["strategy"] == "NBINS")
+        raw["predicates"][i].update(changes)
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+            assert main(["verify", "--input", out]) == EXIT_INPUT
+        [message] = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
+        assert message == f"cannot load report {path}: predicates[{i}]: unknown {named}"
+        assert capsys.readouterr().out == ""
+
     def test_one_predicate_over_its_rows_entity_total_fails(self, tmp_path, capsys):
         # One predicate holds numbers and dates: two rows, one entity total.
         lines = [numeric_line(f"n{i}", "value", i) for i in range(3)]
@@ -1054,14 +1082,14 @@ def test_iri_characters_in_config_stop_before_the_input_is_read(
 
 
 # Runs cli.main with numpy blocked, then prints which strategy modules, and
-# whether OpenSSL's _hashlib, loaded: after the relational commands, then
-# after a DATFEAT transform.
+# whether OpenSSL's _hashlib, dataclasses and inspect, loaded: after the
+# relational commands, then after a DATFEAT transform.
 _WITHOUT_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None  # every import of numpy now raises ImportError
 from literal_forge.cli import main
 graph, dates, out = sys.argv[1:]
-names = ["numpy", "_hashlib"] + [
+names = ["numpy", "_hashlib", "dataclasses", "inspect"] + [
     "literal_forge." + name for name in ("binning", "subpop", "temporal", "textlda", "images")
 ]
 def loaded():
@@ -1078,15 +1106,16 @@ print(json.dumps({"codes": codes, "loaded": [relational, loaded()],
 """
 
 # Runs one command with numpy present and prints whether numpy and numpy.ma
-# loaded, and which of the package's modules.
+# loaded, which of the package's modules, and whether dataclasses and inspect.
 _WITH_NUMPY = """
 import json, sys
 from literal_forge.cli import main
 code = main(sys.argv[1:])
 modules = sorted(name for name in sys.modules if name.startswith("literal_forge."))
 native = [name for name in ("numpy.random", "secrets", "hashlib", "_hashlib") if name in sys.modules]
+stdlib = [name for name in ("dataclasses", "inspect") if name in sys.modules]
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "ma": "numpy.ma" in sys.modules,
-                  "modules": modules, "native": native}))
+                  "modules": modules, "native": native, "stdlib": stdlib}))
 """
 
 # Imports the package alone, then reads every name of __all__ and one unknown.
@@ -1150,6 +1179,7 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
     numbers, split_out = str(tmp_path / "numbers.nt"), str(tmp_path / "split.nt")
     result = run("transform", "--input", numbers, "--output", split_out, "--config", str(split))
     assert (result["code"], result["numpy"], result["ma"]) == (EXIT_OK, True, False)
+    assert "dataclasses" not in result["stdlib"]  # numpy itself loads inspect
     [row] = AugmentationReport.from_file(split_out + ".report.json").rows
     assert row.strategy == "KLREL" and row.detail["leaves"] > 1
 
@@ -1158,6 +1188,7 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
     text, topics_out = str(tmp_path / "text.nt"), str(tmp_path / "topics.nt")
     result = run("transform", "--input", text, "--output", topics_out, "--strategy", "TXTLDA")
     assert (result["code"], result["numpy"], result["native"]) == (EXIT_OK, True, [])
+    assert "dataclasses" not in result["stdlib"]
     [row] = AugmentationReport.from_file(topics_out + ".report.json").rows
     assert row.strategy == "TXTLDA" and row.delta_entities > 0
 
@@ -1171,7 +1202,8 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
     ]:
         modules = sorted(f"literal_forge.{name}" for name in verify + extra)
         assert run(*argv) == {
-            "code": EXIT_OK, "numpy": False, "ma": False, "modules": modules, "native": []
+            "code": EXIT_OK, "numpy": False, "ma": False, "modules": modules, "native": [],
+            "stdlib": [],
         }
 
     # The package alone loads no submodule and serves each exported name on first read.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
 
 import pytest
 
@@ -953,8 +952,17 @@ class TestReportSerialization:
         text = report.to_json()
         assert AugmentationReport.from_dict(json.loads(text)).to_json() == text
 
-    def test_layout_names_every_row_field(self):
-        assert list(_REPORT_ROW) == [f.name for f in fields(PredicateReport)]
+    def test_a_row_has_exactly_the_layout_keys(self):
+        graph = make_graph(mixed_lines())
+        report = apply(graph, single_strategy_config("TRANSFORM", namespace=NEW)).report
+        row = report.to_dict()["predicates"][0]
+        assert list(row) == list(_REPORT_ROW)
+        assert PredicateReport(**row).to_dict() == row
+        with pytest.raises(TypeError, match=re.escape("unknown ['bound']")):
+            PredicateReport(**row, bound=1)
+        del row["statements"]
+        with pytest.raises(TypeError, match=re.escape("missing ['statements']")):
+            PredicateReport(**row)
 
     def test_every_key_is_required(self):
         graph = make_graph(mixed_lines())

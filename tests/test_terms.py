@@ -1,5 +1,7 @@
 """Term model validation rules."""
 
+import pickle
+
 import pytest
 
 from literal_forge.terms import (
@@ -8,6 +10,7 @@ from literal_forge.terms import (
     Literal,
     TermError,
     Triple,
+    XSD,
     XSD_STRING,
     RDF_LANGSTRING,
     local_name,
@@ -80,6 +83,16 @@ def test_term_text_is_canonical_n_triples():
 def test_terms_are_hashable_and_interning_friendly():
     assert IRI("http://ex.org/a") == IRI("http://ex.org/a")
     assert len({Literal("1"), Literal("1"), Literal("2")}) == 2
+    assert IRI("x") != BlankNode("x")
+    assert Literal("1", XSD + "integer") != Literal("1", XSD + "decimal")
+    assert Literal("chat", RDF_LANGSTRING, "en") != Literal("chat", RDF_LANGSTRING, "fr")
+    first = Triple(IRI("http://ex.org/s"), IRI("http://ex.org/p"), Literal("1"))
+    second = Triple(IRI("http://ex.org/s"), IRI("http://ex.org/p"), Literal("1"))
+    assert first == second and hash(first) == hash(second)
+    assert pickle.loads(pickle.dumps(first)) == first
+    for record, field in [(IRI("x"), "value"), (Literal("1"), "language"), (first, "object")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 @pytest.mark.parametrize(
