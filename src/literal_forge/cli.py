@@ -168,7 +168,7 @@ def _lines(result: PipelineResult, text: TermText, weights: bool = False) -> Ite
         return
     # Known text is read from the table inline; a method call fills a miss.
     by_id, known, relations = text.by_id, text.by_key, result.graph.relation_iris
-    for s, r, o in result.graph.relational:
+    for s, r, o in zip(*result.graph.links):
         p = relations[r]
         yield f"{by_id[s] or entity(s)} {known.get(p) or iri(p)} {by_id[o] or entity(o)} ."
     for aug in result.augmentations:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from array import array
 from functools import cached_property
-from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from itertools import compress, islice, repeat
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .ntriples import Row
 from .report import Modality
@@ -43,6 +43,7 @@ class ModalityRules(Frozen):
     """
 
     __slots__ = ("image_predicates", "predicate_modalities")
+    __hash__ = None  # type: ignore[assignment]  # a field is a dict
 
     def __init__(
         self, image_predicates: frozenset[str] = frozenset(),
@@ -177,13 +178,14 @@ class Augmentation:
 
 
 class IndexedGraph:
+    """*links* holds the relational statements as subject, relation and object
+    id columns, deduplicated, in first-encounter order, for the output."""
+
     def __init__(self) -> None:
         self.entity_terms: list[Term] = []
         self.relation_iris: list[str] = []
         self.relation_ids: dict[str, int] = {}
-        # Relational statements as (subject, relation, object) ids, deduplicated,
-        # in first-encounter order; they pass through to the output untouched.
-        self.relational: list[tuple[int, int, int]] = []
+        self.links = (array("q"), array("q"), array("q"))
         self.literal_groups: dict[tuple[int, Modality], LiteralGroup] = {}
         self.duplicates_removed = 0
 
@@ -199,11 +201,16 @@ class IndexedGraph:
             for key in sorted(self.literal_groups, key=lambda k: (k[0], k[1].value))
         ]
 
+    @property
+    def relational(self) -> list[tuple[int, int, int]]:
+        """*links* as (subject, relation, object) id tuples, built on each access."""
+        return list(zip(*self.links))
+
     def relational_triples(self) -> Iterator[Triple]:
         """The relational statements as triples, deduplicated, in input order."""
         terms = self.entity_terms
         relations = [IRI(iri) for iri in self.relation_iris]
-        return (Triple(terms[s], relations[r], terms[o]) for s, r, o in self.relational)
+        return (Triple(terms[s], relations[r], terms[o]) for s, r, o in zip(*self.links))
 
     @cached_property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,13 +220,11 @@ class IndexedGraph:
         positions indptr[e]:indptr[e + 1], as (r, o) for each (e, r, o), then
         (r, s) for each (s, r, e), so a self-loop appears in both halves.
         Read only by the relational-signature strategies, so it is built from
-        the id triples on first access, once indexing is done.
+        the id columns on first access, once indexing is done.
         """
         import numpy as np
 
-        m = len(self.relational)
-        ids = np.fromiter(chain.from_iterable(self.relational), np.int64, 3 * m).reshape(m, 3)
-        s, r, o = ids.T
+        s, r, o = (np.frombuffer(column, np.int64) for column in self.links)
         # Stable, so each entity's out-edges come first, then its in-edges,
         # each in input order.
         ends = np.concatenate((s, o))
@@ -230,25 +235,26 @@ class IndexedGraph:
 
     @property
     def num_relational(self) -> int:
-        return len(self.relational)
+        return len(self.links[0])
 
 
 def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> IndexedGraph:
-    """Index scanned rows into relational id triples plus literal groups.
+    """Index scanned rows into relational id columns plus literal groups.
 
     Entity ids come from one dict lookup per raw string, in separate dicts
     for IRIs and blank-node labels, so <_:b1> and _:b1 are two entities.
-    Exact repeats are dropped and counted in duplicates_removed. Literal
-    statements go to their group's columns; the modality is classified once
-    per predicate and datatype.
+    Links go to the graph's id columns and literal statements to their
+    group's columns; the modality is classified once per predicate and
+    datatype. No key is made per statement while scanning: exact repeats
+    are dropped once the scan ends, first copies kept, and counted in
+    duplicates_removed.
     """
     graph, rules = IndexedGraph(), rules or ModalityRules()
     terms, relation_ids = graph.entity_terms, graph.relation_ids
     iri_ids: dict[str, int] = {}
     label_ids: dict[str, int] = {}
-    # Relational keys hold three ids, literal keys five fields: they never meet.
-    seen: set[tuple] = set()
     group_of: dict[tuple[int, str | type], LiteralGroup] = {}
+    add_s, add_r, add_o = (column.append for column in graph.links)
 
     def new_entity(iri: str | None, label: str) -> int:
         eid = len(terms)
@@ -268,22 +274,15 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
         sid = iri_ids.get(s_iri) if s_iri is not None else label_ids.get(s_label)
         if sid is None:
             sid = new_entity(s_iri, s_label)
-        is_link = lexical is None and predicate not in rules.image_predicates
-        if is_link:
-            oid = iri_ids.get(o_iri) if o_iri is not None else label_ids.get(o_label)
-            key = (sid, rid, new_entity(o_iri, o_label) if oid is None else oid)
-        else:
-            if lexical is None:  # an image reference: literal information, not an edge
-                lexical, datatype = (o_iri, IRI) if o_iri is not None else (o_label, BlankNode)
-            key = (sid, rid, lexical, datatype, language)
-        before = len(seen)
-        seen.add(key)
-        if len(seen) == before:
-            graph.duplicates_removed += 1
-            continue
-        if is_link:
-            graph.relational.append(key)
-            continue
+        if lexical is None:
+            if predicate not in rules.image_predicates:
+                oid = iri_ids.get(o_iri) if o_iri is not None else label_ids.get(o_label)
+                add_s(sid)
+                add_r(rid)
+                add_o(new_entity(o_iri, o_label) if oid is None else oid)
+                continue
+            # An image reference: literal information, not an edge.
+            lexical, datatype = (o_iri, IRI) if o_iri is not None else (o_label, BlankNode)
         group = group_of.get((rid, datatype))
         if group is None:
             if isinstance(datatype, type):
@@ -298,7 +297,44 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
         group.lexicals.append(lexical)
         group.datatypes.append(datatype)
         group.languages.append(language)
+    _drop_repeats(graph)
     return graph
+
+
+def _drop_repeats(graph: IndexedGraph) -> None:
+    """Keep the first copy of each link and literal statement. A link is
+    packed into one int, with bit widths from the final entity and relation
+    counts; a literal statement repeats only within its first copy's group."""
+    s, r, o = graph.links
+    rbits = (len(graph.relation_iris) - 1).bit_length()
+    obits = (len(graph.entity_terms) - 1).bit_length()
+    if keep := _first_copies(lambda: ((a << rbits | b) << obits | c for a, b, c in zip(s, r, o))):
+        graph.duplicates_removed += keep.count(0)
+        graph.links = tuple(array("q", compress(column, keep)) for column in graph.links)
+    for group in graph.literal_groups.values():
+        columns = (group.subjects, group.lexicals, group.datatypes, group.languages)
+        if keep := _first_copies(lambda: zip(*columns)):
+            graph.duplicates_removed += keep.count(0)
+            for column in columns:
+                column[:] = list(compress(column, keep))
+
+
+def _first_copies(rows: Callable[[], Iterator[Hashable]]) -> bytearray | None:
+    """A mask of the first copy of each row of rows(), in order; None when
+    no row repeats, which is found by sorting the rows' hashes, so only ints
+    are held. Rows are compared whole only where a hash repeats."""
+    hashes = sorted(map(hash, rows()))
+    repeated = {a for a, b in zip(hashes, islice(hashes, 1, None)) if a == b}
+    if not repeated:
+        return None
+    keep, seen = bytearray(len(hashes)), set()
+    for i, row in enumerate(rows()):
+        if hash(row) in repeated:
+            if row in seen:
+                continue
+            seen.add(row)
+        keep[i] = 1
+    return keep
 
 
 def _rows(triples: Iterable[Triple]) -> Iterator[Row]:

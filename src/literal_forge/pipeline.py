@@ -127,6 +127,7 @@ class GroupPlan(Frozen):
     """
 
     __slots__ = ("strategy", "params", "spec")
+    __hash__ = None  # type: ignore[assignment]  # *params* is a dict
     _fields = ("strategy", "params")  # *spec* follows from them
 
     def __init__(self, strategy: str, params: dict[str, Any] | None = None) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -477,6 +478,102 @@ def test_group_columns_match_term_keyed_index(mannheim_triples):
     groups = {key: _statements(group) for key, group in graph.literal_groups.items()}
     assert groups == _term_keyed_index(mannheim_triples, IMAGE_RULES)[3]
     assert groups[5, Modality.IMAGE] == [(0, IRI(EX + "img/mannheim.jpg"))]
+
+
+# --- repeats dropped after the scan --------------------------------------------
+
+
+def test_interleaved_repeats_keep_first_copies_in_input_order():
+    size = f"<{EX}size>"
+    firsts = [
+        f"<{EX}a> <{EX}knows> <{EX}b> .",
+        f"<{EX}a> <{EX}depiction> <{EX}img/a.jpg> .",
+        f'<{EX}a> {size} "1"^^{_XSD_INT} .',
+        f"<{EX}a> <{EX}depiction> _:img .",
+        f"<{EX}b> <{EX}knows> <{EX}a> .",
+        f'<{EX}b> {size} "1"^^{_XSD_INT} .',
+        f"<{EX}b> <{EX}depiction> <{EX}img/a.jpg> .",
+        f'<{EX}a> {size} "1" .',
+    ]
+    # Each repeat follows its first copy, with other statements in between.
+    order = [0, 1, 0, 2, 3, 1, 4, 2, 3, 5, 0, 6, 7, 4, 2, 6, 5, 7]
+    document = "".join(firsts[i] + "\n" for i in order)
+    triples, _ = parse_ntriples(document)
+    graph = index_rows(scan_ntriples(document), _IMAGES)
+    assert graph.duplicates_removed == len(order) - len(firsts)
+    assert _indexed(graph) == _term_keyed_index(triples, _IMAGES)
+    assert list(graph.relational_triples()) == [triples[0], triples[order.index(4)]]
+    (images,) = [g for g in graph.groups() if g.modality is Modality.IMAGE]
+    image = IRI(EX + "img/a.jpg")
+    assert _statements(images) == [(0, image), (0, BlankNode("img")), (1, image)]
+
+
+def _link(s, p, o):
+    """A scan_ntriples row of a link between two IRIs."""
+    return (s, None, p, o, None, None, None, None)
+
+
+def _literal(s, p, lexical, datatype):
+    """A scan_ntriples row of a typed literal statement."""
+    return (s, None, p, None, None, lexical, datatype, None)
+
+
+@pytest.mark.parametrize("entities", [4, 5, 8, 9])
+@pytest.mark.parametrize("relations", [2, 3])
+def test_packed_link_keys_are_injective_at_power_of_two_counts(entities, relations):
+    # Every link over the ids, so a key one bit too narrow for the largest
+    # object or relation id would equal another link's and drop it.
+    ids = range(entities)
+    links = [(s, r, o) for s in ids for r in range(relations) for o in ids]
+    rows = [_link(f"{EX}e{s}", f"{EX}r{r}", f"{EX}e{o}") for s, r, o in links]
+    graph = index_rows(rows + rows[::-3])
+    assert (len(graph.entity_terms), len(graph.relation_iris)) == (entities, relations)
+    assert graph.relational == links
+    assert graph.duplicates_removed == len(rows[::-3])
+
+
+class _SameHash(str):
+    """A string whose hash equals every other _SameHash's."""
+
+    def __hash__(self) -> int:
+        return 0
+
+
+def test_literal_rows_with_equal_hashes_but_different_values_are_both_kept():
+    one, two = _SameHash("1"), _SameHash("2")
+    assert hash(one) == hash(two) and one != two  # so their rows' hashes are equal too
+    row = lambda lexical: _literal(EX + "a", EX + "size", lexical, XSD + "integer")  # noqa: E731
+    graph = index_rows([row(one), row(two)])
+    (group,) = graph.groups()
+    assert (group.lexicals, graph.duplicates_removed) == (["1", "2"], 0)
+    graph = index_rows([row(one), row(two), row(_SameHash("1")), row(two)])
+    (group,) = graph.groups()
+    assert (group.lexicals, graph.duplicates_removed) == (["1", "2"], 2)
+    assert group.subjects == [0, 0]
+
+
+def test_index_keeps_no_object_per_statement():
+    """index_rows' traced peak and retained memory per statement, on 40k rows:
+    half links among 2,000 entities, half one xsd:integer group, no repeats.
+    Built before tracing starts, the rows' own strings are not counted."""
+    entities = [f"{EX}e{i}" for i in range(2_000)]
+    knows, size, integer = EX + "knows", EX + "size", XSD + "integer"
+    # Link i joins entity i mod 2,000 to the (1 + i // 2,000)-th entity after it.
+    rows = [
+        _link(entities[i % 2_000], knows, entities[(i + 1 + i // 2_000) % 2_000])
+        for i in range(20_000)
+    ]
+    rows += [_literal(entities[i % 2_000], size, str(i), integer) for i in range(20_000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = index_rows(rows)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (graph.num_relational, graph.duplicates_removed) == (20_000, 0)
+    assert peak / len(rows) <= 110
+    assert retained / len(rows) <= 45
 
 
 # sha256 of `profile --input -` JSON on each benchmark workload at seed 1:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections.abc
+import copy
 import json
 import re
 
@@ -89,6 +91,13 @@ class TestGroupPlan:
     def test_valid_lof_settings(self):
         plan = GroupPlan("KLREL", {"lof": {"k": 5, "threshold": 2.0}})
         assert plan.params["lof"] == {"k": 5, "threshold": 2.0}
+
+    @pytest.mark.parametrize("record", [GroupPlan("NBINS"), ModalityRules()])
+    def test_records_holding_a_dict_say_they_are_unhashable(self, record):
+        assert not isinstance(record, collections.abc.Hashable)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        assert record == copy.copy(record)  # still compared by value
 
     @pytest.mark.parametrize(
         "strategy,params,spec",
