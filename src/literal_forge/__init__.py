@@ -24,9 +24,8 @@ _EXPORTS = {
         "build_index", "profile_stream",
     ),
     "report": ("AugmentationReport", "ConfigError", "StrategyError", "verify_bounds"),
-    "pipeline": (
-        "PipelineResult", "StrategyConfig", "apply", "check_output", "compose_combined",
-    ),
+    "pipeline": ("PipelineResult", "StrategyConfig", "apply", "check_output"),
+    "plans": ("compose_combined",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

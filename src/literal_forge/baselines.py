@@ -4,17 +4,18 @@ EXCLUDE drops literal statements, TRANSFORM mints one entity per distinct
 (predicate, value) pair, ONEENTITY mints a single per-predicate entity that
 only records the presence of a value. Minted IRIs live under a reserved
 namespace so they can never collide with pre-existing entities. The binning,
-LOF and LDA parameter specs live here too, so loading a config needs no numpy.
+LOF and LDA parameter specs, once here, live in `plans` and are imported here
+under their old names.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence, TypeVar
 from urllib.parse import quote
 
 from .graph import Augmentation, LiteralGroup
-from .terms import BlankNode, Frozen
+from .plans import BinningSpec, LdaSpec, LofSpec, bin_count  # noqa: F401 - their old home
+from .terms import BlankNode
 
 V = TypeVar("V")
 
@@ -106,86 +107,3 @@ def one_entity(group: LiteralGroup, aug: Augmentation) -> Augmentation:
     """A single entity per predicate, ignoring the literal values entirely."""
     link_any_value(aug, group.subjects)
     return aug
-
-
-class LofSpec(Frozen):
-    __slots__ = ("k", "threshold")
-
-    def __init__(self, k: int = 20, threshold: float = 1.5) -> None:
-        self._fill(locals())
-        if self.k < 1:
-            raise ValueError("LOF needs k >= 1")
-        if self.threshold <= 0:
-            raise ValueError("LOF threshold must be positive")
-
-
-class BinningSpec(Frozen):
-    """How to discretize one predicate's (sub)population of values.
-
-    A set *percent* derives the bin count as that fraction of the number of
-    unique values; without it, *bins* is the count. *overlap* widens every bin
-    by that fraction of its width on both sides, letting values fall into
-    more than one bin. *hierarchy_depth* adds coarser levels that halve the
-    bin count per level, children linked to parents. A set *lof* diverts
-    outliers before boundaries are computed; KLREL and KLRELENT split a
-    population while it holds at least *split_threshold* values.
-    """
-
-    __slots__ = (
-        "bins", "percent", "overlap", "hierarchy_depth", "connect_adjacent", "scheme", "lof",
-        "split_threshold",
-    )
-
-    def __init__(
-        self, bins: int = 10, percent: float | None = None, overlap: float = 0.0,
-        hierarchy_depth: int = 0, connect_adjacent: bool = True, scheme: str = "equal-width",
-        lof: LofSpec | None = None, split_threshold: int = 300,
-    ) -> None:
-        self._fill(locals())
-        if self.percent is None:
-            if self.bins < 1:
-                raise ValueError("bins must be >= 1")
-        elif not 0.0 < self.percent <= 1.0:
-            raise ValueError("percent must be in (0, 1]")
-        if not 0.0 <= self.overlap < 1.0:
-            raise ValueError("overlap must be in [0, 1)")
-        if self.hierarchy_depth < 0:
-            raise ValueError("hierarchy_depth must be >= 0")
-        if self.scheme not in ("equal-width", "equal-frequency"):
-            raise ValueError(f"unknown binning scheme: {self.scheme!r}")
-
-
-def bin_count(occurrences: int, unique: int, spec: BinningSpec) -> int:
-    """Target bin count: never more bins than unique values, never fewer than 1.
-
-    Percent mode rounds half away from zero, so 10% of 200 unique values
-    gives exactly 20 bins.
-    """
-    if unique < 1:
-        raise ValueError("need at least one unique value")
-    if spec.percent is None:
-        return min(spec.bins, unique)
-    return max(1, min(unique, int(math.floor(spec.percent * unique + 0.5))))
-
-
-class LdaSpec(Frozen):
-    """Topic model hyperparameters; alpha defaults to 50/T when omitted."""
-
-    __slots__ = ("topics", "alpha", "beta", "iterations", "threshold")
-
-    def __init__(
-        self, topics: int = 20, alpha: float | None = None, beta: float = 0.01,
-        iterations: int = 500, threshold: float = 0.10,
-    ) -> None:
-        self._fill(locals())
-        if self.topics < 1:
-            raise ValueError("topics must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
-        if self.alpha is not None and not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-

@@ -20,14 +20,13 @@ import numpy as np
 
 from .baselines import (
     Augmentation,
-    BinningSpec,
     DEFAULT_NAMESPACE,
-    bin_count,
     link_any_value,
     note_fallback,
     parse_or_reject,
 )
 from .graph import LiteralGroup
+from .plans import BinningSpec, bin_count
 from .terms import XSD_SPACE, Frozen
 
 log = logging.getLogger(__name__)
@@ -210,6 +209,7 @@ class BinAssignments(Frozen):
     """
 
     __slots__ = ("subjects", "rows", "levels", "bins")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: equal to itself only
 
     def __init__(
         self, subjects: np.ndarray, rows: np.ndarray, levels: np.ndarray, bins: np.ndarray

@@ -3,9 +3,9 @@
 The pipeline routes every literal group to a strategy (per-predicate
 override, else per-modality default), runs the strategies, merges their
 augmentations with the untouched relational triples, and produces a report
-(see `report`) whose per-predicate size deltas are checked against the
-declared growth bounds. Failures of individual strategies degrade to a
-configurable fallback instead of aborting the whole run.
+(see `report`) whose rows take their growth bounds from `plans.derive_bounds`,
+which plans and their specs come from too. Failures of individual strategies
+degrade to a configurable fallback instead of aborting the whole run.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from . import baselines
-from .baselines import DEFAULT_NAMESPACE, BinningSpec, LdaSpec, LofSpec, bin_count, sanitize_value
+from .baselines import DEFAULT_NAMESPACE, sanitize_value
 from .graph import Augmentation, IndexedGraph, LiteralGroup, ModalityRules, _rows
+from .plans import _BINNERS, BinningSpec, GroupPlan, compose_combined, derive_bounds
 from .report import (
     COMBINED, DATBIN, DATFEAT, EXCLUDE, FALLBACKS, IMAGETAGS, KLREL, KLRELENT, MODALITY_NAMES,
     NBINS, ONEENTITY, PBINS, STRATEGIES, TRANSFORM, TXTLDA, AugmentationReport, ConfigError,
     Modality, PredicateReport, StrategyError, _load_json, _read_json, check_rows, verify_bounds,
 )
-from .terms import _IRI_BAD, IRI, Frozen, Triple, _set, local_name
+from .terms import _IRI_BAD, IRI, Triple, local_name
 
 if TYPE_CHECKING:
     from .images import TagProvider
@@ -65,39 +66,6 @@ VALID_FOR: dict[Modality, set[str]] = {
     Modality.OTHER: set(_UNIVERSAL),
 }
 
-# Each strategy's parameters and their JSON types, as read by _read_json. The
-# defaults live in the spec classes and the strategy functions' signatures.
-_BINNING_PARAMS: dict[str, Any] = {
-    "bins": "int",
-    "percent": "number",
-    "scheme": "string",
-    "overlap": "number",
-    "hierarchy_depth": "int",
-    "connect_adjacent": "bool",
-    "lof": {"k": "int", "threshold": "number"},
-}
-_SPLIT_PARAMS = {**_BINNING_PARAMS, "split_threshold": "count"}
-_PARAMS: dict[str, dict[str, Any]] = {
-    EXCLUDE: {},
-    TRANSFORM: {},
-    ONEENTITY: {},
-    NBINS: _BINNING_PARAMS,
-    PBINS: _BINNING_PARAMS,
-    KLREL: _SPLIT_PARAMS,
-    KLRELENT: _SPLIT_PARAMS,
-    DATBIN: _BINNING_PARAMS,
-    DATFEAT: {"link_features": "bool"},
-    TXTLDA: {
-        "topics": "int",
-        "alpha": "number?",
-        "beta": "number",
-        "iterations": "int",
-        "threshold": "number",
-    },
-    IMAGETAGS: {"prefix": "string", "max_in_flight": "count"},
-    COMBINED: {m.value: "object" for m in Modality},
-}
-_BINNERS = {NBINS, PBINS, KLREL, KLRELENT, DATBIN}
 _PLAN = {"strategy": "string", "params": "object"}
 _CONFIG = {
     "namespace": "string",
@@ -117,74 +85,11 @@ _PROVIDERS = {
 }
 
 
-class GroupPlan(Frozen):
-    """One resolved (strategy, parameters) choice.
-
-    *spec* is *params* read once, at construction: for binning strategies a
-    BinningSpec, for TXTLDA an LdaSpec, for COMBINED the per-modality plans,
-    which only StrategyConfig.plan_for resolves, otherwise the strategy
-    function's keywords. *params* stays as given, for the report.
-    """
-
-    __slots__ = ("strategy", "params", "spec")
-    __hash__ = None  # type: ignore[assignment]  # *params* is a dict
-    _fields = ("strategy", "params")  # *spec* follows from them
-
-    def __init__(self, strategy: str, params: dict[str, Any] | None = None) -> None:
-        params = {} if params is None else params
-        self._fill(locals())
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy name: {self.strategy!r}")
-        what = f"parameters for {self.strategy}"
-        params = _read_json(self.params, _PARAMS[self.strategy], what)
-        try:
-            spec = _read_spec(self.strategy, params)
-        except ValueError as exc:  # a spec class's range check, or a COMBINED part's
-            raise ConfigError(f"{what}: {exc}") from exc
-        _set(self, "spec", spec)
-
-
-def _read_spec(strategy: str, params: dict[str, Any]) -> Any:
-    if strategy in _BINNERS:
-        if params.get("lof") is not None:
-            params["lof"] = LofSpec(**params["lof"])
-        if strategy == PBINS:
-            params.setdefault("percent", 0.10)
-        return BinningSpec(**params)
-    if strategy == TXTLDA:
-        return LdaSpec(**params)
-    if strategy == IMAGETAGS and _IRI_BAD.search(params.get("prefix", "")):
-        raise ConfigError(f"prefix holds a character no IRI may hold: {params['prefix']!r}")
-    if strategy == COMBINED:
-        return compose_combined(params)
-    return params
-
-
 def _plan_from_dict(raw: Any, where: str) -> GroupPlan:
     entry = _read_json(raw, _PLAN, f"keys in {where}")
     if "strategy" not in entry:
         raise ConfigError(f"{where}: missing strategy name")
     return GroupPlan(entry["strategy"].upper(), entry.get("params", {}))
-
-
-def compose_combined(params: dict[str, Any] | None = None) -> dict[Modality, GroupPlan]:
-    """The combined strategy: the best per-modality choices as one map.
-
-    Numeric values go through subpopulation splitting with outlier
-    filtering, dates through timestamp binning, text through topic
-    modeling, images through the tag provider; everything else is
-    transformed one entity per value.
-    """
-    params = params or {}
-    numeric = dict(params.get("numeric", {}))
-    numeric.setdefault("lof", {})
-    return {
-        Modality.NUMERIC: GroupPlan(KLREL, numeric),
-        Modality.TEMPORAL: GroupPlan(DATBIN, dict(params.get("temporal", {}))),
-        Modality.TEXT: GroupPlan(TXTLDA, dict(params.get("text", {}))),
-        Modality.IMAGE: GroupPlan(IMAGETAGS, dict(params.get("image", {}))),
-        Modality.OTHER: GroupPlan(TRANSFORM, dict(params.get("other", {}))),
-    }
 
 
 class StrategyConfig:
@@ -359,24 +264,6 @@ def _distinct_values(group: LiteralGroup) -> int:
     return len(set(zip(group.lexicals, group.datatypes, group.languages)))
 
 
-def _binning_allowance(spec: BinningSpec, sizes: list[int]) -> int:
-    """Bin entities a binning run may mint: each population's bins at every
-    level up to the first one-bin level, and two outlier entities per
-    population with LOF."""
-    allowance = 0
-    for size in sizes:
-        step = bin_count(size, max(size, 1), spec)
-        allowance += step
-        for _ in range(spec.hierarchy_depth):
-            if step == 1:
-                break
-            step = (step + 1) // 2
-            allowance += step
-    if spec.lof is not None:
-        allowance += 2 * len(sizes)
-    return allowance
-
-
 def _binning_exceptions(spec: BinningSpec, minted: frozenset[str]) -> list[str]:
     out = []
     if spec.overlap > 0.0:
@@ -386,20 +273,6 @@ def _binning_exceptions(spec: BinningSpec, minted: frozenset[str]) -> list[str]:
     if any(e.endswith(("OutlierLow", "OutlierHigh")) for e in minted):
         out.append("outlier entities extend the bin vocabulary")
     return out
-
-
-class _GroupOutcome:
-    def __init__(
-        self, aug: Augmentation, entity_allowance: int, statement_delta_exact: int | None,
-        statement_delta_max: int | None, exceptions: list[str] | None = None,
-        detail: dict[str, Any] | None = None,
-    ) -> None:
-        self.aug = aug
-        self.entity_allowance = entity_allowance  # without the AnyValue entity, which apply adds
-        self.statement_delta_exact = statement_delta_exact
-        self.statement_delta_max = statement_delta_max
-        self.exceptions = [] if exceptions is None else exceptions
-        self.detail = {} if detail is None else detail
 
 
 def augmentation_for(group: LiteralGroup, graph: IndexedGraph, namespace: str) -> Augmentation:
@@ -416,18 +289,18 @@ def _run_strategy(
     plan: GroupPlan,
     config: StrategyConfig,
     provider: TagProvider | None,
-    distinct: int,
-) -> _GroupOutcome:
-    S = len(group)
+) -> tuple[Augmentation, dict[str, Any], list[str]]:
+    """*plan* run on *group*: its augmentation, the report row's detail and
+    the documented exceptions to one link per statement."""
     name = plan.strategy
     aug = augmentation_for(group, graph, config.namespace)
 
     if name == EXCLUDE:
-        return _GroupOutcome(baselines.exclude(group, aug), 0, 0, None)
+        return baselines.exclude(group, aug), {}, []
     if name == TRANSFORM:
-        return _GroupOutcome(baselines.transform_literal2entity(group, aug), distinct, S, None)
+        return baselines.transform_literal2entity(group, aug), {}, []
     if name == ONEENTITY:
-        return _GroupOutcome(baselines.one_entity(group, aug), 1, S, None)
+        return baselines.one_entity(group, aug), {}, []
 
     if name in _BINNERS:
         spec = plan.spec
@@ -435,32 +308,15 @@ def _run_strategy(
             from .subpop import REL, RELENT
             mode = REL if name == KLREL else RELENT
             aug, split = _entry("kl_rel_binning")(group, aug, graph, mode, spec)
-            sizes = [leaf.value_count for leaf in split.leaves]
             detail = {"leaves": len(split.leaves), "split": [n.to_dict() for n in split.nodes]}
         else:
             aug = _entry("datbin" if name == DATBIN else "nbins")(group, aug, spec)
-            sizes = [min(distinct, S - aug.fallback_statements)]
             detail = {"leaves": 1, "bin_entities": len(aug.minted_entities)}
-        flat = spec.overlap == 0.0 and spec.hierarchy_depth == 0
-        return _GroupOutcome(
-            aug,
-            _binning_allowance(spec, sizes),
-            S if flat else None,
-            None,
-            _binning_exceptions(spec, aug.minted_objects),
-            detail,
-        )
+        return aug, detail, _binning_exceptions(spec, aug.minted_objects)
 
     if name == DATFEAT:
         aug = _entry("datfeat")(group, aug, **plan.spec)
-        # 7 weekdays, 31 days, 12 months and 4 quarters, and a year per value.
-        return _GroupOutcome(
-            aug,
-            min(5 * distinct, 54 + distinct),
-            5 * (S - aug.fallback_statements) + aug.fallback_statements,
-            None,
-            detail={"feature_entities": aug.delta_entities},
-        )
+        return aug, {"feature_entities": aug.delta_entities}, []
 
     if name == TXTLDA:
         spec = plan.spec
@@ -469,22 +325,14 @@ def _run_strategy(
         detail: dict[str, Any] = {"topics": spec.topics}
         if model is not None:
             detail["top_words"] = model.top_words(10)
-        return _GroupOutcome(
-            aug,
-            spec.topics,
-            None,
-            spec.topics * S,
-            detail=detail,
-        )
+        return aug, detail, []
 
     # IMAGETAGS: plan_for has resolved COMBINED, so no other strategy is left.
     if provider is None:
         raise StrategyError(
             f"{group.predicate}: image tagging needs an image_provider in the config"
         )
-    # Each statement links to its image's top label: at most one per value.
-    aug = _entry("emit_image_triples")(group, aug, provider, **plan.spec)
-    return _GroupOutcome(aug, distinct, S, None)
+    return _entry("emit_image_triples")(group, aug, provider, **plan.spec), {}, []
 
 
 def check_namespace(graph: IndexedGraph, namespace: str) -> None:
@@ -513,10 +361,9 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
     rows: list[PredicateReport] = []
 
     for group, plan in zip(groups, plans):
-        distinct = _distinct_values(group)
         fell_back = None
         try:
-            outcome = _run_strategy(group, graph, plan, config, provider, distinct)
+            aug, detail, exceptions = _run_strategy(group, graph, plan, config, provider)
         except ImportError:  # a broken installation, not a strategy failure
             raise
         except Exception as exc:  # noqa: BLE001 - degraded to fallback below
@@ -526,39 +373,25 @@ def apply(graph: IndexedGraph, config: StrategyConfig) -> PipelineResult:
                 ) from exc
             log.warning("%s failed on %s: %s", plan.strategy, group.predicate, exc)
             fallback = GroupPlan(config.fallback)
-            outcome = _run_strategy(group, graph, fallback, config, provider, distinct)
-            outcome.aug.warnings.append(f"{group.predicate}: strategy failed ({exc})")
+            aug, detail, exceptions = _run_strategy(group, graph, fallback, config, provider)
+            aug.warnings.append(f"{group.predicate}: strategy failed ({exc})")
             fell_back = config.fallback
-        aug = outcome.aug
         augmentations.append(aug)
         minted_entities |= aug.minted_entities
         before = len(structural)
         structural.update(dict.fromkeys(aug.structural))
-        S = len(group)
-        rows.append(
-            PredicateReport(
-                predicate=group.predicate,
-                modality=group.modality.value,
-                strategy=plan.strategy,
-                statements=S,
-                distinct_values=distinct,
-                parsed=0 if fell_back else S - aug.fallback_statements,
-                fallback_statements=aug.fallback_statements,
-                delta_entities=aug.delta_entities,
-                delta_statements=aug.delta_statements,
-                structural=len(structural) - before,
-                removed=aug.removed,
-                # A statement that fell back links to the AnyValue entity.
-                entity_allowance=outcome.entity_allowance + (1 if aug.fallback_statements else 0),
-                statement_delta_exact=outcome.statement_delta_exact,
-                statement_delta_max=outcome.statement_delta_max,
-                exceptions=outcome.exceptions,
-                warnings=list(aug.warnings),
-                fell_back_to=fell_back,
-                params=dict(plan.params),
-                detail=outcome.detail,
-            )
+        row = PredicateReport(
+            predicate=group.predicate, modality=group.modality.value, strategy=plan.strategy,
+            statements=len(group), distinct_values=_distinct_values(group), parsed=None,
+            fallback_statements=aug.fallback_statements, delta_entities=aug.delta_entities,
+            delta_statements=aug.delta_statements, structural=len(structural) - before,
+            removed=aug.removed, entity_allowance=None, statement_delta_exact=None,
+            statement_delta_max=None, exceptions=exceptions, warnings=list(aug.warnings),
+            fell_back_to=fell_back, params=dict(plan.params), detail=detail,
         )
+        for key, value in derive_bounds(row).items():  # parsed and the three bounds
+            setattr(row, key, value)
+        rows.append(row)
 
     report = AugmentationReport(
         namespace=config.namespace,

@@ -1,9 +1,9 @@
 """The augmentation report: its layout, its bound check, its check of an output.
 
-`verify` needs only this of the pipeline, so it lives apart and imports no
-other module of the package; so do the names a report row uses (modalities
-and strategies), the JSON reader the config shares and the two errors the
-command line maps to exit codes.
+`verify` needs only this and `plans` of the pipeline, so it lives apart, as do
+the names a report row uses (modalities and strategies), the JSON reader the
+config shares and the two errors the command line maps to exit codes. `plans`
+is imported only inside the two functions that derive a row's bounds.
 """
 
 from __future__ import annotations
@@ -228,18 +228,27 @@ class AugmentationReport:
 
     @classmethod
     def from_dict(cls, raw: Any) -> "AugmentationReport":
-        """A report from its JSON form; one that breaks the layout raises ValueError."""
+        """A report from its JSON form; one that breaks the layout raises ValueError.
+
+        Each row must name a strategy that can run, never COMBINED, which
+        StrategyConfig.plan_for resolves, and the fallback that ran, if any;
+        its params and split must be ones plans.derive_bounds can read.
+        """
+        from .plans import derive_bounds  # the plan contract, which profile never loads
+
         raw = _read_json(raw, _REPORT, "report keys", required=True)
-        # A row names the strategy that ran, so never COMBINED, which
-        # StrategyConfig.plan_for resolves, and the fallback that ran, if any.
         names = {"modality": MODALITY_NAMES, "strategy": STRATEGIES - {COMBINED},
                  "fell_back_to": (*FALLBACKS, None)}
-        for i, row in enumerate(raw["predicates"]):
-            for key, known in names.items():
-                if row[key] not in known:
-                    raise ValueError(f"predicates[{i}]: unknown {key} {_shown(row[key])}")
         totals = {key: raw.pop(key) for key in _REPORT_TOTALS}
         rows = [PredicateReport(**row) for row in raw.pop("predicates")]
+        for i, row in enumerate(rows):
+            try:
+                for key, known in names.items():
+                    if getattr(row, key) not in known:
+                        raise ValueError(f"unknown {key} {_shown(getattr(row, key))}")
+                derive_bounds(row)
+            except (ValueError, OverflowError) as exc:  # a count past the float range
+                raise ValueError(f"predicates[{i}]: {exc}") from None
         report = cls(rows=rows, **raw)
         if any(getattr(report, key) != value for key, value in totals.items()):
             raise ValueError("report totals do not match the sum of its rows")
@@ -251,29 +260,36 @@ class AugmentationReport:
 
 
 def verify_bounds(report: AugmentationReport) -> None:
-    """Check every row's measured deltas against its declared growth bounds.
+    """Check every row against the growth bounds derived from it.
 
-    A row without an exact statement count must add at least one statement
-    per statement. Only a row that ran EXCLUDE, as its strategy or its
-    fallback, removes statements, and then all of them. Sets each row's
-    verdict: pass, pass-with-exceptions (documented multi-edge or
-    outlier-entity cases), or fail.
+    plans.derive_bounds derives a row's parsed count and bounds from its
+    other fields, and a declared value that differs fails the row, as do
+    split leaves that do not hold the parsed values. The measured deltas are
+    checked against the derived bounds. A row without an exact statement
+    count must add at least one statement per statement. Only a row that
+    ran EXCLUDE, as its strategy or its fallback, removes statements, and
+    then all of them. Sets each row's verdict: pass, pass-with-exceptions
+    (documented multi-edge or outlier-entity cases), or fail.
     """
+    from .plans import derive_bounds, leaf_values
+
     for row in report.rows:
         problems: list[str] = []
-        if row.delta_entities > row.entity_allowance:
-            problems.append(
-                f"delta_entities {row.delta_entities} exceeds allowance {row.entity_allowance}"
-            )
-        if row.statement_delta_exact is not None and row.delta_statements != row.statement_delta_exact:
-            problems.append(
-                f"delta_statements {row.delta_statements} != expected {row.statement_delta_exact}"
-            )
-        if row.statement_delta_max is not None and row.delta_statements > row.statement_delta_max:
-            problems.append(
-                f"delta_statements {row.delta_statements} exceeds cap {row.statement_delta_max}"
-            )
-        if row.statement_delta_exact is None and row.delta_statements < row.statements:
+        derived = derive_bounds(row)
+        for key, value in derived.items():
+            if getattr(row, key) != value:
+                problems.append(f"{key} {getattr(row, key)} != derived {value}")
+        parsed, allowance, exact, cap = derived.values()
+        leaves = leaf_values(row)
+        if leaves is not None and sum(leaves) != parsed:
+            problems.append(f"split leaf values {sum(leaves)} != parsed {parsed}")
+        if row.delta_entities > allowance:
+            problems.append(f"delta_entities {row.delta_entities} exceeds allowance {allowance}")
+        if exact is not None and row.delta_statements != exact:
+            problems.append(f"delta_statements {row.delta_statements} != expected {exact}")
+        if cap is not None and row.delta_statements > cap:
+            problems.append(f"delta_statements {row.delta_statements} exceeds cap {cap}")
+        if exact is None and row.delta_statements < row.statements:
             problems.append(
                 f"delta_statements {row.delta_statements} below statement count {row.statements}"
             )

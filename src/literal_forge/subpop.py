@@ -57,6 +57,7 @@ class RelationDistribution(Frozen):
     """
 
     __slots__ = ("vocabulary", "probs")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: equal to itself only
 
     def __init__(self, vocabulary: tuple[Feature, ...], probs: np.ndarray) -> None:
         self._fill(locals())
@@ -136,6 +137,7 @@ class _Incidence(Frozen):
     """
 
     __slots__ = ("indptr", "features", "labels")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: equal to itself only
 
     def __init__(self, indptr: np.ndarray, features: np.ndarray, labels: list[Feature]) -> None:
         self._fill(locals())

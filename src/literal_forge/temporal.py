@@ -13,14 +13,9 @@ from datetime import date
 import re
 from sys import intern
 
-from .baselines import (
-    Augmentation,
-    BinningSpec,
-    link_any_value,
-    note_fallback,
-    parse_or_reject,
-)
+from .baselines import Augmentation, link_any_value, note_fallback, parse_or_reject
 from .graph import LiteralGroup
+from .plans import BinningSpec
 from .terms import XSD, XSD_DATE, XSD_DATETIME, XSD_GYEAR, XSD_GYEARMONTH, XSD_SPACE
 
 IN_QUARTER = "inQuarter"

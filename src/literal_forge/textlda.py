@@ -21,8 +21,9 @@ from typing import Mapping, Collection
 
 import numpy as np
 
-from .baselines import Augmentation, LdaSpec, link_any_value, note_fallback
+from .baselines import Augmentation, link_any_value, note_fallback
 from .graph import LiteralGroup
+from .plans import LdaSpec
 
 log = logging.getLogger(__name__)
 

@@ -345,19 +345,97 @@ class TestVerify:
         assert verdict["ok"] is False
         return verdict["problems"]
 
-    def test_statements_over_the_cap_fail(self, sample_nt, tmp_path, capsys):
+    def test_a_cap_other_than_the_derived_one_fails(self, sample_nt, tmp_path, capsys):
+        # Two statements, 20 topics: the cap is 40, whatever the row declares.
         _, out = transform(sample_nt, tmp_path, "--strategy", "TXTLDA")
         problems = self.verify_tampered(out, tmp_path, capsys, "TXTLDA", statement_delta_max=1)
         assert problems == [
-            f"{EX}abstract [text]: fail: delta_statements 2 exceeds cap 1"
+            f"{EX}abstract [text]: fail: statement_delta_max 1 != derived 40"
         ]
+
+    def test_a_bin_appended_with_its_bounds_raised_fails(self, tmp_path, capsys):
+        # The output gains a link to a ninety-ninth bin, and the row declares
+        # the entity and the statement it adds, bounds included.
+        source = tmp_path / "input.nt"
+        lines = [numeric_line(f"s{i}", "h", f"{i}.5").replace("decimal", "double") for i in range(4)]
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert transform(str(source), tmp_path, "--strategy", "NBINS")[0] == EXIT_OK
+        out = str(tmp_path / "out.nt")
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write(f"<{EX}s1> <{EX}h> <{NEW}hBin99> .\n")
+        report = Path(out + ".report.json")
+        raw = json.loads(report.read_text(encoding="utf-8"))
+        raw["minted_entities_in_output"] += 1
+        report.write_text(json.dumps(raw), encoding="utf-8")
+        [row] = raw["predicates"]
+        raised = {key: row[key] + 1 for key in (
+            "delta_entities", "delta_statements", "entity_allowance", "statement_delta_exact"
+        )}
+        problems = self.verify_tampered(out, tmp_path, capsys, "NBINS", **raised)
+        assert problems == [
+            f"{EX}h [numeric]: fail: entity_allowance 5 != derived 4; "
+            "statement_delta_exact 5 != derived 4; delta_entities 5 exceeds allowance 4; "
+            "delta_statements 5 != expected 4"
+        ]
+
+    @staticmethod
+    def images_run(tmp_path, provider: bool) -> str:
+        """Transform three images, tagged from a map that misses one, or with
+        no provider, so IMAGETAGS falls back to ONEENTITY; the output path."""
+        source, config = tmp_path / "images.nt", tmp_path / "images.json"
+        lines = [rel_line(f"s{i}", "depiction", f"img/{i}.jpg") for i in range(3)]
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        settings: dict = {"image_predicates": [EX + "depiction"]}
+        if provider:
+            tags = write_tag_map(tmp_path / "tags.json", {EX + "img/0.jpg": "a", EX + "img/1.jpg": "b"})
+            settings["image_provider"] = {"kind": "tag-map", "path": tags}
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        code, out = transform(str(source), tmp_path, "--config", str(config))
+        assert code == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize(
+        "strategy",
+        ["EXCLUDE", "TRANSFORM", "ONEENTITY", "NBINS", "PBINS", "KLREL", "DATBIN", "DATFEAT",
+         "TXTLDA", "IMAGETAGS", "fallback"],
+    )
+    def test_a_raised_entity_allowance_fails(self, sample_nt, tmp_path, capsys, strategy):
+        if strategy in ("IMAGETAGS", "fallback"):
+            out = self.images_run(tmp_path, provider=strategy == "IMAGETAGS")
+            strategy = "IMAGETAGS"
+        else:
+            out = transform(sample_nt, tmp_path, "--strategy", strategy)[1]
+        raw = json.loads(Path(out + ".report.json").read_text(encoding="utf-8"))
+        row = next(row for row in raw["predicates"] if row["strategy"] == strategy)
+        allowance = row["entity_allowance"]
+        problems = self.verify_tampered(
+            out, tmp_path, capsys, strategy, entity_allowance=allowance + 1
+        )
+        where = f"{row['predicate']} [{row['modality']}]"
+        assert problems == [f"{where}: fail: entity_allowance {allowance + 1} != derived {allowance}"]
+
+    def test_split_leaves_that_outgrow_the_parsed_values_fail(self, tmp_path, capsys):
+        source, config = tmp_path / "input.nt", tmp_path / "config.json"
+        lines = [numeric_line(f"n{i}", "height", f"{i}.5") for i in range(4)]
+        lines += [rel_line("n0", "knows", "n1"), rel_line("n2", "locatedIn", "n3")]
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        plan = {"strategy": "KLREL", "params": {"bins": 1, "split_threshold": 2}}
+        config.write_text(json.dumps({"defaults": {"numeric": plan}}), encoding="utf-8")
+        _, out = transform(str(source), tmp_path, "--config", str(config))
+        [row] = json.loads(Path(out + ".report.json").read_text(encoding="utf-8"))["predicates"]
+        detail = row["detail"]
+        leaf = next(node for node in detail["split"] if "leaf" in node)
+        assert detail["leaves"] > 1 and leaf["values"] < 4
+        leaf["values"] += 1
+        problems = self.verify_tampered(out, tmp_path, capsys, "KLREL", detail=detail)
+        assert problems == [f"{EX}height [numeric]: fail: split leaf values 5 != parsed 4"]
 
     def test_hierarchical_bins_below_the_statement_count_fail(self, sample_nt, tmp_path, capsys):
         config = tmp_path / "config.json"
         plan = {"strategy": "NBINS", "params": {"bins": 4, "hierarchy_depth": 1}}
         config.write_text(json.dumps({"defaults": {"numeric": plan}}), encoding="utf-8")
         _, out = transform(sample_nt, tmp_path, "--config", str(config))
-        problems = self.verify_tampered(out, tmp_path, capsys, "NBINS", statements=17)
+        problems = self.verify_tampered(out, tmp_path, capsys, "NBINS", statements=17, parsed=17)
         assert problems == [
             f"{EX}height [numeric]: fail: delta_statements 16 below statement count 17"
         ]
@@ -400,6 +478,36 @@ class TestVerify:
             assert main(["verify", "--input", out]) == EXIT_INPUT
         [message] = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
         assert message == f"cannot load report {path}: predicates[{i}]: unknown {named}"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "strategy, changes, named",
+        [
+            ("NBINS", {"params": {"bins": "x"}},
+             "parameters for NBINS: bins must be an integer, not 'x'"),
+            ("KLREL", {"detail": {"split": 5}},
+             "detail.split must be a list of node objects, not 5"),
+            ("KLREL", {"detail": {"split": [{"values": "4"}]}},
+             "detail.split must be a list of node objects, not [{'values': '4'}]"),
+            ("PBINS", {"statements": 10**400, "distinct_values": 10**400},
+             "int too large to convert to float"),
+        ],
+        ids=["params", "split", "split-node", "count-past-float-range"],
+    )
+    def test_a_row_the_bounds_cannot_be_derived_from_is_a_layout_error(
+        self, sample_nt, tmp_path, caplog, capsys, strategy, changes, named
+    ):
+        _, out = transform(sample_nt, tmp_path, "--strategy", strategy)
+        path = Path(out + ".report.json")
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        i = next(i for i, row in enumerate(raw["predicates"]) if row["strategy"] == strategy)
+        raw["predicates"][i].update(changes)
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        with caplog.at_level(logging.ERROR, logger="literal_forge.cli"):
+            assert main(["verify", "--input", out]) == EXIT_INPUT
+        [message] = [r.getMessage() for r in caplog.records if r.name == "literal_forge.cli"]
+        assert message == f"cannot load report {path}: predicates[{i}]: {named}"
         assert capsys.readouterr().out == ""
 
     def test_one_predicate_over_its_rows_entity_total_fails(self, tmp_path, capsys):
@@ -1192,15 +1300,19 @@ def test_profile_verify_and_relational_transform_import_no_numpy(tmp_path):
     [row] = AugmentationReport.from_file(topics_out + ".report.json").rows
     assert row.strategy == "TXTLDA" and row.delta_entities > 0
 
-    # verify loads the report module, not the pipeline; profile adds the graph,
-    # and the pipeline only to read a config.
-    verify = ["cli", "ntriples", "report", "terms"]
+    # verify loads the report module and the plan contract, not the pipeline;
+    # profile loads the report module and the graph, and the plan contract and
+    # the pipeline only to read a config.
+    common = ["cli", "ntriples", "report", "terms"]
     for argv, extra in [
-        (["verify", "--input", paths[2]], []),
+        (["verify", "--input", paths[2]], ["plans"]),
         (["profile", "--input", paths[0]], ["graph"]),
-        (["profile", "--input", numbers, "--config", str(split)], ["baselines", "graph", "pipeline"]),
+        (
+            ["profile", "--input", numbers, "--config", str(split)],
+            ["baselines", "graph", "pipeline", "plans"],
+        ),
     ]:
-        modules = sorted(f"literal_forge.{name}" for name in verify + extra)
+        modules = sorted(f"literal_forge.{name}" for name in common + extra)
         assert run(*argv) == {
             "code": EXIT_OK, "numpy": False, "ma": False, "modules": modules, "native": [],
             "stdlib": [],

@@ -779,6 +779,15 @@ class TestVerifyBounds:
         verify_bounds(report)
         assert "!= expected" in report.rows[0].verdict
 
+    def test_statements_over_the_cap_fail(self):
+        graph = make_graph(mixed_lines())
+        config = single_strategy_config("TXTLDA", namespace=NEW)
+        config.defaults[Modality.TEXT] = GroupPlan("TXTLDA", {"topics": 2, "iterations": 5})
+        [row] = [r for r in apply(graph, config).report.rows if r.strategy == "TXTLDA"]
+        row.delta_statements = 5  # two statements, two topics: at most four links
+        verify_bounds(AugmentationReport(NEW, 0, [row]))
+        assert row.verdict == "fail: delta_statements 5 exceeds cap 4"
+
     def test_exclude_must_remove_everything(self):
         graph = make_graph(mixed_lines())
         report = apply(graph, single_strategy_config("EXCLUDE", namespace=NEW)).report

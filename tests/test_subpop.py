@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from literal_forge import AugmentationReport, Modality, StrategyConfig, apply, check_output, subpop
-from literal_forge.binning import BinningSpec
+from literal_forge.binning import BinAssignments, BinningSpec
 from literal_forge.cli import EXIT_OK, main
 from literal_forge.pipeline import GroupPlan
 from literal_forge.subpop import (
@@ -24,6 +24,7 @@ from literal_forge.subpop import (
     Feature,
     RelationDistribution,
     _TRUSTED,
+    _Incidence,
     _best_split,
     _entity_key,
     _incidence,
@@ -724,3 +725,19 @@ def test_klrelent_timing_guard():
     # RELENT peels the persons off an organisation at a time: many leaves.
     assert len(rows) == 2 and all(row.detail["leaves"] > 50 for row in rows)
     assert elapsed < 10.0, f"KLRELENT took {elapsed:.1f} s on 4,800 subjects"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BinAssignments(*[np.arange(3)] * 4),
+        lambda: RelationDistribution(("a", "b"), np.array([0.5, 0.5])),
+        lambda: _Incidence(np.array([0, 1, 1]), np.array([0]), [("a",)]),
+    ],
+    ids=["bin-assignments", "relation-distribution", "incidence"],
+)
+def test_records_of_arrays_are_equal_only_to_themselves(make):
+    # Their fields are arrays, whose == is elementwise: no field equality holds.
+    first, second = make(), make()
+    assert first == first and first != second
+    assert len({first, first, second}) == 2
