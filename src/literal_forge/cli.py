@@ -166,16 +166,28 @@ def _lines(result: PipelineResult, text: TermText, weights: bool = False) -> Ite
                 s, o = aug.subjects[i], aug.objects[i]
                 yield f"{entity(s)} {iri(aug.predicate)} {iri(o)} .\t{score:.6f}"
         return
-    # Known text is read from the table inline; a method call fills a miss.
-    by_id, known, relations = text.by_id, text.by_key, result.graph.relation_iris
+    # Each entity is checked once, then written inline by its kind; a known
+    # IRI text is read from the table, and a method call fills a miss.
+    terms, checked, check, known = text.entity_terms, text.checked, text.check, text.by_key
+    relations = result.graph.relation_iris
     for s, r, o in zip(*result.graph.links):
         p = relations[r]
-        yield f"{by_id[s] or entity(s)} {known.get(p) or iri(p)} {by_id[o] or entity(o)} ."
+        p = known.get(p) or iri(p)
+        kinds = (checked[s] or check(s)) << 2 | (checked[o] or check(o))
+        if kinds == 5:  # two IRIs
+            yield f"<{terms[s].value}> {p} <{terms[o].value}> ."
+        elif kinds == 10:  # two blank nodes
+            yield f"_:{terms[s].label} {p} _:{terms[o].label} ."
+        else:  # an IRI and a blank node
+            yield f"{terms[s]} {p} {terms[o]} ."
     for aug in result.augmentations:
         if aug.subjects:  # a predicate is checked only when it is written
             p = iri(aug.predicate)
             for s, o in zip(aug.subjects, aug.objects):
-                yield f"{by_id[s] or entity(s)} {p} {known.get(o) or iri(o)} ."
+                term = terms[s]
+                kind = checked[s] or check(s)
+                s_text = f"<{term.value}>" if kind == 1 else f"_:{term.label}"
+                yield f"{s_text} {p} {known.get(o) or iri(o)} ."
     for a, r, b in result.structural:
         yield f"{iri(a)} {iri(r)} {iri(b)} ."
 
@@ -199,7 +211,12 @@ def _write_outputs(result: PipelineResult, output: str, emit_weights: bool) -> i
     """
     _, report, weights = _output_paths(output)
     targets = [output, report, weights] if emit_weights else [output, report]
-    text = TermText(result.graph.entity_terms)
+    # Every IRI written as a string; an entity among them is checked as one.
+    shared = {*result.graph.relation_ids, *(x for triple in result.structural for x in triple)}
+    for aug in result.augmentations:
+        shared.add(aug.predicate)
+        shared.update(aug.objects)
+    text = TermText(result.graph.entity_terms, shared)
     temp: dict[str, str] = {}  # target: the temp file made for it and not yet moved
 
     def create(target: str) -> IO[bytes]:

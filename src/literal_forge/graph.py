@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import defaultdict
 from functools import cached_property
-from itertools import compress, islice, repeat
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
+from itertools import compress, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .ntriples import Row
 from .report import Modality
@@ -179,7 +180,8 @@ class Augmentation:
 
 class IndexedGraph:
     """*links* holds the relational statements as subject, relation and object
-    id columns, deduplicated, in first-encounter order, for the output."""
+    id columns, deduplicated, in first-encounter order, for the output. Each
+    entity's one copy of its text is its term in *entity_terms*."""
 
     def __init__(self) -> None:
         self.entity_terms: list[Term] = []
@@ -246,8 +248,8 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
     Links go to the graph's id columns and literal statements to their
     group's columns; the modality is classified once per predicate and
     datatype. No key is made per statement while scanning: exact repeats
-    are dropped once the scan ends, first copies kept, and counted in
-    duplicates_removed.
+    are dropped once the scan ends, one subject's statements at a time,
+    first copies kept, and counted in duplicates_removed.
     """
     graph, rules = IndexedGraph(), rules or ModalityRules()
     terms, relation_ids = graph.entity_terms, graph.relation_ids
@@ -302,39 +304,46 @@ def index_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Index
 
 
 def _drop_repeats(graph: IndexedGraph) -> None:
-    """Keep the first copy of each link and literal statement. A link is
-    packed into one int, with bit widths from the final entity and relation
-    counts; a literal statement repeats only within its first copy's group."""
+    """Keep the first copy of each link and literal statement. Two copies
+    share a subject, so only one subject's statements are compared at a
+    time: a link keyed by its object and relation ids packed into one int
+    (relation ids are < 2**32), a literal statement, which repeats only
+    within its group, by its lexical form, datatype and tag."""
     s, r, o = graph.links
-    rbits = (len(graph.relation_iris) - 1).bit_length()
-    obits = (len(graph.entity_terms) - 1).bit_length()
-    if keep := _first_copies(lambda: ((a << rbits | b) << obits | c for a, b, c in zip(s, r, o))):
+    entities = len(graph.entity_terms)
+    if keep := _first_copies(s, entities, lambda i: o[i] << 32 | r[i]):
         graph.duplicates_removed += keep.count(0)
         graph.links = tuple(array("q", compress(column, keep)) for column in graph.links)
     for group in graph.literal_groups.values():
         columns = (group.subjects, group.lexicals, group.datatypes, group.languages)
-        if keep := _first_copies(lambda: zip(*columns)):
+        row = lambda i: (columns[1][i], columns[2][i], columns[3][i])  # noqa: E731
+        if keep := _first_copies(group.subjects, entities, row):
             graph.duplicates_removed += keep.count(0)
             for column in columns:
                 column[:] = list(compress(column, keep))
 
 
-def _first_copies(rows: Callable[[], Iterator[Hashable]]) -> bytearray | None:
-    """A mask of the first copy of each row of rows(), in order; None when
-    no row repeats, which is found by sorting the rows' hashes, so only ints
-    are held. Rows are compared whole only where a hash repeats."""
-    hashes = sorted(map(hash, rows()))
-    repeated = {a for a, b in zip(hashes, islice(hashes, 1, None)) if a == b}
-    if not repeated:
-        return None
-    keep, seen = bytearray(len(hashes)), set()
-    for i, row in enumerate(rows()):
-        if hash(row) in repeated:
-            if row in seen:
-                continue
-            seen.add(row)
-        keep[i] = 1
-    return keep
+def _first_copies(subjects: Sequence[int], entities: int, key: Callable) -> bytearray | None:
+    """A mask of the first copy of each statement i, by subjects[i] and key(i),
+    in order; None when none repeats. Each subject's statements are chained
+    from its first one and walked with one set: the work is linear, whatever
+    the order of the statements, and one subject's keys are held at a time."""
+    first, after = array("q", [-1]) * entities, array("q", [-1]) * len(subjects)
+    for i in range(len(subjects) - 1, -1, -1):
+        a = subjects[i]
+        after[i], first[a] = first[a], i
+    keep = bytearray(b"\x01") * len(subjects)
+    for j in first:
+        if j < 0 or after[j] < 0:  # a subject of no statement here, or of one
+            continue
+        seen = set()
+        while j >= 0:
+            if (k := key(j)) in seen:
+                keep[j] = 0
+            else:
+                seen.add(k)
+            j = after[j]
+    return keep if 0 in keep else None
 
 
 def _rows(triples: Iterable[Triple]) -> Iterator[Row]:
@@ -411,17 +420,17 @@ def profile_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Gra
     """Profile a row stream with memory proportional to the dictionaries.
 
     Unlike index_rows, only distinct-node sets and counters are kept, so
-    arbitrarily large files profile in dictionary-sized memory. Duplicates
-    are not detected.
+    arbitrarily large files profile in dictionary-sized memory: raw IRIs,
+    blank-node labels, and the lexical forms of each (datatype, language),
+    so no object is made per distinct literal. Duplicates are not detected.
     """
     rules = rules or ModalityRules()
     image_predicates = rules.image_predicates
     relations: set[str] = set()
-    # Raw IRIs and literal values share a set, since a string never equals
-    # a (lexical, datatype, language) tuple; blank-node labels, which may
-    # spell an IRI, have their own.
-    nodes: set[str | tuple[str, str, str | None]] = set()
+    # Blank-node labels, which may spell an IRI, have their own set.
+    iris: set[str] = set()
     labels: set[str] = set()
+    literals: defaultdict[tuple[str, str | None], set[str]] = defaultdict(set)
     counts = dict.fromkeys(Modality, 0)
     modality_of: dict[tuple[str, str], Modality] = {}
     objects_iri = objects_blank = 0
@@ -430,11 +439,11 @@ def profile_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Gra
         total += 1
         relations.add(predicate)
         if s_iri is not None:
-            nodes.add(s_iri)
+            iris.add(s_iri)
         else:
             labels.add(s_label)
         if lexical is not None:
-            nodes.add((lexical, datatype, language))
+            literals[datatype, language].add(lexical)
             modality = modality_of.get((predicate, datatype))
             if modality is None:
                 modality = modality_of[predicate, datatype] = classify_modality(
@@ -443,7 +452,7 @@ def profile_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Gra
             counts[modality] += 1
             continue
         if o_iri is not None:
-            nodes.add(o_iri)
+            iris.add(o_iri)
         else:
             labels.add(o_label)
         if predicate in image_predicates:
@@ -455,7 +464,7 @@ def profile_rows(rows: Iterable[Row], rules: ModalityRules | None = None) -> Gra
     objects_literal = sum(counts.values())
     return GraphProfile(
         relations=len(relations),
-        nodes=len(nodes) + len(labels),
+        nodes=len(iris) + sum(map(len, literals.values())) + len(labels),
         triples=total,
         objects_iris=objects_iri,
         objects_blank=objects_blank,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import logging
 import time
 from typing import Protocol
 
@@ -19,8 +18,6 @@ from .baselines import Augmentation, link_any_value, note_fallback, sanitize_val
 from .graph import LiteralGroup
 from .report import _is_number, _load_json, _shown
 from .terms import BlankNode, Frozen, XSD_BASE64, _set
-
-log = logging.getLogger(__name__)
 
 DEFAULT_LABEL_PREFIX = "VGG_"
 

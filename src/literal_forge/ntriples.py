@@ -11,12 +11,11 @@ transparently.
 
 from __future__ import annotations
 
-import gzip
 import io
 import re
 from contextlib import contextmanager
 from itertools import islice
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Container, Iterable, Iterator, Sequence
 
 from .terms import (
     IRI,
@@ -127,6 +126,7 @@ def _open_input(source: bytes | str | IO[bytes]) -> Iterator[IO[str]]:
         stream = buffered = io.BufferedReader(stream)  # type: ignore[arg-type]
     gunzip = None
     if stream.peek(2)[:2] == b"\x1f\x8b":  # type: ignore[attr-defined]
+        import gzip  # only gzip input loads it
         stream = gunzip = gzip.GzipFile(fileobj=stream, mode="rb")  # type: ignore[assignment]
     text = io.TextIOWrapper(stream, encoding="utf-8")
     try:
@@ -265,22 +265,32 @@ class TermText:
     """The canonical text of entities, by id, and of IRIs, by their string,
     each validated the first time it is asked for.
 
-    An entity IRI and the same IRI met as a string are one entry of
-    *by_key*. Asking for a term that breaks an invariant raises
-    SerializationError.
+    An entity keeps no text: check() validates it once and records its kind
+    in *checked*, 1 for an IRI and 2 for a blank node, so a caller formats
+    it inline from *entity_terms*. An entity IRI that is also one of
+    *shared*, the IRIs written through iri(), is checked through *by_key*,
+    the IRI texts, so it is validated once in both roles. Asking for a term
+    that breaks an invariant raises SerializationError.
     """
 
-    def __init__(self, entity_terms: Sequence[IRI | BlankNode]) -> None:
-        self.entity_terms = entity_terms
-        self.by_id: list[str | None] = [None] * len(entity_terms)
+    def __init__(self, entity_terms: Sequence[Term], shared: Container[str]) -> None:
+        self.entity_terms, self.shared = entity_terms, shared
+        self.checked = bytearray(len(entity_terms))
         self.by_key: dict[str, str] = {}
 
+    def check(self, eid: int) -> int:
+        term = self.entity_terms[eid]
+        if type(term) is IRI and term.value in self.shared:
+            self.iri(term.value)
+        else:
+            _check(validate_term, term)
+        self.checked[eid] = kind = 1 if type(term) is IRI else 2
+        return kind
+
     def entity(self, eid: int) -> str:
-        out = self.by_id[eid]
-        if out is None:
-            term = self.entity_terms[eid]
-            out = self.by_id[eid] = self.iri(term.value) if type(term) is IRI else _text(term)
-        return out
+        if not self.checked[eid]:
+            self.check(eid)
+        return str(self.entity_terms[eid])
 
     def iri(self, value: str) -> str:
         return self.by_key.get(value) or self.by_key.setdefault(value, _text(IRI(value)))

@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from literal_forge import (
+    IRI,
+    BlankNode,
     AugmentationReport,
     ConfigError,
     ModalityRules,
@@ -43,7 +45,17 @@ from literal_forge.cli import (
     main,
 )
 from literal_forge.pipeline import shortcut_defaults
-from util import EX, NEW, date_line, numeric_line, rel_line, text_line, write_city, write_tag_map
+from util import (
+    EX,
+    NEW,
+    XSD,
+    date_line,
+    numeric_line,
+    rel_line,
+    text_line,
+    write_city,
+    write_tag_map,
+)
 
 
 def sample_lines() -> list[str]:
@@ -879,6 +891,67 @@ def test_transform_validates_each_written_term_once(tmp_path, monkeypatch):
     assert Counter(seen) == Counter(written)
 
 
+def test_an_entity_that_is_also_a_predicate_is_validated_once(tmp_path, monkeypatch):
+    # <p> is written as an object first, as a predicate after, then as a subject.
+    source = tmp_path / "graph.nt"
+    source.write_text(
+        f"<{EX}a> <{EX}knows> <{EX}p> .\n<{EX}a> <{EX}p> <{EX}b> .\n<{EX}p> <{EX}q> <{EX}a> .\n",
+        encoding="utf-8",
+    )
+    seen = []
+    validate = ntriples.validate_term
+    monkeypatch.setattr(ntriples, "validate_term", lambda term: seen.append(term) or validate(term))
+    out = tmp_path / "out.nt"
+    assert main(["transform", "--input", str(source), "--output", str(out)]) == EXIT_OK
+    triples, _ = parse_ntriples(out.read_bytes())
+    written = {term for t in triples for term in (t.subject, t.predicate, t.object)}
+    assert Counter(seen) == Counter(written)
+    assert IRI(EX + "p") in written
+
+
+def test_a_minted_iri_that_names_an_entity_is_validated_once(tmp_path, monkeypatch):
+    # An output transformed again with its literals: the minted IRI is a link
+    # object, written first, and minted again. Only the namespace check,
+    # switched off here, keeps such an input out of the command.
+    source = tmp_path / "graph.nt"
+    source.write_text(f'<{EX}a> <{EX}label> "x" .\n<{EX}a> <{EX}knows> <{EX}b> .\n', "utf-8")
+    first = tmp_path / "first.nt"
+    assert main(["transform", "--input", str(source), "--output", str(first)]) == EXIT_OK
+    again = tmp_path / "again.nt"
+    again.write_bytes(first.read_bytes() + source.read_bytes())
+    monkeypatch.setattr("literal_forge.pipeline.check_namespace", lambda graph, namespace: None)
+    seen = []
+    validate = ntriples.validate_term
+    monkeypatch.setattr(ntriples, "validate_term", lambda term: seen.append(term) or validate(term))
+    out = tmp_path / "out.nt"
+    assert main(["transform", "--input", str(again), "--output", str(out)]) == EXIT_OK
+    triples, _ = parse_ntriples(out.read_bytes())
+    written = {term for t in triples for term in (t.subject, t.predicate, t.object)}
+    assert Counter(seen) == Counter(written)
+    assert IRI(NEW + "labelAnyValue") in written
+
+
+def test_blank_node_entities_are_written_inline(tmp_path, monkeypatch):
+    # Links between blank nodes, and NBINS links from blank subjects: no line
+    # formats an entity through BlankNode.__str__.
+    lines = [f"_:e{i} <{EX}knows> _:e{(i + 1) % 6} ." for i in range(6)]
+    lines += [f'_:e{i} <{EX}height> "{i}.5"^^<{XSD}decimal> .' for i in range(6)]
+    source = tmp_path / "graph.nt"
+    source.write_text("".join(line + "\n" for line in lines), "utf-8")
+    calls = []
+    text = BlankNode.__str__
+    monkeypatch.setattr(BlankNode, "__str__", lambda term: calls.append(term) or text(term))
+    out = tmp_path / "out.nt"
+    argv = ["transform", "--input", str(source), "--output", str(out), "--strategy", "NBINS"]
+    assert main(argv) == EXIT_OK
+    assert calls == []
+    monkeypatch.undo()
+    config = StrategyConfig(defaults=shortcut_defaults("NBINS", "ONEENTITY"))
+    expected = apply(build_index(parse_ntriples(source.read_bytes())[0]), config)
+    assert out.read_bytes() == serialize_ntriples(expected.triples)
+    assert out.read_bytes().count(b"_:e") == 12 + 6
+
+
 def run_python(*args: str, stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this package, stderr captured as users see it."""
     src = Path(cli.__file__).resolve().parents[1]
@@ -1190,14 +1263,14 @@ def test_iri_characters_in_config_stop_before_the_input_is_read(
 
 
 # Runs cli.main with numpy blocked, then prints which strategy modules, and
-# whether OpenSSL's _hashlib, dataclasses and inspect, loaded: after the
+# whether OpenSSL's _hashlib, dataclasses, inspect and gzip, loaded: after the
 # relational commands, then after a DATFEAT transform.
 _WITHOUT_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None  # every import of numpy now raises ImportError
 from literal_forge.cli import main
 graph, dates, out = sys.argv[1:]
-names = ["numpy", "_hashlib", "dataclasses", "inspect"] + [
+names = ["numpy", "_hashlib", "dataclasses", "inspect", "gzip"] + [
     "literal_forge." + name for name in ("binning", "subpop", "temporal", "textlda", "images")
 ]
 def loaded():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import importlib
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from literal_forge import (
     parse_ntriples,
     profile_stream,
 )
+from literal_forge import cli
 from literal_forge.graph import Augmentation, classify_modality, index_rows, profile_rows
 from literal_forge.ntriples import ParseError, scan_ntriples
 from literal_forge.pipeline import StrategyConfig, apply, shortcut_defaults
@@ -159,6 +161,23 @@ def test_profile_counts_shared_literal_node_once():
     p = profile_stream(parse_ntriples("\n".join(lines) + "\n")[0])
     assert p.objects_literal == 2
     assert p.nodes == 3  # a, b, "9"
+
+
+def test_profile_keeps_no_object_per_distinct_literal():
+    """profile_rows' traced peak per distinct literal, on 20k distinct
+    xsd:integer values among 2,000 subjects: a lexical form is kept in its
+    (datatype, language) set, with no tuple made for it."""
+    integer, size = XSD + "integer", EX + "size"
+    rows = [_literal(f"{EX}e{i % 2_000}", size, str(i), integer) for i in range(20_000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        profile = profile_rows(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.nodes == 22_000
+    assert peak / 20_000 <= 160
 
 
 def test_profile_to_dict_shape(mannheim_triples):
@@ -480,7 +499,7 @@ def test_group_columns_match_term_keyed_index(mannheim_triples):
     assert groups[5, Modality.IMAGE] == [(0, IRI(EX + "img/mannheim.jpg"))]
 
 
-# --- repeats dropped after the scan --------------------------------------------
+# --- repeats dropped after the scan, one subject at a time ---------------------
 
 
 def test_interleaved_repeats_keep_first_copies_in_input_order():
@@ -541,7 +560,7 @@ class _SameHash(str):
 
 def test_literal_rows_with_equal_hashes_but_different_values_are_both_kept():
     one, two = _SameHash("1"), _SameHash("2")
-    assert hash(one) == hash(two) and one != two  # so their rows' hashes are equal too
+    assert hash(one) == hash(two) and one != two  # so their keys collide in a set too
     row = lambda lexical: _literal(EX + "a", EX + "size", lexical, XSD + "integer")  # noqa: E731
     graph = index_rows([row(one), row(two)])
     (group,) = graph.groups()
@@ -552,10 +571,79 @@ def test_literal_rows_with_equal_hashes_but_different_values_are_both_kept():
     assert group.subjects == [0, 0]
 
 
-def test_index_keeps_no_object_per_statement():
+# Each subject's statements: a link, typed and plain literals (a's "1" under
+# two datatypes, no tag and two tags), and IRI and blank-node image references.
+# "a1" names subject a's statement 1.
+_RUN_STATEMENTS = {
+    "a": [
+        f"<{EX}a> <{EX}knows> <{EX}b> .",
+        f'<{EX}a> <{EX}size> "1"^^{_XSD_INT} .',
+        f"<{EX}a> <{EX}depiction> <{EX}img/a.jpg> .",
+        f'<{EX}a> <{EX}size> "1" .',
+        f'<{EX}a> <{EX}size> "1"^^<{XSD}decimal> .',
+        f'<{EX}a> <{EX}size> "1"@en .',
+        f'<{EX}a> <{EX}size> "1"@de .',
+    ],
+    "b": [
+        f"<{EX}b> <{EX}knows> <{EX}a> .",
+        f"<{EX}b> <{EX}depiction> _:img .",
+        f'<{EX}b> <{EX}size> "1"^^{_XSD_INT} .',
+    ],
+    "c": [
+        f"_:c <{EX}knows> <{EX}a> .",
+        f"_:c <{EX}depiction> <{EX}img/a.jpg> .",
+        f'_:c <{EX}size> "2"^^{_XSD_INT} .',
+        f'_:c <{EX}size> "2"@en .',
+    ],
+}
+_RUN_LINES = {
+    f"{s}{i}": line for s, lines in _RUN_STATEMENTS.items() for i, line in enumerate(lines)
+}
+
+
+def _shuffled(seed):
+    """Every statement one to three times, in a seeded random order."""
+    rng = random.Random(seed)
+    names = [name for name in _RUN_LINES for _ in range(rng.randint(1, 3))]
+    rng.shuffle(names)
+    return " ".join(names)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        # Each subject's statements in one run, with repeats inside it.
+        "a0 a1 a0 a2 a3 a2 a4 a1 a5 a6 a4 b0 b0 b1 b2 b1 c0 c1 c2 c3 c2 c0",
+        # Every subject comes back, repeating within and across its runs.
+        "a0 a1 a3 a5 b0 b1 a0 a2 a1 a4 a6 a5 c0 c0 c1 b2 b0 b2 c2 c1 c3",
+        # a repeats within its first run; b and c each come back once.
+        "a0 a1 a1 b0 b1 c0 c0 b1 b2 a0 a2 a3 a4 a5 a6 c1 c2 c0 c3",
+        # a and b come back; c's one run repeats within itself.
+        "a0 b0 b1 a1 a0 c0 c1 c0 c2 c3 c2 b2 a4 a3 a6 a5",
+        # No repeat at all, but subjects that come back.
+        "a0 b0 a1 c0 b1 a2 c1 b2 a3 c2 c3 a4 a5 a6",
+        *(_shuffled(seed) for seed in range(4)),
+    ],
+)
+def test_repeats_within_and_across_subject_runs_keep_first_copies(order):
+    names = order.split()
+    document = "".join(_RUN_LINES[name] + "\n" for name in names)
+    triples, _ = parse_ntriples(document)
+    graph = index_rows(scan_ntriples(document), _IMAGES)
+    assert graph.duplicates_removed == len(names) - len(set(names))
+    assert _indexed(graph) == _term_keyed_index(triples, _IMAGES)
+    firsts = [triples[names.index(name)] for name in dict.fromkeys(names)]
+    links = [t for t in firsts if str(t.predicate).endswith("knows>")]
+    assert list(graph.relational_triples()) == links
+
+
+@pytest.mark.parametrize("by_subject", [False, True], ids=["interleaved", "by subject"])
+def test_index_keeps_no_object_per_statement(by_subject):
     """index_rows' traced peak and retained memory per statement, on 40k rows:
-    half links among 2,000 entities, half one xsd:integer group, no repeats.
-    Built before tracing starts, the rows' own strings are not counted."""
+    half links among 2,000 entities, half one xsd:integer group, no repeats,
+    each subject's rows spread over the whole list or sorted together. Built
+    before tracing starts, the rows' own strings are not counted; the pass
+    after the scan holds one subject's keys at a time, whatever the order."""
     entities = [f"{EX}e{i}" for i in range(2_000)]
     knows, size, integer = EX + "knows", EX + "size", XSD + "integer"
     # Link i joins entity i mod 2,000 to the (1 + i // 2,000)-th entity after it.
@@ -564,6 +652,8 @@ def test_index_keeps_no_object_per_statement():
         for i in range(20_000)
     ]
     rows += [_literal(entities[i % 2_000], size, str(i), integer) for i in range(20_000)]
+    if by_subject:
+        rows.sort(key=lambda row: row[0])
     gc.collect()
     tracemalloc.start()
     try:
@@ -572,8 +662,30 @@ def test_index_keeps_no_object_per_statement():
     finally:
         tracemalloc.stop()
     assert (graph.num_relational, graph.duplicates_removed) == (20_000, 0)
-    assert peak / len(rows) <= 110
+    assert peak / len(rows) <= 45
     assert retained / len(rows) <= 45
+
+
+def test_write_keeps_no_text_per_entity(tmp_path):
+    """_write_outputs' traced peak per entity, on 20k links among 5,000
+    entities with 120-character IRIs: the graph's terms are the one copy of
+    each entity's text."""
+    entities = [f"{EX}{'x' * 100}/entity{i:06d}" for i in range(5_000)]
+    knows = EX + "knows"
+    rows = [
+        _link(entities[i % 5_000], knows, entities[(i + 1 + i // 5_000) % 5_000])
+        for i in range(20_000)
+    ]
+    result = apply(index_rows(rows), StrategyConfig())
+    out = str(tmp_path / "out.nt")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert cli._write_outputs(result, out, False) == 20_000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(entities) <= 120
 
 
 # sha256 of `profile --input -` JSON on each benchmark workload at seed 1:
